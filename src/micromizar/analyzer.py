@@ -60,7 +60,6 @@ from .logic import (
     sorted_attrs,
     subst_bound,
     subst_loci,
-    subst_loci_type,
     uses_const,
 )
 from .prechecker import CLAUSE_CAP, Prechecker
@@ -673,7 +672,7 @@ class Analyzer:
         bs = tuple(bound(i) for i in range(len(types)))
         body = subst_loci(f, bs)
         for i in range(len(types) - 1, -1, -1):
-            body = ForAll(subst_loci_type(types[i], bs), body)
+            body = ForAll(subst_loci(types[i], bs), body)
         return body
 
     def _locus_args(self, arity: int) -> tuple[Term, ...]:

@@ -1,7 +1,8 @@
 """Error codes, positions and the per-article error report.
 
-The code table is small and fixed; docs/errors.md is the user-facing
-copy.  Codes sort and print as ``file:line:col: code``.
+The code table is small and fixed, and ``ERROR_MESSAGES`` below is its
+only copy: a second hand-kept list would drift from it.  Positions
+print as ``line:col``.
 """
 
 from __future__ import annotations

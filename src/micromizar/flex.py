@@ -20,7 +20,6 @@ from .logic import (
     FlexConj,
     ForAll,
     Formula,
-    Fraenkel,
     FunctorApp,
     Is,
     Neg,
@@ -36,13 +35,13 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
+    any_var,
     bound,
     mk_and,
     mk_neg,
+    replace_term,
     shift_up,
     subst_bound,
-    _occurs_term,
-    _replace_term_everywhere,
 )
 from .requirements import RequirementTable
 
@@ -236,7 +235,7 @@ def _first_term(f: Formula) -> Term | None:
 
 
 def _check_bound_scope(t: Term, depth: int) -> None:
-    if _occurs_term(t, lambda v: v.kind is VarKind.BOUND and v.index >= depth):
+    if any_var(t, lambda v: v.kind is VarKind.BOUND and v.index >= depth):
         raise NonNumericBound("range bound mentions a variable bound inside the endpoint")
 
 
@@ -262,7 +261,7 @@ def infer_flex_from_diff(
         if lo is None:
             raise NonNumericBound("no term position to generalize")
         _check_bound_scope(lo, depth)
-        skel = _replace_term_everywhere(left_s, lo, bound(depth))
+        skel = replace_term(left_s, lo, bound(depth))
         hi = lo
     else:
         skel = _diff_formula(left_s, right_s, tr, depth)

@@ -13,11 +13,18 @@ Levels rather than indices mean a subterm keeps its meaning when carried
 under extra binders; the only renumbering ever needed is the uniform one
 performed by ``subst_bound`` when a binder is removed and by ``shift_up``
 when new outer binders are added.
+
+Every rewrite of the tree goes through one structural map,
+``map_terms(node, fn)``, and every occurrence test through
+``any_var(node, pred)``.  The map asks ``fn`` at each term and atomic
+formula in pre-order: a node it returns replaces the current one and is
+not entered, ``None`` descends into the children.  Formulas are rebuilt
+through the smart constructors, so the normal form survives any hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -292,407 +299,244 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# traversal: substitution and renumbering
+# traversal: one structural map, one occurrence test
 #
-# Levels are absolute, so neither function tracks depth: removing the
+# ``map_terms`` and ``any_var`` accept a term, attribute, type or formula.
+# The map's hook contract is in the module docstring.  Atomic formulas are
+# all but Neg, And, ForAll and FlexAnd.  Attributes and types are never
+# asked themselves, only their argument terms, and come back unchanged
+# when they have none.  A hook may turn an atom into a negation (scheme
+# instantiation does); ``mk_neg`` then cancels a double one.
+#
+# Levels are absolute, so no policy below tracks depth: removing the
 # binder at `level` renumbers every deeper binder down by one, uniformly
 # across the whole tree, and adding k outer binders shifts everything up.
 
 
-def subst_term(t: Term, level: int, repl: Term) -> Term:
-    match t:
-        case Var(VarKind.BOUND, i):
-            if i == level:
-                return repl
-            if i > level:
-                return Var(VarKind.BOUND, i - 1)
-            return t
-        case Var() | Numeral():
-            return t
-        case FunctorApp(f, args):
-            return FunctorApp(f, tuple(subst_term(a, level, repl) for a in args))
-        case PrivFunc(f, args, exp):
-            return PrivFunc(
-                f,
-                tuple(subst_term(a, level, repl) for a in args),
-                subst_term(exp, level, repl),
-            )
-        case SchemeFunctorApp(f, args):
-            return SchemeFunctorApp(f, tuple(subst_term(a, level, repl) for a in args))
-        case Choice(ty):
-            return Choice(subst_type(ty, level, repl))
-        case Fraenkel(binders, body, guard):
-            return Fraenkel(
-                tuple(subst_type(b, level, repl) for b in binders),
-                subst_term(body, level, repl),
-                subst_bound(guard, level, repl),
-            )
-    raise TypeError(t)
+def map_terms(node, fn):
+    """Rebuild `node`, of any kind, under the hook `fn` (pre-order; a node
+    `fn` returns replaces the current one unentered, ``None`` descends)."""
+    return _MAP[type(node)](node, fn)
 
 
-def subst_attr(a: Attr, level: int, repl: Term) -> Attr:
-    if not a.args:
-        return a
-    return Attr(a.positive, a.attr_id, tuple(subst_term(t, level, repl) for t in a.args))
+def _map_args(args: tuple[Term, ...], fn) -> tuple[Term, ...]:
+    return tuple([_MAP[type(a)](a, fn) for a in args])
 
 
-def subst_type(ty: TypeExpr, level: int, repl: Term) -> TypeExpr:
-    if not ty.args and not any(a.args for a in ty.lower | ty.upper):
-        return ty
-    return TypeExpr(
-        frozenset(subst_attr(a, level, repl) for a in ty.lower),
-        frozenset(subst_attr(a, level, repl) for a in ty.upper),
-        ty.mode,
-        tuple(subst_term(t, level, repl) for t in ty.args),
+def _map_leaf(n, fn):
+    r = fn(n)
+    return n if r is None else r
+
+
+def _map_app(t, fn):
+    r = fn(t)
+    return type(t)(t.func, _map_args(t.args, fn)) if r is None else r
+
+
+def _map_priv_func(t: PrivFunc, fn) -> Term:
+    r = fn(t)
+    if r is not None:
+        return r
+    return PrivFunc(t.func, _map_args(t.args, fn), _MAP[type(t.expansion)](t.expansion, fn))
+
+
+def _map_choice(t: Choice, fn) -> Term:
+    r = fn(t)
+    return Choice(_map_type(t.ty, fn)) if r is None else r
+
+
+def _map_fraenkel(t: Fraenkel, fn) -> Term:
+    r = fn(t)
+    if r is not None:
+        return r
+    return Fraenkel(
+        tuple([_map_type(b, fn) for b in t.binders]),
+        _MAP[type(t.body)](t.body, fn),
+        _MAP[type(t.guard)](t.guard, fn),
     )
 
 
-def subst_bound(f: Formula, level: int, repl: Term) -> Formula:
+def _map_attr(a: Attr, fn) -> Attr:
+    if not a.args:
+        return a
+    return Attr(a.positive, a.attr_id, _map_args(a.args, fn))
+
+
+def _map_type(ty: TypeExpr, fn) -> TypeExpr:
+    if not ty.args and not any(a.args for a in ty.lower) and not any(a.args for a in ty.upper):
+        return ty
+    return TypeExpr(
+        frozenset([_map_attr(a, fn) for a in ty.lower]),
+        frozenset([_map_attr(a, fn) for a in ty.upper]),
+        ty.mode,
+        _map_args(ty.args, fn),
+    )
+
+
+def _map_neg(f: Neg, fn) -> Formula:
+    return mk_neg(_MAP[type(f.body)](f.body, fn))
+
+
+def _map_and(f: And, fn) -> Formula:
+    return mk_and([_MAP[type(c)](c, fn) for c in f.conjuncts])
+
+
+def _map_forall(f: ForAll, fn) -> Formula:
+    return ForAll(_map_type(f.ty, fn), _MAP[type(f.body)](f.body, fn))
+
+
+def _map_flex(f: FlexAnd, fn) -> Formula:
+    fx = f.flex
+    parts = (fx.lo, fx.hi, fx.expansion, fx.inst_lo, fx.inst_hi)
+    return FlexAnd(FlexConj(*[_MAP[type(x)](x, fn) for x in parts]))
+
+
+def _map_pred(f, fn) -> Formula:
+    r = fn(f)
+    return type(f)(f.pred, _map_args(f.args, fn)) if r is None else r
+
+
+def _map_priv_pred(f: PrivPred, fn) -> Formula:
+    r = fn(f)
+    if r is not None:
+        return r
+    return PrivPred(f.pred, _map_args(f.args, fn), _MAP[type(f.expansion)](f.expansion, fn))
+
+
+def _map_is(f: Is, fn) -> Formula:
+    r = fn(f)
+    return Is(_MAP[type(f.term)](f.term, fn), _map_attr(f.attr, fn)) if r is None else r
+
+
+def _map_qual(f: Qual, fn) -> Formula:
+    r = fn(f)
+    return Qual(_MAP[type(f.term)](f.term, fn), _map_type(f.ty, fn)) if r is None else r
+
+
+_MAP = {
+    Var: _map_leaf,
+    Numeral: _map_leaf,
+    FunctorApp: _map_app,
+    SchemeFunctorApp: _map_app,
+    PrivFunc: _map_priv_func,
+    Choice: _map_choice,
+    Fraenkel: _map_fraenkel,
+    Attr: _map_attr,
+    TypeExpr: _map_type,
+    FTrue: _map_leaf,
+    ThesisMarker: _map_leaf,
+    Neg: _map_neg,
+    And: _map_and,
+    ForAll: _map_forall,
+    FlexAnd: _map_flex,
+    Pred: _map_pred,
+    SchemePred: _map_pred,
+    PrivPred: _map_priv_pred,
+    Is: _map_is,
+    Qual: _map_qual,
+}
+
+_CHILDREN = {
+    Numeral: lambda n: (),
+    FunctorApp: lambda n: n.args,
+    SchemeFunctorApp: lambda n: n.args,
+    PrivFunc: lambda n: (*n.args, n.expansion),
+    Choice: lambda n: (n.ty,),
+    Fraenkel: lambda n: (*n.binders, n.body, n.guard),
+    Attr: lambda n: n.args,
+    TypeExpr: lambda n: (*n.args, *n.lower, *n.upper),
+    FTrue: lambda n: (),
+    ThesisMarker: lambda n: (),
+    Neg: lambda n: (n.body,),
+    And: lambda n: n.conjuncts,
+    ForAll: lambda n: (n.ty, n.body),
+    FlexAnd: lambda n: (n.flex.lo, n.flex.hi, n.flex.expansion, n.flex.inst_lo, n.flex.inst_hi),
+    Pred: lambda n: n.args,
+    SchemePred: lambda n: n.args,
+    PrivPred: lambda n: (*n.args, n.expansion),
+    Is: lambda n: (n.term, n.attr),
+    Qual: lambda n: (n.term, n.ty),
+}
+
+
+def any_var(node, pred) -> bool:
+    """Does `pred` hold of some variable occurring anywhere in `node`?"""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if type(n) is Var:
+            if pred(n):
+                return True
+        else:
+            todo.extend(_CHILDREN[type(n)](n))
+    return False
+
+
+def subst_bound(node, level: int, repl: Term):
     """Replace bound level `level` by `repl`, renumbering deeper levels down.
 
-    `level` must be the outermost open level of `f`; `repl` may only
+    `level` must be the outermost open level of `node`; `repl` may only
     mention strictly more outer levels (ground terms always qualify).
     """
-    match f:
-        case FTrue():
-            return f
-        case Neg(b):
-            return mk_neg(subst_bound(b, level, repl))
-        case And(cs):
-            return mk_and([subst_bound(c, level, repl) for c in cs])
-        case FlexAnd(fx):
-            return FlexAnd(
-                FlexConj(
-                    subst_term(fx.lo, level, repl),
-                    subst_term(fx.hi, level, repl),
-                    subst_bound(fx.expansion, level, repl),
-                    subst_bound(fx.inst_lo, level, repl),
-                    subst_bound(fx.inst_hi, level, repl),
-                )
-            )
-        case ForAll(ty, body):
-            return ForAll(subst_type(ty, level, repl), subst_bound(body, level, repl))
-        case Pred(p, args):
-            return Pred(p, tuple(subst_term(a, level, repl) for a in args))
-        case SchemePred(p, args):
-            return SchemePred(p, tuple(subst_term(a, level, repl) for a in args))
-        case PrivPred(p, args, exp):
-            return PrivPred(
-                p,
-                tuple(subst_term(a, level, repl) for a in args),
-                subst_bound(exp, level, repl),
-            )
-        case Is(t, attr):
-            return Is(subst_term(t, level, repl), subst_attr(attr, level, repl))
-        case Qual(t, ty):
-            return Qual(subst_term(t, level, repl), subst_type(ty, level, repl))
-        case ThesisMarker():
-            return f
-    raise TypeError(f)
+
+    def fn(n):
+        if type(n) is Var and n.kind is VarKind.BOUND and n.index >= level:
+            return repl if n.index == level else Var(VarKind.BOUND, n.index - 1)
+        return None
+
+    return map_terms(node, fn)
 
 
-def shift_term(t: Term, k: int, floor: int = 0) -> Term:
-    match t:
-        case Var(VarKind.BOUND, i):
-            return Var(VarKind.BOUND, i + k) if i >= floor else t
-        case Var() | Numeral():
-            return t
-        case FunctorApp(f, args):
-            return FunctorApp(f, tuple(shift_term(a, k, floor) for a in args))
-        case PrivFunc(f, args, exp):
-            return PrivFunc(
-                f, tuple(shift_term(a, k, floor) for a in args), shift_term(exp, k, floor)
-            )
-        case SchemeFunctorApp(f, args):
-            return SchemeFunctorApp(f, tuple(shift_term(a, k, floor) for a in args))
-        case Choice(ty):
-            return Choice(shift_type(ty, k, floor))
-        case Fraenkel(binders, body, guard):
-            return Fraenkel(
-                tuple(shift_type(b, k, floor) for b in binders),
-                shift_term(body, k, floor),
-                shift_up(guard, k, floor),
-            )
-    raise TypeError(t)
-
-
-def shift_attr(a: Attr, k: int, floor: int = 0) -> Attr:
-    if not a.args:
-        return a
-    return Attr(a.positive, a.attr_id, tuple(shift_term(t, k, floor) for t in a.args))
-
-
-def shift_type(ty: TypeExpr, k: int, floor: int = 0) -> TypeExpr:
-    if not ty.args and not any(a.args for a in ty.lower | ty.upper):
-        return ty
-    return TypeExpr(
-        frozenset(shift_attr(a, k, floor) for a in ty.lower),
-        frozenset(shift_attr(a, k, floor) for a in ty.upper),
-        ty.mode,
-        tuple(shift_term(t, k, floor) for t in ty.args),
-    )
-
-
-def shift_up(f: Formula, k: int, floor: int = 0) -> Formula:
+def shift_up(node, k: int, floor: int = 0):
     """Renumber bound levels >= floor up by k (for inserting k binders
     at depth floor)."""
     if k == 0:
-        return f
-    match f:
-        case FTrue() | ThesisMarker():
-            return f
-        case Neg(b):
-            return Neg(shift_up(b, k, floor))
-        case And(cs):
-            return And(tuple(shift_up(c, k, floor) for c in cs))
-        case FlexAnd(fx):
-            return FlexAnd(
-                FlexConj(
-                    shift_term(fx.lo, k, floor),
-                    shift_term(fx.hi, k, floor),
-                    shift_up(fx.expansion, k, floor),
-                    shift_up(fx.inst_lo, k, floor),
-                    shift_up(fx.inst_hi, k, floor),
-                )
-            )
-        case ForAll(ty, body):
-            return ForAll(shift_type(ty, k, floor), shift_up(body, k, floor))
-        case Pred(p, args):
-            return Pred(p, tuple(shift_term(a, k, floor) for a in args))
-        case SchemePred(p, args):
-            return SchemePred(p, tuple(shift_term(a, k, floor) for a in args))
-        case PrivPred(p, args, exp):
-            return PrivPred(p, tuple(shift_term(a, k, floor) for a in args), shift_up(exp, k, floor))
-        case Is(t, attr):
-            return Is(shift_term(t, k, floor), shift_attr(attr, k, floor))
-        case Qual(t, ty):
-            return Qual(shift_term(t, k, floor), shift_type(ty, k, floor))
-    raise TypeError(f)
+        return node
+
+    def fn(n):
+        if type(n) is Var and n.kind is VarKind.BOUND and n.index >= floor:
+            return Var(VarKind.BOUND, n.index + k)
+        return None
+
+    return map_terms(node, fn)
 
 
-# ---------------------------------------------------------------------------
-# occurrence checks and const abstraction
-
-
-def _occurs_term(t: Term, pred) -> bool:
-    match t:
-        case Var():
-            return pred(t)
-        case Numeral():
-            return False
-        case FunctorApp(_, args) | SchemeFunctorApp(_, args):
-            return any(_occurs_term(a, pred) for a in args)
-        case PrivFunc(_, args, exp):
-            return any(_occurs_term(a, pred) for a in args) or _occurs_term(exp, pred)
-        case Choice(ty):
-            return _occurs_type(ty, pred)
-        case Fraenkel(binders, body, guard):
-            return (
-                any(_occurs_type(b, pred) for b in binders)
-                or _occurs_term(body, pred)
-                or _occurs(guard, pred)
-            )
-    raise TypeError(t)
-
-
-def _occurs_type(ty: TypeExpr, pred) -> bool:
-    return any(_occurs_term(t, pred) for t in ty.args) or any(
-        _occurs_term(t, pred) for a in ty.lower | ty.upper for t in a.args
-    )
-
-
-def _occurs(f: Formula, pred) -> bool:
-    match f:
-        case FTrue() | ThesisMarker():
-            return False
-        case Neg(b):
-            return _occurs(b, pred)
-        case And(cs):
-            return any(_occurs(c, pred) for c in cs)
-        case FlexAnd(fx):
-            return (
-                _occurs_term(fx.lo, pred)
-                or _occurs_term(fx.hi, pred)
-                or _occurs(fx.expansion, pred)
-                or _occurs(fx.inst_lo, pred)
-                or _occurs(fx.inst_hi, pred)
-            )
-        case ForAll(ty, body):
-            return _occurs_type(ty, pred) or _occurs(body, pred)
-        case Pred(_, args) | SchemePred(_, args):
-            return any(_occurs_term(a, pred) for a in args)
-        case PrivPred(_, args, exp):
-            return any(_occurs_term(a, pred) for a in args) or _occurs(exp, pred)
-        case Is(t, attr):
-            return _occurs_term(t, pred) or any(_occurs_term(a, pred) for a in attr.args)
-        case Qual(t, ty):
-            return _occurs_term(t, pred) or _occurs_type(ty, pred)
-    raise TypeError(f)
-
-
-def uses_bound(f: Formula, level: int) -> bool:
-    return _occurs(f, lambda v: v.kind is VarKind.BOUND and v.index == level)
-
-
-def uses_const(f: Formula, index: int) -> bool:
-    return _occurs(f, lambda v: v.kind is VarKind.CONST and v.index == index)
-
-
-def term_uses_bound(t: Term, level: int) -> bool:
-    return _occurs_term(t, lambda v: v.kind is VarKind.BOUND and v.index == level)
-
-
-def _replace_term_everywhere(f: Formula, needle: Term, repl: Term) -> Formula:
-    def rt(t: Term) -> Term:
-        if t == needle:
-            return repl
-        match t:
-            case Var() | Numeral():
-                return t
-            case FunctorApp(fn, args):
-                return FunctorApp(fn, tuple(rt(a) for a in args))
-            case PrivFunc(fn, args, exp):
-                return PrivFunc(fn, tuple(rt(a) for a in args), rt(exp))
-            case SchemeFunctorApp(fn, args):
-                return SchemeFunctorApp(fn, tuple(rt(a) for a in args))
-            case Choice(ty):
-                return Choice(rty(ty))
-            case Fraenkel(binders, body, guard):
-                return Fraenkel(tuple(rty(b) for b in binders), rt(body), rf(guard))
-        raise TypeError(t)
-
-    def rattr(a: Attr) -> Attr:
-        if not a.args:
-            return a
-        return Attr(a.positive, a.attr_id, tuple(rt(t) for t in a.args))
-
-    def rty(ty: TypeExpr) -> TypeExpr:
-        return TypeExpr(
-            frozenset(rattr(a) for a in ty.lower),
-            frozenset(rattr(a) for a in ty.upper),
-            ty.mode,
-            tuple(rt(t) for t in ty.args),
-        )
-
-    def rf(g: Formula) -> Formula:
-        match g:
-            case FTrue() | ThesisMarker():
-                return g
-            case Neg(b):
-                return mk_neg(rf(b))
-            case And(cs):
-                return mk_and([rf(c) for c in cs])
-            case FlexAnd(fx):
-                return FlexAnd(
-                    FlexConj(rt(fx.lo), rt(fx.hi), rf(fx.expansion), rf(fx.inst_lo), rf(fx.inst_hi))
-                )
-            case ForAll(ty, body):
-                return ForAll(rty(ty), rf(body))
-            case Pred(p, args):
-                return Pred(p, tuple(rt(a) for a in args))
-            case SchemePred(p, args):
-                return SchemePred(p, tuple(rt(a) for a in args))
-            case PrivPred(p, args, exp):
-                return PrivPred(p, tuple(rt(a) for a in args), rf(exp))
-            case Is(t, attr):
-                return Is(rt(t), rattr(attr))
-            case Qual(t, ty):
-                return Qual(rt(t), rty(ty))
-        raise TypeError(g)
-
-    return rf(f)
-
-
-def subst_loci_term(t: Term, terms: tuple[Term, ...]) -> Term:
-    match t:
-        case Var(VarKind.LOCUS, i):
-            return terms[i]
-        case Var() | Numeral():
-            return t
-        case FunctorApp(f, args):
-            return FunctorApp(f, tuple(subst_loci_term(a, terms) for a in args))
-        case PrivFunc(f, args, exp):
-            return PrivFunc(
-                f, tuple(subst_loci_term(a, terms) for a in args), subst_loci_term(exp, terms)
-            )
-        case SchemeFunctorApp(f, args):
-            return SchemeFunctorApp(f, tuple(subst_loci_term(a, terms) for a in args))
-        case Choice(ty):
-            return Choice(subst_loci_type(ty, terms))
-        case Fraenkel(binders, body, guard):
-            return Fraenkel(
-                tuple(subst_loci_type(b, terms) for b in binders),
-                subst_loci_term(body, terms),
-                subst_loci(guard, terms),
-            )
-    raise TypeError(t)
-
-
-def subst_loci_attr(a: Attr, terms: tuple[Term, ...]) -> Attr:
-    if not a.args:
-        return a
-    return Attr(a.positive, a.attr_id, tuple(subst_loci_term(t, terms) for t in a.args))
-
-
-def subst_loci_type(ty: TypeExpr, terms: tuple[Term, ...]) -> TypeExpr:
-    if not ty.args and not any(a.args for a in ty.lower | ty.upper):
-        return ty
-    return TypeExpr(
-        frozenset(subst_loci_attr(a, terms) for a in ty.lower),
-        frozenset(subst_loci_attr(a, terms) for a in ty.upper),
-        ty.mode,
-        tuple(subst_loci_term(t, terms) for t in ty.args),
-    )
-
-
-def subst_loci(f: Formula, terms: tuple[Term, ...]) -> Formula:
+def subst_loci(node, terms: tuple[Term, ...]):
     """Replace locus i by terms[i] throughout a stored definiens.
 
     Loci are definition-time placeholders, never bound levels, so no
     renumbering happens; the replacement terms must already live at the
     use site's depth.
     """
-    match f:
-        case FTrue() | ThesisMarker():
-            return f
-        case Neg(b):
-            return mk_neg(subst_loci(b, terms))
-        case And(cs):
-            return mk_and([subst_loci(c, terms) for c in cs])
-        case FlexAnd(fx):
-            return FlexAnd(
-                FlexConj(
-                    subst_loci_term(fx.lo, terms),
-                    subst_loci_term(fx.hi, terms),
-                    subst_loci(fx.expansion, terms),
-                    subst_loci(fx.inst_lo, terms),
-                    subst_loci(fx.inst_hi, terms),
-                )
-            )
-        case ForAll(ty, body):
-            return ForAll(subst_loci_type(ty, terms), subst_loci(body, terms))
-        case Pred(p, args):
-            return Pred(p, tuple(subst_loci_term(a, terms) for a in args))
-        case SchemePred(p, args):
-            return SchemePred(p, tuple(subst_loci_term(a, terms) for a in args))
-        case PrivPred(p, args, exp):
-            return PrivPred(
-                p, tuple(subst_loci_term(a, terms) for a in args), subst_loci(exp, terms)
-            )
-        case Is(t, attr):
-            return Is(subst_loci_term(t, terms), subst_loci_attr(attr, terms))
-        case Qual(t, ty):
-            return Qual(subst_loci_term(t, terms), subst_loci_type(ty, terms))
-    raise TypeError(f)
+
+    def fn(n):
+        if type(n) is Var and n.kind is VarKind.LOCUS:
+            return terms[n.index]
+        return None
+
+    return map_terms(node, fn)
 
 
-def abstract_const(f: Formula, const_index: int, level: int) -> Formula:
+def replace_term(node, needle: Term, repl: Term):
+    """Replace every occurrence of the term `needle` by `repl`."""
+    return map_terms(node, lambda n: repl if n == needle else None)
+
+
+def abstract_const(node, const_index: int, level: int):
     """Turn occurrences of a constant into bound level `level`.
 
-    The caller must already have shifted `f` to make room for the new
+    The caller must already have shifted `node` to make room for the new
     binder (see ``shift_up``).
     """
-    return _replace_term_everywhere(f, const(const_index), bound(level))
+    return replace_term(node, const(const_index), bound(level))
+
+
+def uses_bound(node, level: int) -> bool:
+    return any_var(node, lambda v: v.kind is VarKind.BOUND and v.index == level)
+
+
+def uses_const(node, index: int) -> bool:
+    return any_var(node, lambda v: v.kind is VarKind.CONST and v.index == index)
 
 
 def replace_thesis(f: Formula, thesis: Formula) -> Formula:

@@ -6,7 +6,10 @@ share a prefix.  Both are resolved by saving the token index and
 retrying; everything else is a single token of lookahead.
 
 Errors carry code 90.  `parse_article` recovers at the next ``;`` after
-a failed item so later items still get checked.
+a failed item so later items still get checked.  Terms and formulas
+nested deeper than ``MAX_NESTING`` are such an error: every later stage
+recurses over the same tree, and past this depth the interpreter's
+recursion limit would take the whole article down with it.
 """
 
 from __future__ import annotations
@@ -81,12 +84,14 @@ PREFIX_FUNCTORS = frozenset({"bool", "succ"})
 INFIX_PREDS = frozenset({"in", "meets", "divides"})
 RELATIONS = ("=", "<>", "<=", ">=", "<", ">", "c=")
 SETOPS = ("\\/", "/\\", "\\+\\", "\\")
+MAX_NESTING = 100  # nested term() and formula() entries
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------------
 
@@ -131,15 +136,25 @@ class Parser:
             return name
         return None
 
+    def enter(self) -> None:
+        """Count one more nested term or formula; the caller undoes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nested deeper than {MAX_NESTING}")
+
     # -- terms ----------------------------------------------------------------
 
     def term(self) -> STerm:
-        t = self.add_term()
-        while self.tok.kind == "sym" and self.tok.text in SETOPS:
-            op = self.next()
-            rhs = self.add_term()
-            t = SApp(op.pos, op.text, (t, rhs))
-        return t
+        try:
+            self.enter()
+            t = self.add_term()
+            while self.tok.kind == "sym" and self.tok.text in SETOPS:
+                op = self.next()
+                rhs = self.add_term()
+                t = SApp(op.pos, op.text, (t, rhs))
+            return t
+        finally:
+            self.depth -= 1
 
     def add_term(self) -> STerm:
         t = self.mul_term()
@@ -308,7 +323,11 @@ class Parser:
     # -- formulas ----------------------------------------------------------------
 
     def formula(self) -> "SFormula":
-        return self.iff_level()
+        try:
+            self.enter()
+            return self.iff_level()
+        finally:
+            self.depth -= 1
 
     def iff_level(self):
         f = self.imp_level()

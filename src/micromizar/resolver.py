@@ -49,10 +49,8 @@ from .logic import (
     mk_is,
     mk_neg,
     mk_or,
-    shift_term,
     shift_up,
     subst_loci,
-    subst_loci_term,
 )
 from .requirements import RequirementTable
 from .subtyping import DefinitionDb
@@ -256,8 +254,8 @@ class Resolver:
                 raise MizarError(pos, 92, f"{name} takes {len(d.arg_types)} arguments")
             # body binders sit at level 0; lift them past the binders
             # enclosing the use site before plugging in the arguments
-            body = shift_term(d.body, len(sc.bound_names))
-            return PrivFunc(d.ident, args, subst_loci_term(body, args))
+            body = shift_up(d.body, len(sc.bound_names))
+            return PrivFunc(d.ident, args, subst_loci(body, args))
         if name in sc.scheme_funcs:
             fid, tys, _ = sc.scheme_funcs[name]
             if len(args) != len(tys):

@@ -44,9 +44,10 @@ from .logic import (
     Term,
     TypeExpr,
     Var,
+    map_terms,
     mk_neg,
     sorted_attrs,
-    term_uses_bound,
+    uses_bound,
 )
 
 SIGN_MISMATCH = 62
@@ -149,7 +150,7 @@ class _Matcher:
             raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} arity")
         if not args:
             for lvl in range(depth):
-                if term_uses_bound(subject, lvl):
+                if uses_bound(subject, lvl):
                     raise SchemeMatchError(
                         HEAD_MISMATCH,
                         f"placeholder functor {k} would capture a quantified variable",
@@ -282,145 +283,41 @@ def apply_assignment(
     without it a placeholder expansion is used (fine for shape checks,
     not for checking)."""
 
-    def ft(t: Term) -> Term:
-        match t:
-            case SchemeFunctorApp(k, args):
-                target = asg.functors[k]
-                resolved = tuple(ft(a) for a in args)
-                match target:
-                    case (kind, int(fid)):
-                        if kind == FUNC:
-                            return FunctorApp(fid, resolved)
-                        if lookup_priv is not None:
-                            return lookup_priv(PRIV_FUNC, fid, resolved)
-                        return PrivFunc(fid, resolved, Numeral(0))
-                    case (_, term):
-                        return term
-            case Var() | Numeral():
-                return t
-            case FunctorApp(fid, args):
-                return FunctorApp(fid, tuple(ft(a) for a in args))
-            case PrivFunc(fid, args, exp):
-                return PrivFunc(fid, tuple(ft(a) for a in args), ft(exp))
-            case Choice(ty):
-                return Choice(fty(ty))
-            case Fraenkel(binders, body, guard):
-                return Fraenkel(tuple(fty(b) for b in binders), ft(body), ff(guard))
-        raise TypeError(t)
+    def fn(n):
+        if type(n) is SchemeFunctorApp:
+            kind, target = asg.functors[n.func]
+            if kind == GROUND:
+                return target
+            args = tuple([map_terms(a, fn) for a in n.args])
+            if kind == FUNC:
+                return FunctorApp(target, args)
+            if lookup_priv is not None:
+                return lookup_priv(PRIV_FUNC, target, args)
+            return PrivFunc(target, args, Numeral(0))
+        if type(n) is SchemePred:
+            sign, (kind, pid) = asg.predicates[n.pred]
+            args = tuple([map_terms(a, fn) for a in n.args])
+            if kind == PRED:
+                out: Formula = Pred(pid, args)
+            elif lookup_priv is not None:
+                out = lookup_priv(PRIV_PRED, pid, args)
+            else:
+                out = PrivPred(pid, args, FTrue())
+            return out if sign else mk_neg(out)
+        return None
 
-    def fty(ty: TypeExpr) -> TypeExpr:
-        fa = lambda a: a if not a.args else type(a)(
-            a.positive, a.attr_id, tuple(ft(x) for x in a.args)
-        )
-        return TypeExpr(
-            frozenset(fa(a) for a in ty.lower),
-            frozenset(fa(a) for a in ty.upper),
-            ty.mode,
-            tuple(ft(a) for a in ty.args),
-        )
-
-    def ff(g: Formula) -> Formula:
-        match g:
-            case SchemePred(k, args):
-                sign, (kind, pid) = asg.predicates[k]
-                resolved = tuple(ft(a) for a in args)
-                if kind == PRED:
-                    out: Formula = Pred(pid, resolved)
-                elif lookup_priv is not None:
-                    out = lookup_priv(PRIV_PRED, pid, resolved)
-                else:
-                    out = PrivPred(pid, resolved, FTrue())
-                return out if sign else mk_neg(out)
-            case FTrue():
-                return g
-            case Neg(b):
-                return mk_neg(ff(b))
-            case And(cs):
-                return And(tuple(ff(c) for c in cs))
-            case ForAll(ty, body):
-                return ForAll(fty(ty), ff(body))
-            case Pred(pid, args):
-                return Pred(pid, tuple(ft(a) for a in args))
-            case PrivPred(pid, args, exp):
-                return PrivPred(pid, tuple(ft(a) for a in args), ff(exp))
-            case Is(t, a):
-                na = a if not a.args else type(a)(
-                    a.positive, a.attr_id, tuple(ft(x) for x in a.args)
-                )
-                return Is(ft(t), na)
-            case Qual(t, ty):
-                return Qual(ft(t), fty(ty))
-            case FlexAnd(fx):
-                return FlexAnd(
-                    type(fx)(
-                        ft(fx.lo), ft(fx.hi), ff(fx.expansion), ff(fx.inst_lo), ff(fx.inst_hi)
-                    )
-                )
-        raise TypeError(g)
-
-    return ff(f)
+    return map_terms(f, fn)
 
 
 def _strip(f: Formula) -> Formula:
     """Erase proof-local expansions so rebuilt and original instances
     compare on head and argument structure alone."""
 
-    def st(t: Term) -> Term:
-        match t:
-            case Var() | Numeral():
-                return t
-            case FunctorApp(fid, args):
-                return FunctorApp(fid, tuple(st(a) for a in args))
-            case PrivFunc(fid, args, _):
-                return PrivFunc(fid, tuple(st(a) for a in args), Numeral(0))
-            case SchemeFunctorApp(fid, args):
-                return SchemeFunctorApp(fid, tuple(st(a) for a in args))
-            case Choice(ty):
-                return Choice(sty(ty))
-            case Fraenkel(binders, body, guard):
-                return Fraenkel(tuple(sty(b) for b in binders), st(body), _strip(guard))
-        raise TypeError(t)
+    def fn(n):
+        if type(n) is PrivFunc:
+            return PrivFunc(n.func, tuple([map_terms(a, fn) for a in n.args]), Numeral(0))
+        if type(n) is PrivPred:
+            return PrivPred(n.pred, tuple([map_terms(a, fn) for a in n.args]), FTrue())
+        return None
 
-    def sattr(a):
-        return a if not a.args else type(a)(
-            a.positive, a.attr_id, tuple(st(x) for x in a.args)
-        )
-
-    def sty(ty: TypeExpr) -> TypeExpr:
-        return TypeExpr(
-            frozenset(sattr(a) for a in ty.lower),
-            frozenset(sattr(a) for a in ty.upper),
-            ty.mode,
-            tuple(st(a) for a in ty.args),
-        )
-
-    match f:
-        case FTrue():
-            return f
-        case Neg(b):
-            return Neg(_strip(b))
-        case And(cs):
-            return And(tuple(_strip(c) for c in cs))
-        case ForAll(ty, body):
-            return ForAll(sty(ty), _strip(body))
-        case Pred(pid, args):
-            return Pred(pid, tuple(st(a) for a in args))
-        case SchemePred(pid, args):
-            return SchemePred(pid, tuple(st(a) for a in args))
-        case PrivPred(pid, args, _):
-            return PrivPred(pid, tuple(st(a) for a in args), FTrue())
-        case Is(t, a):
-            return Is(st(t), sattr(a))
-        case Qual(t, ty):
-            return Qual(st(t), sty(ty))
-        case FlexAnd(fx):
-            return FlexAnd(
-                type(fx)(
-                    st(fx.lo),
-                    st(fx.hi),
-                    _strip(fx.expansion),
-                    _strip(fx.inst_lo),
-                    _strip(fx.inst_hi),
-                )
-            )
-    raise TypeError(f)
+    return map_terms(f, fn)

@@ -27,8 +27,6 @@ from .logic import (
     TypeExpr,
     mk_neg,
     subst_loci,
-    subst_loci_term,
-    subst_loci_type,
 )
 from .requirements import RequirementTable
 
@@ -121,7 +119,7 @@ class DefinitionDb:
         d = self.modes.get(mode)
         if d is None:
             return None
-        return subst_loci_type(d.parent, args)
+        return subst_loci(d.parent, args)
 
     def ancestry(self, ty: TypeExpr) -> list[TypeExpr]:
         out = [ty]
@@ -169,9 +167,6 @@ class DefinitionDb:
         if not b.lower <= self.round_up(a).upper:
             return False
         return any(t.mode == b.mode and t.args == b.args for t in self.ancestry(a))
-
-    def same_type(self, a: TypeExpr, b: TypeExpr) -> bool:
-        return self.subtype(a, b) and self.subtype(b, a)
 
     # -- inhabitation ------------------------------------------------------
 
@@ -222,12 +217,6 @@ class DefinitionDb:
             return None
         return subst_loci(d.definiens, args)
 
-    def func_equals(self, func: int, args: tuple[Term, ...]) -> Term | None:
-        d = self.funcs.get(func)
-        if d is None or d.equals is None:
-            return None
-        return subst_loci_term(d.equals, args)
-
     def expandable_attr(self, aid: int) -> bool:
         d = self.attrs.get(aid)
         return d is not None and d.expandable
@@ -249,4 +238,4 @@ class DefinitionDb:
         d = self.funcs.get(func)
         if d is None:
             return self.req.set_type()
-        return subst_loci_type(d.result, args)
+        return subst_loci(d.result, args)

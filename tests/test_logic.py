@@ -6,15 +6,21 @@ import _oracles as orc
 from micromizar.logic import (
     And,
     Attr,
+    Choice,
     FlexAnd,
     FlexConj,
     ForAll,
+    Fraenkel,
     FunctorApp,
     Is,
     Neg,
     Numeral,
     Pred,
+    PrivFunc,
+    PrivPred,
     Qual,
+    SchemeFunctorApp,
+    SchemePred,
     ThesisMarker,
     TypeExpr,
     TRUE,
@@ -42,6 +48,42 @@ P = Pred(10, (const(0),))
 Q = Pred(11, (const(1),))
 R = Pred(12, (const(2),))
 SET = TypeExpr(frozenset(), frozenset(), 1)
+
+
+def every_kind(pool: int):
+    """One formula with every node kind ``gen_formula`` never builds:
+    Choice, Fraenkel, PrivFunc, SchemeFunctorApp, PrivPred, SchemePred,
+    FlexAnd, attributes with arguments under Is, types with arguments.
+    It mentions const(1) and, when pool > 0, the open level pool - 1;
+    its own binders sit at depth pool."""
+    v = bound(pool - 1) if pool else Numeral(7)
+    c = const(1)
+    d = pool
+    ty = TypeExpr(
+        frozenset({Attr(True, 0, (v,))}),
+        frozenset({Attr(True, 0, (v,)), Attr(False, 1, (c,))}),
+        2,
+        (c, v),
+    )
+    fraenkel = Fraenkel(
+        (SET, ty), FunctorApp(0, (bound(d), bound(d + 1))), Pred(1, (bound(d + 1), v, c))
+    )
+    priv = PrivFunc(0, (v, Choice(ty)), FunctorApp(2, (c, v)))
+    app = SchemeFunctorApp(1, (priv, fraenkel))
+    lo, hi = Numeral(1), FunctorApp(3, (v, c))
+    step = lambda t: Pred(6, (t, c))
+    guards = [Pred(4, (lo, bound(d))), Pred(4, (bound(d), hi)), mk_neg(step(bound(d)))]
+    flex = FlexAnd(FlexConj(lo, hi, ForAll(SET, mk_neg(mk_and(guards))), step(lo), step(hi)))
+    return mk_and(
+        [
+            PrivPred(3, (app,), mk_neg(Pred(5, (v, c)))),
+            mk_neg(SchemePred(0, (c, v))),
+            Is(c, Attr(True, 5, (v, app))),
+            Qual(fraenkel, ty),
+            flex,
+            ForAll(ty, Pred(7, (bound(d), v, Choice(ty)))),
+        ]
+    )
 
 
 def test_neg_cancels():
@@ -161,9 +203,8 @@ def test_named_oracle_roundtrip_identity():
 
 def test_shift_then_subst_is_identity():
     rng = random.Random(77)
-    for _ in range(200):
-        n = rng.randrange(3)
-        f = orc.gen_formula(rng, n, 4)
+    cases = [(n, orc.gen_formula(rng, n, 4)) for n in (rng.randrange(3) for _ in range(200))]
+    for n, f in cases + [(n, every_kind(n)) for n in range(3)]:
         for floor in range(n + 1):
             g = shift_up(f, 1, floor)
             assert subst_bound(g, floor, Numeral(99)) == f
@@ -171,8 +212,7 @@ def test_shift_then_subst_is_identity():
 
 def test_abstract_const_builds_a_binder():
     rng = random.Random(31337)
-    for _ in range(150):
-        f = orc.gen_formula(rng, 0, 4)
+    for f in [orc.gen_formula(rng, 0, 4) for _ in range(150)] + [every_kind(0)]:
         g = abstract_const(shift_up(f, 1), 1, 0)
         assert not uses_const(g, 1)
         assert subst_bound(g, 0, const(1)) == f
@@ -187,6 +227,19 @@ def test_occurrence_checks():
     assert not uses_const(f, 0)
     ty = TypeExpr(frozenset({Attr(True, 0, (const(5),))}), frozenset(), 1)
     assert uses_const(Qual(Numeral(1), ty), 5)
+    # only inside a Fraenkel guard (the comprehension binds level 1)
+    g = ForAll(SET, Pred(0, (Fraenkel((SET,), bound(1), Pred(1, (bound(1), bound(0), const(4)))),)))
+    assert uses_bound(g, 0) and uses_const(g, 4)
+    assert not uses_bound(g, 2) and not uses_const(g, 1)
+    # only inside a deffunc expansion
+    p = Pred(0, (PrivFunc(0, (Numeral(1),), FunctorApp(1, (const(6), bound(0)))),))
+    assert uses_const(p, 6) and uses_bound(p, 0)
+    assert not uses_const(p, 1)
+    # only inside the upper endpoint instance of a flexary conjunction
+    hi_only = Pred(0, (const(8), bound(3)))
+    fx = FlexAnd(FlexConj(Numeral(1), Numeral(2), TRUE, Pred(0, (Numeral(1),)), hi_only))
+    assert uses_const(fx, 8) and uses_bound(fx, 3)
+    assert not uses_const(fx, 1) and not uses_bound(fx, 0)
 
 
 def test_replace_thesis():

@@ -1,6 +1,7 @@
 """Parser shape tests: token stream to surface tree."""
 
-from micromizar.parser import parse_article
+from micromizar.analyzer import Analyzer
+from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
     ItScheme,
     ItTheorem,
@@ -106,6 +107,36 @@ theorem 2 = 2;
     assert len(errs) == 1
     assert len(art.items) == 1
     assert isinstance(art.items[0], ItTheorem)
+
+
+def nested_theorem(depth: int) -> str:
+    """``t = t`` whose innermost term sits `depth` nested terms and
+    formulas down: the statement, its left side, then one per ``succ(``."""
+    t = "succ(" * (depth - 2) + "0" + ")" * (depth - 2)
+    return f"theorem {t} = {t};"
+
+
+def check_article(text: str, req) -> list[tuple[int, int, int]]:
+    art, errs = parse_article(text)
+    errs = [e.to_error() for e in errs] + Analyzer(req).run(art)
+    return sorted((e.code, e.pos.line, e.pos.col) for e in errs)
+
+
+def test_nesting_past_the_limit_loses_only_its_item(req_all):
+    parens = "(" * 200 + "1 = 1" + ")" * 200
+    text = f"environ begin\n{nested_theorem(200)}\ntheorem {parens};\ntheorem 1 = 2;\n"
+    # the first entry past the limit is the term after succ( number
+    # MAX_NESTING - 1, and the formula after ( number MAX_NESTING
+    succ_col = len("theorem ") + 1 + len("succ(") * (MAX_NESTING - 1)
+    paren_col = len("theorem ") + 1 + MAX_NESTING
+    assert check_article(text, req_all) == [(61, 4, 1), (90, 2, succ_col), (90, 3, paren_col)]
+
+
+def test_nesting_at_the_limit_is_checked(req_all):
+    at_limit = f"environ begin\n{nested_theorem(MAX_NESTING)}\n"
+    assert check_article(at_limit, req_all) == []
+    past = f"environ begin\n{nested_theorem(MAX_NESTING + 1)}\n"
+    assert [code for code, _, _ in check_article(past, req_all)] == [90]
 
 
 def test_precedence_and_over_or_over_implies():

@@ -1,6 +1,6 @@
 import pytest
 
-from micromizar.logic import Attr, FunctorApp, Numeral, Pred, TypeExpr, bound, const, locus, mk_neg
+from micromizar.logic import Attr, Numeral, Pred, TypeExpr, const, locus, mk_neg
 from micromizar.subtyping import (
     AttrDef,
     ConditionalCluster,
@@ -196,19 +196,3 @@ def test_result_types(db, req_all):
     got = db.result_type(fid, (const(2),))
     assert got == TypeExpr(frozenset(), frozenset(), req_all.require("Element"), (const(2),))
     assert db.result_type(424242, ()) == req_all.set_type()
-
-
-def test_func_equals_instantiation(db, req_all):
-    mul = req_all.require("Mul")
-    fid = db.fresh_id("func")
-    db.funcs[fid] = FuncDef(1, req_all.set_type(), FunctorApp(mul, (locus(0), locus(0))), None)
-    assert db.func_equals(fid, (Numeral(3),)) == FunctorApp(mul, (Numeral(3), Numeral(3)))
-    assert db.func_equals(999, ()) is None
-
-
-def test_same_type_modulo_rounding(db, req_all):
-    nat = ty(req_all, "Natural")
-    widened = TypeExpr(nat.lower, nat.lower | {Attr(False, req_all.require("Negative"))}, nat.mode)
-    assert db.same_type(nat, widened)
-    assert not db.same_type(nat, ty(req_all, "Positive"))
-    assert not db.same_type(nat, req_all.set_type())
