@@ -774,7 +774,7 @@ class Analyzer:
         if body.equals is not None:
             term = self.resolver.term(body.equals)
             fid = self.db.fresh_id("func")
-            self.db.funcs[fid] = FuncDef(arity, result, term, None)
+            self.db.funcs[fid] = FuncDef(arity, result)
             needed["coherence"] = self._close_loci(Qual(term, result), self.loci_types)
             fact = Pred(self._eq_pred(pos), (FunctorApp(fid, args), term))
         else:
@@ -784,7 +784,7 @@ class Analyzer:
             finally:
                 self.scope.it_term = saved
             fid = self.db.fresh_id("func")
-            self.db.funcs[fid] = FuncDef(arity, result, None, definiens)
+            self.db.funcs[fid] = FuncDef(arity, result)
             inner = subst_loci(definiens, args + (bound(arity),))
             needed["existence"] = self._close_loci(mk_exists(result, inner), self.loci_types)
             eq = self._eq_pred(pos)

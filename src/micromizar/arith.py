@@ -9,12 +9,22 @@ Polynomials are normal forms over class ids: a sorted tuple of
 (monomial, coefficient) pairs, monomials being sorted tuples of
 (class id, exponent).  Exponents are plain ints, so repeated squaring
 is cheap no matter how large the exponent gets.
+
+``OPS`` is the one definition of the builtin arithmetic functors, keyed
+by requirement name.  Each entry has a ``value`` rule on
+``ComplexRational`` arguments and a ``poly`` rule on ``Polynomial``
+arguments, one argument per functor argument.  A rule returns ``None``
+when the application has no value: division by zero, or division by a
+polynomial that is not a constant.  On constant arguments the ``poly``
+rule gives ``p_const`` of what the ``value`` rule gives.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -159,3 +169,45 @@ def p_rename(a: Polynomial, rename) -> Polynomial:
 
 def p_sort_key(a: Polynomial) -> tuple:
     return tuple((m, c.sort_key()) for m, c in a)
+
+
+# ---------------------------------------------------------------------------
+# the builtin arithmetic functors
+
+
+class Op(NamedTuple):
+    value: Callable[..., ComplexRational | None]
+    poly: Callable[..., Polynomial | None]
+
+
+def _inv(a: ComplexRational) -> ComplexRational | None:
+    return None if a.is_zero() else ONE / a
+
+
+def _div(a: ComplexRational, b: ComplexRational) -> ComplexRational | None:
+    return None if b.is_zero() else a / b
+
+
+def _p_inv(a: Polynomial) -> Polynomial | None:
+    c = p_is_const(a)
+    return None if c is None or c.is_zero() else p_const(ONE / c)
+
+
+def _p_div(a: Polynomial, b: Polynomial) -> Polynomial | None:
+    c = p_is_const(b)
+    return None if c is None or c.is_zero() else p_scale(a, ONE / c)
+
+
+P_IMAG_UNIT = p_const(IMAG_UNIT)
+
+OPS: dict[str, Op] = {
+    "Zero": Op(lambda: ZERO, lambda: P_ZERO),
+    "ImaginaryUnit": Op(lambda: IMAG_UNIT, lambda: P_IMAG_UNIT),
+    "Succ": Op(lambda a: a + ONE, lambda a: p_add(a, P_ONE)),
+    "Neg": Op(operator.neg, p_neg),
+    "Inv": Op(_inv, _p_inv),
+    "Add": Op(operator.add, p_add),
+    "Sub": Op(operator.sub, p_sub),
+    "Mul": Op(operator.mul, p_mul),
+    "Div": Op(_div, _p_div),
+}

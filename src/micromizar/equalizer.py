@@ -17,24 +17,7 @@ clause as undecided rather than wrong.
 
 from __future__ import annotations
 
-from .arith import (
-    IMAG_UNIT,
-    ONE,
-    P_ONE,
-    P_ZERO,
-    ComplexRational,
-    Polynomial,
-    ZERO,
-    p_atom,
-    p_add,
-    p_const,
-    p_is_const,
-    p_mul,
-    p_neg,
-    p_scale,
-    p_sort_key,
-    p_sub,
-)
+from .arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
 from .logic import (
     And,
     Attr,
@@ -389,27 +372,10 @@ class EqGraph:
                 case ("num", k):
                     if req.present("Natural"):
                         v = ComplexRational.from_int(k)
-                case ("app", f):
+                case ("app", f) if f in req.arith:
                     cv = [self.value.get(self.find(c)) for c in children]
-                    if f == req.cid("Zero"):
-                        v = ZERO
-                    elif f == req.cid("Succ") and len(cv) == 1 and cv[0] is not None:
-                        v = cv[0] + ONE
-                    elif f == req.cid("ImaginaryUnit"):
-                        v = IMAG_UNIT
-                    elif all(x is not None for x in cv) and cv:
-                        if f == req.cid("Add"):
-                            v = cv[0] + cv[1]
-                        elif f == req.cid("Mul"):
-                            v = cv[0] * cv[1]
-                        elif f == req.cid("Sub"):
-                            v = cv[0] - cv[1]
-                        elif f == req.cid("Neg"):
-                            v = -cv[0]
-                        elif f == req.cid("Inv") and not cv[0].is_zero():
-                            v = ONE / cv[0]
-                        elif f == req.cid("Div") and not cv[1].is_zero():
-                            v = cv[0] / cv[1]
+                    if all(x is not None for x in cv):
+                        v = req.arith[f].value(*cv)
             if v is not None:
                 changed |= self._set_value(rep, v)
         byval: dict[ComplexRational, int] = {}
@@ -426,13 +392,9 @@ class EqGraph:
         return changed
 
     def _poly_pass(self) -> bool:
-        req = self.req
-        if not req.present("Add"):
+        if "ARITHM" not in self.req.enabled:
             return False
-        arith = {
-            name: req.cid(name)
-            for name in ("Add", "Mul", "Sub", "Neg", "Inv", "Div", "Zero", "Succ", "ImaginaryUnit")
-        }
+        arith = self.req.arith
         memo: dict[int, Polynomial] = {}
         in_progress: set[int] = set()
 
@@ -464,31 +426,10 @@ class EqGraph:
                 return p_const(ComplexRational.from_int(head[1]))
             if head[0] != "app":
                 return None
-            f = head[1]
-            if f == arith["Zero"]:
-                return P_ZERO
-            if f == arith["ImaginaryUnit"]:
-                return p_const(IMAG_UNIT)
-            if f not in arith.values() or f is None:
+            op = arith.get(head[1])
+            if op is None:
                 return None
-            ch = [class_poly(c) for c in children]
-            if f == arith["Succ"]:
-                return p_add(ch[0], P_ONE)
-            if f == arith["Add"]:
-                return p_add(ch[0], ch[1])
-            if f == arith["Sub"]:
-                return p_sub(ch[0], ch[1])
-            if f == arith["Mul"]:
-                return p_mul(ch[0], ch[1])
-            if f == arith["Neg"]:
-                return p_neg(ch[0])
-            if f == arith["Inv"]:
-                c = p_is_const(ch[0])
-                return p_const(ONE / c) if c is not None and not c.is_zero() else None
-            if f == arith["Div"]:
-                c = p_is_const(ch[1])
-                return p_scale(ch[0], ONE / c) if c is not None and not c.is_zero() else None
-            return None
+            return op.poly(*[class_poly(c) for c in children])
 
         changed = False
         seen: dict[Polynomial, int] = {}

@@ -73,28 +73,8 @@ class MalformedFlex(FlexError):
 
 def term_numeral_value(t: Term, req: RequirementTable) -> int | None:
     """Value of a closed term as a natural number, None when unknown."""
-    match t:
-        case Numeral(v):
-            return v
-        case FunctorApp(f, args):
-            vals = [term_numeral_value(a, req) for a in args]
-            if any(v is None for v in vals):
-                return None
-            if f == req.cid("Zero"):
-                return 0
-            if f == req.cid("Succ"):
-                return vals[0] + 1
-            if f == req.cid("Add"):
-                return vals[0] + vals[1]
-            if f == req.cid("Mul"):
-                return vals[0] * vals[1]
-            if f == req.cid("Sub"):
-                d = vals[0] - vals[1]
-                return d if d >= 0 else None
-            return None
-        case PrivFunc(_, _, exp):
-            return term_numeral_value(exp, req)
-    return None
+    v = req.term_value(t)
+    return v.re.numerator if v is not None and v.is_natural() else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ retrying; everything else is a single token of lookahead.
 
 Errors carry code 90.  `parse_article` recovers at the next ``;`` after
 a failed item so later items still get checked.  Terms and formulas
-nested deeper than ``MAX_NESTING`` are such an error: every later stage
-recurses over the same tree, and past this depth the interpreter's
-recursion limit would take the whole article down with it.
+nested deeper than ``MAX_NESTING`` are such an error, a prefix operator
+(``-``, ``succ``, ``bool``, ``not``) without parentheses counting as one
+level: every later stage recurses over the same tree, and past this
+depth the interpreter's recursion limit would take the whole article
+down with it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ PREFIX_FUNCTORS = frozenset({"bool", "succ"})
 INFIX_PREDS = frozenset({"in", "meets", "divides"})
 RELATIONS = ("=", "<>", "<=", ">=", "<", ">", "c=")
 SETOPS = ("\\/", "/\\", "\\+\\", "\\")
-MAX_NESTING = 100  # nested term() and formula() entries
+MAX_NESTING = 100  # nested term() and formula() entries and prefix operators
 
 
 class Parser:
@@ -137,10 +139,23 @@ class Parser:
         return None
 
     def enter(self) -> None:
-        """Count one more nested term or formula; the caller undoes it."""
+        """Count one more nested term, formula or prefix operator; the
+        caller undoes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail(f"nested deeper than {MAX_NESTING}")
+
+    def prefixed(self, operand):
+        """Parse the operand of the prefix operator just taken.  The
+        operator counts one level unless a parenthesis, which counts
+        itself, opens the operand."""
+        if self.tok.is_sym("("):
+            return operand()
+        try:
+            self.enter()
+            return operand()
+        finally:
+            self.depth -= 1
 
     # -- terms ----------------------------------------------------------------
 
@@ -174,12 +189,9 @@ class Parser:
 
     def unary_term(self) -> STerm:
         t = self.tok
-        if t.is_sym("-"):
+        if t.is_sym("-") or (t.kind == "ident" and t.text in PREFIX_FUNCTORS):
             self.next()
-            return SApp(t.pos, "-", (self.unary_term(),))
-        if t.kind == "ident" and t.text in PREFIX_FUNCTORS:
-            self.next()
-            return SApp(t.pos, t.text, (self.unary_term(),))
+            return SApp(t.pos, t.text, (self.prefixed(self.unary_term),))
         return self.postfix_term()
 
     def postfix_term(self) -> STerm:
@@ -377,7 +389,7 @@ class Parser:
         t = self.tok
         if t.is_kw("not"):
             self.next()
-            return SNot(t.pos, self.unary_formula())
+            return SNot(t.pos, self.prefixed(self.unary_formula))
         if t.is_kw("for"):
             self.next()
             binders = self.binder_groups()

@@ -5,14 +5,20 @@ some kind and an id.  An article's ``requirements`` directive enables
 groups; a constructor is *present* only when it is assigned in the file
 and its group is enabled.  Absence is a distinct state (``None``), never
 an index value, and every lookup site has to deal with it.
+
+The table is resolved when it is built and never changed afterwards:
+the lookups, the builtin result types, the order clusters and the map
+from functor ids to the arithmetic of ``arith.OPS`` are all stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from .arith import OPS, ComplexRational, Op
 from .errors import RequirementFileError
-from .logic import Attr, TypeExpr
+from .logic import Attr, FunctorApp, Numeral, PrivFunc, Term, TypeExpr
 
 GROUPS: dict[str, tuple[str, ...]] = {
     "HIDDEN": ("Object", "Set", "Equality", "Membership"),
@@ -91,31 +97,31 @@ def load_requirements(path: str) -> RequirementFile:
 
 
 class RequirementTable:
-    """Per-article view: file assignments filtered by enabled groups."""
+    """Per-article view: file assignments filtered by enabled groups.
+    ``arith`` maps each present builtin functor id to its ``OPS`` entry."""
 
     def __init__(self, file: RequirementFile, enabled: set[str]):
         self._file = file
         self.enabled = enabled
+        self._present = {n: c for n, c in file.assignments.items() if _GROUP_OF[n] in enabled}
+        self._ids = {n: c.cid for n, c in self._present.items()}
+        self.arith: dict[int, Op] = {self._ids[n]: op for n, op in OPS.items() if n in self._ids}
+        self._result_types = self._builtin_result_types()
+        self._clusters = self._order_clusters()
 
     def present(self, name: str) -> bool:
-        if name not in self._file.assignments:
-            return False
-        return _GROUP_OF[name] in self.enabled
+        return name in self._present
 
     def constructor(self, name: str) -> Constructor | None:
-        if not self.present(name):
-            return None
-        return self._file.assignments[name]
+        return self._present.get(name)
 
     def cid(self, name: str) -> int | None:
-        c = self.constructor(name)
-        return None if c is None else c.cid
+        return self._ids.get(name)
 
     def require(self, name: str) -> int:
-        c = self.constructor(name)
-        if c is None:
+        if name not in self._ids:
             raise KeyError(f"requirement {name} not present")
-        return c.cid
+        return self._ids[name]
 
     def flex_enabled(self) -> bool:
         # flexary conjunctions lean on both the natural numbers and the order
@@ -124,6 +130,28 @@ class RequirementTable:
     def max_id(self, kind: str) -> int:
         ids = [c.cid for c in self._file.assignments.values() if c.kind == kind]
         return max(ids, default=-1)
+
+    def term_value(
+        self, t: Term, known: Callable[[Term], ComplexRational | None] | None = None
+    ) -> ComplexRational | None:
+        """Exact value of a term built from numerals and the builtin
+        arithmetic functors, None when it has none.  ``known(s)`` may
+        supply a value the caller already has for any subterm ``s``."""
+        if known is not None:
+            v = known(t)
+            if v is not None:
+                return v
+        match t:
+            case Numeral(k):
+                return ComplexRational.from_int(k) if "Natural" in self._ids else None
+            case PrivFunc(_, _, exp):
+                return self.term_value(exp, known)
+            case FunctorApp(f, args) if f in self.arith:
+                vals = [self.term_value(a, known) for a in args]
+                if any(v is None for v in vals):
+                    return None
+                return self.arith[f].value(*vals)
+        return None
 
     # -- types supplied by the builtin constructors -------------------------
 
@@ -151,58 +179,45 @@ class RequirementTable:
 
     def functor_result_type(self, cid: int) -> TypeExpr | None:
         """Result type of a builtin functor, None for user functors."""
-        for name in ("Union", "Intersection", "Difference", "SymDiff", "PowerSet", "NatSet"):
-            if self.cid(name) == cid:
-                return self.set_type()
-        if self.cid("EmptySet") == cid:
-            return self.attr_type(["Empty"])
-        if self.cid("Succ") == cid:
-            return self.nat_type()
-        if self.cid("Zero") == cid:
-            return self.attr_type(["ZeroAttr", "Natural"])
-        for name in ("Add", "Mul", "Neg", "Inv", "Sub", "Div", "ImaginaryUnit"):
-            if self.cid(name) == cid:
-                return self.attr_type(["Complex"])
-        return None
+        return self._result_types.get(cid)
 
-    def functor_arity(self, cid: int) -> int | None:
-        unary = ("PowerSet", "Succ", "Neg", "Inv")
-        nullary = ("EmptySet", "NatSet", "Zero", "ImaginaryUnit")
-        binary = ("Union", "Intersection", "Difference", "SymDiff", "Add", "Mul", "Sub", "Div")
-        for name in nullary:
-            if self.cid(name) == cid:
-                return 0
-        for name in unary:
-            if self.cid(name) == cid:
-                return 1
-        for name in binary:
-            if self.cid(name) == cid:
-                return 2
-        return None
+    def _builtin_result_types(self) -> dict[int, TypeExpr]:
+        out: dict[int, TypeExpr] = {}
+        if "Object" not in self._ids:
+            return out  # no base type without HIDDEN: set_type() reports that on use
+        for names, make in (
+            (("Union", "Intersection", "Difference", "SymDiff", "PowerSet", "NatSet"), self.set_type),
+            (("EmptySet",), lambda: self.attr_type(["Empty"])),
+            (("Succ",), self.nat_type),
+            (("Zero",), lambda: self.attr_type(["ZeroAttr", "Natural"])),
+            (("Add", "Mul", "Neg", "Inv", "Sub", "Div", "ImaginaryUnit"), lambda: self.attr_type(["Complex"])),
+        ):
+            for cid in (self._ids[n] for n in names if n in self._ids):
+                if cid not in out:  # the first name listed for an id wins
+                    out[cid] = make()
+        return out
 
     def builtin_conditional_clusters(self) -> list[tuple[frozenset[Attr], frozenset[Attr]]]:
+        return self._clusters
+
+    def _order_clusters(self) -> list[tuple[frozenset[Attr], frozenset[Attr]]]:
         """Attribute implications the order requirement brings along.
 
         positive -> non negative, non zero; negative -> non positive,
         non zero; zero -> non positive, non negative.
         """
-        out: list[tuple[frozenset[Attr], frozenset[Attr]]] = []
         if not (self.present("Positive") and self.present("Negative")):
-            return out
+            return []
         pos = self.require("Positive")
         neg = self.require("Negative")
         zero = self.cid("ZeroAttr")
         pairs = [(pos, [neg]), (neg, [pos])]
         if zero is not None:
             pairs = [(pos, [neg, zero]), (neg, [pos, zero]), (zero, [pos, neg])]
-        for guard, targets in pairs:
-            out.append(
-                (
-                    frozenset({Attr(True, guard)}),
-                    frozenset(Attr(False, t) for t in targets),
-                )
-            )
-        return out
+        return [
+            (frozenset({Attr(True, guard)}), frozenset(Attr(False, t) for t in targets))
+            for guard, targets in pairs
+        ]
 
 
 def enable_groups(file: RequirementFile, names: list[str]) -> tuple[RequirementTable, str | None]:

@@ -57,8 +57,6 @@ class ModeDef:
 class FuncDef:
     arity: int
     result: TypeExpr
-    equals: Term | None
-    means: Formula | None  # locus arity stands for the result
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ comparison runs.
 
 from __future__ import annotations
 
-from .arith import IMAG_UNIT, ONE, ZERO, ComplexRational
+from .arith import ComplexRational
 from .equalizer import EqGraph, refute_clause
 from .flex import FlexMode, flex_equal
 from .logic import (
@@ -28,12 +28,9 @@ from .logic import (
     FlexConj,
     ForAll,
     Formula,
-    FunctorApp,
     Is,
     Neg,
-    Numeral,
     Pred,
-    PrivFunc,
     PrivPred,
     Qual,
     SchemePred,
@@ -248,40 +245,11 @@ class Unifier:
         return None
 
     def _term_value(self, t: Term) -> ComplexRational | None:
+        return self.req.term_value(t, self._graph_value)
+
+    def _graph_value(self, t: Term) -> ComplexRational | None:
         rep = self.g.lookup(t)
-        if rep is not None:
-            v = self.g.value.get(self.g.find(rep))
-            if v is not None:
-                return v
-        req = self.req
-        match t:
-            case Numeral(k):
-                return ComplexRational.from_int(k) if req.present("Natural") else None
-            case PrivFunc(_, _, exp):
-                return self._term_value(exp)
-            case FunctorApp(f, args):
-                if f == req.cid("Zero"):
-                    return ZERO
-                if f == req.cid("ImaginaryUnit"):
-                    return IMAG_UNIT
-                cv = [self._term_value(a) for a in args]
-                if any(v is None for v in cv) or not cv:
-                    return None
-                if f == req.cid("Succ"):
-                    return cv[0] + ONE
-                if f == req.cid("Add"):
-                    return cv[0] + cv[1]
-                if f == req.cid("Mul"):
-                    return cv[0] * cv[1]
-                if f == req.cid("Sub"):
-                    return cv[0] - cv[1]
-                if f == req.cid("Neg"):
-                    return -cv[0]
-                if f == req.cid("Inv"):
-                    return None if cv[0].is_zero() else ONE / cv[0]
-                if f == req.cid("Div"):
-                    return None if cv[1].is_zero() else cv[0] / cv[1]
-        return None
+        return None if rep is None else self.g.value.get(self.g.find(rep))
 
 
 def clause_refuted(

@@ -68,7 +68,10 @@ def test_numeral_value_of_closed_terms(req_all, ids):
     assert term_numeral_value(FunctorApp(ids.mul, (n(2), n(3))), req_all) == 6
     assert term_numeral_value(FunctorApp(ids.sub, (n(5), n(3))), req_all) == 2
     assert term_numeral_value(FunctorApp(ids.sub, (n(3), n(5))), req_all) is None
-    assert term_numeral_value(FunctorApp(ids.div, (n(4), n(2))), req_all) is None
+    # the equalizer's value: every builtin functor is evaluated, and only
+    # the result has to be a natural number
+    assert term_numeral_value(FunctorApp(ids.div, (n(4), n(2))), req_all) == 2
+    assert term_numeral_value(FunctorApp(ids.add, (FunctorApp(ids.sub, (n(3), n(5))), n(3))), req_all) == 1
     assert term_numeral_value(const(0), req_all) is None
     assert term_numeral_value(FunctorApp(ids.add, (n(1), const(0))), req_all) is None
     assert term_numeral_value(PrivFunc(0, (), n(4)), req_all) == 4

@@ -139,6 +139,18 @@ def test_nesting_at_the_limit_is_checked(req_all):
     assert [code for code, _, _ in check_article(past, req_all)] == [90]
 
 
+def test_prefix_chains_count_toward_the_limit(req_all):
+    minus = "- " * 500 + "1"
+    nots = "not " * 1001 + "1 = 1"
+    text = f"environ begin\ntheorem {minus} = {minus};\ntheorem {nots};\ntheorem 1 = 2;\n"
+    # the statement and its left side are two levels, so the minus sign
+    # number MAX_NESTING - 1 is the first past the limit; each "not" is
+    # one level below the statement's
+    minus_col = len("theorem ") + 1 + len("- ") * (MAX_NESTING - 1)
+    not_col = len("theorem ") + 1 + len("not ") * MAX_NESTING
+    assert check_article(text, req_all) == [(61, 4, 1), (90, 2, minus_col), (90, 3, not_col)]
+
+
 def test_precedence_and_over_or_over_implies():
     f = parse_formula("1 = 1 & 2 = 2 or 3 = 3 implies 4 = 4")
     assert isinstance(f, SImplies)

@@ -1,7 +1,8 @@
 import pytest
 
+from micromizar.arith import ONE, OPS, ComplexRational
 from micromizar.errors import RequirementFileError
-from micromizar.logic import Attr
+from micromizar.logic import Attr, FunctorApp, Numeral, const
 from micromizar.requirements import (
     Constructor,
     GROUPS,
@@ -59,6 +60,19 @@ def test_arithm_dependencies(req_file):
     assert note == "group ARITHM requires REAL"
     _, note = enable_groups(req_file, ["ARITHM", "NUMERALS", "REAL"])
     assert note is None
+
+
+def test_table_without_hidden_builds(tmp_path):
+    p = tmp_path / "req.txt"
+    p.write_text(
+        "GROUP BOOLE\nEmpty = attr:0\nEmptySet = func:0\nUnion = func:1\nIntersection = func:2\n"
+        "Difference = func:3\nSymDiff = func:4\nMeets = pred:2\n"
+    )
+    table, note = enable_groups(load_requirements(str(p)), ["BOOLE"])
+    assert note is None
+    assert table.functor_result_type(table.require("Union")) is None
+    with pytest.raises(KeyError):
+        table.set_type()
 
 
 def test_unknown_group_is_reported(req_file):
@@ -123,12 +137,19 @@ def test_numeral_type_without_numerals(req_file):
     assert table.numeral_type() == table.set_type()
 
 
-def test_builtin_arities(req_all):
-    assert req_all.functor_arity(req_all.cid("EmptySet")) == 0
-    assert req_all.functor_arity(req_all.cid("Succ")) == 1
-    assert req_all.functor_arity(req_all.cid("Union")) == 2
-    assert req_all.functor_arity(req_all.cid("Div")) == 2
-    assert req_all.functor_arity(12345) is None
+def test_term_value(req_all, req_file):
+    add, sub, div = (req_all.require(n) for n in ("Add", "Sub", "Div"))
+    assert set(req_all.arith) == {req_all.require(n) for n in OPS}
+    minus_two = FunctorApp(sub, (Numeral(3), Numeral(5)))
+    assert req_all.term_value(FunctorApp(add, (minus_two, Numeral(3)))) == ONE
+    assert req_all.term_value(FunctorApp(div, (Numeral(1), Numeral(0)))) is None
+    assert req_all.term_value(FunctorApp(add, (Numeral(1), const(0)))) is None
+    known = {const(0): ComplexRational.from_int(4)}.get
+    assert req_all.term_value(FunctorApp(add, (Numeral(1), const(0))), known) == ComplexRational.from_int(5)
+    # a numeral has a value only with the naturals
+    bare, _ = enable_groups(req_file, ["BOOLE"])
+    assert bare.arith == {}
+    assert bare.term_value(Numeral(1)) is None
 
 
 def test_conditional_clusters_from_order(req_file):

@@ -187,12 +187,7 @@ def test_result_types(db, req_all):
     add = req_all.require("Add")
     assert db.result_type(add, (Numeral(1), Numeral(2))) == req_all.attr_type(["Complex"])
     fid = db.fresh_id("func")
-    db.funcs[fid] = FuncDef(
-        1,
-        TypeExpr(frozenset(), frozenset(), req_all.require("Element"), (locus(0),)),
-        None,
-        None,
-    )
+    db.funcs[fid] = FuncDef(1, TypeExpr(frozenset(), frozenset(), req_all.require("Element"), (locus(0),)))
     got = db.result_type(fid, (const(2),))
     assert got == TypeExpr(frozenset(), frozenset(), req_all.require("Element"), (const(2),))
     assert db.result_type(424242, ()) == req_all.set_type()
