@@ -7,6 +7,13 @@ instantiates an existential, ``per cases`` splits it.  A block is
 complete when its thesis has shrunk to truth; anything left at ``end``
 is reported as code 70.
 
+The article itself is walked as one diffuse block: a block with no
+thesis, like ``now``.  Its items are steps, and `Analyzer._step` is the
+only dispatcher over step kinds, for the article and for every proof.
+`walk_now` handles only ``let``, ``assume`` and ``thus`` itself,
+because there they record what the block exports, and rejects the
+steps that need a thesis; it passes every other step to `_step`.
+
 Statement justifications are delegated: plain ``by`` goes through the
 refutational checker, ``from`` through the scheme matcher, and an
 inline ``proof`` recurses.  Resolution errors abort only the step that
@@ -62,7 +69,7 @@ from .logic import (
     subst_loci,
     uses_const,
 )
-from .prechecker import CLAUSE_CAP, Prechecker
+from .prechecker import Prechecker
 from .requirements import RequirementTable
 from .resolver import PrivDef, Resolver, Scope
 from .schematizer import Scheme, SchemeMatchError, match_scheme
@@ -82,18 +89,14 @@ from .surface import (
     DefFunc,
     DefMode,
     DefPred,
-    ItDeffunc,
     ItDefinition,
-    ItDefpred,
     ItRegistration,
     ItScheme,
-    ItTheorem,
     RegConditional,
     RegExistential,
     RegFunctor,
     SBy,
     SFrom,
-    SItem,
     SJust,
     SStep,
     SSubProof,
@@ -111,7 +114,6 @@ from .surface import (
     StTakeEq,
     StThus,
 )
-from .unifier import TUPLE_CAP
 
 TRUE = FTrue()
 FALSE = Neg(FTrue())
@@ -124,8 +126,6 @@ class Analyzer:
         db: DefinitionDb | None = None,
         *,
         flex_mode: FlexMode = FlexMode.STRICT,
-        clause_cap: int = CLAUSE_CAP,
-        tuple_cap: int = TUPLE_CAP,
         trace: list[str] | None = None,
         article_name: str = "",
     ):
@@ -134,7 +134,7 @@ class Analyzer:
         self.flex_mode = flex_mode
         self.scope = Scope(req, self.db)
         self.resolver = Resolver(self.scope)
-        self.checker = Prechecker(self.db, flex_mode, clause_cap, tuple_cap)
+        self.checker = Prechecker(self.db, flex_mode)
         self.formatter = Formatter(self.scope)
         self.errors: list[VerifyError] = []
         self.labels: dict[str, Formula] = {}
@@ -154,32 +154,11 @@ class Analyzer:
         for item in article.items:
             mark = self._mark()
             try:
-                self._item(item)
+                self._step(item, None)
             except MizarError as e:
                 self.errors.append(e.to_error())
                 self._reset(mark, keep_labels=True)
         return self.errors
-
-    def _item(self, item: SItem) -> None:
-        match item:
-            case ItTheorem():
-                f = self._resolve(item.formula)
-                self.justify(f, item.just, item.pos)
-                if item.label:
-                    self._bind(item.label, f, item.pos)
-                self.prev = f
-            case ItScheme():
-                self._scheme_item(item)
-            case ItDefinition():
-                self._definition(item)
-            case ItRegistration():
-                self._registration(item)
-            case ItDeffunc():
-                self._deffunc(item.name, item.arg_types, item.body)
-            case ItDefpred():
-                self._defpred(item.name, item.arg_types, item.body)
-            case _:
-                raise AssertionError(f"unhandled item {item!r}")
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -291,26 +270,40 @@ class Analyzer:
 
     # -- proof walking ---------------------------------------------------------
 
-    def walk_proof(self, thesis: Formula, steps, end_pos: SourcePos) -> None:
+    def walk_proof(
+        self, thesis: Formula, steps, end_pos: SourcePos, case: tuple | None = None
+    ) -> None:
+        """Walk a block that must prove `thesis`.  In a case block, `case`
+        is the block's condition (`SLabeled`) and its resolved formula:
+        the first ``then`` links to it, and its label, bound after the
+        block's mark, is dropped when the block ends."""
         mark = self._mark()
         saved_prev, self.prev = self.prev, None
-        thesis = self._run_steps(thesis, steps)
-        if not isinstance(thesis, FTrue):
-            self.errors.append(VerifyError(end_pos, 70))
-        self._reset(mark)
-        self.prev = saved_prev
-
-    def _run_steps(self, thesis: Formula, steps) -> Formula:
+        if case is not None:
+            cond, self.prev = case
+            if cond.label:
+                self._bind(cond.label, self.prev, cond.formula.pos)
         for st in steps:
             try:
                 thesis = self._step(st, thesis)
             except MizarError as e:
                 self.errors.append(e.to_error())
                 self.prev = None
-        return thesis
+        if not isinstance(thesis, FTrue):
+            self.errors.append(VerifyError(end_pos, 70))
+        self._reset(mark)
+        self.prev = saved_prev
 
-    def _step(self, st: SStep, thesis: Formula) -> Formula:
+    def _step(self, st: SStep, thesis: Formula | None) -> Formula | None:
+        """Check one step and return what is left of `thesis`.  A thesis
+        of None is a diffuse block: the article, or a ``now`` for the
+        steps `walk_now` does not handle itself."""
         match st:
+            case StProp():
+                self._proposition(st, thesis)
+                return thesis
+            case StThus():
+                return self._discharge(self._proposition(st, thesis), thesis, st.pos)
             case StLet():
                 return self._let(st, thesis)
             case StAssume():
@@ -324,22 +317,20 @@ class Analyzer:
                     thesis = self._consume(f, thesis, st.pos)
                 self.prev = mk_and(fs) if fs else None
                 return thesis
-            case StThus():
-                f = self._resolve(st.prop.formula, thesis)
-                self.justify(f, st.just, st.pos)
-                if st.prop.label:
-                    self._bind(st.prop.label, f, st.pos)
-                self.prev = f
-                return self._discharge(f, thesis, st.pos)
             case StTake() | StTakeEq():
                 return self._take(st, thesis)
             case StConsider():
-                self._consider(st)
+                self._witness(st, lambda claim: self.justify(claim, st.just, st.pos))
                 return thesis
             case StGiven():
-                return self._given(st, thesis)
+                return self._witness(st, lambda claim: self._consume(claim, thesis, st.pos))
             case StReconsider():
-                self._reconsider(st)
+                ty = self.resolver.type_expr(st.ty)
+                t = self.resolver.term(st.term)
+                goal = Qual(t, ty)
+                self.justify(goal, st.just, st.pos)
+                self.defined.append((self._new_const(st.name, ty), t))
+                self.prev = goal
                 return thesis
             case StPerCases():
                 return self._per_cases(st, thesis)
@@ -349,24 +340,35 @@ class Analyzer:
                     self._bind(st.label, export, st.pos)
                 self.prev = export
                 return thesis
-            case StProp():
-                f = self._resolve(st.prop.formula, thesis)
-                self.justify(f, st.just, st.pos)
-                if st.prop.label:
-                    self._bind(st.prop.label, f, st.pos)
-                self.prev = f
-                return thesis
             case StDeffunc():
-                self._deffunc(st.name, st.arg_types, st.body)
+                self._private(st, self.resolver.term, self.scope.priv_funcs, "func")
                 return thesis
             case StDefpred():
-                self._defpred(st.name, st.arg_types, st.body)
+                self._private(st, self.resolver.formula, self.scope.priv_preds, "pred")
+                return thesis
+            case ItScheme():
+                self._scheme_item(st)
+                return thesis
+            case ItDefinition():
+                self._definition(st)
+                return thesis
+            case ItRegistration():
+                self._registration(st)
                 return thesis
         raise AssertionError(f"unhandled step {st!r}")
 
     # -- individual skeleton steps ---------------------------------------------
 
-    def _let(self, st: StLet, thesis: Formula) -> Formula:
+    def _proposition(self, st: StProp | StThus, thesis: Formula | None) -> Formula:
+        """Resolve, justify and bind a stated proposition."""
+        f = self._resolve(st.prop.formula, thesis)
+        self.justify(f, st.just, st.pos)
+        if st.prop.label:
+            self._bind(st.prop.label, f, st.pos)
+        self.prev = f
+        return f
+
+    def _let(self, st: StLet, thesis: Formula | None) -> Formula:
         declared = self.resolver.type_expr(st.ty)
         for name in st.names:
             if not isinstance(thesis, ForAll):
@@ -405,7 +407,7 @@ class Analyzer:
         self.errors.append(VerifyError(pos, 71))
         return TRUE
 
-    def _take(self, st: StTake | StTakeEq, thesis: Formula) -> Formula:
+    def _take(self, st: StTake | StTakeEq, thesis: Formula | None) -> Formula:
         if not (isinstance(thesis, Neg) and isinstance(thesis.body, ForAll)):
             raise MizarError(st.pos, 51, "thesis is not existential")
         ty = self.db.round_up(thesis.body.ty)
@@ -419,54 +421,32 @@ class Analyzer:
         self.prev = None
         return mk_neg(subst_bound(thesis.body.body, 0, t))
 
-    def _conditions(self, name: str, conds) -> list[Formula]:
-        """Resolve such-that conditions with `name` bound at the new level."""
-        self.scope.bound_names.append(name)
+    def _witness(self, st: StConsider | StGiven, settle):
+        """Introduce the witness of ``consider`` or ``given``.  `settle`
+        receives the existential claim before the witness exists (a
+        consider justifies it, a given takes it off the thesis); its
+        result is returned."""
+        ty = self.resolver.type_expr(st.ty)
+        self.scope.bound_names.append(st.name)
         try:
-            return [self._resolve(c.formula) for c in conds]
+            conds = [self._resolve(c.formula) for c in st.conds]
         finally:
             self.scope.bound_names.pop()
-
-    def _consider(self, st: StConsider) -> None:
-        ty = self.resolver.type_expr(st.ty)
-        conds = self._conditions(st.name, st.conds)
-        goal = mk_exists(ty, mk_and(conds))
-        self.justify(goal, st.just, st.pos)
+        out = settle(mk_exists(ty, mk_and(conds)))
         c = self._new_const(st.name, ty)
         inst = [subst_bound(f, 0, const(c)) for f in conds]
         for cond, fi in zip(st.conds, inst):
             if cond.label:
                 self._bind(cond.label, fi, cond.formula.pos)
         self.prev = mk_and(inst) if inst else Qual(const(c), ty)
-
-    def _given(self, st: StGiven, thesis: Formula) -> Formula:
-        ty = self.resolver.type_expr(st.ty)
-        conds = self._conditions(st.name, st.conds)
-        expected = mk_exists(ty, mk_and(conds))
-        thesis = self._consume(expected, thesis, st.pos)
-        c = self._new_const(st.name, ty)
-        inst = [subst_bound(f, 0, const(c)) for f in conds]
-        for cond, fi in zip(st.conds, inst):
-            if cond.label:
-                self._bind(cond.label, fi, cond.formula.pos)
-        self.prev = mk_and(inst) if inst else Qual(const(c), ty)
-        return thesis
-
-    def _reconsider(self, st: StReconsider) -> None:
-        ty = self.resolver.type_expr(st.ty)
-        t = self.resolver.term(st.term)
-        goal = Qual(t, ty)
-        self.justify(goal, st.just, st.pos)
-        c = self._new_const(st.name, ty)
-        self.defined.append((c, t))
-        self.prev = goal
+        return out
 
     def _per_cases(self, st: StPerCases, thesis: Formula) -> Formula:
         conds = [self._resolve(b.cond.formula) for b in st.blocks]
         self.justify(mk_or(conds), st.just, st.pos)
         if st.kind == "suppose":
             for block, cf in zip(st.blocks, conds):
-                self._case_block(block, cf, thesis)
+                self.walk_proof(thesis, block.steps, block.end_pos, (block.cond, cf))
             return TRUE
         # `case` blocks each prove one summand of a literal disjunction
         if isinstance(thesis, Neg) and isinstance(thesis.body, And):
@@ -484,23 +464,15 @@ class Analyzer:
             else:
                 self.errors.append(VerifyError(block.cond.formula.pos, 71))
                 block_thesis = TRUE
-            self._case_block(block, cf, block_thesis)
+            self.walk_proof(block_thesis, block.steps, block.end_pos, (block.cond, cf))
         return TRUE
-
-    def _case_block(self, block, cf: Formula, thesis: Formula) -> None:
-        mark = self._mark()
-        saved_prev, self.prev = self.prev, cf
-        if block.cond.label:
-            self._bind(block.cond.label, cf, block.cond.formula.pos)
-        thesis = self._run_steps(thesis, block.steps)
-        if not isinstance(thesis, FTrue):
-            self.errors.append(VerifyError(block.end_pos, 70))
-        self._reset(mark)
-        self.prev = saved_prev
 
     # -- diffuse blocks -----------------------------------------------------
 
     def walk_now(self, steps, end_pos: SourcePos) -> Formula:
+        """Walk a ``now`` and return what it proved.  Only ``let``,
+        ``assume`` and ``thus`` act differently here, recording the
+        export; steps that need a thesis are rejected."""
         mark = self._mark()
         first_fresh = self.scope.next_const
         saved_prev, self.prev = self.prev, None
@@ -526,33 +498,11 @@ class Analyzer:
                             exports.append(("assume", f, lets_seen))
                         self.prev = mk_and(fs) if fs else None
                     case StThus():
-                        f = self._resolve(st.prop.formula)
-                        self.justify(f, st.just, st.pos)
-                        if st.prop.label:
-                            self._bind(st.prop.label, f, st.pos)
-                        exports.append(("thus", f, lets_seen))
-                        self.prev = f
-                    case StProp():
-                        f = self._resolve(st.prop.formula)
-                        self.justify(f, st.just, st.pos)
-                        if st.prop.label:
-                            self._bind(st.prop.label, f, st.pos)
-                        self.prev = f
-                    case StConsider():
-                        self._consider(st)
-                    case StReconsider():
-                        self._reconsider(st)
-                    case StNow():
-                        export = self.walk_now(st.steps, st.end_pos)
-                        if st.label:
-                            self._bind(st.label, export, st.pos)
-                        self.prev = export
-                    case StDeffunc():
-                        self._deffunc(st.name, st.arg_types, st.body)
-                    case StDefpred():
-                        self._defpred(st.name, st.arg_types, st.body)
-                    case _:
+                        exports.append(("thus", self._proposition(st, None), lets_seen))
+                    case StTake() | StTakeEq() | StGiven() | StPerCases():
                         raise MizarError(st.pos, 51, "step needs a thesis to act on")
+                    case _:
+                        self._step(st, None)
             except MizarError as e:
                 self.errors.append(e.to_error())
                 self.prev = None
@@ -585,23 +535,16 @@ class Analyzer:
     def _priv_types(self, arg_types) -> tuple[TypeExpr, ...]:
         return tuple(self.resolver.type_expr(t) for t in arg_types)
 
-    def _deffunc(self, name: str, arg_types, body) -> None:
-        tys = self._priv_types(arg_types)
+    def _private(self, st: StDeffunc | StDefpred, resolve, table: dict, kind: str) -> None:
+        """Elaborate ``deffunc`` or ``defpred``: `resolve` reads the body
+        with the ``$`` arguments typed, and `table` records it."""
+        tys = self._priv_types(st.arg_types)
         saved, self.scope.dollar_types = self.scope.dollar_types, tys
         try:
-            term = self.resolver.term(body)
+            body = resolve(st.body)
         finally:
             self.scope.dollar_types = saved
-        self.scope.priv_funcs[name] = PrivDef(self.scope.fresh_priv("func"), tys, term)
-
-    def _defpred(self, name: str, arg_types, body) -> None:
-        tys = self._priv_types(arg_types)
-        saved, self.scope.dollar_types = self.scope.dollar_types, tys
-        try:
-            f = self._resolve(body)
-        finally:
-            self.scope.dollar_types = saved
-        self.scope.priv_preds[name] = PrivDef(self.scope.fresh_priv("pred"), tys, f)
+        table[st.name] = PrivDef(self.scope.fresh_priv(kind), tys, body)
 
     # -- schemes ------------------------------------------------------------------
 

@@ -63,9 +63,6 @@ class ComplexRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_natural(self) -> bool:
         return self.im == 0 and self.re.denominator == 1 and self.re >= 0
 
@@ -152,19 +149,6 @@ def p_is_const(a: Polynomial) -> ComplexRational | None:
     if len(a) == 1 and a[0][0] == MONO_ONE:
         return a[0][1]
     return None
-
-
-def p_rename(a: Polynomial, rename) -> Polynomial:
-    """Apply a class-id mapping (e.g. union-find canonicalization)."""
-    d: dict[Monomial, ComplexRational] = {}
-    for m, c in a:
-        md: dict[int, int] = {}
-        for cid, e in m:
-            k = rename(cid)
-            md[k] = md.get(k, 0) + e
-        mm = tuple(sorted(md.items()))
-        d[mm] = d[mm] + c if mm in d else c
-    return _freeze(d)
 
 
 def p_sort_key(a: Polynomial) -> tuple:

@@ -203,11 +203,6 @@ class Formatter:
         arg = f"{self._term(a.args[0], names, base, depth)}-" if a.args else ""
         return f"{sign}{arg}{self._attr_spelling(a.attr_id)}"
 
-    def format_type(
-        self, ty: TypeExpr, names: dict[int, str] | None = None, base: int = 0, depth: int = 0
-    ) -> str:
-        return self._type(ty, names or {}, base, depth)
-
     def _type(self, ty: TypeExpr, names, base: int, depth: int) -> str:
         attrs = [self._fmt_attr(a, names, base, depth) for a in sorted_attrs(ty.lower)]
         mode = self._mode_spelling(ty.mode)

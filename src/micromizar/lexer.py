@@ -25,6 +25,10 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+# ASCII only: str.isdigit() also admits characters such as "²" that
+# int() rejects
+DIGITS = frozenset("0123456789")
+
 # longest first so that prefixes never shadow longer spellings
 SYMBOLS = (
     "\\+\\",
@@ -115,16 +119,16 @@ def tokenize(text: str) -> list[Token]:
             else:
                 out.append(Token("ident", word, p))
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             out.append(Token("num", text[i:j], p))
             advance(j - i)
             continue
         if ch == "$":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             if j == i + 1:
                 raise MizarError(p, 90, "expected digits after $")

@@ -555,20 +555,6 @@ def replace_thesis(f: Formula, thesis: Formula) -> Formula:
             return f
 
 
-def has_thesis_marker(f: Formula) -> bool:
-    match f:
-        case ThesisMarker():
-            return True
-        case Neg(b):
-            return has_thesis_marker(b)
-        case And(cs):
-            return any(has_thesis_marker(c) for c in cs)
-        case ForAll(_, body):
-            return has_thesis_marker(body)
-        case _:
-            return False
-
-
 # ---------------------------------------------------------------------------
 # deterministic sort keys (formatting, canonical iteration)
 

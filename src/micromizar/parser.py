@@ -24,12 +24,9 @@ from .surface import (
     DefFunc,
     DefMode,
     DefPred,
-    ItDeffunc,
     ItDefinition,
-    ItDefpred,
     ItRegistration,
     ItScheme,
-    ItTheorem,
     RegConditional,
     RegExistential,
     RegFunctor,
@@ -50,7 +47,6 @@ from .surface import (
     SIff,
     SImplies,
     SIs,
-    SItem,
     SJust,
     SLabeled,
     SNot,
@@ -138,6 +134,13 @@ class Parser:
             return name
         return None
 
+    def ident_list(self) -> tuple[str, ...]:
+        names = [self.expect_ident().text]
+        while self.tok.is_sym(","):
+            self.next()
+            names.append(self.expect_ident().text)
+        return tuple(names)
+
     def enter(self) -> None:
         """Count one more nested term, formula or prefix operator; the
         caller undoes it."""
@@ -203,12 +206,8 @@ class Parser:
 
     def primary_term(self) -> STerm:
         t = self.tok
-        if t.kind == "num":
-            self.next()
-            return SNum(t.pos, int(t.text))
-        if t.kind == "dollar":
-            self.next()
-            return SDollar(t.pos, int(t.text))
+        if t.kind in ("num", "dollar"):
+            return self.number()
         if t.is_sym("<i>"):
             self.next()
             return SApp(t.pos, "<i>", ())
@@ -236,6 +235,15 @@ class Parser:
                 return SApp(t.pos, t.text, args)
             return SVar(t.pos, t.text)
         raise self.fail("expected a term")
+
+    def number(self) -> SNum | SDollar:
+        """The numeral or ``$`` index at the current token."""
+        t = self.next()
+        try:
+            value = int(t.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise MizarError(t.pos, 90, "number too long") from None
+        return SNum(t.pos, value) if t.kind == "num" else SDollar(t.pos, value)
 
     def brace_term(self) -> STerm:
         start = self.expect_sym("{")
@@ -267,11 +275,8 @@ class Parser:
             positive = False
             self.next()
         arg: STerm | None = None
-        if self.tok.kind == "num" and self.peek().is_sym("-"):
-            arg = SNum(self.tok.pos, int(self.next().text))
-            self.next()
-        elif self.tok.kind == "dollar" and self.peek().is_sym("-"):
-            arg = SDollar(self.tok.pos, int(self.next().text))
+        if self.tok.kind in ("num", "dollar") and self.peek().is_sym("-"):
+            arg = self.number()
             self.next()
         elif self.tok.kind == "ident" and self.peek().is_sym("-"):
             arg = SVar(self.tok.pos, self.next().text)
@@ -321,16 +326,27 @@ class Parser:
         return tuple(groups)
 
     def binder_group(self) -> SBinders:
+        """``x, y being T``, as in quantifiers and ``let``."""
         start = self.tok.pos
-        names = [self.expect_ident().text]
-        while self.tok.is_sym(","):
+        names = self.ident_list()
+        return SBinders(start, names, self.be_type())
+
+    def be_type(self) -> SType:
+        if not (self.tok.is_kw("being") or self.tok.is_kw("be")):
+            raise self.fail("expected 'be' or 'being'")
+        self.next()
+        return self.type_expr()
+
+    def witness(self) -> tuple[str, SType, tuple[SLabeled, ...]]:
+        """``x being T such that ...`` after ``consider`` and ``given``."""
+        name = self.expect_ident().text
+        ty = self.be_type()
+        conds: tuple[SLabeled, ...] = ()
+        if self.tok.is_kw("such"):
             self.next()
-            names.append(self.expect_ident().text)
-        if self.tok.is_kw("being") or self.tok.is_kw("be"):
-            self.next()
-        else:
-            raise self.fail("expected 'being'")
-        return SBinders(start, tuple(names), self.type_expr())
+            self.expect_kw("that")
+            conds = self.conditions()
+        return name, ty, conds
 
     # -- formulas ----------------------------------------------------------------
 
@@ -523,17 +539,9 @@ class Parser:
             t = self.tok
         if t.is_kw("let"):
             self.next()
-            names = [self.expect_ident().text]
-            while self.tok.is_sym(","):
-                self.next()
-                names.append(self.expect_ident().text)
-            if self.tok.is_kw("be") or self.tok.is_kw("being"):
-                self.next()
-            else:
-                raise self.fail("expected 'be'")
-            ty = self.type_expr()
+            group = self.binder_group()
             self.expect_sym(";")
-            return StLet(t.pos, tuple(names), ty)
+            return StLet(t.pos, group.names, group.ty)
         if t.is_kw("assume"):
             self.next()
             if self.tok.is_kw("that"):
@@ -560,33 +568,13 @@ class Parser:
             return StTake(t.pos, term)
         if t.is_kw("consider"):
             self.next()
-            name = self.expect_ident().text
-            if self.tok.is_kw("being") or self.tok.is_kw("be"):
-                self.next()
-            else:
-                raise self.fail("expected 'being'")
-            ty = self.type_expr()
-            conds: tuple[SLabeled, ...] = ()
-            if self.tok.is_kw("such"):
-                self.next()
-                self.expect_kw("that")
-                conds = self.conditions()
+            name, ty, conds = self.witness()
             just = self.justification(linked)
             self.expect_sym(";")
             return StConsider(t.pos, name, ty, conds, just)
         if t.is_kw("given"):
             self.next()
-            name = self.expect_ident().text
-            if self.tok.is_kw("being") or self.tok.is_kw("be"):
-                self.next()
-            else:
-                raise self.fail("expected 'being'")
-            ty = self.type_expr()
-            conds = ()
-            if self.tok.is_kw("such"):
-                self.next()
-                self.expect_kw("that")
-                conds = self.conditions()
+            name, ty, conds = self.witness()
             self.expect_sym(";")
             return StGiven(t.pos, name, ty, conds)
         if t.is_kw("reconsider"):
@@ -628,10 +616,13 @@ class Parser:
             end = self.expect_kw("end")
             self.expect_sym(";")
             return StNow(now_tok.pos, label, tuple(body), end.pos)
+        return self.proposition(t.pos, linked)
+
+    def proposition(self, pos: SourcePos, linked: bool) -> StProp:
         prop = self.labeled_formula()
         just = self.justification(linked)
         self.expect_sym(";")
-        return StProp(t.pos, prop, just)
+        return StProp(pos, prop, just)
 
     def _deffunc_step(self) -> StDeffunc:
         t = self.expect_kw("deffunc")
@@ -673,16 +664,13 @@ class Parser:
             self.expect_kw("environ")
             while self.tok.is_kw("requirements"):
                 self.next()
-                reqs.append(self.expect_ident().text)
-                while self.tok.is_sym(","):
-                    self.next()
-                    reqs.append(self.expect_ident().text)
+                reqs.extend(self.ident_list())
                 self.expect_sym(";")
             self.expect_kw("begin")
         except MizarError as e:
             errors.append(e)
             self._recover()
-        items: list[SItem] = []
+        items: list[SStep] = []
         while self.tok.kind != "eof":
             try:
                 items.append(self.item())
@@ -701,15 +689,11 @@ class Parser:
             if self.tok.is_sym(";"):
                 self.next()
 
-    def item(self) -> SItem:
+    def item(self) -> SStep:
+        """A top-level step: a scheme, definition or registration, which
+        only the top level admits, or a private definition or a
+        proposition, optionally after ``theorem``."""
         t = self.tok
-        if t.is_kw("theorem"):
-            self.next()
-            label = self.take_label()
-            formula = self.formula()
-            just = self.justification()
-            self.expect_sym(";")
-            return ItTheorem(t.pos, label, formula, just)
         if t.is_kw("scheme"):
             return self._scheme()
         if t.is_kw("definition"):
@@ -717,16 +701,12 @@ class Parser:
         if t.is_kw("registration"):
             return self._registration()
         if t.is_kw("deffunc"):
-            s = self._deffunc_step()
-            return ItDeffunc(s.pos, s.name, s.arg_types, s.body)
+            return self._deffunc_step()
         if t.is_kw("defpred"):
-            s = self._defpred_step()
-            return ItDefpred(s.pos, s.name, s.arg_types, s.body)
-        label = self.take_label()
-        formula = self.formula()
-        just = self.justification()
-        self.expect_sym(";")
-        return ItTheorem(t.pos, label, formula, just)
+            return self._defpred_step()
+        if t.is_kw("theorem"):
+            self.next()
+        return self.proposition(t.pos, False)
 
     def _scheme(self) -> ItScheme:
         t = self.expect_kw("scheme")
@@ -763,16 +743,8 @@ class Parser:
     def _lets(self) -> tuple[SBinders, ...]:
         lets: list[SBinders] = []
         while self.tok.is_kw("let"):
-            start = self.next().pos
-            names = [self.expect_ident().text]
-            while self.tok.is_sym(","):
-                self.next()
-                names.append(self.expect_ident().text)
-            if self.tok.is_kw("be") or self.tok.is_kw("being"):
-                self.next()
-            else:
-                raise self.fail("expected 'be'")
-            lets.append(SBinders(start, tuple(names), self.type_expr()))
+            self.next()
+            lets.append(self.binder_group())
             self.expect_sym(";")
         return tuple(lets)
 
@@ -829,11 +801,7 @@ class Parser:
             margs: tuple[str, ...] = ()
             if self.tok.is_kw("of"):
                 self.next()
-                lst = [self.expect_ident().text]
-                while self.tok.is_sym(","):
-                    self.next()
-                    lst.append(self.expect_ident().text)
-                margs = tuple(lst)
+                margs = self.ident_list()
             self.expect_sym("->")
             parent = self.type_expr()
             def_label = None
@@ -850,12 +818,8 @@ class Parser:
             args: tuple[str, ...] = ()
             if self.tok.is_sym("("):
                 self.next()
-                lst = [self.expect_ident().text]
-                while self.tok.is_sym(","):
-                    self.next()
-                    lst.append(self.expect_ident().text)
+                args = self.ident_list()
                 self.expect_sym(")")
-                args = tuple(lst)
             self.expect_sym("->")
             result = self.type_expr()
             equals = None
@@ -879,12 +843,8 @@ class Parser:
             args = ()
             if self.tok.is_sym("("):
                 self.next()
-                lst = [self.expect_ident().text]
-                while self.tok.is_sym(","):
-                    self.next()
-                    lst.append(self.expect_ident().text)
+                args = self.ident_list()
                 self.expect_sym(")")
-                args = tuple(lst)
             self.expect_kw("means")
             def_label = self._def_label()
             definiens = self.formula()

@@ -49,7 +49,7 @@ from .logic import (
     uses_bound,
 )
 from .subtyping import DefinitionDb
-from .unifier import TUPLE_CAP, clause_refuted
+from .unifier import clause_refuted
 
 CLAUSE_CAP = 3000
 UNFOLD_FUEL = 16
@@ -74,13 +74,11 @@ class Prechecker:
         db: DefinitionDb,
         flex_mode: FlexMode = FlexMode.STRICT,
         clause_cap: int = CLAUSE_CAP,
-        tuple_cap: int = TUPLE_CAP,
     ):
         self.db = db
         self.req = db.req
         self.flex_mode = flex_mode
         self.clause_cap = clause_cap
-        self.tuple_cap = tuple_cap
 
     def justify(
         self,
@@ -105,9 +103,7 @@ class Prechecker:
         for lits, local_types in clauses:
             merged = dict(base_types)
             merged.update(local_types)
-            refuted, _limited = clause_refuted(
-                self.db, lits, merged, self.flex_mode, self.tuple_cap
-            )
+            refuted, _limited = clause_refuted(self.db, lits, merged, self.flex_mode)
             if not refuted:
                 return Justification(
                     False, prepared=f, skolems=skolems, clause_count=len(clauses)

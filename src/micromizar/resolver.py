@@ -419,13 +419,14 @@ class Resolver:
 
     def pred_atom(self, pos, name: str, sargs) -> Formula:
         args = tuple(self.term(a) for a in sargs)
+        builtin = BUILTIN_PREDS.get((name, len(args)))
+        if builtin is not None:
+            return Pred(self._require(builtin, pos, name), args)
+        # the remaining order relations are desugared; the parser gives
+        # them two arguments
         match name:
-            case "=":
-                return Pred(self._require("Equality", pos, "="), args)
             case "<>":
                 return mk_neg(Pred(self._require("Equality", pos, "="), args))
-            case "<=":
-                return Pred(self._require("LessOrEqual", pos, "<="), args)
             case ">=":
                 return Pred(self._require("LessOrEqual", pos, ">="), (args[1], args[0]))
             case "<":
@@ -437,18 +438,14 @@ class Resolver:
                 eq = self._require("Equality", pos, ">")
                 back = (args[1], args[0])
                 return mk_and([Pred(le, back), mk_neg(Pred(eq, back))])
-            case "in":
-                return Pred(self._require("Membership", pos, "in"), args)
-            case "c=":
-                return Pred(self._require("Subset", pos, "c="), args)
-            case "meets":
-                return Pred(self._require("Meets", pos, "meets"), args)
         sc = self.scope
         if (name, len(args)) in sc.pred_names:
             return Pred(sc.pred_names[(name, len(args))], args)
         if name in sc.priv_preds or name in sc.scheme_preds:
             raise MizarError(pos, 90, f"{name} is used with brackets")
-        if any(key[0] == name for key in sc.pred_names):
+        if any(key[0] == name for key in BUILTIN_PREDS) or any(
+            key[0] == name for key in sc.pred_names
+        ):
             raise MizarError(pos, 92, f"no version of {name} takes {len(args)} arguments")
         if not args:
             # a bare identifier that resolves to nothing pred-like may

@@ -6,6 +6,14 @@ position of its first token.  Resolution into the core language
 happens later, scope by scope, because most names (local constants,
 loci, scheme placeholders) only acquire meaning inside the proof
 walker.
+
+An article is a sequence of proof steps, walked like the body of a
+``now``.  A theorem is a `StProp` and a top-level ``deffunc`` or
+``defpred`` is the step of that name.  `ItScheme`, `ItDefinition` and
+`ItRegistration` may appear only at the top level; propositions,
+``deffunc`` and ``defpred`` appear both there and in proofs, and every
+other step only in proofs.  The parser enforces where each kind may
+appear.
 """
 
 from __future__ import annotations
@@ -315,18 +323,7 @@ class StDefpred(SStep):
     body: SFormula
 
 
-# -- top-level items --------------------------------------------------------
-
-
-class SItem(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class ItTheorem(SItem):
-    label: str | None
-    formula: SFormula
-    just: SJust
+# -- steps only the top level admits -----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,7 @@ class SchemeVarSig(Node):
 
 
 @dataclass(frozen=True)
-class ItScheme(SItem):
+class ItScheme(SStep):
     name: str
     sigs: tuple[SchemeVarSig, ...]
     statement: SFormula
@@ -393,7 +390,7 @@ class DefPred(Node):
 
 
 @dataclass(frozen=True)
-class ItDefinition(SItem):
+class ItDefinition(SStep):
     lets: tuple[SBinders, ...]
     body: DefAttr | DefMode | DefFunc | DefPred
     correctness: tuple[SCorrectness, ...]
@@ -418,27 +415,13 @@ class RegConditional(Node):
 
 
 @dataclass(frozen=True)
-class ItRegistration(SItem):
+class ItRegistration(SStep):
     lets: tuple[SBinders, ...]
     body: RegExistential | RegFunctor | RegConditional
     correctness: tuple[SCorrectness, ...]
 
 
 @dataclass(frozen=True)
-class ItDeffunc(SItem):
-    name: str
-    arg_types: tuple[SType, ...]
-    body: STerm
-
-
-@dataclass(frozen=True)
-class ItDefpred(SItem):
-    name: str
-    arg_types: tuple[SType, ...]
-    body: SFormula
-
-
-@dataclass(frozen=True)
 class Article:
     requirements: tuple[str, ...]
-    items: tuple[SItem, ...]
+    items: tuple[SStep, ...]

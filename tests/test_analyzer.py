@@ -1,0 +1,247 @@
+"""End-to-end analyzer tests: one short article per construct, checked
+from text to the list of ``(code, line)`` errors.  Line 1 of every
+article is ``environ begin``."""
+
+import pytest
+
+from micromizar.analyzer import Analyzer
+from micromizar.parser import parse_article
+
+
+def errors(req, body: str, trace: list[str] | None = None) -> list[tuple[int, int]]:
+    art, parse_errors = parse_article("environ begin\n" + body)
+    found = [e.to_error() for e in parse_errors] + Analyzer(req, trace=trace).run(art)
+    return sorted((e.code, e.pos.line) for e in found)
+
+
+@pytest.fixture
+def check(req_all):
+    return lambda body: errors(req_all, body)
+
+
+def test_top_level_labels_are_cited_by_later_theorems(check):
+    assert check(
+        """A1: for x being set holds x c= x;
+theorem T2: 1 + 1 = 2;
+theorem 2 = 1 + 1 by T2;
+theorem {} c= {} by A1;
+theorem 1 = 1 by Nope;
+"""
+    ) == [(91, 6)]
+
+
+def test_top_level_private_definitions(check):
+    assert check(
+        """deffunc F(Nat) = $1 + 1;
+defpred P[Nat] means $1 <= 3;
+theorem F(1) = 2;
+theorem P[2];
+theorem P[5];
+theorem F(2) = 2;
+"""
+    ) == [(61, 6), (61, 7)]
+
+
+def test_now_exports_its_lets_assumptions_and_theses(check):
+    assert check(
+        """theorem for y being set st y = {} holds {} = y
+proof
+  N: now
+    let x be set;
+    assume A: x = {};
+    thus {} = x by A;
+  end;
+  let y be set;
+  assume B: y = {};
+  thus {} = y by N, B;
+end;
+theorem 1 = 1
+proof
+  N: now
+    let x be set;
+    thus x c= x;
+  end;
+  for y being set holds y c= y by N;
+  for y being set holds y = {} by N;
+  thus 1 = 1;
+end;
+"""
+    ) == [(61, 20)]
+
+
+def test_take_and_given_need_a_thesis(check):
+    # each is rejected, and the block then has nothing to export
+    assert check(
+        """theorem 1 = 1
+proof
+  now
+    take 1;
+  end;
+  now
+    given x being Nat such that x = 1;
+  end;
+  thus 1 = 1;
+end;
+"""
+    ) == [(51, 5), (51, 8), (70, 6), (70, 9)]
+
+
+def test_suppose_labels_end_with_their_block(check):
+    assert check(
+        """theorem for n being Nat holds n = 0 or n <> 0
+proof
+  let n be Nat;
+  per cases;
+  suppose A: n = 0;
+    hence thesis;
+  end;
+  suppose B: n <> 0;
+    thus thesis by B;
+  end;
+  n = n by A;
+end;
+"""
+    ) == [(91, 12)]
+
+
+def test_case_blocks_prove_one_summand_each(check):
+    assert check(
+        """theorem for n being Nat holds n = 0 & n + 0 = 0 or n <> 0 & n + 0 = n
+proof
+  let n be Nat;
+  per cases;
+  case n = 0;
+    hence n + 0 = 0;
+  end;
+  case A: n <> 0;
+    thus n + 0 = n;
+  end;
+end;
+"""
+    ) == []
+
+
+def test_take_given_consider_reconsider(check):
+    assert check(
+        """theorem ex n being Nat st n = 1
+proof
+  take n = 1;
+  thus n = 1;
+end;
+theorem (ex n being Nat st n = 2) implies 1 + 1 = 2
+proof
+  given k being Nat such that A: k = 2;
+  then 1 + 1 = k;
+  hence 1 + 1 = 2 by A;
+end;
+theorem 1 = 1
+proof
+  A: ex n being Nat st n = 2
+  proof
+    take 2;
+    thus 2 = 2;
+  end;
+  consider m being Nat such that B: m = 2 by A;
+  reconsider k = m as set;
+  k = 2 by B;
+  k = 3 by B;
+  thus 1 = 1;
+end;
+"""
+    ) == [(61, 23)]
+
+
+def test_scheme_use(check):
+    assert check(
+        """scheme Mp{P[set, set], Q[set, set]}: for a, b being set st P[a, b] holds Q[a, b]
+provided A1: for a, b being set st P[a, b] holds Q[a, b]
+proof
+  let a, b be set;
+  assume A2: P[a, b];
+  thus Q[a, b] by A1, A2;
+end;
+defpred S[set, set] means $2 = $1;
+L: for a, b being set st a = b holds S[a, b];
+theorem for a, b being set st a = b holds S[a, b] from Mp(L);
+theorem for a, b being set st a = b holds S[b, a] from Mp(L);
+theorem 1 = 1 from Mp(L);
+"""
+    ) == [(63, 12), (63, 13)]
+
+
+def test_definitions_and_their_correctness_conditions(check):
+    # the `means` functor states neither existence nor uniqueness
+    assert check(
+        """definition
+  let a be set;
+  attr a is Z means :DZ: a = {};
+end;
+definition
+  let a be set;
+  mode Sub of a -> set means :DM: it c= a;
+  existence
+  proof
+    let a be set;
+    take a;
+    thus a c= a;
+  end;
+end;
+definition
+  let a be set;
+  func G(a) -> set equals :DG: a /\\ a;
+  coherence;
+end;
+definition
+  let a, b be set;
+  func Un(a, b) -> set means :DU: it = a \\/ b;
+end;
+definition
+  let a, b be set;
+  pred R(a, b) means :DR: a c= b;
+end;
+theorem for a being set st a is Z holds a = {} by DZ;
+theorem G({}) = {} /\\ {} by DG;
+theorem for a, b being set st R(a, b) holds a c= b by DR;
+theorem for a, b being set st R(a, b) holds b c= a by DR;
+"""
+    ) == [(61, 32), (70, 21), (70, 21)]
+
+
+def test_the_three_cluster_kinds(check):
+    assert check(
+        """definition
+  let a be set;
+  attr a is Z means :DZ: a = {};
+end;
+registration
+  cluster Z -> empty for set;
+  coherence
+  proof
+    let a be Z set;
+    A: a = {} by DZ;
+    hence a is empty;
+  end;
+end;
+registration
+  cluster Z set;
+  existence
+  proof
+    take {};
+    A: {} = {};
+    thus {} is Z by A, DZ;
+  end;
+end;
+registration
+  cluster {} \\/ {} -> empty;
+  coherence;
+end;
+theorem for a being Z set holds a is empty;
+"""
+    ) == []
+
+
+def test_trace_of_one_obligation(req_all):
+    trace: list[str] = []
+    assert errors(req_all, "theorem for a being set holds a c= a;\n", trace) == []
+    assert trace[0] == "input: ∃ b0: set st"
+    assert "refuting 0 @ :2:1:" in trace

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private name
-(one starting with an underscore) from a sibling module, and what the
-builtin arithmetic functors mean is written only in ``arith.OPS``."""
+(one starting with an underscore) from a sibling module, what the
+builtin arithmetic functors mean is written only in ``arith.OPS``, and
+``Analyzer._step`` is the only place that dispatches on a proof step."""
 
 import ast
 import pathlib
@@ -39,3 +40,34 @@ def test_checker_modules_do_not_name_arithmetic_requirements():
             if isinstance(node, ast.Constant) and node.value in OPS:
                 hits.append(f"{name}:{node.lineno} names {node.value}")
     assert hits == []
+
+
+# `walk_now` records what a ``now`` exports, and rejects steps that need a thesis
+NOW_OWN_STEPS = {"StLet", "StAssume", "StThus", "StTake", "StTakeEq", "StGiven", "StPerCases"}
+
+
+def step_patterns(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(method, class) for each class pattern naming a surface step in a
+    method of ``Analyzer``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (analyzer,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Analyzer"]
+    out = []
+    for method in analyzer.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.MatchClass) and isinstance(node.cls, ast.Name):
+                if node.cls.id.startswith(("St", "It")):
+                    out.append((method.name, node.cls.id))
+    return out
+
+
+def test_step_kinds_are_dispatched_in_one_place():
+    found = step_patterns(PACKAGE / "analyzer.py")
+    assert {name for method, name in found if method == "_step"} >= {"StProp", "ItScheme"}
+    stray = [
+        f"{method} matches {name}"
+        for method, name in found
+        if method != "_step" and not (method == "walk_now" and name in NOW_OWN_STEPS)
+    ]
+    assert stray == []

@@ -37,7 +37,7 @@ def fmt(scope):
 def resolve(scope, text: str):
     art, errs = parse_article(f"environ begin theorem {text};")
     assert errs == [], errs
-    return Resolver(scope).formula(art.items[0].formula)
+    return Resolver(scope).formula(art.items[0].prop.formula)
 
 
 def test_numerals_and_unknown_functors(req_file):

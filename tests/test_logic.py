@@ -29,7 +29,6 @@ from micromizar.logic import (
     abstract_const,
     bound,
     const,
-    has_thesis_marker,
     mk_and,
     mk_exists,
     mk_iff,
@@ -248,8 +247,6 @@ def test_replace_thesis():
     assert replace_thesis(mk_neg(t), mk_neg(Q)) == Q
     assert replace_thesis(ForAll(SET, t), P) == ForAll(SET, P)
     assert replace_thesis(P, Q) == P
-    assert has_thesis_marker(And((P, Neg(t))))
-    assert not has_thesis_marker(And((P, Q)))
 
 
 def test_term_key_orders_deterministically():

@@ -4,7 +4,6 @@ from micromizar.analyzer import Analyzer
 from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
     ItScheme,
-    ItTheorem,
     SAnd,
     SBracketAtom,
     SExists,
@@ -22,6 +21,7 @@ from micromizar.surface import (
     StLet,
     StNow,
     StPerCases,
+    StProp,
     StTakeEq,
     StThus,
 )
@@ -31,7 +31,7 @@ def parse_formula(text: str):
     art, errs = parse_article(f"environ begin theorem {text};")
     assert errs == []
     (item,) = art.items
-    return item.formula
+    return item.prop.formula
 
 
 def parse_ok(text: str):
@@ -59,7 +59,7 @@ proof A1: 1 = 1; thus 1 = 2 from Twist(A1, A1); end;
     )
     scheme, theorem = art.items
     assert isinstance(scheme, ItScheme)
-    assert isinstance(theorem, ItTheorem)
+    assert isinstance(theorem, StProp)
     (sig,) = scheme.sigs
     assert sig.kind == "pred" and len(sig.arg_types) == 2
     assert isinstance(scheme.provided[0].formula, SBracketAtom)
@@ -106,7 +106,7 @@ theorem 2 = 2;
     )
     assert len(errs) == 1
     assert len(art.items) == 1
-    assert isinstance(art.items[0], ItTheorem)
+    assert isinstance(art.items[0], StProp)
 
 
 def nested_theorem(depth: int) -> str:
@@ -309,3 +309,17 @@ end;
     assert mode.args == ("X",)
     reg = art.items[2]
     assert isinstance(reg.correctness[0].just, SSubProof)
+
+
+def test_digits_that_int_rejects_are_90():
+    # "²" passes str.isdigit(), and 5000 digits exceed what int() converts
+    for statement in ("² = ²", "$² = 1", "1" * 5000 + " = 1"):
+        art, errs = parse_article(f"environ begin theorem {statement};\ntheorem 2 = 2;\n")
+        assert [(e.code, e.pos.line, e.pos.col) for e in errs] == [(90, 1, 23)]
+
+
+def test_a_numeral_too_long_loses_only_its_item():
+    art, errs = parse_article("environ begin theorem " + "1" * 5000 + " = 1;\ntheorem 2 = 2;\n")
+    assert len(errs) == 1
+    (item,) = art.items
+    assert item.pos.line == 2

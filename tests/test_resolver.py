@@ -41,7 +41,7 @@ def resolver(scope):
 def surface_formula(text: str):
     art, errs = parse_article(f"environ begin theorem {text};")
     assert errs == [], errs
-    return art.items[0].formula
+    return art.items[0].prop.formula
 
 
 def rf(resolver, text: str):
@@ -134,12 +134,14 @@ def test_unknown_names_are_91(resolver):
 def parse_type(text: str):
     art, errs = parse_article(f"environ begin theorem for q being {text} holds contradiction;")
     assert errs == [], errs
-    return art.items[0].formula.binders[0].ty
+    return art.items[0].prop.formula.binders[0].ty
 
 
 def test_wrong_arity_is_92(resolver, scope):
     scope.func_names[("double", 1)] = scope.db.fresh_id("func")
     assert err_code(resolver, "double(1, 2) = 1") == 92
+    assert err_code(resolver, "in(1)") == 92
+    assert err_code(resolver, "meets(1)") == 92
 
 
 def test_private_definitions_expand_eagerly(resolver, scope):
