@@ -1,9 +1,16 @@
 """Exact numeric values and polynomials over equivalence classes.
 
-Values are complex numbers with rational parts.  The order used for
-deciding ``<=`` atoms is lexicographic on (re, im): it restricts to the
-usual order on the reals and is total, which is what the order
-requirement's reasoning rules assume.
+Values are complex numbers with rational parts.  A part that is an
+integer is a plain ``int``, any other part a ``Fraction``; no part is
+ever a ``float``.  ``+``, ``-`` and ``*`` of ``int`` parts give
+``int`` parts, so ``/`` is the only operation that makes a
+``Fraction``, and it stores an integral quotient as ``int`` again.  An ``int`` and a ``Fraction``
+of equal value compare and hash equal and both have ``numerator`` and
+``denominator``, so equality, hashing and ``sort_key`` do not depend on
+the representation.  The order used for deciding ``<=`` atoms is
+lexicographic on (re, im): it restricts to the usual order on the reals
+and is total, which is what the order requirement's reasoning rules
+assume.
 
 Polynomials are normal forms over class ids: a sorted tuple of
 (monomial, coefficient) pairs, monomials being sorted tuples of
@@ -26,15 +33,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+Rational = int | Fraction
+
+
+def _exact(x: Fraction) -> Rational:
+    return x.numerator if x.denominator == 1 else x
+
 
 @dataclass(frozen=True)
 class ComplexRational:
-    re: Fraction
-    im: Fraction = Fraction(0)
+    re: Rational
+    im: Rational = 0
 
     @staticmethod
     def from_int(n: int) -> "ComplexRational":
-        return ComplexRational(Fraction(n))
+        return ComplexRational(n)
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.re + other.re, self.im + other.im)
@@ -56,8 +69,8 @@ class ComplexRational:
         if d == 0:
             raise ZeroDivisionError
         return ComplexRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            _exact(Fraction(self.re * other.re + self.im * other.im, d)),
+            _exact(Fraction(self.im * other.re - self.re * other.im, d)),
         )
 
     def is_zero(self) -> bool:
@@ -77,7 +90,7 @@ class ComplexRational:
 
 ZERO = ComplexRational.from_int(0)
 ONE = ComplexRational.from_int(1)
-IMAG_UNIT = ComplexRational(Fraction(0), Fraction(1))
+IMAG_UNIT = ComplexRational(0, 1)
 
 
 # A monomial maps class ids to positive exponents; a polynomial maps

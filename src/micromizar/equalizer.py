@@ -357,9 +357,13 @@ class EqGraph:
             if seen != tl:
                 changed = True
             self.types[rep] = seen
+        pairs = []
         for a, b in self.neg_eq:
-            if self.find(a) == self.find(b):
+            a, b = self.find(a), self.find(b)
+            if a == b:
                 self.contradiction = True
+            pairs.append((min(a, b), max(a, b)))
+        self.neg_eq = list(dict.fromkeys(pairs))
         return changed
 
     def _value_pass(self) -> bool:
@@ -397,12 +401,19 @@ class EqGraph:
         arith = self.req.arith
         memo: dict[int, Polynomial] = {}
         in_progress: set[int] = set()
+        # A node's polynomial is kept until the pass merges classes or
+        # sets a value, and only if no class it read was cut off as in
+        # progress: such a class reads differently once it is finished.
+        node_memo: dict[int, Polynomial | None] = {}
+        cuts = 0
 
         def class_poly(rep: int) -> Polynomial:
+            nonlocal cuts
             rep = self.find(rep)
             if rep in memo:
                 return memo[rep]
             if rep in in_progress:
+                cuts += 1
                 return p_atom(rep)
             v = self.value.get(rep)
             if v is not None:
@@ -421,15 +432,20 @@ class EqGraph:
             return best
 
         def node_poly(n: int) -> Polynomial | None:
+            if n in node_memo:
+                return node_memo[n]
             head, children = self.nodes[n]
             if head[0] == "num":
-                return p_const(ComplexRational.from_int(head[1]))
-            if head[0] != "app":
-                return None
-            op = arith.get(head[1])
-            if op is None:
-                return None
-            return op.poly(*[class_poly(c) for c in children])
+                p = p_const(ComplexRational.from_int(head[1]))
+            elif head[0] != "app" or head[1] not in arith:
+                p = None
+            else:
+                before = cuts
+                p = arith[head[1]].poly(*[class_poly(c) for c in children])
+                if cuts != before:
+                    return p
+            node_memo[n] = p
+            return p
 
         changed = False
         seen: dict[Polynomial, int] = {}
@@ -442,18 +458,22 @@ class EqGraph:
             v = self.value.get(rep)
             cands.add(p_const(v) if v is not None else p_atom(rep))
             ordered = sorted(cands, key=p_sort_key)
+            grew = False
             for p in ordered:
                 c = p_is_const(p)
                 if c is not None:
-                    changed |= self._set_value(rep, c)
+                    grew |= self._set_value(rep, c)
                 prev = seen.get(p)
                 if prev is None:
                     seen[p] = rep
                 elif self.find(prev) != self.find(rep):
-                    changed |= self.union(prev, rep)
+                    grew |= self.union(prev, rep)
             for i in range(len(ordered)):
                 for j in range(i + 1, len(ordered)):
-                    changed |= self._poly_gap(p_sub(ordered[i], ordered[j]))
+                    grew |= self._poly_gap(p_sub(ordered[i], ordered[j]))
+            if grew:
+                node_memo.clear()
+                changed = True
         return changed
 
     def _poly_gap(self, d: Polynomial) -> bool:

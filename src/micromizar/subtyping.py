@@ -86,7 +86,13 @@ class FunctorCluster:
 
 
 class DefinitionDb:
-    """Everything an article has defined or registered so far."""
+    """Everything an article has defined or registered so far.
+
+    The database only grows: every id comes from ``fresh_id`` and is
+    defined once, and clusters are appended, never removed or replaced.
+    So the number of modes and of conditional clusters, with the type,
+    fixes what ``round_up`` returns, and it memoizes on those three.
+    """
 
     def __init__(self, req: RequirementTable):
         self.req = req
@@ -98,6 +104,7 @@ class DefinitionDb:
         self.conditional: list[ConditionalCluster] = []
         self.functor_clusters: list[FunctorCluster] = []
         self._next = {kind: req.max_id(kind) + 1 for kind in ("mode", "func", "pred", "attr")}
+        self._rounded: dict[tuple[TypeExpr, int, int], TypeExpr] = {}
 
     def fresh_id(self, kind: str) -> int:
         out = self._next[kind]
@@ -134,6 +141,13 @@ class DefinitionDb:
     # -- adjective rounding ---------------------------------------------
 
     def round_up(self, ty: TypeExpr) -> TypeExpr:
+        key = (ty, len(self.modes), len(self.conditional))
+        out = self._rounded.get(key)
+        if out is None:
+            out = self._rounded[key] = self._round_up(ty)
+        return out
+
+    def _round_up(self, ty: TypeExpr) -> TypeExpr:
         chain = self.ancestry(ty)
         upper = set(ty.lower) | set(ty.upper)
         for t in chain[1:]:

@@ -240,6 +240,26 @@ theorem for a being Z set holds a is empty;
     ) == []
 
 
+def test_cited_universal_proves_its_restatement_over_union(check):
+    # the label is false (bool b is not b); the restatement citing it
+    # needs "b \/ b = b" and the disequality to meet in one class
+    assert check(
+        """N: for a being set holds bool a = a \\/ a;
+theorem for b being set holds bool b = b \\/ b by N;
+"""
+    ) == [(61, 2)]
+
+
+def test_cited_universal_over_a_private_functor_and_union(check):
+    assert check(
+        """deffunc G(set) = bool $1;
+DG: for a being set holds G(a) = a \\/ {};
+theorem for a being set holds G(a) = a \\/ {} by DG;
+theorem G(1) = 1 \\/ {} by DG;
+"""
+    ) == [(61, 3)]
+
+
 def test_trace_of_one_obligation(req_all):
     trace: list[str] = []
     assert errors(req_all, "theorem for a being set holds a c= a;\n", trace) == []

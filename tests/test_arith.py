@@ -20,14 +20,17 @@ from micromizar.arith import (
 
 ARITY = {"Zero": 0, "ImaginaryUnit": 0, "Succ": 1, "Neg": 1, "Inv": 1, "Add": 2, "Sub": 2, "Mul": 2, "Div": 2}
 
-VALUES = [
-    ZERO,
-    ONE,
-    ComplexRational.from_int(-3),
-    ComplexRational(Fraction(1, 2)),
-    IMAG_UNIT,
-    ComplexRational(Fraction(2), Fraction(-3)),
+# each value twice: with the int parts arithmetic makes, and with
+# equal Fraction parts
+PAIRS = [
+    (ZERO, ComplexRational(Fraction(0), Fraction(0))),
+    (ONE, ComplexRational(Fraction(1))),
+    (ComplexRational.from_int(-3), ComplexRational(Fraction(-3), Fraction(0))),
+    (ComplexRational(Fraction(1, 2)), ComplexRational(Fraction(1, 2), Fraction(0))),
+    (IMAG_UNIT, ComplexRational(Fraction(0), Fraction(1))),
+    (ComplexRational(2, -3), ComplexRational(Fraction(2), Fraction(-3))),
 ]
+VALUES = [v for pair in PAIRS for v in pair]
 
 
 def test_table_names_the_nine_functors():
@@ -57,3 +60,33 @@ def test_division_by_a_non_constant_polynomial_has_no_value():
     assert OPS["Div"].poly(P_ONE, x) is None
     half = ComplexRational(Fraction(1, 2))
     assert OPS["Div"].poly(x, p_const(ComplexRational.from_int(2))) == p_scale(x, half)
+
+
+def parts(v):
+    return (type(v.re), type(v.im))
+
+
+@pytest.mark.parametrize("name", sorted(ARITY))
+def test_value_rule_ignores_the_representation(name):
+    op = OPS[name]
+    for pair_args in itertools.product(PAIRS, repeat=ARITY[name]):
+        results = [op.value(*args) for args in itertools.product(*pair_args)]
+        first = results[0]
+        for v in results:
+            assert v == first, pair_args
+            if v is not None:
+                assert hash(v) == hash(first), pair_args
+                assert set(parts(v)) <= {int, Fraction}, pair_args
+
+
+def test_only_a_non_integral_quotient_makes_a_fraction():
+    six, three = ComplexRational.from_int(6), ComplexRational.from_int(3)
+    assert parts(six) == parts(ONE) == parts(IMAG_UNIT) == (int, int)
+    assert parts(six + three) == parts(six - three) == parts(six * IMAG_UNIT) == (int, int)
+    assert six / three == ComplexRational.from_int(2)
+    assert parts(six / three) == parts(OPS["Div"].value(six, three)) == (int, int)
+    assert parts(OPS["Inv"].value(IMAG_UNIT)) == (int, int)
+    third = ONE / three
+    assert third.re == Fraction(1, 3)
+    assert parts(third) == parts(OPS["Inv"].value(three)) == (Fraction, int)
+    assert parts(ONE / (ONE + IMAG_UNIT)) == (Fraction, Fraction)

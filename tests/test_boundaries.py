@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from a sibling module, what the
-builtin arithmetic functors mean is written only in ``arith.OPS``, and
+builtin arithmetic functors mean is written only in ``arith.OPS``,
+only ``arith`` decides how numbers are represented, and
 ``Analyzer._step`` is the only place that dispatches on a proof step."""
 
 import ast
@@ -39,6 +40,21 @@ def test_checker_modules_do_not_name_arithmetic_requirements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Constant) and node.value in OPS:
                 hits.append(f"{name}:{node.lineno} names {node.value}")
+    assert hits == []
+
+
+def test_only_arith_imports_fractions():
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if "fractions" in names and path.name != "arith.py":
+                hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
 
 

@@ -354,3 +354,16 @@ def test_round_budget_marks_limited(req_all):
     g.run(max_rounds=0)
     assert g.limited
     assert not g.contradiction
+
+
+def test_disequality_survives_a_merge_into_a_smaller_class(req_all):
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    a, b, c = (g.intern(const(i)) for i in range(3))
+    g.assume(neq(req, const(1), const(2)))
+    g.assume(eq(req, const(0), const(2)))
+    g.run()
+    assert not g.contradiction
+    assert g.find(c) == a
+    assert g.are_unequal(b, c)
+    assert g.are_unequal(a, b)

@@ -87,6 +87,24 @@ def test_conditional_cluster_subject_gates(db, req_all):
     assert Attr(True, x) in db.round_up(ty(req_all, "Natural")).upper
 
 
+def test_round_up_sees_a_cluster_registered_after_it(db, req_all):
+    a, b = db.fresh_id("attr"), db.fresh_id("attr")
+    st = req_all.set_type()
+    start = TypeExpr(frozenset({Attr(True, a)}), frozenset({Attr(True, a)}), st.mode)
+    assert Attr(True, b) not in db.round_up(start).upper
+    db.conditional.append(ConditionalCluster(frozenset({Attr(True, a)}), frozenset({Attr(True, b)}), st))
+    assert Attr(True, b) in db.round_up(start).upper
+
+
+def test_round_up_sees_a_mode_defined_after_it(db, req_all):
+    mid = db.fresh_id("mode")
+    even = TypeExpr(frozenset(), frozenset(), mid)
+    natural = Attr(True, req_all.require("Natural"))
+    assert natural not in db.round_up(even).upper
+    db.modes[mid] = ModeDef(0, ty(req_all, "Natural"), None, False)
+    assert natural in db.round_up(even).upper
+
+
 def test_user_mode_inherits_parent_adjectives(db, req_all):
     mid = db.fresh_id("mode")
     db.modes[mid] = ModeDef(0, ty(req_all, "Natural"), None, False)
