@@ -236,7 +236,7 @@ class Analyzer:
         if res.too_large:
             self.errors.append(VerifyError(pos, 66))
         elif not res.accepted:
-            self.errors.append(VerifyError(pos, 61))
+            self.errors.append(VerifyError(pos, 67 if res.limited else 61))
 
     def _new_const(self, name: str, ty: TypeExpr) -> int:
         c = self.scope.fresh_const()

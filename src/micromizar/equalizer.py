@@ -146,13 +146,18 @@ class EqGraph:
                     r = self.lookup(a)
                     if r is None:
                         return None
-                    ch.append(self.find(r))
-                key = (("app", f), tuple(ch))
+                    ch.append(r)
+                return self.lookup_app(f, tuple(ch))
             case Choice() | Fraenkel() | SchemeFunctorApp():
                 key = (("opaque", t), ())
             case _:
                 return None
         n = self.node_of_key.get(key)
+        return None if n is None else self.find(n)
+
+    def lookup_app(self, f: int, reps: tuple[int, ...]) -> int | None:
+        """Class of the application of functor `f` to the classes `reps`."""
+        n = self.node_of_key.get((("app", f), reps))
         return None if n is None else self.find(n)
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:

@@ -19,6 +19,7 @@ ERROR_MESSAGES = {
     64: "Scheme instantiation: conflicting assignment",
     65: "Scheme instantiation: wrong number of premises",
     66: "Clause limit exceeded while normalizing the goal",
+    67: "Search budget exhausted",
     70: "Something remains to be proved",
     71: "Statement does not match the shape of the thesis",
     90: "Syntax error",

@@ -19,7 +19,8 @@ prepares that input and drives the per-clause machinery:
    existentials that only become top-level inside one branch.
 
 Every resulting clause must be refuted by the congruence graph or the
-instantiation search; one survivor rejects the inference.  Clause
+instantiation search; one survivor rejects the inference, and the
+justification says whether that survivor hit a search budget.  Clause
 counts above the cap abandon the attempt instead of looping forever.
 """
 
@@ -66,6 +67,7 @@ class Justification:
     prepared: Formula | None = None
     skolems: list[tuple[int, TypeExpr]] = field(default_factory=list)
     clause_count: int = 0
+    limited: bool = False  # the surviving clause hit a search budget
 
 
 class Prechecker:
@@ -103,10 +105,10 @@ class Prechecker:
         for lits, local_types in clauses:
             merged = dict(base_types)
             merged.update(local_types)
-            refuted, _limited = clause_refuted(self.db, lits, merged, self.flex_mode)
+            refuted, limited = clause_refuted(self.db, lits, merged, self.flex_mode)
             if not refuted:
                 return Justification(
-                    False, prepared=f, skolems=skolems, clause_count=len(clauses)
+                    False, prepared=f, skolems=skolems, clause_count=len(clauses), limited=limited
                 )
         return Justification(
             True, prepared=f, skolems=skolems, clause_count=len(clauses)

@@ -4,9 +4,18 @@ The equalizer leaves behind the clause facts it could not act on:
 positive universal literals and flexible-conjunction literals.  This
 module tries to close the clause by instantiating universals with the
 graph's own equivalence classes (singly, then in directly nested
-pairs) and evaluating the resulting ground formula three-valued
-against what the graph knows.  Evaluation never adds nodes: a term the
-graph has not seen is simply unknown, which keeps the search sound.
+pairs) and evaluating each instance three-valued against what the
+graph knows.  Each universal is compiled once per clause into closures
+over the class ids of its variables, so an instance is not built: only
+a flexible conjunction, an opaque term or a type that holds a variable
+is instantiated, because it is compared as a term.
+
+Evaluation looks terms up and does not intern them: a term the graph
+has not seen is simply unknown, which keeps the search sound.  Type
+checks are the exception.  ``EqGraph.class_satisfies`` interns the
+arguments of the type it tests, so the search can add nodes, as new
+classes that carry only what their types say; no union happens, and
+the candidate classes are fixed when the search starts.
 
 Flexible conjunctions are matched as literals: a positive and a
 negative one that agree make the clause contradictory.  What "agree"
@@ -18,19 +27,25 @@ comparison runs.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .arith import ComplexRational
 from .equalizer import EqGraph, refute_clause
 from .flex import FlexMode, flex_equal
 from .logic import (
     And,
+    Attr,
     FTrue,
     FlexAnd,
     FlexConj,
     ForAll,
     Formula,
+    FunctorApp,
     Is,
     Neg,
+    Numeral,
     Pred,
+    PrivFunc,
     PrivPred,
     Qual,
     SchemePred,
@@ -38,6 +53,7 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
+    any_var,
     subst_bound,
 )
 
@@ -56,6 +72,23 @@ def _contains_flex(f: Formula) -> bool:
             return _contains_flex(b)
         case _:
             return False
+
+
+Env = list[int]  # class id of each bound level, outermost first
+Eval = Callable[[Env], "bool | None"]
+
+
+def _open(node) -> bool:
+    """Does `node` hold a bound variable, i.e. differ between instances?"""
+    return any_var(node, lambda v: v.kind is VarKind.BOUND)
+
+
+def _instance(node, env: Env):
+    """The syntactic instance of `node` with bound level i read as class
+    ``env[i]``: the only term the search builds."""
+    for rep in env:
+        node = subst_bound(node, 0, Var(VarKind.EQCLASS, rep))
+    return node
 
 
 class Unifier:
@@ -85,9 +118,9 @@ class Unifier:
         if self._flex_pairs():
             return True
         for fa in list(self.g.foralls):
-            path = self._refute_univ(fa, 0)
+            path = self._refute_univ(fa)
             if path is not None:
-                self._replay(fa, path)
+                self._replay(fa, [self.g.term_of_class(r) for r in path])
                 return True
         return False
 
@@ -108,21 +141,30 @@ class Unifier:
             self._cand_cache[ty] = cached
         return cached
 
-    def _refute_univ(self, fa: ForAll, depth: int) -> list[Term] | None:
-        assert depth <= 1, "instantiation is limited to pairs"
-        for rep in self._candidates(fa.ty):
+    def _refute_univ(self, fa: ForAll) -> Env | None:
+        """The first instance of `fa` that evaluates to false, as the
+        classes of its variables; one unit of fuel per instance tried."""
+        single = self._formula(fa.body)
+        pair = self._formula(fa.body.body) if isinstance(fa.body, ForAll) else None
+        for env in self._tuples(fa):
             if self.fuel <= 0:
                 self.capped = True
                 return None
             self.fuel -= 1
-            inst = subst_bound(fa.body, 0, Var(VarKind.EQCLASS, rep))
-            if self._eval(inst) is False:
-                return [self.g.term_of_class(rep)]
-            if depth == 0 and isinstance(inst, ForAll):
-                tail = self._refute_univ(inst, depth + 1)
-                if tail is not None:
-                    return [self.g.term_of_class(rep)] + tail
+            if (single if len(env) == 1 else pair)(env) is False:
+                return env
         return None
+
+    def _tuples(self, fa: ForAll):
+        """Each candidate class, followed by its pairs with the candidates
+        of a directly nested universal, whose type may depend on it."""
+        inner = fa.body if isinstance(fa.body, ForAll) else None
+        for rep in self._candidates(fa.ty):
+            yield [rep]
+            if inner is not None:
+                ty = _instance(inner.ty, [rep]) if _open(inner.ty) else inner.ty
+                for rep2 in self._candidates(ty):
+                    yield [rep, rep2]
 
     def _replay(self, fa: ForAll, path: list[Term]) -> None:
         """Sanity harness: the found instance must refute on its own."""
@@ -150,66 +192,111 @@ class Unifier:
         g2.run()
         assert g2.contradiction or g2.limited, "instance did not replay"
 
-    # -- three-valued evaluation ------------------------------------------------
+    # -- compiled three-valued evaluation -----------------------------------------
+    #
+    # Each compiles a node into a function of the environment, which holds
+    # a class for each of the node's free bound levels: ``_formula`` gives
+    # True, False or None (a universal inside an instance is unknown),
+    # ``_term`` the instance's class (None if the graph lacks it) and
+    # ``_value`` its exact value.
 
-    def _eval(self, f: Formula) -> bool | None:
+    def _formula(self, f: Formula) -> Eval:
+        g, req = self.g, self.req
         match f:
             case FTrue():
-                return True
+                return lambda env: True
             case Neg(b):
-                v = self._eval(b)
-                return None if v is None else not v
+                body = self._formula(b)
+                return lambda env: None if (v := body(env)) is None else not v
             case And(cs):
-                out: bool | None = True
-                for c in cs:
-                    v = self._eval(c)
-                    if v is False:
-                        return False
-                    if v is None:
-                        out = None
-                return out
+                parts = [self._formula(c) for c in cs]
+
+                def conj(env):
+                    out: bool | None = True
+                    for part in parts:
+                        v = part(env)
+                        if v is False:
+                            return False
+                        if v is None:
+                            out = None
+                    return out
+
+                return conj
+            case Pred(p, (a, b)) if p == req.cid("Equality"):
+                return self._equality(a, b)
+            case Pred(p, (a, b)) if p == req.cid("LessOrEqual"):
+                va, vb = self._value(a), self._value(b)
+                atom = self._atom("pred", p, (a, b))
+
+                def le(env):
+                    x = va(env)
+                    y = None if x is None else vb(env)
+                    return atom(env) if y is None else x.lex_le(y)
+
+                return le
             case Pred(p, args):
-                if p == self.req.cid("Equality") and len(args) == 2:
-                    return self._eval_equality(args[0], args[1])
-                if p == self.req.cid("LessOrEqual") and len(args) == 2:
-                    va, vb = self._term_value(args[0]), self._term_value(args[1])
-                    if va is not None and vb is not None:
-                        return va.lex_le(vb)
-                return self._eval_atom("pred", p, args)
+                return self._atom("pred", p, args)
             case SchemePred(p, args):
-                return self._eval_atom("scheme", p, args)
+                return self._atom("scheme", p, args)
             case PrivPred(_, _, exp):
-                return self._eval(exp)
+                return self._formula(exp)
             case Is(t, attr):
-                rep = self.g.lookup(t)
-                if rep is None:
-                    return None
-                argreps = self._arg_classes(attr.args)
-                if argreps is None:
-                    return None
-                stored = self.g.attr_sign(rep, attr.attr_id, argreps)
-                if stored is None:
-                    return None
-                return stored == attr.positive
+                return self._is(self._term(t), attr)
             case Qual(t, ty):
-                rep = self.g.lookup(t)
-                if rep is None:
-                    return None
-                if self.g.class_satisfies(rep, ty):
-                    return True
-                for a in ty.lower:
-                    argreps = self._arg_classes(a.args)
-                    if argreps is None:
-                        continue
-                    stored = self.g.attr_sign(rep, a.attr_id, argreps)
-                    if stored is not None and stored != a.positive:
-                        return False
-                return None
+                return self._qual(t, ty)
             case FlexAnd(fc):
-                return self._flex_lookup(fc)
-            case ForAll():
+                if _open(f):
+                    return lambda env: self._flex_lookup(_instance(f, env).flex)
+                known = self._flex_lookup(fc)
+                return lambda env: known
+        return lambda env: None
+
+    def _equality(self, a: Term, b: Term) -> Eval:
+        g = self.g
+        va, vb = self._value(a), self._value(b)
+        ca, cb = self._term(a), self._term(b)
+
+        def eq(env):
+            x = va(env)
+            y = None if x is None else vb(env)
+            if y is not None:
+                return x == y
+            ra, rb = ca(env), cb(env)
+            if ra is None or rb is None:
                 return None
-        return None
+            return True if ra == rb else (False if g.are_unequal(ra, rb) else None)
+
+        return eq
+
+    def _atom(self, ns: str, pid: int, args: tuple[Term, ...]) -> Eval:
+        g, classes = self.g, self._args(args)
+        return lambda env: None if (reps := classes(env)) is None else g.atom_sign(ns, pid, reps)
+
+    def _is(self, term: Callable[[Env], int | None], attr: Attr) -> Eval:
+        g, args = self.g, self._args(attr.args)
+
+        def is_(env):
+            r = term(env)
+            reps = None if r is None else args(env)
+            s = None if reps is None else g.attr_sign(r, attr.attr_id, reps)
+            return None if s is None else s == attr.positive
+
+        return is_
+
+    def _qual(self, t: Term, ty: TypeExpr) -> Eval:
+        g, term = self.g, self._term(t)
+        lower = [self._is(term, a) for a in ty.lower]
+        open_ty = _open(ty)
+
+        def qual(env):
+            r = term(env)
+            if r is None:
+                return None
+            if g.class_satisfies(r, _instance(ty, env) if open_ty else ty):
+                return True
+            return False if any(is_(env) is False for is_ in lower) else None
+
+        return qual
 
     def _flex_lookup(self, fc: FlexConj) -> bool | None:
         for s, f2 in self.g.flexes:
@@ -217,39 +304,52 @@ class Unifier:
                 return s
         return None
 
-    def _arg_classes(self, args: tuple[Term, ...]) -> tuple[int, ...] | None:
-        out = []
-        for a in args:
-            r = self.g.lookup(a)
-            if r is None:
-                return None
-            out.append(r)
-        return tuple(out)
+    def _term(self, t: Term) -> Callable[[Env], int | None]:
+        g = self.g
+        if not _open(t):
+            rep = g.lookup(t)
+            # a term found stays in its class: the search makes no union
+            return (lambda env: rep) if rep is not None else (lambda env: g.lookup(t))
+        match t:
+            case Var(VarKind.BOUND, i):
+                return lambda env: env[i]
+            case PrivFunc(_, _, exp):
+                return self._term(exp)
+            case FunctorApp(f, args):
+                classes = self._args(args)
+                return lambda env: None if (reps := classes(env)) is None else g.lookup_app(f, reps)
+        # a choice, comprehension or scheme functor is keyed by the term itself
+        return lambda env: g.lookup(_instance(t, env))
 
-    def _eval_atom(self, ns: str, pid: int, args: tuple[Term, ...]) -> bool | None:
-        argreps = self._arg_classes(args)
-        if argreps is None:
-            return None
-        return self.g.atom_sign(ns, pid, argreps)
+    def _args(self, args: tuple[Term, ...]) -> Callable[[Env], tuple[int, ...] | None]:
+        terms = [self._term(a) for a in args]
 
-    def _eval_equality(self, a: Term, b: Term) -> bool | None:
-        va, vb = self._term_value(a), self._term_value(b)
-        if va is not None and vb is not None:
-            return va == vb
-        ra, rb = self.g.lookup(a), self.g.lookup(b)
-        if ra is not None and rb is not None:
-            if self.g.find(ra) == self.g.find(rb):
-                return True
-            if self.g.are_unequal(ra, rb):
-                return False
-        return None
+        def classes(env):
+            reps = tuple([term(env) for term in terms])
+            return None if None in reps else reps
 
-    def _term_value(self, t: Term) -> ComplexRational | None:
-        return self.req.term_value(t, self._graph_value)
+        return classes
 
-    def _graph_value(self, t: Term) -> ComplexRational | None:
-        rep = self.g.lookup(t)
-        return None if rep is None else self.g.value.get(self.g.find(rep))
+    def _value(self, t: Term) -> Callable[[Env], ComplexRational | None]:
+        """The class's known value first, then the structural rule, in the
+        order of ``RequirementTable.term_value``."""
+        g, req = self.g, self.req
+        if isinstance(t, PrivFunc):
+            return self._value(t.expansion)
+        term = self._term(t)
+        arith = req.arith.get(t.func) if isinstance(t, FunctorApp) else None
+        parts = [self._value(a) for a in t.args] if arith else []
+        own = req.term_value(t) if isinstance(t, Numeral) else None
+
+        def value(env):
+            r = term(env)
+            v = None if r is None else g.value.get(r)
+            if v is not None or arith is None:
+                return own if v is None else v
+            vals = [part(env) for part in parts]
+            return None if None in vals else arith.value(*vals)
+
+        return value
 
 
 def clause_refuted(

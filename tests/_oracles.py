@@ -3,13 +3,18 @@
 Nothing here may import algorithmic code beyond the plain data
 constructors: the named-variable substitution works on names, never on
 level arithmetic, and the finite-domain evaluator interprets formulas
-directly over small initial segments of the naturals.
+directly over small initial segments of the naturals.  The one
+exception is ``ReferenceUnifier``, the instantiation search as it was
+before the unifier was compiled: it builds every instance with
+``subst_bound`` and walks it, reading the graph through its public
+accessors, and the compiled search must agree with it tuple by tuple.
 """
 
 from __future__ import annotations
 
 import random
 
+from micromizar.flex import flex_equal
 from micromizar.logic import (
     And,
     Attr,
@@ -22,7 +27,9 @@ from micromizar.logic import (
     Neg,
     Numeral,
     Pred,
+    PrivPred,
     Qual,
+    SchemePred,
     Term,
     TypeExpr,
     TRUE,
@@ -31,7 +38,9 @@ from micromizar.logic import (
     bound,
     mk_and,
     mk_neg,
+    subst_bound,
 )
+from micromizar.unifier import Unifier
 
 # ---------------------------------------------------------------------------
 # named-variable mirror of the level-based syntax
@@ -240,3 +249,122 @@ def eval_formula(f: Formula, req, env: dict[int, int], domain: range, depth: int
         case FlexAnd(fx):
             return eval_formula(fx.expansion, req, env, domain, depth)
     raise CannotEvaluate(f)
+
+
+# ---------------------------------------------------------------------------
+# the instantiation search by substitution
+
+
+class ReferenceUnifier(Unifier):
+    """``Unifier`` whose search substitutes each candidate class into the
+    universal and walks the instance; same candidates, order and fuel."""
+
+    def _refute_univ(self, fa: ForAll, depth: int = 0) -> list[int] | None:
+        for rep in self._candidates(fa.ty):
+            if self.fuel <= 0:
+                self.capped = True
+                return None
+            self.fuel -= 1
+            inst = subst_bound(fa.body, 0, Var(VarKind.EQCLASS, rep))
+            if self.eval(inst) is False:
+                return [rep]
+            if depth == 0 and isinstance(inst, ForAll):
+                tail = self._refute_univ(inst, depth + 1)
+                if tail is not None:
+                    return [rep] + tail
+        return None
+
+    def eval(self, f: Formula) -> bool | None:
+        """What the graph knows of a formula without bound variables."""
+        match f:
+            case FTrue():
+                return True
+            case Neg(b):
+                v = self.eval(b)
+                return None if v is None else not v
+            case And(cs):
+                out: bool | None = True
+                for c in cs:
+                    v = self.eval(c)
+                    if v is False:
+                        return False
+                    if v is None:
+                        out = None
+                return out
+            case Pred(p, args):
+                if p == self.req.cid("Equality") and len(args) == 2:
+                    return self._eval_equality(args[0], args[1])
+                if p == self.req.cid("LessOrEqual") and len(args) == 2:
+                    va, vb = self._term_value(args[0]), self._term_value(args[1])
+                    if va is not None and vb is not None:
+                        return va.lex_le(vb)
+                return self._eval_atom("pred", p, args)
+            case SchemePred(p, args):
+                return self._eval_atom("scheme", p, args)
+            case PrivPred(_, _, exp):
+                return self.eval(exp)
+            case Is(t, attr):
+                rep = self.g.lookup(t)
+                if rep is None:
+                    return None
+                argreps = self._arg_classes(attr.args)
+                if argreps is None:
+                    return None
+                stored = self.g.attr_sign(rep, attr.attr_id, argreps)
+                if stored is None:
+                    return None
+                return stored == attr.positive
+            case Qual(t, ty):
+                rep = self.g.lookup(t)
+                if rep is None:
+                    return None
+                if self.g.class_satisfies(rep, ty):
+                    return True
+                for a in ty.lower:
+                    argreps = self._arg_classes(a.args)
+                    if argreps is None:
+                        continue
+                    stored = self.g.attr_sign(rep, a.attr_id, argreps)
+                    if stored is not None and stored != a.positive:
+                        return False
+                return None
+            case FlexAnd(fc):
+                for s, f2 in self.g.flexes:
+                    if flex_equal(fc, f2, self.mode):
+                        return s
+                return None
+        return None
+
+    def _arg_classes(self, args: tuple[Term, ...]) -> tuple[int, ...] | None:
+        out = []
+        for a in args:
+            r = self.g.lookup(a)
+            if r is None:
+                return None
+            out.append(r)
+        return tuple(out)
+
+    def _eval_atom(self, ns: str, pid: int, args: tuple[Term, ...]) -> bool | None:
+        argreps = self._arg_classes(args)
+        if argreps is None:
+            return None
+        return self.g.atom_sign(ns, pid, argreps)
+
+    def _eval_equality(self, a: Term, b: Term) -> bool | None:
+        va, vb = self._term_value(a), self._term_value(b)
+        if va is not None and vb is not None:
+            return va == vb
+        ra, rb = self.g.lookup(a), self.g.lookup(b)
+        if ra is not None and rb is not None:
+            if self.g.find(ra) == self.g.find(rb):
+                return True
+            if self.g.are_unequal(ra, rb):
+                return False
+        return None
+
+    def _term_value(self, t: Term):
+        return self.req.term_value(t, self._graph_value)
+
+    def _graph_value(self, t: Term):
+        rep = self.g.lookup(t)
+        return None if rep is None else self.g.value.get(self.g.find(rep))

@@ -265,3 +265,16 @@ def test_trace_of_one_obligation(req_all):
     assert errors(req_all, "theorem for a being set holds a c= a;\n", trace) == []
     assert trace[0] == "input: ∃ b0: set st"
     assert "refuting 0 @ :2:1:" in trace
+
+
+def test_a_search_out_of_tuples_is_67_not_61(check):
+    # 32 constants and {} make 33 set classes, so the 33 single and
+    # 33 * 33 paired instances of A overrun TUPLE_CAP; none of them is
+    # false.  With two constants the search ends by itself and rejects.
+    names = ", ".join(f"x{i}" for i in range(32))
+    assert check(
+        f"""A: for a, b being set holds a c= b implies a c= b;
+theorem for {names} being set holds x0 = x1 by A;
+theorem for x0, x1 being set holds x0 = x1 by A;
+"""
+    ) == [(61, 4), (67, 3)]

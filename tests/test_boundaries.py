@@ -1,8 +1,9 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from a sibling module, what the
 builtin arithmetic functors mean is written only in ``arith.OPS``,
-only ``arith`` decides how numbers are represented, and
-``Analyzer._step`` is the only place that dispatches on a proof step."""
+only ``arith`` decides how numbers are represented,
+``Analyzer._step`` is the only place that dispatches on a proof step,
+and the unifier's search evaluates instances without building them."""
 
 import ast
 import pathlib
@@ -87,3 +88,29 @@ def test_step_kinds_are_dispatched_in_one_place():
         if method != "_step" and not (method == "walk_now" and name in NOW_OWN_STEPS)
     ]
     assert stray == []
+
+
+# the replay rebuilds the refuting instance, and `_instance` builds the
+# leaves whose graph key is a term; nothing else in the search may
+REWRITERS = {"subst_bound", "map_terms"}
+MAY_REWRITE = {"_replay", "_instance"}
+
+
+def test_the_unifier_search_builds_no_terms():
+    path = PACKAGE / "unifier.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append(node)
+    assert {"_replay", "_instance", "_refute_univ", "_formula"} <= {f.name for f in functions}
+    hits = [
+        f"{fn.name}:{node.lineno} uses {node.id}"
+        for fn in functions
+        if fn.name not in MAY_REWRITE
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in REWRITERS
+    ]
+    assert hits == []

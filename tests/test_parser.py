@@ -1,5 +1,7 @@
 """Parser shape tests: token stream to surface tree."""
 
+import random
+
 from micromizar.analyzer import Analyzer
 from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
@@ -323,3 +325,143 @@ def test_a_numeral_too_long_loses_only_its_item():
     assert len(errs) == 1
     (item,) = art.items
     assert item.pos.line == 2
+
+
+FUZZ_ARTICLES = (
+    """environ begin
+theorem for n being Nat holds n = 0 or n <> 0
+proof
+  let n be Nat;
+  per cases;
+  suppose A: n = 0;
+    hence thesis;
+  end;
+  suppose B: n <> 0;
+    thus thesis by B;
+  end;
+end;
+theorem (ex n being Nat st n = 2) implies 1 + 1 = 2
+proof
+  given k being Nat such that A: k = 2;
+  then 1 + 1 = k;
+  hence 1 + 1 = 2 by A;
+end;
+theorem 1 = 1
+proof
+  A: ex n being Nat st n = 2
+  proof
+    take 2;
+    thus 2 = 2;
+  end;
+  consider m being Nat such that B: m = 2 by A;
+  reconsider k = m as set;
+  N: now
+    let x be set;
+    thus x c= x;
+  end;
+  thus 1 = 1;
+end;
+""",
+    """environ begin
+definition
+  let a be set;
+  attr a is Z means :DZ: a = {};
+end;
+definition
+  let a be set;
+  mode Sub of a -> set means :DM: it c= a;
+  existence
+  proof
+    let a be set;
+    take a;
+    thus a c= a;
+  end;
+end;
+definition
+  let a, b be set;
+  func Un(a, b) -> set means :DU: it = a \\/ b;
+end;
+definition
+  let a, b be set;
+  pred R(a, b) means :DR: a c= b;
+end;
+registration
+  cluster Z -> empty for set;
+  coherence
+  proof
+    let a be Z set;
+    A: a = {} by DZ;
+    hence a is empty;
+  end;
+end;
+registration
+  cluster {} \\/ {} -> empty;
+  coherence;
+end;
+theorem for a, b being set st R(a, b) holds a c= b by DR;
+""",
+    """environ begin
+scheme Mp{P[set, set], Q[set, set]}: for a, b being set st P[a, b] holds Q[a, b]
+provided A1: for a, b being set st P[a, b] holds Q[a, b]
+proof
+  let a, b be set;
+  assume A2: P[a, b];
+  thus Q[a, b] by A1, A2;
+end;
+deffunc F(Nat) = $1 + 1;
+defpred S[set, set] means $2 = $1;
+L: for a, b being set st a = b holds S[a, b];
+theorem for a, b being set st a = b holds S[a, b] from Mp(L);
+theorem F(1) = 2 & 1 <= 1 & ... & 1 <= 3 implies 1 <= 2;
+theorem - (2 * 3) / 4 <= succ 1 & {} = {} \\/ {} & bool {} <> {};
+""",
+)
+FUZZ_SEED = 8
+FUZZ_MUTANTS = 200
+
+
+def token_text(tokens) -> str:
+    """Article text of a token list: a line break where the line
+    number grows, otherwise one space between tokens."""
+    out, line = [], 1
+    for tok in tokens:
+        if tok.kind == "eof":
+            break
+        out.append("\n" if tok.pos.line > line else " ")
+        line = tok.pos.line
+        out.append("$" + tok.text if tok.kind == "dollar" else tok.text)
+    return "".join(out)
+
+
+def test_token_mutations_raise_only_mizar_errors(req_all):
+    from micromizar.errors import MizarError
+    from micromizar.lexer import tokenize
+    from micromizar.surface import Article
+
+    rng = random.Random(FUZZ_SEED)
+    streams = [tokenize(text)[:-1] for text in FUZZ_ARTICLES]
+    for text, tokens in zip(FUZZ_ARTICLES, streams):
+        lines = lambda t: [(code, line) for code, line, _ in check_article(t, req_all)]  # noqa: E731
+        assert lines(token_text(tokens)) == lines(text)
+    items = 0
+    for _ in range(FUZZ_MUTANTS):
+        tokens = list(rng.choice(streams))
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(tokens) - 1)
+            op = rng.choice(("delete", "duplicate", "swap"))
+            if op == "delete":
+                del tokens[i]
+            elif op == "duplicate":
+                tokens.insert(i, tokens[i])
+            else:
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        try:
+            art, _ = parse_article(token_text(tokens))
+            analyzer = Analyzer(req_all)
+            for item in art.items:
+                analyzer.run(Article(art.requirements, (item,)))
+                items += 1
+        except MizarError:
+            pass
+    # the parser resumes after a broken item, so most items are checked
+    assert items > 3 * FUZZ_MUTANTS

@@ -1,5 +1,6 @@
 """Universal instantiation and flex-literal matching."""
 
+from micromizar.equalizer import refute_clause
 from micromizar.flex import FlexMode, infer_flex_from_diff
 from micromizar.logic import (
     Attr,
@@ -12,12 +13,14 @@ from micromizar.logic import (
     Numeral,
     Pred,
     Qual,
+    TypeExpr,
     bound,
     const,
+    mk_and,
     mk_neg,
 )
 from micromizar.subtyping import DefinitionDb
-from micromizar.unifier import Unifier, clause_refuted
+from micromizar.unifier import TUPLE_CAP, Unifier, clause_refuted
 
 FSET = frozenset()
 
@@ -151,3 +154,34 @@ def test_search_is_deterministic(req_all):
     lits = [le(req, x, y), mk_neg(eq(req, x, y)), fa]
     consts = {0: req.set_type(), 1: req.set_type()}
     assert check(req, lits, consts) == check(req, lits, consts)
+
+
+def test_a_qual_instance_can_intern_its_type_arguments(req_all):
+    # "x is Element of bool x": class_satisfies interns each instance's
+    # type argument, so the search adds bool c0 and bool {} to the graph
+    req = req_all
+    element = TypeExpr(FSET, FSET, req.require("Element"), (FunctorApp(req.require("PowerSet"), (bound(0),)),))
+    lits = [ForAll(req.set_type(), Qual(bound(0), element))]
+    g = refute_clause(DefinitionDb(req), lits, {0: req.set_type()})
+    assert len(g.nodes) == 2  # c0 and {}
+    u = Unifier(g, tuple(lits), {0: req.set_type()})
+    assert not u.refute()
+    assert u.fuel == TUPLE_CAP - 2
+    assert len(g.nodes) == 4
+    bools = {g.term_of_class(r) for r in g.classes()[2:]}
+    assert bools == {FunctorApp(req.require("PowerSet"), (t,)) for t in (const(0), FunctorApp(req.require("EmptySet"), ()))}
+
+
+def test_a_term_the_search_interns_is_seen_by_later_lookups(req_all):
+    # the type check of the first conjunct interns 7 with its natural
+    # type, so the second conjunct is false in the very same instance
+    req = req_all
+    seven_is_natural = Is(Numeral(7), Attr(True, req.require("Natural")))
+    element = TypeExpr(FSET, FSET, req.require("Element"), (Numeral(7),))
+    lits = [ForAll(req.set_type(), mk_and([Qual(bound(0), element), mk_neg(seven_is_natural)]))]
+    g = refute_clause(DefinitionDb(req), lits, {0: req.set_type()})
+    assert len(g.nodes) == 2
+    u = Unifier(g, tuple(lits), {0: req.set_type()})
+    assert u.refute()
+    assert u.fuel == TUPLE_CAP - 1
+    assert len(g.nodes) == 3
