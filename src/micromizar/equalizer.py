@@ -42,6 +42,7 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
+    mk_neg,
     sorted_attrs,
 )
 from .subtyping import DefinitionDb
@@ -279,7 +280,7 @@ class EqGraph:
                 reps = tuple(self.find(self.intern(a)) for a in args)
                 self._add_atom("scheme", p, reps, sign)
             case PrivPred(_, _, exp):
-                self.assume(exp if sign else Neg(exp))
+                self.assume(exp if sign else mk_neg(exp))
             case Is(t, attr):
                 rep = self.intern(t)
                 aargs = tuple(self.find(self.intern(x)) for x in attr.args)

@@ -6,6 +6,9 @@ formulas; every differing term position must generalize to the same
 (lo, hi) pair.  Expansion with numeral bounds takes the *entire*
 residual conjunction after the two bound guards, so a disjunctive body
 never loses disjuncts to conjunction flattening.
+
+The diff and ``formula_equal`` (thesis matching) are hooks on
+``logic.zip_nodes``, the kernel's one walk over two trees.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from enum import Enum
 from .logic import (
     And,
     Attr,
+    Choice,
     FTrue,
     FlexAnd,
     FlexConj,
     ForAll,
     Formula,
+    Fraenkel,
     FunctorApp,
     Is,
     Neg,
@@ -30,6 +35,7 @@ from .logic import (
     Qual,
     SchemeFunctorApp,
     SchemePred,
+    ShapeMismatch,
     Term,
     ThesisMarker,
     TypeExpr,
@@ -40,8 +46,11 @@ from .logic import (
     mk_and,
     mk_neg,
     replace_term,
+    same_head,
     shift_up,
+    sorted_attrs,
     subst_bound,
+    zip_nodes,
 )
 from .requirements import RequirementTable
 
@@ -78,116 +87,59 @@ def term_numeral_value(t: Term, req: RequirementTable) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# endpoint diff
+# endpoint diff: a hook on ``zip_nodes``
+
+_APPS = (FunctorApp, PrivFunc, SchemeFunctorApp)
 
 
-class _PairTracker:
-    def __init__(self):
-        self.pair: tuple[Term, Term] | None = None
+def _generalize(
+    left: Formula, right: Formula, depth: int
+) -> tuple[Formula, tuple[Term, Term] | None]:
+    """Anti-unify two endpoints: each differing term position whose head
+    differs becomes the level `depth`, and all of them must hold the
+    same (left, right) pair, which is returned with the skeleton."""
+    pairs: list[tuple[Term, Term]] = []
 
-    def generalize(self, left: Term, right: Term, depth: int) -> Term:
-        if self.pair is None:
-            self.pair = (left, right)
-        elif self.pair != (left, right):
-            raise NoCommonShape("differing positions disagree on the bounds")
-        return bound(depth)
+    def fn(a, b):
+        if isinstance(a, Term):
+            if a == b:
+                return a
+            if type(a) in _APPS and same_head(a, b):
+                return None
+            if not pairs:
+                pairs.append((a, b))
+            elif pairs[0] != (a, b):
+                raise NoCommonShape("differing positions disagree on the bounds")
+            return bound(depth)
+        if type(a) is TypeExpr:
+            return a if a == b else _generalize_type(a, b, fn)
+        if type(a) is Attr and not same_head(a, b):
+            raise NonNumericBound("endpoints differ in an adjective, not a term")
+        if type(a) is Is and type(b) is Is:
+            x, y = a.attr, b.attr
+            if x.attr_id != y.attr_id or x.positive != y.positive:
+                raise NoCommonShape("adjectives differ")
+        return None
 
-
-def _same_head(a: Term, b: Term) -> bool:
-    match (a, b):
-        case (FunctorApp(f, xs), FunctorApp(g, ys)):
-            return f == g and len(xs) == len(ys)
-        case (PrivFunc(f, xs, _), PrivFunc(g, ys, _)):
-            return f == g and len(xs) == len(ys)
-        case (SchemeFunctorApp(f, xs), SchemeFunctorApp(g, ys)):
-            return f == g and len(xs) == len(ys)
-    return False
-
-
-def _diff_term(a: Term, b: Term, tr: _PairTracker, depth: int) -> Term:
-    if a == b:
-        return a
-    if _same_head(a, b):
-        match (a, b):
-            case (FunctorApp(f, xs), FunctorApp(_, ys)):
-                return FunctorApp(f, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
-            case (PrivFunc(f, xs, e1), PrivFunc(_, ys, e2)):
-                return PrivFunc(
-                    f,
-                    tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)),
-                    _diff_term(e1, e2, tr, depth),
-                )
-            case (SchemeFunctorApp(f, xs), SchemeFunctorApp(_, ys)):
-                return SchemeFunctorApp(
-                    f, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys))
-                )
-    return tr.generalize(a, b, depth)
+    try:
+        skel = zip_nodes(left, right, fn)
+    except ShapeMismatch as e:
+        raise NoCommonShape(f"endpoint formulas have different shapes: {e}") from None
+    return skel, pairs[0] if pairs else None
 
 
-def _diff_attr(a: Attr, b: Attr, tr: _PairTracker, depth: int) -> Attr:
-    if a.attr_id != b.attr_id or a.positive != b.positive or len(a.args) != len(b.args):
-        raise NonNumericBound("endpoints differ in an adjective, not a term")
-    return Attr(a.positive, a.attr_id, tuple(_diff_term(x, y, tr, depth) for x, y in zip(a.args, b.args)))
-
-
-def _attr_sort_key(a: Attr) -> tuple:
-    return (a.attr_id, not a.positive, repr(a.args))
-
-
-def _diff_type(a: TypeExpr, b: TypeExpr, tr: _PairTracker, depth: int) -> TypeExpr:
-    if a == b:
-        return a
-    if a.mode != b.mode or len(a.args) != len(b.args):
-        raise NonNumericBound("endpoints differ in a type, not a term")
-    la, lb = sorted(a.lower, key=_attr_sort_key), sorted(b.lower, key=_attr_sort_key)
-    ua, ub = sorted(a.upper, key=_attr_sort_key), sorted(b.upper, key=_attr_sort_key)
-    if len(la) != len(lb) or len(ua) != len(ub):
+def _generalize_type(a: TypeExpr, b: TypeExpr, fn) -> TypeExpr:
+    """Both adjective sets are diffed, the rounded-up one too, so that the
+    skeleton reproduces each endpoint's type exactly."""
+    la, lb, ua, ub = (sorted_attrs(x) for x in (a.lower, b.lower, a.upper, b.upper))
+    if (a.mode, len(a.args), len(la), len(ua)) != (b.mode, len(b.args), len(lb), len(ub)):
         raise NonNumericBound("endpoints differ in a type, not a term")
     return TypeExpr(
-        frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(la, lb)),
-        frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(ua, ub)),
+        frozenset([zip_nodes(x, y, fn) for x, y in zip(la, lb)]),
+        frozenset([zip_nodes(x, y, fn) for x, y in zip(ua, ub)]),
         a.mode,
-        tuple(_diff_term(x, y, tr, depth) for x, y in zip(a.args, b.args)),
+        tuple([zip_nodes(x, y, fn) for x, y in zip(a.args, b.args)]),
     )
-
-
-def _diff_formula(a: Formula, b: Formula, tr: _PairTracker, depth: int) -> Formula:
-    match (a, b):
-        case (FTrue(), FTrue()):
-            return a
-        case (Neg(x), Neg(y)):
-            return Neg(_diff_formula(x, y, tr, depth))
-        case (And(xs), And(ys)) if len(xs) == len(ys):
-            return And(tuple(_diff_formula(x, y, tr, depth) for x, y in zip(xs, ys)))
-        case (Pred(p, xs), Pred(q, ys)) if p == q and len(xs) == len(ys):
-            return Pred(p, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
-        case (SchemePred(p, xs), SchemePred(q, ys)) if p == q and len(xs) == len(ys):
-            return SchemePred(p, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
-        case (PrivPred(p, xs, e1), PrivPred(q, ys, e2)) if p == q and len(xs) == len(ys):
-            return PrivPred(
-                p,
-                tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)),
-                _diff_formula(e1, e2, tr, depth),
-            )
-        case (Is(t1, a1), Is(t2, a2)):
-            if a1.attr_id != a2.attr_id or a1.positive != a2.positive:
-                raise NoCommonShape("adjectives differ")
-            return Is(_diff_term(t1, t2, tr, depth), _diff_attr(a1, a2, tr, depth))
-        case (Qual(t1, ty1), Qual(t2, ty2)):
-            return Qual(_diff_term(t1, t2, tr, depth), _diff_type(ty1, ty2, tr, depth))
-        case (ForAll(ty1, b1), ForAll(ty2, b2)):
-            return ForAll(_diff_type(ty1, ty2, tr, depth), _diff_formula(b1, b2, tr, depth))
-        case (FlexAnd(f1), FlexAnd(f2)):
-            return FlexAnd(
-                FlexConj(
-                    _diff_term(f1.lo, f2.lo, tr, depth),
-                    _diff_term(f1.hi, f2.hi, tr, depth),
-                    _diff_formula(f1.expansion, f2.expansion, tr, depth),
-                    _diff_formula(f1.inst_lo, f2.inst_lo, tr, depth),
-                    _diff_formula(f1.inst_hi, f2.inst_hi, tr, depth),
-                )
-            )
-    raise NoCommonShape("endpoint formulas have different shapes")
 
 
 def _first_term(f: Formula) -> Term | None:
@@ -235,7 +187,6 @@ def infer_flex_from_diff(
         raise MalformedFlex("flexary conjunction needs NUMERALS and REAL")
     left_s = shift_up(left, 1, depth)
     right_s = shift_up(right, 1, depth)
-    tr = _PairTracker()
     if left == right:
         lo = _first_term(left_s)
         if lo is None:
@@ -244,10 +195,10 @@ def infer_flex_from_diff(
         skel = replace_term(left_s, lo, bound(depth))
         hi = lo
     else:
-        skel = _diff_formula(left_s, right_s, tr, depth)
-        if tr.pair is None:
+        skel, pair = _generalize(left_s, right_s, depth)
+        if pair is None:
             raise NoCommonShape("endpoints are distinct but no term position differs")
-        lo, hi = tr.pair
+        lo, hi = pair
         _check_bound_scope(lo, depth)
         _check_bound_scope(hi, depth)
     if subst_bound(skel, depth, lo) != left or subst_bound(skel, depth, hi) != right:
@@ -313,76 +264,49 @@ def flex_equal(a: FlexConj, b: FlexConj, mode: FlexMode) -> bool:
     return a.inst_lo == b.inst_lo and a.inst_hi == b.inst_hi
 
 
-def term_equal(a: Term, b: Term) -> bool:
-    """Structural equality with proof-local functors unfolded."""
-    if isinstance(a, PrivFunc) and not isinstance(b, PrivFunc):
-        return term_equal(a.expansion, b)
-    if isinstance(b, PrivFunc) and not isinstance(a, PrivFunc):
-        return term_equal(a, b.expansion)
-    if isinstance(a, PrivFunc) and isinstance(b, PrivFunc):
-        if a.func == b.func and all(term_equal(x, y) for x, y in zip(a.args, b.args)) and len(
-            a.args
-        ) == len(b.args):
-            return True
-        return term_equal(a.expansion, b.expansion)
-    match (a, b):
-        case (FunctorApp(f, xs), FunctorApp(g, ys)):
-            return f == g and len(xs) == len(ys) and all(term_equal(x, y) for x, y in zip(xs, ys))
-        case (SchemeFunctorApp(f, xs), SchemeFunctorApp(g, ys)):
-            return f == g and len(xs) == len(ys) and all(term_equal(x, y) for x, y in zip(xs, ys))
-        case _:
-            return a == b
+_PRIVATE = (PrivFunc, PrivPred)
 
 
-def type_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    return (
-        a.mode == b.mode
-        and len(a.args) == len(b.args)
-        and all(term_equal(x, y) for x, y in zip(a.args, b.args))
-        and a.lower == b.lower
-    )
+def formula_equal(a, b, mode: FlexMode) -> bool:
+    """Structural equality used for thesis matching, of nodes of any kind.
 
-
-def formula_equal(a: Formula, b: Formula, mode: FlexMode) -> bool:
-    """Structural equality used for thesis matching.
-
-    Proof-local predicates compare by their expansions; flexary
-    conjunctions compare per ``mode``.
+    A proof-local application is unfolded when only one side is one; two
+    of them are equal when their heads and arguments are, or else their
+    expansions.  Flexary conjunctions compare per ``mode``; ``the T``,
+    Fraenkel terms and a type's written adjectives compare exactly, and
+    ``thesis`` equals nothing.
     """
-    if isinstance(a, PrivPred) and not isinstance(b, PrivPred):
-        return formula_equal(a.expansion, b, mode)
-    if isinstance(b, PrivPred) and not isinstance(a, PrivPred):
-        return formula_equal(a, b.expansion, mode)
-    match (a, b):
-        case (FTrue(), FTrue()):
-            return True
-        case (Neg(x), Neg(y)):
-            return formula_equal(x, y, mode)
-        case (And(xs), And(ys)):
-            return len(xs) == len(ys) and all(
-                formula_equal(x, y, mode) for x, y in zip(xs, ys)
-            )
-        case (FlexAnd(f1), FlexAnd(f2)):
-            return flex_equal(f1, f2, mode)
-        case (ForAll(t1, b1), ForAll(t2, b2)):
-            return type_equal(t1, t2) and formula_equal(b1, b2, mode)
-        case (Pred(p, xs), Pred(q, ys)):
-            return p == q and len(xs) == len(ys) and all(term_equal(x, y) for x, y in zip(xs, ys))
-        case (SchemePred(p, xs), SchemePred(q, ys)):
-            return p == q and len(xs) == len(ys) and all(term_equal(x, y) for x, y in zip(xs, ys))
-        case (PrivPred(p, xs, e1), PrivPred(q, ys, e2)):
-            if p == q and len(xs) == len(ys) and all(term_equal(x, y) for x, y in zip(xs, ys)):
-                return True
-            return formula_equal(e1, e2, mode)
-        case (Is(t1, a1), Is(t2, a2)):
-            return (
-                term_equal(t1, t2)
-                and a1.attr_id == a2.attr_id
-                and a1.positive == a2.positive
-                and len(a1.args) == len(a2.args)
-                and all(term_equal(x, y) for x, y in zip(a1.args, a2.args))
-            )
-        case (Qual(t1, ty1), Qual(t2, ty2)):
-            return term_equal(t1, t2) and type_equal(ty1, ty2)
-        case _:
-            return False
+
+    def fn(x, y):
+        px, py = type(x) in _PRIVATE, type(y) in _PRIVATE
+        if px or py:
+            # `x` stands for the pair: an expansion may not fit where `x` is
+            if px != py:
+                zip_nodes(x.expansion if px else x, y.expansion if py else y, fn)
+                return x
+            if same_head(x, y):
+                try:
+                    for u, v in zip(x.args, y.args):
+                        zip_nodes(u, v, fn)
+                    return x
+                except ShapeMismatch:
+                    pass
+            zip_nodes(x.expansion, y.expansion, fn)
+            return x
+        if type(x) is FlexAnd and type(y) is FlexAnd:
+            if not flex_equal(x.flex, y.flex, mode):
+                raise ShapeMismatch("flexary conjunctions differ")
+            return x
+        if type(x) is Choice or type(x) is Fraenkel:
+            if x != y:
+                raise ShapeMismatch("opaque terms differ")
+            return x
+        if type(x) is TypeExpr and x.lower != y.lower:
+            raise ShapeMismatch("adjectives differ")
+        return None
+
+    try:
+        zip_nodes(a, b, fn)
+    except ShapeMismatch:
+        return False
+    return True

@@ -48,35 +48,16 @@ from .logic import (
     VarKind,
     sorted_attrs,
 )
+from .resolver import BUILTIN_ATTRS, BUILTIN_FUNCS, BUILTIN_MODES, BUILTIN_PREDS
 
-# builtin constructor spellings, keyed by requirement name
-_INFIX_FUNCS = {
-    "Add": "+",
-    "Mul": "*",
-    "Sub": "-",
-    "Div": "/",
-    "Union": "\\/",
-    "Intersection": "/\\",
-    "Difference": "\\",
-    "SymDiff": "\\+\\",
-}
-_PREFIX_FUNCS = {"Succ": "succ", "PowerSet": "bool", "Neg": "-"}
-_ATOM_FUNCS = {"EmptySet": "{}", "NatSet": "NAT", "ImaginaryUnit": "<i>", "Zero": "0"}
-_INFIX_PREDS = {
-    "Equality": "=",
-    "Membership": "in",
-    "Subset": "c=",
-    "LessOrEqual": "<=",
-    "Meets": "meets",
-}
-_ATTRS = {
-    "Empty": "empty",
-    "Natural": "natural",
-    "ZeroAttr": "zero",
-    "Positive": "positive",
-    "Negative": "negative",
-    "Complex": "complex",
-}
+# builtin spellings, keyed by requirement name: the resolver's tables
+# inverted, plus what only printing needs (``Inv`` is a postfix, and
+# ``Zero`` prints as 0)
+_FUNCS = {rname: (("atom", "prefix", "infix")[n], op) for (op, n), rname in BUILTIN_FUNCS.items()}
+_FUNCS.update(Inv=("postfix", '"'), Zero=("atom", "0"))
+_PREDS = {rname: ("infix", op) for (op, _), rname in BUILTIN_PREDS.items()}
+_ATTRS = {rname: name for name, rname in BUILTIN_ATTRS.items()}
+_MODES = {rname: name for name, (rname, _) in BUILTIN_MODES.items()}
 
 WIDTH = 78
 
@@ -95,54 +76,35 @@ class Formatter:
 
     # -- spelling lookups (live: definitions added later still resolve) --
 
+    def _builtin(self, table: dict, ident: int):
+        for rname, spelling in table.items():
+            if self.req.cid(rname) == ident:
+                return spelling
+        return None
+
     def _func_spelling(self, fid: int) -> tuple[str, str]:
         for (name, _arity), ident in self.scope.func_names.items():
             if ident == fid:
                 return "plain", name
-        for rname, op in _INFIX_FUNCS.items():
-            if self.req.cid(rname) == fid:
-                return "infix", op
-        for rname, op in _PREFIX_FUNCS.items():
-            if self.req.cid(rname) == fid:
-                return "prefix", op
-        for rname, op in _ATOM_FUNCS.items():
-            if self.req.cid(rname) == fid:
-                return "atom", op
-        if self.req.cid("Inv") == fid:
-            return "postfix", '"'
-        return "indexed", f"K{fid}"
+        return self._builtin(_FUNCS, fid) or ("indexed", f"K{fid}")
 
     def _pred_spelling(self, pid: int) -> tuple[str, str]:
         for (name, _arity), ident in self.scope.pred_names.items():
             if ident == pid:
                 return "plain", name
-        for rname, op in _INFIX_PREDS.items():
-            if self.req.cid(rname) == pid:
-                return "infix", op
-        return "indexed", f"R{pid}"
+        return self._builtin(_PREDS, pid) or ("indexed", f"R{pid}")
 
     def _attr_spelling(self, aid: int) -> str:
         for name, (ident, _arity) in self.scope.attr_names.items():
             if ident == aid:
                 return name
-        for rname, spelling in _ATTRS.items():
-            if self.req.cid(rname) == aid:
-                return spelling
-        return f"V{aid}"
+        return self._builtin(_ATTRS, aid) or f"V{aid}"
 
     def _mode_spelling(self, mid: int) -> str:
         for name, (ident, _arity) in self.scope.mode_names.items():
             if ident == mid:
                 return name
-        for rname, spelling in (
-            ("Object", "object"),
-            ("Set", "set"),
-            ("Element", "Element"),
-            ("SubsetMode", "Subset"),
-        ):
-            if self.req.cid(rname) == mid:
-                return spelling
-        return f"M{mid}"
+        return self._builtin(_MODES, mid) or f"M{mid}"
 
     # -- terms ----------------------------------------------------------
 

@@ -14,18 +14,23 @@ under extra binders; the only renumbering ever needed is the uniform one
 performed by ``subst_bound`` when a binder is removed and by ``shift_up``
 when new outer binders are added.
 
-Every rewrite of the tree goes through one structural map,
-``map_terms(node, fn)``, and every occurrence test through
-``any_var(node, pred)``.  The map asks ``fn`` at each term and atomic
-formula in pre-order: a node it returns replaces the current one and is
-not entered, ``None`` descends into the children.  Formulas are rebuilt
-through the smart constructors, so the normal form survives any hook.
+The kernel has three traversals.  Every rewrite of the tree goes
+through one structural map, ``map_terms(node, fn)``, and every
+occurrence test through ``any_var(node, pred)``.  The map asks ``fn`` at
+each term and atomic formula in pre-order: a node it returns replaces
+the current one and is not entered, ``None`` descends into the
+children.  Formulas are rebuilt through the smart constructors, so the
+normal form survives any hook.  Every comparison of two trees goes
+through ``zip_nodes(a, b, fn)``, which walks them together under the
+same kind of hook, asked at every pair; flex inference, thesis equality
+and scheme matching are hooks on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import is_not
 
 
 class VarKind(Enum):
@@ -553,6 +558,90 @@ def replace_thesis(f: Formula, thesis: Formula) -> Formula:
             return ForAll(ty, replace_thesis(body, thesis))
         case _:
             return f
+
+
+# ---------------------------------------------------------------------------
+# traversal of two trees at once
+#
+# The shape of each kind is one entry of ``_SHAPE``: the head fields that
+# must be equal before ``zip_nodes`` descends, and the child fields it
+# descends into, in order.  A child field holds a node, a tuple of nodes
+# or, for ``TypeExpr.lower``, a set of attributes, paired in
+# ``sorted_attrs`` order.  A type is compared as written: its ``upper``
+# is not part of its shape, and a rebuilt type keeps the first tree's.
+# ``ThesisMarker`` has no shape, so it pairs with nothing.
+
+
+class ShapeMismatch(Exception):
+    """Two trees differ where ``zip_nodes`` had to descend."""
+
+
+_SHAPE = {
+    Var: (("kind", "index"), ()),
+    Numeral: (("value",), ()),
+    FunctorApp: (("func",), ("args",)),
+    SchemeFunctorApp: (("func",), ("args",)),
+    PrivFunc: (("func",), ("args", "expansion")),
+    Choice: ((), ("ty",)),
+    Fraenkel: ((), ("binders", "body", "guard")),
+    Attr: (("positive", "attr_id"), ("args",)),
+    TypeExpr: (("mode",), ("args", "lower")),
+    FTrue: ((), ()),
+    Neg: ((), ("body",)),
+    And: ((), ("conjuncts",)),
+    ForAll: ((), ("ty", "body")),
+    FlexAnd: ((), ("flex",)),
+    FlexConj: ((), ("lo", "hi", "expansion", "inst_lo", "inst_hi")),
+    Pred: (("pred",), ("args",)),
+    SchemePred: (("pred",), ("args",)),
+    PrivPred: (("pred",), ("args", "expansion")),
+    # the adjective first: a head mismatch there is found before the subject
+    Is: ((), ("attr", "term")),
+    Qual: ((), ("term", "ty")),
+}
+
+
+def same_head(a, b) -> bool:
+    """Are `a` and `b` of one kind with equal head fields and, where the
+    kind has ``args``, as many arguments (what ``zip_nodes`` checks
+    before it descends)?"""
+    shape = _SHAPE.get(type(a))
+    if shape is None or type(b) is not type(a):
+        return False
+    for h in shape[0]:
+        if getattr(a, h) != getattr(b, h):
+            return False
+    return "args" not in shape[1] or len(a.args) == len(b.args)
+
+
+def zip_nodes(a, b, fn):
+    """Walk `a` and `b` together, asking `fn(x, y)` at every pair in
+    pre-order.  A node `fn` returns is the pair's result and its children
+    are not visited; ``None`` descends, which needs the same kind, equal
+    head fields and equal child counts, or raises ``ShapeMismatch``.
+    Where `fn` replaced nothing, the result is `a` itself."""
+    r = fn(a, b)
+    if r is not None:
+        return r
+    if not same_head(a, b):
+        raise ShapeMismatch(f"{type(a).__name__} vs {type(b).__name__}")
+    changed = {}
+    for field in _SHAPE[type(a)][1]:
+        x, y = getattr(a, field), getattr(b, field)
+        kind = type(x)
+        if kind is tuple or kind is frozenset:
+            if kind is frozenset:
+                x, y = sorted_attrs(x), sorted_attrs(y)
+            if len(x) != len(y):
+                raise ShapeMismatch(f"{type(a).__name__}.{field} differs in length")
+            out = [zip_nodes(u, v, fn) for u, v in zip(x, y)]
+            if any(map(is_not, out, x)):
+                changed[field] = kind(out)
+        else:
+            out = zip_nodes(x, y, fn)
+            if out is not x:
+                changed[field] = out
+    return replace(a, **changed) if changed else a
 
 
 # ---------------------------------------------------------------------------

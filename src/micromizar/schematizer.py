@@ -17,6 +17,10 @@ functor heads the same way.  Nullary placeholder functors are the one
 liberal spot: they bind an arbitrary term, provided it does not reach
 an enclosing bound variable (the binding must make sense outside the
 quantifier it was found under).
+
+The walk over pattern and subject together is ``logic.zip_nodes``; the
+matcher is its hook, and a shape the hook leaves to the walk and the
+walk finds different is a head mismatch.
 """
 
 from __future__ import annotations
@@ -24,30 +28,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .logic import (
-    And,
-    Choice,
     FTrue,
-    FlexAnd,
     ForAll,
     Formula,
     Fraenkel,
     FunctorApp,
-    Is,
     Neg,
     Numeral,
     Pred,
     PrivFunc,
     PrivPred,
-    Qual,
     SchemeFunctorApp,
     SchemePred,
+    ShapeMismatch,
     Term,
-    TypeExpr,
-    Var,
     map_terms,
     mk_neg,
-    sorted_attrs,
+    same_head,
     uses_bound,
+    zip_nodes,
 )
 
 SIGN_MISMATCH = 62
@@ -94,9 +93,12 @@ def match_scheme(
     if len(cited) != len(scheme.premises):
         raise SchemeMatchError(PREMISE_COUNT, scheme.name)
     m = _Matcher(scheme)
-    m.formula(scheme.conclusion, goal, 0)
-    for pat, subj in zip(scheme.premises, cited):
-        m.formula(pat, subj, 0)
+    try:
+        m.match(scheme.conclusion, goal)
+        for pat, subj in zip(scheme.premises, cited):
+            m.match(pat, subj)
+    except ShapeMismatch as e:
+        raise SchemeMatchError(HEAD_MISMATCH, str(e)) from None
     if __debug__:
         pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
         for pat, subj in pairs:
@@ -106,15 +108,46 @@ def match_scheme(
 
 
 class _Matcher:
+    """The matching hook on ``zip_nodes``: placeholders bind, everything
+    else must have the subject's shape."""
+
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
         self.out = SchemeAssignment()
+        self.depth = 0  # binders enclosing the pair being matched
+
+    def match(self, p, s) -> None:
+        zip_nodes(p, s, self.pair)
+
+    def pair(self, p, s):
+        kind = type(p)
+        if kind is SchemePred:
+            self._bind_pred(p.pred, p.args, s, True)
+        elif kind is Neg and type(p.body) is SchemePred:
+            self._bind_pred(p.body.pred, p.body.args, s, False)
+        elif kind is SchemeFunctorApp:
+            self._bind_func(p.func, p.args, s)
+        elif kind is Fraenkel:
+            if p != s:
+                raise ShapeMismatch("Fraenkel terms differ")
+        elif kind is PrivPred or kind is PrivFunc:
+            # matched on head and arguments; the expansions follow from them
+            if not same_head(p, s):
+                raise ShapeMismatch("proof-local heads differ")
+            for pa, sa in zip(p.args, s.args):
+                self.match(pa, sa)
+        elif kind is ForAll and type(s) is ForAll:
+            self.match(p.ty, s.ty)
+            self.depth += 1
+            self.match(p.body, s.body)
+            self.depth -= 1
+        else:
+            return None
+        return p
 
     # -- placeholder heads ----------------------------------------------------
 
-    def _bind_pred(
-        self, k: int, args: tuple[Term, ...], subject: Formula, covered: bool, depth: int
-    ) -> None:
+    def _bind_pred(self, k: int, args: tuple[Term, ...], subject: Formula, covered: bool) -> None:
         if len(args) != self.scheme.pred_arities[k]:
             raise SchemeMatchError(HEAD_MISMATCH, f"placeholder predicate {k} arity")
         head = subject
@@ -143,13 +176,13 @@ class _Matcher:
         elif old[0] != sign:
             raise SchemeMatchError(SIGN_MISMATCH, f"placeholder predicate {k}")
         for pa, sa in zip(args, sargs):
-            self.term(pa, sa, depth)
+            self.match(pa, sa)
 
-    def _bind_func(self, k: int, args: tuple[Term, ...], subject: Term, depth: int) -> None:
+    def _bind_func(self, k: int, args: tuple[Term, ...], subject: Term) -> None:
         if len(args) != self.scheme.functor_arities[k]:
             raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} arity")
         if not args:
-            for lvl in range(depth):
+            for lvl in range(self.depth):
                 if uses_bound(subject, lvl):
                     raise SchemeMatchError(
                         HEAD_MISMATCH,
@@ -170,7 +203,7 @@ class _Matcher:
             raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} arity")
         self._store_func(k, target)
         for pa, sa in zip(args, sargs):
-            self.term(pa, sa, depth)
+            self.match(pa, sa)
 
     def _store_func(self, k: int, target) -> None:
         old = self.out.functors.get(k)
@@ -178,101 +211,6 @@ class _Matcher:
             self.out.functors[k] = target
         elif old != target:
             raise SchemeMatchError(CONFLICT, f"placeholder functor {k}")
-
-    # -- structural walk ------------------------------------------------------
-
-    def formula(self, p: Formula, s: Formula, depth: int) -> None:
-        match p:
-            case SchemePred(k, args):
-                self._bind_pred(k, args, s, True, depth)
-                return
-            case Neg(SchemePred(k, args)):
-                self._bind_pred(k, args, s, False, depth)
-                return
-        match (p, s):
-            case (FTrue(), FTrue()):
-                return
-            case (Neg(pb), Neg(sb)):
-                self.formula(pb, sb, depth)
-            case (And(pcs), And(scs)) if len(pcs) == len(scs):
-                for pc, sc in zip(pcs, scs):
-                    self.formula(pc, sc, depth)
-            case (ForAll(pty, pb), ForAll(sty, sb)):
-                self.type_expr(pty, sty, depth)
-                self.formula(pb, sb, depth + 1)
-            case (Pred(pid, pargs), Pred(sid, sargs)) if pid == sid and len(pargs) == len(sargs):
-                for pa, sa in zip(pargs, sargs):
-                    self.term(pa, sa, depth)
-            case (PrivPred(pid, pargs, _), PrivPred(sid, sargs, _)) if (
-                pid == sid and len(pargs) == len(sargs)
-            ):
-                for pa, sa in zip(pargs, sargs):
-                    self.term(pa, sa, depth)
-            case (Is(pt, pa), Is(st, sa)) if (
-                pa.positive == sa.positive
-                and pa.attr_id == sa.attr_id
-                and len(pa.args) == len(sa.args)
-            ):
-                self.term(pt, st, depth)
-                for x, y in zip(pa.args, sa.args):
-                    self.term(x, y, depth)
-            case (Qual(pt, pty), Qual(st, sty)):
-                self.term(pt, st, depth)
-                self.type_expr(pty, sty, depth)
-            case (FlexAnd(pf), FlexAnd(sf)):
-                self.term(pf.lo, sf.lo, depth)
-                self.term(pf.hi, sf.hi, depth)
-                self.formula(pf.expansion, sf.expansion, depth)
-                self.formula(pf.inst_lo, sf.inst_lo, depth)
-                self.formula(pf.inst_hi, sf.inst_hi, depth)
-            case _:
-                raise SchemeMatchError(
-                    HEAD_MISMATCH, type(p).__name__ + " vs " + type(s).__name__
-                )
-
-    def term(self, p: Term, s: Term, depth: int) -> None:
-        if isinstance(p, SchemeFunctorApp):
-            self._bind_func(p.func, p.args, s, depth)
-            return
-        match (p, s):
-            case (Var(pk, pi), Var(sk, si)) if pk == sk and pi == si:
-                return
-            case (Numeral(a), Numeral(b)) if a == b:
-                return
-            case (FunctorApp(pf, pargs), FunctorApp(sf, sargs)) if (
-                pf == sf and len(pargs) == len(sargs)
-            ):
-                for pa, sa in zip(pargs, sargs):
-                    self.term(pa, sa, depth)
-            case (PrivFunc(pf, pargs, _), PrivFunc(sf, sargs, _)) if (
-                pf == sf and len(pargs) == len(sargs)
-            ):
-                for pa, sa in zip(pargs, sargs):
-                    self.term(pa, sa, depth)
-            case (Choice(pty), Choice(sty)):
-                self.type_expr(pty, sty, depth)
-            case (Fraenkel(), Fraenkel()) if p == s:
-                return
-            case _:
-                raise SchemeMatchError(HEAD_MISMATCH, "term shapes differ")
-
-    def type_expr(self, p: TypeExpr, s: TypeExpr, depth: int) -> None:
-        if p.mode != s.mode or len(p.args) != len(s.args):
-            raise SchemeMatchError(HEAD_MISMATCH, "type modes differ")
-        for pa, sa in zip(p.args, s.args):
-            self.term(pa, sa, depth)
-        pl, sl = sorted_attrs(p.lower), sorted_attrs(s.lower)
-        if len(pl) != len(sl):
-            raise SchemeMatchError(HEAD_MISMATCH, "adjective clusters differ")
-        for x, y in zip(pl, sl):
-            if (
-                x.positive != y.positive
-                or x.attr_id != y.attr_id
-                or len(x.args) != len(y.args)
-            ):
-                raise SchemeMatchError(HEAD_MISMATCH, "adjective clusters differ")
-            for xa, ya in zip(x.args, y.args):
-                self.term(xa, ya, depth)
 
 
 def apply_assignment(

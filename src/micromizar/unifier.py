@@ -179,8 +179,10 @@ class Unifier:
             return  # flex facts live outside the congruence graph
         parts = [c for c in (f.conjuncts if isinstance(f, And) else (f,)) if not isinstance(c, FTrue)]
         for p in parts:
-            inner = p.body if isinstance(p, Neg) else p
-            if isinstance(inner, (And, ForAll, Neg, FTrue)):
+            inner = p
+            while isinstance(inner, (Neg, PrivPred)):
+                inner = inner.body if isinstance(inner, Neg) else inner.expansion
+            if isinstance(inner, (And, ForAll, FTrue)):
                 return  # compound instance: the three-valued check stands alone
         g2 = EqGraph(self.g.db)
         for i in sorted(self.const_types):

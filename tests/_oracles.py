@@ -3,42 +3,74 @@
 Nothing here may import algorithmic code beyond the plain data
 constructors: the named-variable substitution works on names, never on
 level arithmetic, and the finite-domain evaluator interprets formulas
-directly over small initial segments of the naturals.  The one
-exception is ``ReferenceUnifier``, the instantiation search as it was
-before the unifier was compiled: it builds every instance with
-``subst_bound`` and walks it, reading the graph through its public
-accessors, and the compiled search must agree with it tuple by tuple.
+directly over small initial segments of the naturals.  Two exceptions
+keep earlier versions of the real code as references.
+``ReferenceUnifier`` is the instantiation search as it was before the
+unifier was compiled: it builds every instance with ``subst_bound`` and
+walks it, reading the graph through its public accessors, and the
+compiled search must agree with it tuple by tuple.  The reference pair
+walks (``reference_infer_flex``, ``reference_formula_equal``,
+``reference_match_scheme``) are flex inference, thesis equality and
+scheme matching as they were written before all three became hooks on
+``logic.zip_nodes``, one hand-written walk each.
 """
 
 from __future__ import annotations
 
 import random
 
-from micromizar.flex import flex_equal
+from micromizar.flex import MalformedFlex, NoCommonShape, NonNumericBound, flex_equal
 from micromizar.logic import (
     And,
     Attr,
+    Choice,
     FTrue,
     FlexAnd,
+    FlexConj,
     ForAll,
     Formula,
+    Fraenkel,
     FunctorApp,
     Is,
     Neg,
     Numeral,
     Pred,
+    PrivFunc,
     PrivPred,
     Qual,
+    SchemeFunctorApp,
     SchemePred,
     Term,
+    ThesisMarker,
     TypeExpr,
     TRUE,
     Var,
     VarKind,
+    any_var,
     bound,
     mk_and,
     mk_neg,
+    replace_term,
+    shift_up,
+    sorted_attrs,
     subst_bound,
+    uses_bound,
+)
+from micromizar.schematizer import (
+    CONFLICT,
+    FUNC,
+    GROUND,
+    HEAD_MISMATCH,
+    PRED,
+    PREMISE_COUNT,
+    PRIV_FUNC,
+    PRIV_PRED,
+    SIGN_MISMATCH,
+    Scheme,
+    SchemeAssignment,
+    SchemeMatchError,
+    _strip,
+    apply_assignment,
 )
 from micromizar.unifier import Unifier
 
@@ -368,3 +400,421 @@ class ReferenceUnifier(Unifier):
     def _graph_value(self, t: Term):
         rep = self.g.lookup(t)
         return None if rep is None else self.g.value.get(self.g.find(rep))
+
+
+# ---------------------------------------------------------------------------
+# the three pair walks as they were written by hand, one per use
+
+
+class _PairTracker:
+    def __init__(self, attr_order):
+        self.pair: tuple[Term, Term] | None = None
+        self.attr_order = attr_order
+
+    def generalize(self, left: Term, right: Term, depth: int) -> Term:
+        if self.pair is None:
+            self.pair = (left, right)
+        elif self.pair != (left, right):
+            raise NoCommonShape("differing positions disagree on the bounds")
+        return bound(depth)
+
+
+def _same_head(a: Term, b: Term) -> bool:
+    match (a, b):
+        case (FunctorApp(f, xs), FunctorApp(g, ys)):
+            return f == g and len(xs) == len(ys)
+        case (PrivFunc(f, xs, _), PrivFunc(g, ys, _)):
+            return f == g and len(xs) == len(ys)
+        case (SchemeFunctorApp(f, xs), SchemeFunctorApp(g, ys)):
+            return f == g and len(xs) == len(ys)
+    return False
+
+
+def _diff_term(a: Term, b: Term, tr: _PairTracker, depth: int) -> Term:
+    if a == b:
+        return a
+    if _same_head(a, b):
+        match (a, b):
+            case (FunctorApp(f, xs), FunctorApp(_, ys)):
+                return FunctorApp(f, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
+            case (PrivFunc(f, xs, e1), PrivFunc(_, ys, e2)):
+                return PrivFunc(
+                    f,
+                    tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)),
+                    _diff_term(e1, e2, tr, depth),
+                )
+            case (SchemeFunctorApp(f, xs), SchemeFunctorApp(_, ys)):
+                return SchemeFunctorApp(
+                    f, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys))
+                )
+    return tr.generalize(a, b, depth)
+
+
+def _diff_attr(a: Attr, b: Attr, tr: _PairTracker, depth: int) -> Attr:
+    if a.attr_id != b.attr_id or a.positive != b.positive or len(a.args) != len(b.args):
+        raise NonNumericBound("endpoints differ in an adjective, not a term")
+    return Attr(a.positive, a.attr_id, tuple(_diff_term(x, y, tr, depth) for x, y in zip(a.args, b.args)))
+
+
+def _attr_sort_key(a: Attr) -> tuple:
+    return (a.attr_id, not a.positive, repr(a.args))
+
+
+def _diff_type(a: TypeExpr, b: TypeExpr, tr: _PairTracker, depth: int) -> TypeExpr:
+    if a == b:
+        return a
+    if a.mode != b.mode or len(a.args) != len(b.args):
+        raise NonNumericBound("endpoints differ in a type, not a term")
+    la, lb = sorted(a.lower, key=tr.attr_order), sorted(b.lower, key=tr.attr_order)
+    ua, ub = sorted(a.upper, key=tr.attr_order), sorted(b.upper, key=tr.attr_order)
+    if len(la) != len(lb) or len(ua) != len(ub):
+        raise NonNumericBound("endpoints differ in a type, not a term")
+    return TypeExpr(
+        frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(la, lb)),
+        frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(ua, ub)),
+        a.mode,
+        tuple(_diff_term(x, y, tr, depth) for x, y in zip(a.args, b.args)),
+    )
+
+
+def _diff_formula(a: Formula, b: Formula, tr: _PairTracker, depth: int) -> Formula:
+    match (a, b):
+        case (FTrue(), FTrue()):
+            return a
+        case (Neg(x), Neg(y)):
+            return Neg(_diff_formula(x, y, tr, depth))
+        case (And(xs), And(ys)) if len(xs) == len(ys):
+            return And(tuple(_diff_formula(x, y, tr, depth) for x, y in zip(xs, ys)))
+        case (Pred(p, xs), Pred(q, ys)) if p == q and len(xs) == len(ys):
+            return Pred(p, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
+        case (SchemePred(p, xs), SchemePred(q, ys)) if p == q and len(xs) == len(ys):
+            return SchemePred(p, tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)))
+        case (PrivPred(p, xs, e1), PrivPred(q, ys, e2)) if p == q and len(xs) == len(ys):
+            return PrivPred(
+                p,
+                tuple(_diff_term(x, y, tr, depth) for x, y in zip(xs, ys)),
+                _diff_formula(e1, e2, tr, depth),
+            )
+        case (Is(t1, a1), Is(t2, a2)):
+            if a1.attr_id != a2.attr_id or a1.positive != a2.positive:
+                raise NoCommonShape("adjectives differ")
+            return Is(_diff_term(t1, t2, tr, depth), _diff_attr(a1, a2, tr, depth))
+        case (Qual(t1, ty1), Qual(t2, ty2)):
+            return Qual(_diff_term(t1, t2, tr, depth), _diff_type(ty1, ty2, tr, depth))
+        case (ForAll(ty1, b1), ForAll(ty2, b2)):
+            return ForAll(_diff_type(ty1, ty2, tr, depth), _diff_formula(b1, b2, tr, depth))
+        case (FlexAnd(f1), FlexAnd(f2)):
+            return FlexAnd(
+                FlexConj(
+                    _diff_term(f1.lo, f2.lo, tr, depth),
+                    _diff_term(f1.hi, f2.hi, tr, depth),
+                    _diff_formula(f1.expansion, f2.expansion, tr, depth),
+                    _diff_formula(f1.inst_lo, f2.inst_lo, tr, depth),
+                    _diff_formula(f1.inst_hi, f2.inst_hi, tr, depth),
+                )
+            )
+    raise NoCommonShape("endpoint formulas have different shapes")
+
+
+def _first_term(f: Formula) -> Term | None:
+    match f:
+        case FTrue() | ThesisMarker():
+            return None
+        case Neg(b):
+            return _first_term(b)
+        case And(cs):
+            for c in cs:
+                t = _first_term(c)
+                if t is not None:
+                    return t
+            return None
+        case Pred(_, args) | SchemePred(_, args) | PrivPred(_, args, _):
+            return args[0] if args else None
+        case Is(t, _) | Qual(t, _):
+            return t
+        case ForAll(_, b):
+            return _first_term(b)
+        case FlexAnd(fx):
+            return fx.lo
+    raise TypeError(f)
+
+
+def _check_bound_scope(t: Term, depth: int) -> None:
+    if any_var(t, lambda v: v.kind is VarKind.BOUND and v.index >= depth):
+        raise NonNumericBound("range bound mentions a variable bound inside the endpoint")
+
+
+def reference_infer_flex(
+    left: Formula, right: Formula, req, depth: int = 0, attr_order=_attr_sort_key
+) -> FlexConj:
+    """``flex.infer_flex_from_diff`` with its own endpoint diff.  It paired
+    a type's adjectives in the order their arguments print; `attr_order`
+    can replace that sort key."""
+    if not req.flex_enabled():
+        raise MalformedFlex("flexary conjunction needs NUMERALS and REAL")
+    left_s = shift_up(left, 1, depth)
+    right_s = shift_up(right, 1, depth)
+    tr = _PairTracker(attr_order)
+    if left == right:
+        lo = _first_term(left_s)
+        if lo is None:
+            raise NonNumericBound("no term position to generalize")
+        _check_bound_scope(lo, depth)
+        skel = replace_term(left_s, lo, bound(depth))
+        hi = lo
+    else:
+        skel = _diff_formula(left_s, right_s, tr, depth)
+        if tr.pair is None:
+            raise NoCommonShape("endpoints are distinct but no term position differs")
+        lo, hi = tr.pair
+        _check_bound_scope(lo, depth)
+        _check_bound_scope(hi, depth)
+    if subst_bound(skel, depth, lo) != left or subst_bound(skel, depth, hi) != right:
+        raise NoCommonShape("generalization does not reproduce the endpoints")
+    le = req.require("LessOrEqual")
+    i = bound(depth)
+    expansion = ForAll(
+        req.nat_type(),
+        mk_neg(mk_and([Pred(le, (lo, i)), Pred(le, (i, hi)), mk_neg(skel)])),
+    )
+    return FlexConj(lo, hi, expansion, left, right)
+
+
+def _term_equal(a: Term, b: Term) -> bool:
+    if isinstance(a, PrivFunc) and not isinstance(b, PrivFunc):
+        return _term_equal(a.expansion, b)
+    if isinstance(b, PrivFunc) and not isinstance(a, PrivFunc):
+        return _term_equal(a, b.expansion)
+    if isinstance(a, PrivFunc) and isinstance(b, PrivFunc):
+        if a.func == b.func and all(_term_equal(x, y) for x, y in zip(a.args, b.args)) and len(
+            a.args
+        ) == len(b.args):
+            return True
+        return _term_equal(a.expansion, b.expansion)
+    match (a, b):
+        case (FunctorApp(f, xs), FunctorApp(g, ys)):
+            return f == g and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys))
+        case (SchemeFunctorApp(f, xs), SchemeFunctorApp(g, ys)):
+            return f == g and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys))
+        case _:
+            return a == b
+
+
+def _type_equal(a: TypeExpr, b: TypeExpr) -> bool:
+    return (
+        a.mode == b.mode
+        and len(a.args) == len(b.args)
+        and all(_term_equal(x, y) for x, y in zip(a.args, b.args))
+        and a.lower == b.lower
+    )
+
+
+def reference_formula_equal(a: Formula, b: Formula, mode) -> bool:
+    """``flex.formula_equal`` with its own walks over formulas, types and terms."""
+    if isinstance(a, PrivPred) and not isinstance(b, PrivPred):
+        return reference_formula_equal(a.expansion, b, mode)
+    if isinstance(b, PrivPred) and not isinstance(a, PrivPred):
+        return reference_formula_equal(a, b.expansion, mode)
+    match (a, b):
+        case (FTrue(), FTrue()):
+            return True
+        case (Neg(x), Neg(y)):
+            return reference_formula_equal(x, y, mode)
+        case (And(xs), And(ys)):
+            return len(xs) == len(ys) and all(
+                reference_formula_equal(x, y, mode) for x, y in zip(xs, ys)
+            )
+        case (FlexAnd(f1), FlexAnd(f2)):
+            return flex_equal(f1, f2, mode)
+        case (ForAll(t1, b1), ForAll(t2, b2)):
+            return _type_equal(t1, t2) and reference_formula_equal(b1, b2, mode)
+        case (Pred(p, xs), Pred(q, ys)):
+            return p == q and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys))
+        case (SchemePred(p, xs), SchemePred(q, ys)):
+            return p == q and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys))
+        case (PrivPred(p, xs, e1), PrivPred(q, ys, e2)):
+            if p == q and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys)):
+                return True
+            return reference_formula_equal(e1, e2, mode)
+        case (Is(t1, a1), Is(t2, a2)):
+            return (
+                _term_equal(t1, t2)
+                and a1.attr_id == a2.attr_id
+                and a1.positive == a2.positive
+                and len(a1.args) == len(a2.args)
+                and all(_term_equal(x, y) for x, y in zip(a1.args, a2.args))
+            )
+        case (Qual(t1, ty1), Qual(t2, ty2)):
+            return _term_equal(t1, t2) and _type_equal(ty1, ty2)
+        case _:
+            return False
+
+
+def reference_match_scheme(
+    scheme: Scheme, cited: tuple[Formula, ...], goal: Formula
+) -> SchemeAssignment:
+    """``schematizer.match_scheme`` with its own walk over the pattern."""
+    if len(cited) != len(scheme.premises):
+        raise SchemeMatchError(PREMISE_COUNT, scheme.name)
+    m = _ReferenceMatcher(scheme)
+    m.formula(scheme.conclusion, goal, 0)
+    for pat, subj in zip(scheme.premises, cited):
+        m.formula(pat, subj, 0)
+    if __debug__:
+        pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
+        for pat, subj in pairs:
+            rebuilt = apply_assignment(pat, m.out)
+            assert _strip(rebuilt) == _strip(subj), "assignment does not reproduce the instance"
+    return m.out
+
+
+class _ReferenceMatcher:
+    def __init__(self, scheme: Scheme):
+        self.scheme = scheme
+        self.out = SchemeAssignment()
+
+    def _bind_pred(
+        self, k: int, args: tuple[Term, ...], subject: Formula, covered: bool, depth: int
+    ) -> None:
+        if len(args) != self.scheme.pred_arities[k]:
+            raise SchemeMatchError(HEAD_MISMATCH, f"placeholder predicate {k} arity")
+        head = subject
+        subj_positive = True
+        if isinstance(head, Neg):
+            head = head.body
+            subj_positive = False
+        match head:
+            case Pred(pid, sargs):
+                target = (PRED, pid)
+            case PrivPred(pid, sargs, _):
+                target = (PRIV_PRED, pid)
+            case _:
+                raise SchemeMatchError(HEAD_MISMATCH, f"placeholder predicate {k} needs an atomic statement")
+        if len(sargs) != len(args):
+            raise SchemeMatchError(HEAD_MISMATCH, f"placeholder predicate {k} arity")
+        sign = covered == subj_positive
+        old = self.out.predicates.get(k)
+        if old is None:
+            self.out.predicates[k] = (sign, target)
+        elif old[1] != target:
+            raise SchemeMatchError(CONFLICT, f"placeholder predicate {k}")
+        elif old[0] != sign:
+            raise SchemeMatchError(SIGN_MISMATCH, f"placeholder predicate {k}")
+        for pa, sa in zip(args, sargs):
+            self.term(pa, sa, depth)
+
+    def _bind_func(self, k: int, args: tuple[Term, ...], subject: Term, depth: int) -> None:
+        if len(args) != self.scheme.functor_arities[k]:
+            raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} arity")
+        if not args:
+            for lvl in range(depth):
+                if uses_bound(subject, lvl):
+                    raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} would capture")
+            self._store_func(k, (GROUND, subject))
+            return
+        match subject:
+            case FunctorApp(fid, sargs):
+                target = (FUNC, fid)
+            case PrivFunc(fid, sargs, _):
+                target = (PRIV_FUNC, fid)
+            case _:
+                raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} needs a functor head")
+        if len(sargs) != len(args):
+            raise SchemeMatchError(HEAD_MISMATCH, f"placeholder functor {k} arity")
+        self._store_func(k, target)
+        for pa, sa in zip(args, sargs):
+            self.term(pa, sa, depth)
+
+    def _store_func(self, k: int, target) -> None:
+        old = self.out.functors.get(k)
+        if old is None:
+            self.out.functors[k] = target
+        elif old != target:
+            raise SchemeMatchError(CONFLICT, f"placeholder functor {k}")
+
+    def formula(self, p: Formula, s: Formula, depth: int) -> None:
+        match p:
+            case SchemePred(k, args):
+                self._bind_pred(k, args, s, True, depth)
+                return
+            case Neg(SchemePred(k, args)):
+                self._bind_pred(k, args, s, False, depth)
+                return
+        match (p, s):
+            case (FTrue(), FTrue()):
+                return
+            case (Neg(pb), Neg(sb)):
+                self.formula(pb, sb, depth)
+            case (And(pcs), And(scs)) if len(pcs) == len(scs):
+                for pc, sc in zip(pcs, scs):
+                    self.formula(pc, sc, depth)
+            case (ForAll(pty, pb), ForAll(sty, sb)):
+                self.type_expr(pty, sty, depth)
+                self.formula(pb, sb, depth + 1)
+            case (Pred(pid, pargs), Pred(sid, sargs)) if pid == sid and len(pargs) == len(sargs):
+                for pa, sa in zip(pargs, sargs):
+                    self.term(pa, sa, depth)
+            case (PrivPred(pid, pargs, _), PrivPred(sid, sargs, _)) if (
+                pid == sid and len(pargs) == len(sargs)
+            ):
+                for pa, sa in zip(pargs, sargs):
+                    self.term(pa, sa, depth)
+            case (Is(pt, pa), Is(st, sa)) if (
+                pa.positive == sa.positive
+                and pa.attr_id == sa.attr_id
+                and len(pa.args) == len(sa.args)
+            ):
+                self.term(pt, st, depth)
+                for x, y in zip(pa.args, sa.args):
+                    self.term(x, y, depth)
+            case (Qual(pt, pty), Qual(st, sty)):
+                self.term(pt, st, depth)
+                self.type_expr(pty, sty, depth)
+            case (FlexAnd(pf), FlexAnd(sf)):
+                self.term(pf.lo, sf.lo, depth)
+                self.term(pf.hi, sf.hi, depth)
+                self.formula(pf.expansion, sf.expansion, depth)
+                self.formula(pf.inst_lo, sf.inst_lo, depth)
+                self.formula(pf.inst_hi, sf.inst_hi, depth)
+            case _:
+                raise SchemeMatchError(HEAD_MISMATCH, type(p).__name__ + " vs " + type(s).__name__)
+
+    def term(self, p: Term, s: Term, depth: int) -> None:
+        if isinstance(p, SchemeFunctorApp):
+            self._bind_func(p.func, p.args, s, depth)
+            return
+        match (p, s):
+            case (Var(pk, pi), Var(sk, si)) if pk == sk and pi == si:
+                return
+            case (Numeral(a), Numeral(b)) if a == b:
+                return
+            case (FunctorApp(pf, pargs), FunctorApp(sf, sargs)) if (
+                pf == sf and len(pargs) == len(sargs)
+            ):
+                for pa, sa in zip(pargs, sargs):
+                    self.term(pa, sa, depth)
+            case (PrivFunc(pf, pargs, _), PrivFunc(sf, sargs, _)) if (
+                pf == sf and len(pargs) == len(sargs)
+            ):
+                for pa, sa in zip(pargs, sargs):
+                    self.term(pa, sa, depth)
+            case (Choice(pty), Choice(sty)):
+                self.type_expr(pty, sty, depth)
+            case (Fraenkel(), Fraenkel()) if p == s:
+                return
+            case _:
+                raise SchemeMatchError(HEAD_MISMATCH, "term shapes differ")
+
+    def type_expr(self, p: TypeExpr, s: TypeExpr, depth: int) -> None:
+        if p.mode != s.mode or len(p.args) != len(s.args):
+            raise SchemeMatchError(HEAD_MISMATCH, "type modes differ")
+        for pa, sa in zip(p.args, s.args):
+            self.term(pa, sa, depth)
+        pl, sl = sorted_attrs(p.lower), sorted_attrs(s.lower)
+        if len(pl) != len(sl):
+            raise SchemeMatchError(HEAD_MISMATCH, "adjective clusters differ")
+        for x, y in zip(pl, sl):
+            if x.positive != y.positive or x.attr_id != y.attr_id or len(x.args) != len(y.args):
+                raise SchemeMatchError(HEAD_MISMATCH, "adjective clusters differ")
+            for xa, ya in zip(x.args, y.args):
+                self.term(xa, ya, depth)

@@ -3,7 +3,8 @@
 builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
-and the unifier's search evaluates instances without building them."""
+the unifier's search evaluates instances without building them, and
+only ``logic`` walks two trees at once."""
 
 import ast
 import pathlib
@@ -114,3 +115,13 @@ def test_the_unifier_search_builds_no_terms():
         if isinstance(node, ast.Name) and node.id in REWRITERS
     ]
     assert hits == []
+
+
+def test_only_logic_walks_two_trees_by_hand():
+    # a ``match`` on a tuple subject pairs two trees; ``zip_nodes`` does that
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Match) and isinstance(node.subject, ast.Tuple):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert [h for h in hits if not h.startswith("logic.py:")] == []

@@ -9,6 +9,7 @@ from micromizar.logic import (
     Numeral,
     Pred,
     PrivFunc,
+    PrivPred,
     Qual,
     TypeExpr,
     Var,
@@ -367,3 +368,11 @@ def test_disequality_survives_a_merge_into_a_smaller_class(req_all):
     assert g.find(c) == a
     assert g.are_unequal(b, c)
     assert g.are_unequal(a, b)
+
+
+def test_a_negated_private_predicate_whose_expansion_is_a_negation(req_all):
+    # not S[] with S[] := c0 <> c1 asserts c0 = c1; the negation of the
+    # expansion cancels instead of nesting
+    req = req_all
+    g = run_clause(req, [Neg(PrivPred(0, (), neq(req, const(0), const(1)))), neq(req, const(0), const(1))])
+    assert g.contradiction

@@ -13,11 +13,11 @@ from micromizar.flex import (
     flex_skeleton,
     formula_equal,
     infer_flex_from_diff,
-    term_equal,
     term_numeral_value,
 )
 from micromizar.logic import (
     And,
+    Attr,
     FlexAnd,
     FlexConj,
     ForAll,
@@ -146,6 +146,24 @@ def test_infer_rejects_type_level_differences(req_all):
     other = TypeExpr(frozenset(), frozenset(), 0)
     with pytest.raises(NonNumericBound):
         infer_flex_from_diff(Qual(const(0), SET), Qual(const(0), other), req_all)
+
+
+def test_infer_pairs_adjectives_in_argument_order(req_all):
+    # c is 9-P 12-P set ... c is 10-P 12-P set: the adjectives pair up by
+    # the numeric order of their arguments (9 with 10, 12 with 12), not by
+    # how the arguments print, which put 12 before 9
+    def p_type(*ks):
+        attrs = frozenset(Attr(True, 7, (n(k),)) for k in ks)
+        return TypeExpr(attrs, attrs, 1)
+
+    left, right = Qual(const(0), p_type(9, 12)), Qual(const(0), p_type(10, 12))
+    fc = infer_flex_from_diff(left, right, req_all)
+    assert (fc.lo, fc.hi) == (n(9), n(10))
+    skel, level = flex_skeleton(fc)
+    assert subst_bound(skel, level, n(11)) == Qual(const(0), p_type(11, 12))
+    assert orc.reference_infer_flex(Qual(const(0), p_type(1, 5)), Qual(const(0), p_type(2, 5)), req_all) == (
+        infer_flex_from_diff(Qual(const(0), p_type(1, 5)), Qual(const(0), p_type(2, 5)), req_all)
+    )
 
 
 def test_infer_equal_endpoints_generalizes_leftmost_term(req_all, ids):
@@ -285,10 +303,27 @@ def test_formula_equal_unfolds_private_definitions(req_all, ids):
     assert formula_equal(mk_and([priv, body]), mk_and([body, body]), FlexMode.STRICT)
     assert not formula_equal(priv, Pred(ids.eq, (const(0), const(1))), FlexMode.STRICT)
     two = PrivFunc(0, (), n(2))
-    assert term_equal(two, n(2))
-    assert term_equal(n(2), two)
-    assert not term_equal(two, n(3))
+    assert formula_equal(two, n(2), FlexMode.STRICT)
+    assert formula_equal(n(2), two, FlexMode.STRICT)
+    assert not formula_equal(two, n(3), FlexMode.STRICT)
     assert formula_equal(Pred(ids.eq, (two, n(2))), Pred(ids.eq, (n(2), n(2))), FlexMode.STRICT)
+
+
+def test_formula_equal_of_private_applications_under_neg_and_and(req_all, ids):
+    # heads differ, expansions agree: the comparison must not rebuild the
+    # parent with an expansion in the place of the application
+    body = Neg(Pred(ids.eq, (const(0), const(1))))
+    a, b = PrivPred(0, (), body), PrivPred(1, (), body)
+    assert formula_equal(Neg(a), Neg(b), FlexMode.STRICT)
+    conj = mk_and([Pred(ids.eq, (const(0), const(0))), Pred(ids.eq, (const(1), const(1)))])
+    c, d = PrivPred(0, (), conj), PrivPred(1, (), conj)
+    q = Pred(ids.eq, (const(2), const(2)))
+    assert formula_equal(mk_and([c, q]), mk_and([d, q]), FlexMode.STRICT)
+    # same head, arguments differ, an expansion that ignores them
+    s0, s1 = PrivPred(2, (const(0),), body), PrivPred(2, (const(1),), body)
+    assert formula_equal(Neg(s0), Neg(s1), FlexMode.STRICT)
+    for x, y in [(Neg(a), Neg(b)), (mk_and([c, q]), mk_and([d, q])), (Neg(s0), Neg(s1))]:
+        assert orc.reference_formula_equal(x, y, FlexMode.STRICT)
 
 
 def test_formula_equal_uses_flex_mode(req_all, ids):

@@ -12,6 +12,7 @@ from micromizar.logic import (
     Neg,
     Numeral,
     Pred,
+    PrivPred,
     Qual,
     TypeExpr,
     bound,
@@ -185,3 +186,12 @@ def test_a_term_the_search_interns_is_seen_by_later_lookups(req_all):
     assert u.refute()
     assert u.fuel == TUPLE_CAP - 1
     assert len(g.nodes) == 3
+
+
+def test_a_refuting_instance_under_a_negated_private_predicate(req_all):
+    # for x holds not S[x] with S[x] := x = c0 & x = x; the instance c0
+    # refutes it, and the replay sees through S to the conjunction
+    req = req_all
+    s = PrivPred(0, (bound(0),), mk_and([eq(req, bound(0), const(0)), eq(req, bound(0), bound(0))]))
+    refuted, limited = check(req, [ForAll(req.set_type(), Neg(s))], {0: req.set_type()})
+    assert refuted and not limited
