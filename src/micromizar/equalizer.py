@@ -99,44 +99,23 @@ class EqGraph:
         return True
 
     # -- interning --------------------------------------------------------
-
-    def _mk(self, head: tuple, children: tuple[int, ...]) -> int:
-        key = (head, children)
-        n = self.node_of_key.get(key)
-        if n is not None:
-            return self.find(n)
-        n = len(self.nodes)
-        self.nodes.append((head, children))
-        self.parent.append(n)
-        self.class_nodes[n] = [n]
-        self.node_of_key[key] = n
-        self._seed(n, head, children)
-        return self.find(n)
+    # A node is keyed by its head and its children's classes at creation.
+    # ``intern`` and ``lookup`` are one walk over the term, ``_node``:
+    # interning makes a missing node and seeds its facts, a lookup only
+    # finds one and never changes the graph.
 
     def intern(self, t: Term) -> int:
-        match t:
-            case Var(VarKind.EQCLASS, i):
-                return self.find(i)
-            case PrivFunc(_, _, exp):
-                return self.intern(exp)
-            case Numeral(v):
-                return self._mk(("num", v), ())
-            case Var(kind, i):
-                return self._mk(("var", kind.value, i), ())
-            case FunctorApp(f, args):
-                ch = tuple(self.find(self.intern(a)) for a in args)
-                return self._mk(("app", f), ch)
-            case Choice() | Fraenkel() | SchemeFunctorApp():
-                return self._mk(("opaque", t), ())
-        raise TypeError(t)
+        return self._node(t, True)
 
     def lookup(self, t: Term) -> int | None:
-        """Class of a term already in the graph; never creates nodes."""
+        return self._node(t, False)
+
+    def _node(self, t: Term, create: bool) -> int | None:
         match t:
             case Var(VarKind.EQCLASS, i):
                 return self.find(i)
             case PrivFunc(_, _, exp):
-                return self.lookup(exp)
+                return self._node(exp, create)
             case Numeral(v):
                 key = (("num", v), ())
             case Var(kind, i):
@@ -144,17 +123,26 @@ class EqGraph:
             case FunctorApp(f, args):
                 ch = []
                 for a in args:
-                    r = self.lookup(a)
+                    r = self._node(a, create)
                     if r is None:
                         return None
                     ch.append(r)
-                return self.lookup_app(f, tuple(ch))
+                key = (("app", f), tuple(ch))
             case Choice() | Fraenkel() | SchemeFunctorApp():
                 key = (("opaque", t), ())
             case _:
-                return None
+                raise TypeError(t)
         n = self.node_of_key.get(key)
-        return None if n is None else self.find(n)
+        if n is None:
+            if not create:
+                return None
+            n = len(self.nodes)
+            self.nodes.append(key)
+            self.parent.append(n)
+            self.class_nodes[n] = [n]
+            self.node_of_key[key] = n
+            self._seed(n, *key)
+        return self.find(n)
 
     def lookup_app(self, f: int, reps: tuple[int, ...]) -> int | None:
         """Class of the application of functor `f` to the classes `reps`."""

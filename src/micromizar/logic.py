@@ -14,21 +14,23 @@ under extra binders; the only renumbering ever needed is the uniform one
 performed by ``subst_bound`` when a binder is removed and by ``shift_up``
 when new outer binders are added.
 
-The kernel has three traversals.  Every rewrite of the tree goes
-through one structural map, ``map_terms(node, fn)``, and every
-occurrence test through ``any_var(node, pred)``.  The map asks ``fn`` at
-each term and atomic formula in pre-order: a node it returns replaces
-the current one and is not entered, ``None`` descends into the
-children.  Formulas are rebuilt through the smart constructors, so the
-normal form survives any hook.  Every comparison of two trees goes
-through ``zip_nodes(a, b, fn)``, which walks them together under the
-same kind of hook, asked at every pair; flex inference, thesis equality
-and scheme matching are hooks on it.
+One table, ``_SHAPE``, gives the shape of every node kind, and every
+walk of the kernel reads it.  Every rewrite of the tree goes through
+one structural map, ``map_terms(node, fn)``, and every occurrence test
+through ``any_var(node, pred)``.  The map asks ``fn`` at each term and
+atomic formula in pre-order, ``FTrue`` and ``ThesisMarker`` included:
+a node it returns replaces the current one and is not entered, ``None``
+descends into the children.  Formulas are rebuilt through the smart
+constructors, so the normal form survives any hook, and a node whose
+subtree the hook left alone comes back as the same object.  Every
+comparison of two trees goes through ``zip_nodes(a, b, fn)``, which
+walks them together under the same kind of hook, asked at every pair;
+flex inference, thesis equality and scheme matching are hooks on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import is_not
 
@@ -304,177 +306,175 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# traversal: one structural map, one occurrence test
+# traversal: one shape table
 #
-# ``map_terms`` and ``any_var`` accept a term, attribute, type or formula.
-# The map's hook contract is in the module docstring.  Atomic formulas are
-# all but Neg, And, ForAll and FlexAnd.  Attributes and types are never
-# asked themselves, only their argument terms, and come back unchanged
-# when they have none.  A hook may turn an atom into a negation (scheme
-# instantiation does); ``mk_neg`` then cancels a double one.
+# Every walk reads a node's shape from ``_SHAPE``.  ``head`` lists the
+# fields that must be equal before ``zip_nodes`` descends, and ``children``
+# the fields every walk descends into, in order.  A child field holds a
+# node, a tuple of nodes or, for a type's adjectives, a set of attributes,
+# which ``zip_nodes`` pairs in ``sorted_attrs`` order.  The entries state
+# where the map and the pair walk differ: a type's ``upper`` is rebuilt and
+# searched but not compared (a type is compared as written, and a rebuilt
+# type keeps the first tree's), and ``ThesisMarker``, with no head, pairs
+# with nothing.
 #
-# Levels are absolute, so no policy below tracks depth: removing the
-# binder at `level` renumbers every deeper binder down by one, uniformly
-# across the whole tree, and adding k outer binders shifts everything up.
+# The map's hook is ``asked`` at every term and atomic formula.  The
+# connectives Neg, And, ForAll and FlexAnd, attributes and types are only
+# entered.  A changed node is rebuilt from its fields in declaration order
+# by ``build``: Neg and And through ``mk_neg``/``mk_and``, so the normal
+# form survives any hook, everything else through its constructor.  A
+# hook may turn an atom into a negation (scheme instantiation does);
+# ``mk_neg`` then cancels a double one.
+
+
+class _Shape:
+    __slots__ = ("head", "children", "walked", "asked", "build", "fields")
+
+    def __init__(self, head, children=(), uncompared=(), asked=True, build=None):
+        self.head = head
+        self.children = children
+        self.walked = children + uncompared
+        self.asked = asked
+        self.build = build
+
+    def bind(self, kind: type) -> None:
+        """Take `kind`'s fields in declaration order, the order ``build``
+        takes them in, each marked walked or not."""
+        self.fields = tuple((f, f in self.walked) for f in kind.__match_args__)
+        self.build = self.build or kind
+
+
+_SHAPE = {
+    Var: _Shape(("kind", "index")),
+    Numeral: _Shape(("value",)),
+    FunctorApp: _Shape(("func",), ("args",)),
+    SchemeFunctorApp: _Shape(("func",), ("args",)),
+    PrivFunc: _Shape(("func",), ("args", "expansion")),
+    Choice: _Shape((), ("ty",)),
+    Fraenkel: _Shape((), ("binders", "body", "guard")),
+    Attr: _Shape(("positive", "attr_id"), ("args",), asked=False),
+    TypeExpr: _Shape(("mode",), ("args", "lower"), ("upper",), asked=False),
+    FTrue: _Shape(()),
+    ThesisMarker: _Shape(None),
+    Neg: _Shape((), ("body",), asked=False, build=mk_neg),
+    And: _Shape((), ("conjuncts",), asked=False, build=mk_and),
+    ForAll: _Shape((), ("ty", "body"), asked=False),
+    FlexAnd: _Shape((), ("flex",), asked=False),
+    FlexConj: _Shape((), ("lo", "hi", "expansion", "inst_lo", "inst_hi"), asked=False),
+    Pred: _Shape(("pred",), ("args",)),
+    SchemePred: _Shape(("pred",), ("args",)),
+    PrivPred: _Shape(("pred",), ("args", "expansion")),
+    # the adjective first: a head mismatch there is found before the subject
+    Is: _Shape((), ("attr", "term")),
+    Qual: _Shape((), ("term", "ty")),
+}
+
+
+for _kind, _shape in _SHAPE.items():
+    _shape.bind(_kind)
 
 
 def map_terms(node, fn):
     """Rebuild `node`, of any kind, under the hook `fn` (pre-order; a node
-    `fn` returns replaces the current one unentered, ``None`` descends)."""
-    return _MAP[type(node)](node, fn)
-
-
-def _map_args(args: tuple[Term, ...], fn) -> tuple[Term, ...]:
-    return tuple([_MAP[type(a)](a, fn) for a in args])
-
-
-def _map_leaf(n, fn):
-    r = fn(n)
-    return n if r is None else r
-
-
-def _map_app(t, fn):
-    r = fn(t)
-    return type(t)(t.func, _map_args(t.args, fn)) if r is None else r
-
-
-def _map_priv_func(t: PrivFunc, fn) -> Term:
-    r = fn(t)
-    if r is not None:
-        return r
-    return PrivFunc(t.func, _map_args(t.args, fn), _MAP[type(t.expansion)](t.expansion, fn))
-
-
-def _map_choice(t: Choice, fn) -> Term:
-    r = fn(t)
-    return Choice(_map_type(t.ty, fn)) if r is None else r
-
-
-def _map_fraenkel(t: Fraenkel, fn) -> Term:
-    r = fn(t)
-    if r is not None:
-        return r
-    return Fraenkel(
-        tuple([_map_type(b, fn) for b in t.binders]),
-        _MAP[type(t.body)](t.body, fn),
-        _MAP[type(t.guard)](t.guard, fn),
-    )
-
-
-def _map_attr(a: Attr, fn) -> Attr:
-    if not a.args:
-        return a
-    return Attr(a.positive, a.attr_id, _map_args(a.args, fn))
-
-
-def _map_type(ty: TypeExpr, fn) -> TypeExpr:
-    if not ty.args and not any(a.args for a in ty.lower) and not any(a.args for a in ty.upper):
-        return ty
-    return TypeExpr(
-        frozenset([_map_attr(a, fn) for a in ty.lower]),
-        frozenset([_map_attr(a, fn) for a in ty.upper]),
-        ty.mode,
-        _map_args(ty.args, fn),
-    )
-
-
-def _map_neg(f: Neg, fn) -> Formula:
-    return mk_neg(_MAP[type(f.body)](f.body, fn))
-
-
-def _map_and(f: And, fn) -> Formula:
-    return mk_and([_MAP[type(c)](c, fn) for c in f.conjuncts])
-
-
-def _map_forall(f: ForAll, fn) -> Formula:
-    return ForAll(_map_type(f.ty, fn), _MAP[type(f.body)](f.body, fn))
-
-
-def _map_flex(f: FlexAnd, fn) -> Formula:
-    fx = f.flex
-    parts = (fx.lo, fx.hi, fx.expansion, fx.inst_lo, fx.inst_hi)
-    return FlexAnd(FlexConj(*[_MAP[type(x)](x, fn) for x in parts]))
-
-
-def _map_pred(f, fn) -> Formula:
-    r = fn(f)
-    return type(f)(f.pred, _map_args(f.args, fn)) if r is None else r
-
-
-def _map_priv_pred(f: PrivPred, fn) -> Formula:
-    r = fn(f)
-    if r is not None:
-        return r
-    return PrivPred(f.pred, _map_args(f.args, fn), _MAP[type(f.expansion)](f.expansion, fn))
-
-
-def _map_is(f: Is, fn) -> Formula:
-    r = fn(f)
-    return Is(_MAP[type(f.term)](f.term, fn), _map_attr(f.attr, fn)) if r is None else r
-
-
-def _map_qual(f: Qual, fn) -> Formula:
-    r = fn(f)
-    return Qual(_MAP[type(f.term)](f.term, fn), _map_type(f.ty, fn)) if r is None else r
-
-
-_MAP = {
-    Var: _map_leaf,
-    Numeral: _map_leaf,
-    FunctorApp: _map_app,
-    SchemeFunctorApp: _map_app,
-    PrivFunc: _map_priv_func,
-    Choice: _map_choice,
-    Fraenkel: _map_fraenkel,
-    Attr: _map_attr,
-    TypeExpr: _map_type,
-    FTrue: _map_leaf,
-    ThesisMarker: _map_leaf,
-    Neg: _map_neg,
-    And: _map_and,
-    ForAll: _map_forall,
-    FlexAnd: _map_flex,
-    Pred: _map_pred,
-    SchemePred: _map_pred,
-    PrivPred: _map_priv_pred,
-    Is: _map_is,
-    Qual: _map_qual,
-}
-
-_CHILDREN = {
-    Numeral: lambda n: (),
-    FunctorApp: lambda n: n.args,
-    SchemeFunctorApp: lambda n: n.args,
-    PrivFunc: lambda n: (*n.args, n.expansion),
-    Choice: lambda n: (n.ty,),
-    Fraenkel: lambda n: (*n.binders, n.body, n.guard),
-    Attr: lambda n: n.args,
-    TypeExpr: lambda n: (*n.args, *n.lower, *n.upper),
-    FTrue: lambda n: (),
-    ThesisMarker: lambda n: (),
-    Neg: lambda n: (n.body,),
-    And: lambda n: n.conjuncts,
-    ForAll: lambda n: (n.ty, n.body),
-    FlexAnd: lambda n: (n.flex.lo, n.flex.hi, n.flex.expansion, n.flex.inst_lo, n.flex.inst_hi),
-    Pred: lambda n: n.args,
-    SchemePred: lambda n: n.args,
-    PrivPred: lambda n: (*n.args, n.expansion),
-    Is: lambda n: (n.term, n.attr),
-    Qual: lambda n: (n.term, n.ty),
-}
+    `fn` returns replaces the current one unentered, ``None`` descends).
+    Where `fn` replaced nothing, the result is `node` itself."""
+    shape = _SHAPE[type(node)]
+    if shape.asked:
+        r = fn(node)
+        if r is not None:
+            return r
+    if not shape.walked:
+        return node
+    fields = []
+    changed = False
+    for field, walked in shape.fields:
+        x = getattr(node, field)
+        if walked:
+            kind = type(x)
+            if kind is tuple or kind is frozenset:
+                if x:
+                    out = [map_terms(u, fn) for u in x]
+                    if any(map(is_not, out, x)):
+                        x = kind(out)
+                        changed = True
+            else:
+                out = map_terms(x, fn)
+                if out is not x:
+                    x = out
+                    changed = True
+        fields.append(x)
+    return shape.build(*fields) if changed else node
 
 
 def any_var(node, pred) -> bool:
     """Does `pred` hold of some variable occurring anywhere in `node`?"""
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        if type(n) is Var:
-            if pred(n):
-                return True
-        else:
-            todo.extend(_CHILDREN[type(n)](n))
+    if type(node) is Var:
+        return pred(node)
+    for field in _SHAPE[type(node)].walked:
+        x = getattr(node, field)
+        if type(x) is tuple or type(x) is frozenset:
+            for u in x:
+                if any_var(u, pred):
+                    return True
+        elif any_var(x, pred):
+            return True
     return False
+
+
+class ShapeMismatch(Exception):
+    """Two trees differ where ``zip_nodes`` had to descend."""
+
+
+def same_head(a, b) -> bool:
+    """Are `a` and `b` of one kind with equal head fields and, where the
+    kind has ``args``, as many arguments (what ``zip_nodes`` checks
+    before it descends)?"""
+    shape = _SHAPE.get(type(a))
+    if shape is None or shape.head is None or type(b) is not type(a):
+        return False
+    for h in shape.head:
+        if getattr(a, h) != getattr(b, h):
+            return False
+    return "args" not in shape.children or len(a.args) == len(b.args)
+
+
+def zip_nodes(a, b, fn):
+    """Walk `a` and `b` together, asking `fn(x, y)` at every pair in
+    pre-order.  A node `fn` returns is the pair's result and its children
+    are not visited; ``None`` descends, which needs the same kind, equal
+    head fields and equal child counts, or raises ``ShapeMismatch``.
+    Where `fn` replaced nothing, the result is `a` itself."""
+    r = fn(a, b)
+    if r is not None:
+        return r
+    if not same_head(a, b):
+        raise ShapeMismatch(f"{type(a).__name__} vs {type(b).__name__}")
+    shape = _SHAPE[type(a)]
+    changed = {}
+    for field in shape.children:
+        x, y = getattr(a, field), getattr(b, field)
+        kind = type(x)
+        if kind is tuple or kind is frozenset:
+            if kind is frozenset:
+                x, y = sorted_attrs(x), sorted_attrs(y)
+            if len(x) != len(y):
+                raise ShapeMismatch(f"{type(a).__name__}.{field} differs in length")
+            out = [zip_nodes(u, v, fn) for u, v in zip(x, y)]
+            if any(map(is_not, out, x)):
+                changed[field] = kind(out)
+        else:
+            out = zip_nodes(x, y, fn)
+            if out is not x:
+                changed[field] = out
+    if not changed:
+        return a
+    return shape.build(*[changed[f] if f in changed else getattr(a, f) for f, _ in shape.fields])
+
+
+# Policies on the map and the occurrence test.  Levels are absolute, so
+# no policy below tracks depth: removing the binder at `level` renumbers
+# every deeper binder down by one, uniformly across the whole tree, and
+# adding k outer binders shifts everything up.
 
 
 def subst_bound(node, level: int, repl: Term):
@@ -545,103 +545,9 @@ def uses_const(node, index: int) -> bool:
 
 
 def replace_thesis(f: Formula, thesis: Formula) -> Formula:
-    match f:
-        case ThesisMarker():
-            return thesis
-        case FTrue():
-            return f
-        case Neg(b):
-            return mk_neg(replace_thesis(b, thesis))
-        case And(cs):
-            return mk_and([replace_thesis(c, thesis) for c in cs])
-        case ForAll(ty, body):
-            return ForAll(ty, replace_thesis(body, thesis))
-        case _:
-            return f
-
-
-# ---------------------------------------------------------------------------
-# traversal of two trees at once
-#
-# The shape of each kind is one entry of ``_SHAPE``: the head fields that
-# must be equal before ``zip_nodes`` descends, and the child fields it
-# descends into, in order.  A child field holds a node, a tuple of nodes
-# or, for ``TypeExpr.lower``, a set of attributes, paired in
-# ``sorted_attrs`` order.  A type is compared as written: its ``upper``
-# is not part of its shape, and a rebuilt type keeps the first tree's.
-# ``ThesisMarker`` has no shape, so it pairs with nothing.
-
-
-class ShapeMismatch(Exception):
-    """Two trees differ where ``zip_nodes`` had to descend."""
-
-
-_SHAPE = {
-    Var: (("kind", "index"), ()),
-    Numeral: (("value",), ()),
-    FunctorApp: (("func",), ("args",)),
-    SchemeFunctorApp: (("func",), ("args",)),
-    PrivFunc: (("func",), ("args", "expansion")),
-    Choice: ((), ("ty",)),
-    Fraenkel: ((), ("binders", "body", "guard")),
-    Attr: (("positive", "attr_id"), ("args",)),
-    TypeExpr: (("mode",), ("args", "lower")),
-    FTrue: ((), ()),
-    Neg: ((), ("body",)),
-    And: ((), ("conjuncts",)),
-    ForAll: ((), ("ty", "body")),
-    FlexAnd: ((), ("flex",)),
-    FlexConj: ((), ("lo", "hi", "expansion", "inst_lo", "inst_hi")),
-    Pred: (("pred",), ("args",)),
-    SchemePred: (("pred",), ("args",)),
-    PrivPred: (("pred",), ("args", "expansion")),
-    # the adjective first: a head mismatch there is found before the subject
-    Is: ((), ("attr", "term")),
-    Qual: ((), ("term", "ty")),
-}
-
-
-def same_head(a, b) -> bool:
-    """Are `a` and `b` of one kind with equal head fields and, where the
-    kind has ``args``, as many arguments (what ``zip_nodes`` checks
-    before it descends)?"""
-    shape = _SHAPE.get(type(a))
-    if shape is None or type(b) is not type(a):
-        return False
-    for h in shape[0]:
-        if getattr(a, h) != getattr(b, h):
-            return False
-    return "args" not in shape[1] or len(a.args) == len(b.args)
-
-
-def zip_nodes(a, b, fn):
-    """Walk `a` and `b` together, asking `fn(x, y)` at every pair in
-    pre-order.  A node `fn` returns is the pair's result and its children
-    are not visited; ``None`` descends, which needs the same kind, equal
-    head fields and equal child counts, or raises ``ShapeMismatch``.
-    Where `fn` replaced nothing, the result is `a` itself."""
-    r = fn(a, b)
-    if r is not None:
-        return r
-    if not same_head(a, b):
-        raise ShapeMismatch(f"{type(a).__name__} vs {type(b).__name__}")
-    changed = {}
-    for field in _SHAPE[type(a)][1]:
-        x, y = getattr(a, field), getattr(b, field)
-        kind = type(x)
-        if kind is tuple or kind is frozenset:
-            if kind is frozenset:
-                x, y = sorted_attrs(x), sorted_attrs(y)
-            if len(x) != len(y):
-                raise ShapeMismatch(f"{type(a).__name__}.{field} differs in length")
-            out = [zip_nodes(u, v, fn) for u, v in zip(x, y)]
-            if any(map(is_not, out, x)):
-                changed[field] = kind(out)
-        else:
-            out = zip_nodes(x, y, fn)
-            if out is not x:
-                changed[field] = out
-    return replace(a, **changed) if changed else a
+    """Put `thesis` in place of each ``thesis`` marker that is not inside
+    a term or another atom."""
+    return map_terms(f, lambda n: thesis if type(n) is ThesisMarker else n)
 
 
 # ---------------------------------------------------------------------------

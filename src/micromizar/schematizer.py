@@ -100,10 +100,14 @@ def match_scheme(
     except ShapeMismatch as e:
         raise SchemeMatchError(HEAD_MISMATCH, str(e)) from None
     if __debug__:
+        # compared as matched: a type's rounded-up adjectives are not, since
+        # a cluster registered after the scheme may have widened them
         pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
         for pat, subj in pairs:
-            rebuilt = apply_assignment(pat, m.out)
-            assert _strip(rebuilt) == _strip(subj), "assignment does not reproduce the instance"
+            try:
+                zip_nodes(_strip(apply_assignment(pat, m.out)), _strip(subj), lambda x, y: None)
+            except ShapeMismatch:
+                raise AssertionError("assignment does not reproduce the instance") from None
     return m.out
 
 
@@ -213,13 +217,10 @@ class _Matcher:
             raise SchemeMatchError(CONFLICT, f"placeholder functor {k}")
 
 
-def apply_assignment(
-    f: Formula, asg: SchemeAssignment, lookup_priv=None
-) -> Formula:
-    """Rebuild a scheme formula under an assignment.  Proof-local heads
-    need ``lookup_priv(kind, id, args)`` to supply their expansions;
-    without it a placeholder expansion is used (fine for shape checks,
-    not for checking)."""
+def apply_assignment(f: Formula, asg: SchemeAssignment) -> Formula:
+    """Rebuild a scheme formula under an assignment.  A proof-local head
+    gets a placeholder expansion: the result is fit for shape checks,
+    not for checking."""
 
     def fn(n):
         if type(n) is SchemeFunctorApp:
@@ -229,18 +230,11 @@ def apply_assignment(
             args = tuple([map_terms(a, fn) for a in n.args])
             if kind == FUNC:
                 return FunctorApp(target, args)
-            if lookup_priv is not None:
-                return lookup_priv(PRIV_FUNC, target, args)
             return PrivFunc(target, args, Numeral(0))
         if type(n) is SchemePred:
             sign, (kind, pid) = asg.predicates[n.pred]
             args = tuple([map_terms(a, fn) for a in n.args])
-            if kind == PRED:
-                out: Formula = Pred(pid, args)
-            elif lookup_priv is not None:
-                out = lookup_priv(PRIV_PRED, pid, args)
-            else:
-                out = PrivPred(pid, args, FTrue())
+            out = Pred(pid, args) if kind == PRED else PrivPred(pid, args, FTrue())
             return out if sign else mk_neg(out)
         return None
 

@@ -12,11 +12,15 @@ compiled search must agree with it tuple by tuple.  The reference pair
 walks (``reference_infer_flex``, ``reference_formula_equal``,
 ``reference_match_scheme``) are flex inference, thesis equality and
 scheme matching as they were written before all three became hooks on
-``logic.zip_nodes``, one hand-written walk each.
+``logic.zip_nodes``, one hand-written walk each.  ``reference_map_terms``
+and ``reference_any_var`` are the map and the occurrence test as they
+were before both read ``logic._SHAPE``: one function per kind, and a
+child table of their own.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from micromizar.flex import MalformedFlex, NoCommonShape, NonNumericBound, flex_equal
@@ -651,9 +655,10 @@ def reference_formula_equal(a: Formula, b: Formula, mode) -> bool:
 
 
 def reference_match_scheme(
-    scheme: Scheme, cited: tuple[Formula, ...], goal: Formula
+    scheme: Scheme, cited: tuple[Formula, ...], goal: Formula, same=operator.eq
 ) -> SchemeAssignment:
-    """``schematizer.match_scheme`` with its own walk over the pattern."""
+    """``schematizer.match_scheme`` with its own walk over the pattern.
+    `same` compares each rebuilt instance with the one cited or proved."""
     if len(cited) != len(scheme.premises):
         raise SchemeMatchError(PREMISE_COUNT, scheme.name)
     m = _ReferenceMatcher(scheme)
@@ -664,7 +669,7 @@ def reference_match_scheme(
         pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
         for pat, subj in pairs:
             rebuilt = apply_assignment(pat, m.out)
-            assert _strip(rebuilt) == _strip(subj), "assignment does not reproduce the instance"
+            assert same(_strip(rebuilt), _strip(subj)), "assignment does not reproduce the instance"
     return m.out
 
 
@@ -818,3 +823,165 @@ class _ReferenceMatcher:
                 raise SchemeMatchError(HEAD_MISMATCH, "adjective clusters differ")
             for xa, ya in zip(x.args, y.args):
                 self.term(xa, ya, depth)
+
+
+# ---------------------------------------------------------------------------
+# the single-tree walks as they were before they read ``logic._SHAPE``
+
+
+def reference_map_terms(node, fn):
+    """``logic.map_terms`` with one hand-written function per kind."""
+    return _REF_MAP[type(node)](node, fn)
+
+
+def _map_args(args: tuple[Term, ...], fn) -> tuple[Term, ...]:
+    return tuple([_REF_MAP[type(a)](a, fn) for a in args])
+
+
+def _map_leaf(n, fn):
+    r = fn(n)
+    return n if r is None else r
+
+
+def _map_app(t, fn):
+    r = fn(t)
+    return type(t)(t.func, _map_args(t.args, fn)) if r is None else r
+
+
+def _map_priv_func(t: PrivFunc, fn) -> Term:
+    r = fn(t)
+    if r is not None:
+        return r
+    return PrivFunc(t.func, _map_args(t.args, fn), _REF_MAP[type(t.expansion)](t.expansion, fn))
+
+
+def _map_choice(t: Choice, fn) -> Term:
+    r = fn(t)
+    return Choice(_map_type(t.ty, fn)) if r is None else r
+
+
+def _map_fraenkel(t: Fraenkel, fn) -> Term:
+    r = fn(t)
+    if r is not None:
+        return r
+    return Fraenkel(
+        tuple([_map_type(b, fn) for b in t.binders]),
+        _REF_MAP[type(t.body)](t.body, fn),
+        _REF_MAP[type(t.guard)](t.guard, fn),
+    )
+
+
+def _map_attr(a: Attr, fn) -> Attr:
+    if not a.args:
+        return a
+    return Attr(a.positive, a.attr_id, _map_args(a.args, fn))
+
+
+def _map_type(ty: TypeExpr, fn) -> TypeExpr:
+    if not ty.args and not any(a.args for a in ty.lower) and not any(a.args for a in ty.upper):
+        return ty
+    return TypeExpr(
+        frozenset([_map_attr(a, fn) for a in ty.lower]),
+        frozenset([_map_attr(a, fn) for a in ty.upper]),
+        ty.mode,
+        _map_args(ty.args, fn),
+    )
+
+
+def _map_neg(f: Neg, fn) -> Formula:
+    return mk_neg(_REF_MAP[type(f.body)](f.body, fn))
+
+
+def _map_and(f: And, fn) -> Formula:
+    return mk_and([_REF_MAP[type(c)](c, fn) for c in f.conjuncts])
+
+
+def _map_forall(f: ForAll, fn) -> Formula:
+    return ForAll(_map_type(f.ty, fn), _REF_MAP[type(f.body)](f.body, fn))
+
+
+def _map_flex(f: FlexAnd, fn) -> Formula:
+    fx = f.flex
+    parts = (fx.lo, fx.hi, fx.expansion, fx.inst_lo, fx.inst_hi)
+    return FlexAnd(FlexConj(*[_REF_MAP[type(x)](x, fn) for x in parts]))
+
+
+def _map_pred(f, fn) -> Formula:
+    r = fn(f)
+    return type(f)(f.pred, _map_args(f.args, fn)) if r is None else r
+
+
+def _map_priv_pred(f: PrivPred, fn) -> Formula:
+    r = fn(f)
+    if r is not None:
+        return r
+    return PrivPred(f.pred, _map_args(f.args, fn), _REF_MAP[type(f.expansion)](f.expansion, fn))
+
+
+def _map_is(f: Is, fn) -> Formula:
+    r = fn(f)
+    return Is(_REF_MAP[type(f.term)](f.term, fn), _map_attr(f.attr, fn)) if r is None else r
+
+
+def _map_qual(f: Qual, fn) -> Formula:
+    r = fn(f)
+    return Qual(_REF_MAP[type(f.term)](f.term, fn), _map_type(f.ty, fn)) if r is None else r
+
+
+_REF_MAP = {
+    Var: _map_leaf,
+    Numeral: _map_leaf,
+    FunctorApp: _map_app,
+    SchemeFunctorApp: _map_app,
+    PrivFunc: _map_priv_func,
+    Choice: _map_choice,
+    Fraenkel: _map_fraenkel,
+    Attr: _map_attr,
+    TypeExpr: _map_type,
+    FTrue: _map_leaf,
+    ThesisMarker: _map_leaf,
+    Neg: _map_neg,
+    And: _map_and,
+    ForAll: _map_forall,
+    FlexAnd: _map_flex,
+    Pred: _map_pred,
+    SchemePred: _map_pred,
+    PrivPred: _map_priv_pred,
+    Is: _map_is,
+    Qual: _map_qual,
+}
+
+_REF_CHILDREN = {
+    Numeral: lambda n: (),
+    FunctorApp: lambda n: n.args,
+    SchemeFunctorApp: lambda n: n.args,
+    PrivFunc: lambda n: (*n.args, n.expansion),
+    Choice: lambda n: (n.ty,),
+    Fraenkel: lambda n: (*n.binders, n.body, n.guard),
+    Attr: lambda n: n.args,
+    TypeExpr: lambda n: (*n.args, *n.lower, *n.upper),
+    FTrue: lambda n: (),
+    ThesisMarker: lambda n: (),
+    Neg: lambda n: (n.body,),
+    And: lambda n: n.conjuncts,
+    ForAll: lambda n: (n.ty, n.body),
+    FlexAnd: lambda n: (n.flex.lo, n.flex.hi, n.flex.expansion, n.flex.inst_lo, n.flex.inst_hi),
+    Pred: lambda n: n.args,
+    SchemePred: lambda n: n.args,
+    PrivPred: lambda n: (*n.args, n.expansion),
+    Is: lambda n: (n.term, n.attr),
+    Qual: lambda n: (n.term, n.ty),
+}
+
+
+def reference_any_var(node, pred) -> bool:
+    """``logic.any_var`` with its own child table."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if type(n) is Var:
+            if pred(n):
+                return True
+        else:
+            todo.extend(_REF_CHILDREN[type(n)](n))
+    return False

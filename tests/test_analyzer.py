@@ -169,6 +169,36 @@ theorem 1 = 1 from Mp(L);
     ) == [(63, 12), (63, 13)]
 
 
+def test_scheme_used_after_a_cluster_widened_its_types(check):
+    # the cluster rounds `Z set` up to `Z empty set` only after the scheme
+    # was stored, so the instance's binder type has more rounded-up
+    # adjectives than the scheme's; instances are matched as written
+    assert check(
+        """definition
+  let a be set;
+  attr a is Z means :DZ: a = {};
+end;
+scheme Sch{P[set]}: for a being Z set holds P[a]
+provided A1: for a being Z set holds P[a]
+proof
+  thus thesis by A1;
+end;
+registration
+  cluster Z -> empty for set;
+  coherence
+  proof
+    let a be Z set;
+    A: a = {} by DZ;
+    hence a is empty;
+  end;
+end;
+defpred S[set] means $1 = $1;
+L: for a being Z set holds S[a];
+theorem for a being Z set holds S[a] from Sch(L);
+"""
+    ) == []
+
+
 def test_definitions_and_their_correctness_conditions(check):
     # the `means` functor states neither existence nor uniqueness
     assert check(

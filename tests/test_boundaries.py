@@ -3,12 +3,15 @@
 builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
-the unifier's search evaluates instances without building them, and
-only ``logic`` walks two trees at once."""
+the unifier's search evaluates instances without building them,
+only ``logic`` walks two trees at once, and one table there holds the
+shape of every kernel node kind."""
 
 import ast
+import dataclasses
 import pathlib
 
+from micromizar import logic
 from micromizar.arith import OPS
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "micromizar"
@@ -125,3 +128,23 @@ def test_only_logic_walks_two_trees_by_hand():
             if isinstance(node, ast.Match) and isinstance(node.subject, ast.Tuple):
                 hits.append(f"{path.name}:{node.lineno}")
     assert [h for h in hits if not h.startswith("logic.py:")] == []
+
+
+def test_one_table_is_keyed_by_node_kinds():
+    # the map, the occurrence test and the pair walk all read ``_SHAPE``;
+    # a second table per kind would have to learn every new field too
+    kinds = {name for name, v in vars(logic).items() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+    tables = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {
+            id(node.value): node.targets[0].id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Name) and k.id in kinds for k in node.keys
+            ):
+                tables.append(f"{path.name}:{names.get(id(node), node.lineno)}")
+    assert tables == ["logic.py:_SHAPE"]

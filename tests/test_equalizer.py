@@ -376,3 +376,20 @@ def test_a_negated_private_predicate_whose_expansion_is_a_negation(req_all):
     req = req_all
     g = run_clause(req, [Neg(PrivPred(0, (), neq(req, const(0), const(1)))), neq(req, const(0), const(1))])
     assert g.contradiction
+
+
+def test_lookup_finds_what_intern_made_and_makes_nothing(req_all):
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    t = plus(req, const(0), PrivFunc(0, (), FunctorApp(req.require("EmptySet"), ())))
+    assert g.lookup(t) is None
+    assert (g.nodes, g.node_of_key) == ([], {})
+    rep = g.intern(t)
+    made = len(g.nodes)
+    assert made >= 3  # the sum, its summands and the facts their types bring
+    assert g.lookup(t) == rep == g.intern(t)
+    assert g.lookup(plus(req, const(0), const(0))) is None
+    assert len(g.nodes) == made
+    g.assume(eq(req, const(0), const(1)))
+    g.run()
+    assert g.lookup(plus(req, const(1), FunctorApp(req.require("EmptySet"), ()))) == g.find(rep)

@@ -247,6 +247,12 @@ def test_replace_thesis():
     assert replace_thesis(mk_neg(t), mk_neg(Q)) == Q
     assert replace_thesis(ForAll(SET, t), P) == ForAll(SET, P)
     assert replace_thesis(P, Q) == P
+    # a marker inside a term or another atom stays, and a formula with
+    # nothing to replace comes back as itself
+    inner = Qual(Fraenkel((SET,), bound(0), t), SET)
+    f = mk_and([t, inner, PrivPred(0, (), t)])
+    assert replace_thesis(f, Q) == mk_and([Q, inner, PrivPred(0, (), t)])
+    assert replace_thesis(inner, Q) is inner
 
 
 def test_term_key_orders_deterministically():
