@@ -17,7 +17,9 @@ steps that need a thesis; it passes every other step to `_step`.
 Statement justifications are delegated: plain ``by`` goes through the
 refutational checker, ``from`` through the scheme matcher, and an
 inline ``proof`` recurses.  Resolution errors abort only the step that
-raised them, so one mistake does not bury the rest of the article.
+raised them, so one mistake does not bury the rest of the article.  An
+internal fault of the checker costs one item too: it is reported as
+code 99, and the exception is kept in ``Analyzer.internal``.
 
 The same walker elaborates definitions and cluster registrations,
 emitting their correctness goals (existence, coherence, uniqueness) as
@@ -147,6 +149,8 @@ class Analyzer:
         self.prev: Formula | None = None
         self.trace = trace
         self.article_name = article_name
+        # each item lost to a checker fault, with the exception and so its traceback
+        self.internal: list[tuple[SourcePos, Exception]] = []
 
     # -- entry ------------------------------------------------------------
 
@@ -157,6 +161,10 @@ class Analyzer:
                 self._step(item, None)
             except MizarError as e:
                 self.errors.append(e.to_error())
+                self._reset(mark, keep_labels=True)
+            except Exception as e:  # noqa: BLE001 - a checker fault fails one item, not the article
+                self.internal.append((item.pos, e))
+                self.errors.append(VerifyError(item.pos, 99))
                 self._reset(mark, keep_labels=True)
         return self.errors
 

@@ -28,6 +28,7 @@ ERROR_MESSAGES = {
     93: "Duplicate label",
     94: "Malformed flexary conjunction",
     95: "Construct requires a requirement that is not enabled",
+    99: "Internal error while checking this item",
 }
 
 

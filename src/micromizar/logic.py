@@ -11,7 +11,7 @@ whose three invariants are enforced by the smart constructors below:
 
 Levels rather than indices mean a subterm keeps its meaning when carried
 under extra binders; the only renumbering ever needed is the uniform one
-performed by ``subst_bound`` when a binder is removed and by ``shift_up``
+performed by ``subst_bound`` when binders are removed and by ``shift_up``
 when new outer binders are added.
 
 One table, ``_SHAPE``, gives the shape of every node kind, and every
@@ -472,21 +472,28 @@ def zip_nodes(a, b, fn):
 
 
 # Policies on the map and the occurrence test.  Levels are absolute, so
-# no policy below tracks depth: removing the binder at `level` renumbers
-# every deeper binder down by one, uniformly across the whole tree, and
-# adding k outer binders shifts everything up.
+# no policy below tracks depth: removing k binders from `level` on
+# renumbers every deeper binder down by k, uniformly across the whole
+# tree, and adding k outer binders shifts everything up.
 
 
-def subst_bound(node, level: int, repl: Term):
-    """Replace bound level `level` by `repl`, renumbering deeper levels down.
+def subst_bound(node, level: int, *repls: Term):
+    """Replace bound levels `level` ... `level` + k - 1 by the k terms
+    `repls`, in order, renumbering deeper levels down by k: one walk for
+    what k single substitutions at `level` would do.
 
-    `level` must be the outermost open level of `node`; `repl` may only
-    mention strictly more outer levels (ground terms always qualify).
+    `level` must be the outermost open level of `node`; each replacement
+    may only mention strictly more outer levels (ground terms always
+    qualify).  With no replacements, `node` comes back as it is.
     """
+    k = len(repls)
+    if k == 0:
+        return node
 
     def fn(n):
         if type(n) is Var and n.kind is VarKind.BOUND and n.index >= level:
-            return repl if n.index == level else Var(VarKind.BOUND, n.index - 1)
+            i = n.index - level
+            return repls[i] if i < k else Var(VarKind.BOUND, n.index - k)
         return None
 
     return map_terms(node, fn)

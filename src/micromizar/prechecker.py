@@ -13,19 +13,23 @@ prepares that input and drives the per-clause machinery:
    quantified expansion, fully instantiated when the bounds are
    numerals;
 3. top-level skolemization: outer existentials become fresh typed
-   constants, and a vacuous quantifier over a provably inhabited type
-   is dropped;
-4. full distribution into disjunctive normal form, skolemizing
-   existentials that only become top-level inside one branch.
+   constants, one substitution for each prefix of binders, and a
+   vacuous quantifier over a provably inhabited type is dropped;
+4. distribution into disjunctive normal form, skolemizing existentials
+   that only become top-level inside one branch.  The clauses are
+   counted first, from the formula's shape alone, and then made one at
+   a time, depth first.
 
-Every resulting clause must be refuted by the congruence graph or the
-instantiation search; one survivor rejects the inference, and the
-justification says whether that survivor hit a search budget.  Clause
-counts above the cap abandon the attempt instead of looping forever.
+Every clause must be refuted by the congruence graph or the
+instantiation search.  The first survivor rejects the inference, no
+further clause is made, and the justification says whether that
+survivor hit a search budget.  A count above the cap abandons the
+attempt before any clause exists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .flex import FlexMode, expand_flex
@@ -41,6 +45,7 @@ from .logic import (
     Pred,
     PrivPred,
     Qual,
+    Term,
     TypeExpr,
     const,
     mk_and,
@@ -54,10 +59,6 @@ from .unifier import clause_refuted
 
 CLAUSE_CAP = 3000
 UNFOLD_FUEL = 16
-
-
-class ClauseOverflow(Exception):
-    """More clauses than the cap allows."""
 
 
 @dataclass
@@ -98,21 +99,18 @@ class Prechecker:
         base_types = dict(const_types)
         for idx, ty in skolems:
             base_types[idx] = ty
-        try:
-            clauses = self._to_dnf(f)
-        except ClauseOverflow:
+        count = self._count(f, 0, True)
+        if count > self.clause_cap:
             return Justification(False, too_large=True, prepared=f, skolems=skolems)
-        for lits, local_types in clauses:
+        for lits, local_types in self._to_dnf(f):
             merged = dict(base_types)
             merged.update(local_types)
             refuted, limited = clause_refuted(self.db, lits, merged, self.flex_mode)
             if not refuted:
                 return Justification(
-                    False, prepared=f, skolems=skolems, clause_count=len(clauses), limited=limited
+                    False, prepared=f, skolems=skolems, clause_count=count, limited=limited
                 )
-        return Justification(
-            True, prepared=f, skolems=skolems, clause_count=len(clauses)
-        )
+        return Justification(True, prepared=f, skolems=skolems, clause_count=count)
 
     # -- definition unfolding ------------------------------------------------
 
@@ -189,53 +187,96 @@ class Prechecker:
         match f:
             case And(cs):
                 return mk_and([self._skolemize_top(c, out) for c in cs])
-            case Neg(ForAll(ty, body)):
-                c = self._alloc()
-                out.append((c, ty))
-                return self._skolemize_top(mk_neg(subst_bound(body, 0, const(c))), out)
+            case Neg(ForAll() as fa):
+                typed, g = self._witness(fa)
+                out.extend(typed)
+                return self._skolemize_top(g, out)
             case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
                 return self._skolemize_top(subst_bound(body, 0, Numeral(0)), out)
             case _:
                 return f
 
+    def _witness(self, fa: ForAll) -> tuple[list[tuple[int, TypeExpr]], Formula]:
+        """Skolemize ``not fa`` with its whole binder prefix: ``not for x0
+        for x1 ... holds body`` gets one fresh constant per binder,
+        allocated in order, and becomes ``not body`` in one substitution.
+        Binder i's type is returned over the first i constants."""
+        typed: list[tuple[int, TypeExpr]] = []
+        consts: list[Term] = []
+        f: Formula = fa
+        while type(f) is ForAll:
+            idx = self._alloc()
+            typed.append((idx, subst_bound(f.ty, 0, *consts)))
+            consts.append(const(idx))
+            f = f.body
+        return typed, mk_neg(subst_bound(f, 0, *consts))
+
     # -- distribution -------------------------------------------------------------
 
-    def _to_dnf(self, f: Formula) -> list[tuple[list[Formula], dict[int, TypeExpr]]]:
-        done: list[tuple[list[Formula], dict[int, TypeExpr]]] = []
-        self._burst(([f], {}), done)
-        return done
+    def _count(self, f: Formula, depth: int, positive: bool) -> int:
+        """How many clauses ``_to_dnf`` makes of `f`, or of its negation
+        when not `positive`, saturated at ``clause_cap + 1``; it mirrors
+        ``_to_dnf`` rule for rule and builds nothing.
 
-    def _burst(
-        self,
-        clause: tuple[list[Formula], dict[int, TypeExpr]],
-        done: list[tuple[list[Formula], dict[int, TypeExpr]]],
-    ) -> None:
-        queue, local = clause
-        queue = list(queue)
-        out: list[Formula] = []
-        while queue:
-            lit = queue.pop(0)
-            match lit:
-                case FTrue():
-                    continue
-                case Neg(FTrue()):
-                    return  # the branch is already absurd; nothing to refute
-                case And(cs):
-                    queue = list(cs) + queue
-                case Neg(And(cs)):
-                    for c in cs:
-                        self._burst((out + [mk_neg(c)] + queue, dict(local)), done)
-                    return
-                case Neg(ForAll(ty, body)):
-                    idx = self._alloc()
-                    local = dict(local)
-                    local[idx] = ty
-                    queue.insert(0, mk_neg(subst_bound(body, 0, const(idx))))
-                case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
-                    queue.insert(0, subst_bound(body, 0, Numeral(0)))
-                case _:
-                    if lit not in out:
-                        out.append(lit)
-        if len(done) >= self.clause_cap:
-            raise ClauseOverflow
-        done.append((out, local))
+        `f` sits under `depth` binders that ``_to_dnf`` would have
+        substituted, which are left in place here: levels are absolute,
+        so a binder at `depth` is vacuous when its body does not use
+        level `depth`.  The inhabitation test sees such a binder's type
+        with bound levels where ``_to_dnf`` has skolem constants; it
+        compares arguments only by ``==`` against witness types, which
+        are closed, so it gives the same answer for both.
+        """
+        match f:
+            case Neg(b):
+                return self._count(b, depth, not positive)
+            case FTrue():
+                return 1 if positive else 0
+            case And(cs):
+                cap = self.clause_cap + 1
+                n = 1 if positive else 0
+                for c in cs:
+                    m = self._count(c, depth, positive)
+                    n = min(n * m if positive else n + m, cap)
+                return n
+            case ForAll(ty, body) if not positive or (
+                not uses_bound(body, depth) and self.db.inhabited(ty)
+            ):
+                return self._count(body, depth + 1, positive)
+            case _:
+                return 1
+
+    def _to_dnf(self, f: Formula) -> Iterator[tuple[list[Formula], dict[int, TypeExpr]]]:
+        """The clauses of `f`, one at a time, depth first: each is its
+        literals without repeats, in first-seen order, and the types of
+        the constants skolemized on its branch.  A branch that meets
+        ``not TRUE`` makes no clause."""
+        branches = [([], (f, None), {})]
+        while branches:
+            out, todo, local = branches.pop()
+            while todo is not None:  # a linked stack: branches share its tail
+                lit, todo = todo
+                match lit:
+                    case FTrue():
+                        continue
+                    case Neg(FTrue()):
+                        break  # the branch is already absurd; nothing to refute
+                    case And(cs):
+                        for c in reversed(cs):
+                            todo = (c, todo)
+                    case Neg(And(cs)):
+                        # the first branch goes on here; the others wait
+                        for c in reversed(cs[1:]):
+                            branches.append((list(out), (mk_neg(c), todo), local))
+                        todo = (mk_neg(cs[0]), todo)
+                    case Neg(ForAll() as fa):
+                        typed, g = self._witness(fa)
+                        local = {**local, **dict(typed)}
+                        todo = (g, todo)
+                    case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
+                        todo = (subst_bound(body, 0, Numeral(0)), todo)
+                    case _:
+                        # a scan, not a set: a node hashes its whole subtree on every call
+                        if lit not in out:
+                            out.append(lit)
+            else:
+                yield out, local

@@ -86,9 +86,7 @@ def _open(node) -> bool:
 def _instance(node, env: Env):
     """The syntactic instance of `node` with bound level i read as class
     ``env[i]``: the only term the search builds."""
-    for rep in env:
-        node = subst_bound(node, 0, Var(VarKind.EQCLASS, rep))
-    return node
+    return subst_bound(node, 0, *[Var(VarKind.EQCLASS, rep) for rep in env])
 
 
 class Unifier:
@@ -170,11 +168,12 @@ class Unifier:
         """Sanity harness: the found instance must refute on its own."""
         if not __debug__:
             return
-        f: Formula = fa
-        for t in path:
-            if not isinstance(f, ForAll):
+        body = fa.body
+        for _ in path[1:]:
+            if not isinstance(body, ForAll):
                 return
-            f = subst_bound(f.body, 0, t)
+            body = body.body
+        f = subst_bound(body, 0, *path)
         if _contains_flex(f):
             return  # flex facts live outside the congruence graph
         parts = [c for c in (f.conjuncts if isinstance(f, And) else (f,)) if not isinstance(c, FTrue)]

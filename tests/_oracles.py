@@ -15,7 +15,10 @@ scheme matching as they were written before all three became hooks on
 ``logic.zip_nodes``, one hand-written walk each.  ``reference_map_terms``
 and ``reference_any_var`` are the map and the occurrence test as they
 were before both read ``logic._SHAPE``: one function per kind, and a
-child table of their own.
+child table of their own.  ``ReferenceDnf`` is the prechecker's
+skolemization and distribution as they were before the clauses were
+counted first and streamed: one substitution per binder, and every
+clause built into a list until ``ClauseOverflow``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from micromizar.logic import (
     VarKind,
     any_var,
     bound,
+    const,
     mk_and,
     mk_neg,
     replace_term,
@@ -60,6 +64,7 @@ from micromizar.logic import (
     subst_bound,
     uses_bound,
 )
+from micromizar.prechecker import Prechecker
 from micromizar.schematizer import (
     CONFLICT,
     FUNC,
@@ -985,3 +990,70 @@ def reference_any_var(node, pred) -> bool:
         else:
             todo.extend(_REF_CHILDREN[type(n)](n))
     return False
+
+
+# ---------------------------------------------------------------------------
+# the prechecker's distribution, building every clause
+
+
+class ClauseOverflow(Exception):
+    """More clauses than the cap allows."""
+
+
+class ReferenceDnf(Prechecker):
+    """``Prechecker`` with its skolemization and distribution as they
+    were before the clause count: ``_to_dnf`` returns the list of every
+    clause or raises ``ClauseOverflow`` above the cap."""
+
+    def _skolemize_top(self, f: Formula, out: list[tuple[int, TypeExpr]]) -> Formula:
+        match f:
+            case And(cs):
+                return mk_and([self._skolemize_top(c, out) for c in cs])
+            case Neg(ForAll(ty, body)):
+                c = self._alloc()
+                out.append((c, ty))
+                return self._skolemize_top(mk_neg(subst_bound(body, 0, const(c))), out)
+            case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
+                return self._skolemize_top(subst_bound(body, 0, Numeral(0)), out)
+            case _:
+                return f
+
+    def _to_dnf(self, f: Formula) -> list[tuple[list[Formula], dict[int, TypeExpr]]]:
+        done: list[tuple[list[Formula], dict[int, TypeExpr]]] = []
+        self._burst(([f], {}), done)
+        return done
+
+    def _burst(
+        self,
+        clause: tuple[list[Formula], dict[int, TypeExpr]],
+        done: list[tuple[list[Formula], dict[int, TypeExpr]]],
+    ) -> None:
+        queue, local = clause
+        queue = list(queue)
+        out: list[Formula] = []
+        while queue:
+            lit = queue.pop(0)
+            match lit:
+                case FTrue():
+                    continue
+                case Neg(FTrue()):
+                    return  # the branch is already absurd; nothing to refute
+                case And(cs):
+                    queue = list(cs) + queue
+                case Neg(And(cs)):
+                    for c in cs:
+                        self._burst((out + [mk_neg(c)] + queue, dict(local)), done)
+                    return
+                case Neg(ForAll(ty, body)):
+                    idx = self._alloc()
+                    local = dict(local)
+                    local[idx] = ty
+                    queue.insert(0, mk_neg(subst_bound(body, 0, const(idx))))
+                case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
+                    queue.insert(0, subst_bound(body, 0, Numeral(0)))
+                case _:
+                    if lit not in out:
+                        out.append(lit)
+        if len(done) >= self.clause_cap:
+            raise ClauseOverflow
+        done.append((out, local))

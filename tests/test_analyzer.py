@@ -5,7 +5,9 @@ article is ``environ begin``."""
 import pytest
 
 from micromizar.analyzer import Analyzer
+from micromizar.logic import Numeral
 from micromizar.parser import parse_article
+from micromizar.prechecker import CLAUSE_CAP, Prechecker
 
 
 def errors(req, body: str, trace: list[str] | None = None) -> list[tuple[int, int]]:
@@ -308,3 +310,45 @@ theorem for {names} being set holds x0 = x1 by A;
 theorem for x0, x1 being set holds x0 = x1 by A;
 """
     ) == [(61, 4), (67, 3)]
+
+
+def test_the_clause_cap_gives_66(check):
+    # n independent disjunctions make 2**n clauses: 2**11 are within the
+    # cap (checking stops at the first, which survives), 2**12 are over
+    # it and none is built
+    assert 2**11 <= CLAUSE_CAP < 2**12
+    eleven = " & ".join(["(a c= b or b c= a)"] * 11)
+    twelve = " & ".join(["(a c= b or b c= a)"] * 12)
+    assert check(
+        f"""theorem for a, b being set st {eleven} holds a in b;
+theorem for a, b being set st {twelve} holds a in b;
+"""
+    ) == [(61, 2), (66, 3)]
+
+
+def test_an_internal_error_fails_one_item_not_the_article(req_all, monkeypatch):
+    body = """A1: for x being set holds x c= x;
+theorem 2 + 3 = 5;
+theorem 2 + 2 = 5 + 1;
+theorem {} c= {} by A1;
+theorem T: 1 + 1 = 2;
+theorem 2 = 1 + 1 by T;
+"""
+    assert errors(req_all, body) == [(61, 4)]
+    justify = Prechecker.justify
+
+    def faulty(self, premises, conjecture, *args):
+        if Numeral(5) in getattr(conjecture, "args", ()):
+            raise RuntimeError("injected")
+        return justify(self, premises, conjecture, *args)
+
+    monkeypatch.setattr(Prechecker, "justify", faulty)
+    art, parse_errors = parse_article("environ begin\n" + body)
+    assert parse_errors == []
+    analyzer = Analyzer(req_all)
+    found = sorted((e.code, e.pos.line) for e in analyzer.run(art))
+    assert found == [(61, 4), (99, 3)]
+    [(pos, e)] = analyzer.internal
+    assert pos.line == 3
+    assert repr(e) == "RuntimeError('injected')"
+    assert e.__traceback__ is not None

@@ -27,6 +27,7 @@ from micromizar.logic import (
     Var,
     VarKind,
     abstract_const,
+    any_var,
     bound,
     const,
     mk_and,
@@ -42,6 +43,7 @@ from micromizar.logic import (
     uses_bound,
     uses_const,
 )
+from test_zip_nodes import Gen
 
 P = Pred(10, (const(0),))
 Q = Pred(11, (const(1),))
@@ -189,6 +191,32 @@ def test_subst_matches_named_variable_oracle():
         named = orc.named_subst(orc.named_of(f, env), f"L{lvl}", orc.named_of_term(t, env))
         want = orc.levels_of(named, {f"L{i}": i for i in range(lvl)}, lvl)
         assert subst_bound(f, lvl, t) == want
+
+
+def _outer_term(gen: Gen, level: int):
+    """A term that mentions only levels below `level`."""
+    while True:
+        t = gen.term(level, 1)
+        if not any_var(t, lambda v: v.kind is VarKind.BOUND and v.index >= level):
+            return t
+
+
+def test_one_walk_substitutes_a_binder_prefix():
+    rng = random.Random(409)
+    gen = Gen(rng, pattern=True)
+    several = 0
+    for _ in range(3000):
+        pool = rng.randrange(1, 4)
+        tree = gen.formula(pool, 3)
+        level = rng.randrange(pool)
+        repls = [_outer_term(gen.plain, level) for _ in range(rng.randrange(1, pool - level + 1))]
+        want = tree
+        for t in repls:
+            want = subst_bound(want, level, t)
+        assert subst_bound(tree, level, *repls) == want, (tree, level, repls)
+        several += len(repls) > 1
+    assert subst_bound(P, 0) is P
+    assert several > 500
 
 
 def test_named_oracle_roundtrip_identity():

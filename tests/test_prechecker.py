@@ -1,7 +1,11 @@
 """End-to-end justification checking, before any surface syntax exists."""
 
+import random
+
 import pytest
 
+import _oracles as orc
+import micromizar.prechecker as prechecker
 from micromizar.flex import FlexMode, infer_flex_from_diff
 from micromizar.logic import (
     Attr,
@@ -15,6 +19,7 @@ from micromizar.logic import (
     Pred,
     PrivPred,
     Qual,
+    TRUE,
     TypeExpr,
     bound,
     const,
@@ -24,6 +29,7 @@ from micromizar.logic import (
     mk_imp,
     mk_neg,
     mk_or,
+    shift_up,
 )
 from micromizar.prechecker import Prechecker
 from micromizar.subtyping import AttrDef, DefinitionDb, ModeDef, PredDef
@@ -151,6 +157,168 @@ def test_clause_cap_reports_overflow(db, req_all):
     )
     assert j.too_large
     assert not j.accepted
+
+
+def disjunction(n: int, base: int = 100):
+    return mk_or([Pred(base + i, (const(0),)) for i in range(n)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 7])
+def test_clause_cap_boundary(db, req_all, k):
+    consts = {0: req_all.set_type()}
+    goal = Pred(999, (const(0),))
+    at_cap = justify(db, [disjunction(k)], goal, consts, clause_cap=k)
+    assert not at_cap.too_large
+    assert at_cap.clause_count == k
+    over = justify(db, [disjunction(k + 1)], goal, consts, clause_cap=k)
+    assert over.too_large
+    assert not over.accepted
+    assert over.clause_count == 0
+
+
+def test_clause_cap_boundary_on_a_product(db, req_all):
+    consts = {0: req_all.set_type()}
+    goal = Pred(999, (const(0),))
+    six = [disjunction(2), disjunction(3, 200)]
+    assert justify(db, six, goal, consts, clause_cap=6).clause_count == 6
+    assert justify(db, six, goal, consts, clause_cap=5).too_large
+
+
+def test_an_overflow_builds_no_clause(db, req_all, monkeypatch):
+    def no_clauses(*args):
+        raise AssertionError("a clause was built")
+
+    monkeypatch.setattr(Prechecker, "_to_dnf", no_clauses)
+    lits = [disjunction(2, 100 + 2 * i) for i in range(40)]  # 2**40 clauses
+    j = justify(db, lits, Pred(999, (const(0),)), {0: req_all.set_type()})
+    assert j.too_large
+    assert not j.accepted
+    assert j.clause_count == 0
+
+
+def test_a_rejection_stops_at_the_first_surviving_clause(db, req_all, monkeypatch):
+    checked = []
+
+    def counting(*args):
+        checked.append(args[1])
+        return clause_refuted(*args)
+
+    clause_refuted = prechecker.clause_refuted
+    monkeypatch.setattr(prechecker, "clause_refuted", counting)
+    consts = {0: req_all.set_type()}
+    j = justify(db, [disjunction(2), disjunction(3, 200)], Pred(999, (const(0),)), consts)
+    assert not j.accepted
+    assert j.clause_count == 6
+    assert len(checked) == 1
+    checked.clear()
+    j = justify(db, [disjunction(2)], disjunction(2), consts)
+    assert j.accepted
+    assert j.clause_count == len(checked) == 2
+
+
+# ---------------------------------------------------------------------------
+# the count and the stream against the list they replaced
+
+
+class DnfGen:
+    """Closed formulas for the distribution: atoms over constants and the
+    levels in scope, conjunctions, disjunctions, ``not TRUE``,
+    existentials with binder prefixes of one to three, nested anywhere,
+    and universals, vacuous or not, over inhabited and uninhabited types,
+    some of which mention an outer binder."""
+
+    def __init__(self, rng: random.Random, req):
+        self.rng = rng
+        self.req = req
+        self.nat = Attr(True, req.require("Natural"))
+        self.outer_vacuous = 0
+
+    def term(self, depth: int):
+        r = self.rng
+        if depth and r.random() < 0.6:
+            return bound(r.randrange(depth))
+        return const(r.randrange(2)) if r.random() < 0.7 else Numeral(r.randrange(3))
+
+    def atom(self, depth: int):
+        return Pred(100 + self.rng.randrange(3), (self.term(depth),))
+
+    def type(self, depth: int) -> tuple[TypeExpr, bool]:
+        """A type at `depth`, and whether it mentions an outer binder."""
+        r, req = self.rng, self.req
+        pick = r.randrange(6 if depth else 3)
+        if pick == 0:
+            return req.set_type(), False  # inhabited by fiat
+        if pick == 1:
+            return req.nat_type(), False  # a builtin witness
+        if pick == 2:
+            return req.attr_type(["Natural"], extra=(Attr(True, 500),)), False
+        outer = (bound(r.randrange(depth)),)
+        mode = req.set_type().mode
+        if pick == 3:
+            return TypeExpr(FS, FS, mode, outer), True  # inhabited by fiat
+        if pick == 4:
+            lower = frozenset([self.nat])
+            return TypeExpr(lower, lower, mode, outer), True
+        lower = frozenset([Attr(True, self.nat.attr_id, outer)])
+        return TypeExpr(lower, lower, mode), True
+
+    def formula(self, depth: int, budget: int):
+        r = self.rng
+        pick = r.randrange(9 if budget > 0 else 3)
+        if pick == 0:
+            return self.atom(depth)
+        if pick == 1:
+            return mk_neg(self.atom(depth))
+        if pick == 2:
+            return r.choice([TRUE, mk_neg(TRUE), self.atom(depth)])
+        if pick == 3:
+            return mk_and([self.formula(depth, budget - 1) for _ in range(r.randrange(2, 4))])
+        if pick == 4:
+            return mk_or([self.formula(depth, budget - 1) for _ in range(r.randrange(2, 4))])
+        if pick == 5:
+            n = r.randrange(1, 4)
+            tys = [self.type(depth + i)[0] for i in range(n)]
+            body = mk_neg(self.formula(depth + n, budget - 1))
+            for ty in reversed(tys):
+                body = ForAll(ty, body)
+            return mk_neg(body)
+        ty, outer = self.type(depth)
+        if pick == 6:
+            # made at `depth` and shifted past the new binder: vacuous
+            self.outer_vacuous += outer
+            return ForAll(ty, shift_up(self.formula(depth, budget - 1), 1, depth))
+        return ForAll(ty, self.formula(depth + 1, budget - 1))
+
+
+def test_count_and_stream_agree_with_the_reference(db, req_all):
+    rng = random.Random(2304)
+    gen = DnfGen(rng, req_all)
+    seen = {"over": 0, "none": 0, "several": 0, "local": 0}
+    for _ in range(3000):
+        f = gen.formula(0, 4)
+        cap = rng.choice([1, 3, 8, 64])
+        new = Prechecker(db, clause_cap=cap)
+        ref = orc.ReferenceDnf(db, clause_cap=cap)
+        new._next = ref._next = 2
+        skolems, want_skolems = [], []
+        prepared = new._skolemize_top(f, skolems)
+        assert prepared == ref._skolemize_top(f, want_skolems), f
+        assert skolems == want_skolems
+        count = new._count(prepared, 0, True)
+        try:
+            want = ref._to_dnf(prepared)
+        except orc.ClauseOverflow:
+            assert count == cap + 1, f
+            seen["over"] += 1
+            continue
+        assert count == len(want), f
+        assert list(new._to_dnf(prepared)) == want, f
+        assert new._next == ref._next
+        seen["none"] += not want
+        seen["several"] += len(want) > 1
+        seen["local"] += any(local for _, local in want)
+    assert min(seen.values()) > 80, seen
+    assert gen.outer_vacuous > 100
 
 
 def test_equality_carries_inclusions(db, req_all):
