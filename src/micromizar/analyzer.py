@@ -19,7 +19,8 @@ refutational checker, ``from`` through the scheme matcher, and an
 inline ``proof`` recurses.  Resolution errors abort only the step that
 raised them, so one mistake does not bury the rest of the article.  An
 internal fault of the checker costs one item too: it is reported as
-code 99, and the exception is kept in ``Analyzer.internal``.
+code 99, and the exception's repr and the place it was raised are
+kept in ``Analyzer.internal``.
 
 The same walker elaborates definitions and cluster registrations,
 emitting their correctness goals (existence, coherence, uniqueness) as
@@ -29,6 +30,8 @@ can still refer to it.
 """
 
 from __future__ import annotations
+
+import os
 
 from .errors import MizarError, SourcePos, VerifyError
 from .flex import FlexMode, formula_equal
@@ -121,6 +124,18 @@ TRUE = FTrue()
 FALSE = Neg(FTrue())
 
 
+def _describe(e: Exception) -> str:
+    """`e`'s repr and the innermost frame it was raised in, as
+    ``RuntimeError('x') at logic.py:12 in f``."""
+    tb = e.__traceback__
+    if tb is None:
+        return repr(e)
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return f"{e!r} at {os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+
+
 class Analyzer:
     def __init__(
         self,
@@ -149,8 +164,10 @@ class Analyzer:
         self.prev: Formula | None = None
         self.trace = trace
         self.article_name = article_name
-        # each item lost to a checker fault, with the exception and so its traceback
-        self.internal: list[tuple[SourcePos, Exception]] = []
+        # each item lost to a checker fault: the exception's repr and the
+        # place it was raised (not the exception, whose traceback would
+        # keep every frame of the failed check alive)
+        self.internal: list[tuple[SourcePos, str]] = []
 
     # -- entry ------------------------------------------------------------
 
@@ -163,7 +180,7 @@ class Analyzer:
                 self.errors.append(e.to_error())
                 self._reset(mark, keep_labels=True)
             except Exception as e:  # noqa: BLE001 - a checker fault fails one item, not the article
-                self.internal.append((item.pos, e))
+                self.internal.append((item.pos, _describe(e)))
                 self.errors.append(VerifyError(item.pos, 99))
                 self._reset(mark, keep_labels=True)
         return self.errors

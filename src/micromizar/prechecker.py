@@ -249,7 +249,9 @@ class Prechecker:
         """The clauses of `f`, one at a time, depth first: each is its
         literals without repeats, in first-seen order, and the types of
         the constants skolemized on its branch.  A branch that meets
-        ``not TRUE`` makes no clause."""
+        ``not TRUE`` makes no clause.  ``_count`` mirrors this rule for
+        rule; change both together (checked by
+        ``test_count_and_stream_agree_with_the_reference``)."""
         branches = [([], (f, None), {})]
         while branches:
             out, todo, local = branches.pop()
