@@ -58,6 +58,7 @@ from .logic import (
     VarKind,
     abstract_const,
     bound,
+    conjuncts,
     const,
     locus,
     mk_and,
@@ -408,14 +409,20 @@ class Analyzer:
         self.prev = None
         return thesis
 
+    def _rest_after(self, f: Formula, target: Formula) -> tuple[Formula, ...] | None:
+        """The conjuncts of `target` left once those of `f` match a prefix
+        of them, or None where they do not."""
+        ps, cs = conjuncts(f), conjuncts(target)
+        if len(ps) <= len(cs) and all(self._feq(p, c) for p, c in zip(ps, cs)):
+            return cs[len(ps) :]
+        return None
+
     def _consume(self, a: Formula, thesis: Formula, pos: SourcePos) -> Formula:
         """Strip an assumption off the front of a negated conjunction."""
         if isinstance(thesis, Neg):
-            target = thesis.body
-            cs = list(target.conjuncts) if isinstance(target, And) else [target]
-            ps = list(a.conjuncts) if isinstance(a, And) else [a]
-            if len(ps) <= len(cs) and all(self._feq(p, c) for p, c in zip(ps, cs)):
-                return mk_neg(mk_and(cs[len(ps) :]))
+            rest = self._rest_after(a, thesis.body)
+            if rest is not None:
+                return mk_neg(mk_and(rest))
         if self._feq(a, mk_neg(thesis)):
             return FALSE
         self.errors.append(VerifyError(pos, 71))
@@ -424,11 +431,9 @@ class Analyzer:
     def _discharge(self, f: Formula, thesis: Formula, pos: SourcePos) -> Formula:
         if self._feq(f, thesis) or self._feq(f, FALSE):
             return TRUE
-        if isinstance(thesis, And):
-            cs = list(thesis.conjuncts)
-            ps = list(f.conjuncts) if isinstance(f, And) else [f]
-            if len(ps) < len(cs) and all(self._feq(p, c) for p, c in zip(ps, cs)):
-                return mk_and(cs[len(ps) :])
+        rest = self._rest_after(f, thesis)
+        if rest:
+            return mk_and(rest)
         self.errors.append(VerifyError(pos, 71))
         return TRUE
 
@@ -482,10 +487,9 @@ class Analyzer:
             self.errors.append(VerifyError(st.pos, 71))
             summands = [TRUE] * len(st.blocks)
         for block, cf, summand in zip(st.blocks, conds, summands):
-            cs = list(summand.conjuncts) if isinstance(summand, And) else [summand]
-            ps = list(cf.conjuncts) if isinstance(cf, And) else [cf]
-            if len(ps) < len(cs) and all(self._feq(p, c) for p, c in zip(ps, cs)):
-                block_thesis = mk_and(cs[len(ps) :])
+            rest = self._rest_after(cf, summand)
+            if rest:
+                block_thesis = mk_and(rest)
             else:
                 self.errors.append(VerifyError(block.cond.formula.pos, 71))
                 block_thesis = TRUE

@@ -7,6 +7,19 @@ the facts the rules work from: an exact numeric value, polynomials,
 adjectives over class-id arguments (the supercluster), mode-level
 types, and negated type claims waiting to be contradicted.
 
+Every table is a dict from a key to what is known, and a key is a head
+and a tuple of class ids: ``node_of_key`` maps ``(head, child classes)``
+to a node, ``atoms`` maps ``((ns, pid), argument classes)`` to a sign,
+each class's ``attrs`` and ``types`` tables map ``(attribute id or mode,
+argument classes)`` to a sign or ``True``, and ``neg_eq`` holds each
+disequality both ways round as ``(None, (a, b))``.  ``value`` maps a
+class to its number.  ``_put(table, key, v)`` is the only writer; a
+different value already at the key is a clash, which for a fact is the
+contradiction.  After merges, ``_rekey(table, clash)`` is the only thing
+that makes keys canonical again: ``_rehash`` re-keys the nodes, whose
+clash is ``union``, and ``_normalize`` the facts.  ``union`` itself only
+moves the merged-away class's value and tables onto the survivor.
+
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
 normalization the full arithmetic, order reasoning the ordering
@@ -16,6 +29,8 @@ clause as undecided rather than wrong.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
 from .logic import (
@@ -54,14 +69,14 @@ class EqGraph:
         self.req = db.req
         self.parent: list[int] = []
         self.nodes: list[tuple] = []  # node id -> (head, child class ids at creation)
-        self.node_of_key: dict = {}
+        self.node_of_key: dict[tuple, int] = {}
         self.class_nodes: dict[int, list[int]] = {}
         self.value: dict[int, ComplexRational] = {}
         self.attrs: dict[int, dict[tuple[int, tuple[int, ...]], bool]] = {}
-        self.types: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self.neg_quals: dict[int, list[tuple[int, tuple[int, ...], tuple]]] = {}
-        self.atoms: dict[tuple[str, int, tuple[int, ...]], bool] = {}
-        self.neg_eq: list[tuple[int, int]] = []
+        self.types: dict[int, dict[tuple[int, tuple[int, ...]], bool]] = {}
+        self.neg_quals: dict[int, list[tuple[int, tuple[int, ...], list]]] = {}
+        self.atoms: dict[tuple[tuple[str, int], tuple[int, ...]], bool] = {}
+        self.neg_eq: dict[tuple[None, tuple[int, int]], bool] = {}
         self.foralls: list[ForAll] = []
         self.flexes: list[tuple[bool, FlexConj]] = []
         self.contradiction = False
@@ -82,21 +97,52 @@ class EqGraph:
             return False
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self.parent[hi] = lo
-        vhi = self.value.pop(hi, None)
-        if vhi is not None:
-            vlo = self.value.get(lo)
-            if vlo is None:
-                self.value[lo] = vhi
-            elif vlo != vhi:
-                self.contradiction = True
-        amap = self.attrs.setdefault(lo, {})
-        for k, s in self.attrs.pop(hi, {}).items():
-            if amap.setdefault(k, s) != s:
-                self.contradiction = True
-        self.types.setdefault(lo, []).extend(self.types.pop(hi, []))
+        if hi in self.value:
+            self._put(self.value, lo, self.value.pop(hi))
+        for tables in (self.attrs, self.types):
+            into = tables[lo]
+            for key, v in tables.pop(hi).items():
+                self._put(into, key, v)
         self.neg_quals.setdefault(lo, []).extend(self.neg_quals.pop(hi, []))
-        self.class_nodes.setdefault(lo, []).extend(self.class_nodes.pop(hi, []))
+        self.class_nodes[lo].extend(self.class_nodes.pop(hi))
         return True
+
+    # -- tables -------------------------------------------------------------
+
+    def _put(self, table: dict, key, v, clash: Callable | None = None) -> bool:
+        """Store `v` at `key` unless the key is taken, and say whether it
+        was new.  A different value already there is a clash: `clash`
+        gets the kept value and `v`; without one, the clause is
+        contradictory.  No table stores None."""
+        kept = table.get(key)
+        if kept is None:
+            table[key] = v
+            return True
+        if kept != v:
+            if clash is None:
+                self.contradiction = True
+            else:
+                clash(kept, v)
+        return False
+
+    def _rekey(self, table: dict, clash: Callable | None = None) -> bool:
+        """Put every entry of `table` back under its key with the class ids
+        made canonical; entries that now share a key clash as in `_put`.
+        True if any key changed."""
+        if all(self._ids(ids) == ids for _, ids in table):
+            return False
+        entries = list(table.items())
+        table.clear()
+        for (head, ids), v in entries:
+            # canonical as it is put back: a merge by an earlier clash counts
+            self._put(table, (head, self._ids(ids)), v, clash)
+        return True
+
+    def _ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(self.find, ids)) if ids else ids
+
+    def _interned(self, terms: tuple[Term, ...]) -> tuple[int, ...]:
+        return tuple(map(self.intern, terms)) if terms else ()
 
     # -- interning --------------------------------------------------------
     # A node is keyed by its head and its children's classes at creation.
@@ -140,7 +186,9 @@ class EqGraph:
             self.nodes.append(key)
             self.parent.append(n)
             self.class_nodes[n] = [n]
-            self.node_of_key[key] = n
+            self._put(self.node_of_key, key, n)
+            self._put(self.attrs, n, {})
+            self._put(self.types, n, {})
             self._seed(n, *key)
         return self.find(n)
 
@@ -153,7 +201,7 @@ class EqGraph:
         match head:
             case ("num", v):
                 if self.req.present("Natural"):
-                    self.value[n] = ComplexRational.from_int(v)
+                    self._put(self.value, n, ComplexRational.from_int(v))
                 self._assume_type_expr(n, self.req.numeral_type())
             case ("app", f):
                 self._assume_type_expr(n, self.db.result_type(f, _class_args(children)))
@@ -183,61 +231,24 @@ class EqGraph:
     # -- fact insertion -----------------------------------------------------
 
     def _add_attr(self, rep: int, sign: bool, aid: int, args: tuple[int, ...]) -> bool:
-        rep = self.find(rep)
-        amap = self.attrs.setdefault(rep, {})
-        key = (aid, tuple(self.find(a) for a in args))
-        if key in amap:
-            if amap[key] != sign:
-                self.contradiction = True
-            return False
-        amap[key] = sign
-        return True
+        return self._put(self.attrs[self.find(rep)], (aid, self._ids(args)), sign)
 
-    def _add_type(self, rep: int, ct: tuple[int, tuple[int, ...]]) -> bool:
-        rep = self.find(rep)
-        ct = (ct[0], tuple(self.find(a) for a in ct[1]))
-        tl = self.types.setdefault(rep, [])
-        if ct in tl:
-            return False
-        tl.append(ct)
-        return True
+    def _add_type(self, rep: int, mode: int, args: tuple[int, ...]) -> bool:
+        return self._put(self.types[self.find(rep)], (mode, self._ids(args)), True)
 
     def _add_atom(self, ns: str, pid: int, args: tuple[int, ...], sign: bool) -> bool:
-        key = (ns, pid, tuple(self.find(a) for a in args))
-        if key in self.atoms:
-            if self.atoms[key] != sign:
-                self.contradiction = True
-            return False
-        self.atoms[key] = sign
-        return True
+        return self._put(self.atoms, ((ns, pid), self._ids(args)), sign)
 
     def _add_neg_eq(self, a: int, b: int) -> bool:
+        # stored both ways round, so a re-keyed pair needs no order
         a, b = self.find(a), self.find(b)
-        pair = (min(a, b), max(a, b))
-        if pair in self.neg_eq:
-            return False
-        self.neg_eq.append(pair)
-        return True
+        new = self._put(self.neg_eq, (None, (a, b)), True)
+        return self._put(self.neg_eq, (None, (b, a)), True) or new
 
-    def _set_value(self, rep: int, v: ComplexRational) -> bool:
-        rep = self.find(rep)
-        old = self.value.get(rep)
-        if old is None:
-            self.value[rep] = v
-            return True
-        if old != v:
-            self.contradiction = True
-        return False
-
-    def _assume_type_expr(self, rep: int, ty: TypeExpr) -> bool:
-        rep = self.find(rep)
-        r = self.db.round_up(ty)
-        args = tuple(self.find(self.intern(a)) for a in ty.args)
-        changed = self._add_type(rep, (ty.mode, args))
-        for at in sorted_attrs(r.upper):
-            aargs = tuple(self.find(self.intern(x)) for x in at.args)
-            changed |= self._add_attr(rep, at.positive, at.attr_id, aargs)
-        return changed
+    def _assume_type_expr(self, rep: int, ty: TypeExpr) -> None:
+        self._add_type(rep, ty.mode, self._interned(ty.args))
+        for s, aid, args in self._attr_entries(self.db.round_up(ty).upper):
+            self._add_attr(rep, s, aid, args)
 
     # -- literal intake ------------------------------------------------------
 
@@ -256,7 +267,7 @@ class EqGraph:
                 for c in cs:
                     self.assume(c)
             case Pred(p, args):
-                reps = tuple(self.find(self.intern(a)) for a in args)
+                reps = self._interned(args)
                 if p == self.req.cid("Equality") and len(reps) == 2:
                     if sign:
                         self.union(reps[0], reps[1])
@@ -265,27 +276,20 @@ class EqGraph:
                 else:
                     self._add_atom("pred", p, reps, sign)
             case SchemePred(p, args):
-                reps = tuple(self.find(self.intern(a)) for a in args)
-                self._add_atom("scheme", p, reps, sign)
+                self._add_atom("scheme", p, self._interned(args), sign)
             case PrivPred(_, _, exp):
                 self.assume(exp if sign else mk_neg(exp))
             case Is(t, attr):
                 rep = self.intern(t)
-                aargs = tuple(self.find(self.intern(x)) for x in attr.args)
-                self._add_attr(rep, attr.positive == sign, attr.attr_id, aargs)
+                self._add_attr(rep, attr.positive == sign, attr.attr_id, self._interned(attr.args))
             case Qual(t, ty):
                 rep = self.intern(t)
                 if sign:
                     self._assume_type_expr(rep, ty)
                 else:
-                    args = tuple(self.find(self.intern(a)) for a in ty.args)
-                    lower = tuple(
-                        (a.positive, a.attr_id, tuple(self.find(self.intern(x)) for x in a.args))
-                        for a in sorted_attrs(ty.lower)
-                    )
-                    self.neg_quals.setdefault(self.find(rep), []).append(
-                        (ty.mode, args, lower)
-                    )
+                    args = self._interned(ty.args)
+                    lower = self._attr_entries(ty.lower)
+                    self.neg_quals.setdefault(self.find(rep), []).append((ty.mode, args, lower))
             case ForAll():
                 if sign:
                     self.foralls.append(f)
@@ -300,64 +304,21 @@ class EqGraph:
     # -- rule passes -----------------------------------------------------------
 
     def _rehash(self) -> bool:
-        changed = False
-        new_map: dict = {}
-        for n, (head, children) in enumerate(self.nodes):
-            key = (head, tuple(self.find(c) for c in children))
-            other = new_map.get(key)
-            if other is None:
-                new_map[key] = n
-            elif self.find(other) != self.find(n):
-                self.union(other, n)
-                changed = True
-        self.node_of_key = new_map
-        return changed
+        """Re-key the nodes; two that now share a key are congruent."""
+        classes = len(self.class_nodes)
+        self._rekey(self.node_of_key, self.union)
+        return len(self.class_nodes) < classes
 
     def _normalize(self) -> bool:
-        changed = False
-        new_atoms: dict = {}
-        for (ns, pid, args), sign in self.atoms.items():
-            key = (ns, pid, tuple(self.find(a) for a in args))
-            if key in new_atoms:
-                if new_atoms[key] != sign:
-                    self.contradiction = True
-                continue
-            new_atoms[key] = sign
-        if new_atoms != self.atoms:
-            changed = True
-        self.atoms = new_atoms
-        for rep in list(self.attrs):
-            if self.find(rep) != rep:
-                continue  # merged away already folded by union
-            amap = self.attrs[rep]
-            new_amap: dict = {}
-            for (aid, args), sign in amap.items():
-                key = (aid, tuple(self.find(a) for a in args))
-                if key in new_amap:
-                    if new_amap[key] != sign:
-                        self.contradiction = True
-                    continue
-                new_amap[key] = sign
-            if new_amap != amap:
-                changed = True
-            self.attrs[rep] = new_amap
-        for rep in list(self.types):
-            tl = self.types[rep]
-            seen: list = []
-            for mode, args in tl:
-                ct = (mode, tuple(self.find(a) for a in args))
-                if ct not in seen:
-                    seen.append(ct)
-            if seen != tl:
-                changed = True
-            self.types[rep] = seen
-        pairs = []
-        for a, b in self.neg_eq:
-            a, b = self.find(a), self.find(b)
-            if a == b:
-                self.contradiction = True
-            pairs.append((min(a, b), max(a, b)))
-        self.neg_eq = list(dict.fromkeys(pairs))
+        """Re-key the facts; two that now share a key must agree."""
+        changed = self._rekey(self.atoms)
+        for tables in (self.attrs, self.types):
+            for table in tables.values():
+                changed |= self._rekey(table)
+        # no rule pass reads disequalities: re-keying them is no progress
+        self._rekey(self.neg_eq)
+        if any(a == b for _, (a, b) in self.neg_eq):
+            self.contradiction = True
         return changed
 
     def _value_pass(self) -> bool:
@@ -375,7 +336,7 @@ class EqGraph:
                     if all(x is not None for x in cv):
                         v = req.arith[f].value(*cv)
             if v is not None:
-                changed |= self._set_value(rep, v)
+                changed |= self._put(self.value, rep, v)
         byval: dict[ComplexRational, int] = {}
         for rep in sorted(self.value):
             r = self.find(rep)
@@ -456,7 +417,7 @@ class EqGraph:
             for p in ordered:
                 c = p_is_const(p)
                 if c is not None:
-                    grew |= self._set_value(rep, c)
+                    grew |= self._put(self.value, self.find(rep), c)
                 prev = seen.get(p)
                 if prev is None:
                     seen[p] = rep
@@ -485,7 +446,7 @@ class EqGraph:
             (mono, coeff), = monos.items()
             if len(mono) == 1 and mono[0][1] == 1:
                 cid = mono[0][0]
-                return self._set_value(self.find(cid), (-consts) / coeff)
+                return self._put(self.value, self.find(cid), (-consts) / coeff)
         return False
 
     def _attr_value_pass(self) -> bool:
@@ -497,10 +458,10 @@ class EqGraph:
         neg = req.cid("Negative")
         for rep in self.classes():
             v = self.value.get(rep)
-            amap = self.attrs.get(rep, {})
+            amap = self.attrs[rep]
             if v is None:
                 if zero_a is not None and amap.get((zero_a, ())) is True:
-                    changed |= self._set_value(rep, ZERO)
+                    changed |= self._put(self.value, rep, ZERO)
                 continue
             facts: list[tuple[bool, int]] = []
             if zero_a is not None:
@@ -523,7 +484,7 @@ class EqGraph:
         for c in self.db.conditional:
             rules.append((self._attr_entries(c.guard), self._attr_entries(c.target), c.ty))
         for rep in self.classes():
-            amap = self.attrs.get(rep, {})
+            amap = self.attrs[rep]
             for guard, target, subject in rules:
                 if not all(amap.get((aid, args)) == s for s, aid, args in guard):
                     continue
@@ -534,10 +495,9 @@ class EqGraph:
         return changed
 
     def _attr_entries(self, attrs: frozenset[Attr]) -> list[tuple[bool, int, tuple[int, ...]]]:
-        return [
-            (a.positive, a.attr_id, tuple(self.find(self.intern(x)) for x in a.args))
-            for a in sorted_attrs(attrs)
-        ]
+        """The adjectives as (sign, attribute id, argument classes), in
+        ``sorted_attrs`` order; their arguments are interned."""
+        return [(a.positive, a.attr_id, self._interned(a.args)) for a in sorted_attrs(attrs)]
 
     def _functor_cluster_pass(self) -> bool:
         changed = False
@@ -555,7 +515,7 @@ class EqGraph:
         if le is None:
             return False
         changed = False
-        for (ns, pid, args), sign in list(self.atoms.items()):
+        for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred" or pid != le or len(args) != 2:
                 continue
             a, b = self.find(args[0]), self.find(args[1])
@@ -563,7 +523,7 @@ class EqGraph:
             if sign:
                 if va is not None and vb is not None and not va.lex_le(vb):
                     self.contradiction = True
-                if a != b and self.atoms.get(("pred", le, (b, a))) is True:
+                if a != b and self.atoms.get((("pred", le), (b, a))) is True:
                     changed |= self.union(a, b)
             else:
                 if a == b:
@@ -585,7 +545,8 @@ class EqGraph:
             changed = True
         e0 = self.find(self._empty_class)
         for rep in self.classes():
-            if self.attrs.get(rep, {}).get((empty, ())) is True and rep != e0:
+            rep = self.find(rep)  # this loop may have merged it into e0
+            if rep != e0 and self.attrs[rep].get((empty, ())) is True:
                 changed |= self.union(rep, e0)
                 e0 = self.find(self._empty_class)
         union_f = req.cid("Union")
@@ -625,7 +586,7 @@ class EqGraph:
             e0 = self.find(self._empty_class)
         meets = req.cid("Meets")
         member = req.cid("Membership")
-        for (ns, pid, args), sign in list(self.atoms.items()):
+        for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred":
                 continue
             if pid == meets and len(args) == 2 and inter_f is not None:
@@ -651,67 +612,61 @@ class EqGraph:
         subset_p = req.require("Subset")
         member = req.cid("Membership")
         empty = req.cid("Empty")
-        for (ns, pid, args), sign in list(self.atoms.items()):
+        for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred" or len(args) != 2:
                 continue
             if pid == member and sign:
                 x, a = self.find(args[0]), self.find(args[1])
-                changed |= self._add_type(x, (elem, (a,)))
-                for mode, targs in list(self.types.get(a, [])):
+                changed |= self._add_type(x, elem, (a,))
+                for mode, targs in list(self.types[a]):
                     if mode != elem or len(targs) != 1:
                         continue
                     for n in self.class_nodes.get(self.find(targs[0]), []):
                         head, children = self.nodes[n]
                         if head == ("app", powerset):
                             b = self.find(children[0])
-                            changed |= self._add_type(x, (elem, (b,)))
+                            changed |= self._add_type(x, elem, (b,))
                             if empty is not None:
                                 changed |= self._add_attr(b, False, empty, ())
             elif pid == subset_p:
                 a, b = self.find(args[0]), self.find(args[1])
                 if sign:
-                    if a != b and self.atoms.get(("pred", subset_p, (b, a))) is True:
+                    if a != b and self.atoms.get((("pred", subset_p), (b, a))) is True:
                         changed |= self.union(a, b)
                 elif a == b:
                     self.contradiction = True
         if member is not None:
             for rep in self.classes():
-                for mode, targs in list(self.types.get(rep, [])):
+                for mode, targs in self.types[rep]:
                     if mode != elem or len(targs) != 1:
                         continue
                     a = self.find(targs[0])
-                    if self.attrs.get(a, {}).get((empty, ())) is False:
+                    if self.attrs[a].get((empty, ())) is False:
                         changed |= self._add_atom("pred", member, (rep, a), True)
         return changed
 
     def class_satisfies(self, rep: int, ty: TypeExpr) -> bool:
         """Does everything we know about the class place it in ty?"""
         req = self.req
-        amap = self.attrs.get(self.find(rep), {})
+        amap = self.attrs[self.find(rep)]
         for s, aid, args in self._attr_entries(ty.lower):
             if amap.get((aid, args)) != s:
                 return False
         if ty.mode in (req.cid("Object"), req.cid("Set")):
             return True
-        want_args = tuple(self.find(self.intern(a)) for a in ty.args)
-        for mode, targs in self.types.get(self.find(rep), []):
-            start = TypeExpr(
-                frozenset(), frozenset(), mode, _class_args(targs)
-            )
+        want_args = self._interned(ty.args)
+        for mode, targs in self.types[self.find(rep)]:
+            start = TypeExpr(frozenset(), frozenset(), mode, _class_args(targs))
             for anc in self.db.ancestry(start):
-                aargs = tuple(self.find(self.intern(x)) for x in anc.args)
-                if anc.mode == ty.mode and aargs == want_args:
+                if anc.mode == ty.mode and self._interned(anc.args) == want_args:
                     return True
         return False
 
     def _neg_qual_pass(self) -> bool:
         for rep in self.classes():
-            amap = self.attrs.get(rep, {})
+            amap = self.attrs[rep]
             for mode, args, lower in self.neg_quals.get(rep, []):
-                ok_attrs = all(
-                    amap.get((aid, tuple(self.find(x) for x in aargs))) == s
-                    for s, aid, aargs in lower
-                )
+                ok_attrs = all(amap.get((aid, self._ids(aargs))) == s for s, aid, aargs in lower)
                 if not ok_attrs:
                     continue
                 bare = TypeExpr(frozenset(), frozenset(), mode, _class_args(args))
@@ -746,19 +701,17 @@ class EqGraph:
     # -- read access for the instantiation search ---------------------------
 
     def atom_sign(self, ns: str, pid: int, args: tuple[int, ...]) -> bool | None:
-        return self.atoms.get((ns, pid, tuple(self.find(a) for a in args)))
+        return self.atoms.get(((ns, pid), self._ids(args)))
 
     def attr_sign(self, rep: int, aid: int, args: tuple[int, ...]) -> bool | None:
-        return self.attrs.get(self.find(rep), {}).get(
-            (aid, tuple(self.find(a) for a in args))
-        )
+        return self.attrs[self.find(rep)].get((aid, self._ids(args)))
 
     def are_unequal(self, a: int, b: int) -> bool:
         a, b = self.find(a), self.find(b)
         va, vb = self.value.get(a), self.value.get(b)
         if va is not None and vb is not None and va != vb:
             return True
-        return (min(a, b), max(a, b)) in self.neg_eq
+        return (None, (a, b)) in self.neg_eq
 
 
 def _class_args(ids: tuple[int, ...]) -> tuple[Term, ...]:

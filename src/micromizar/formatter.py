@@ -46,6 +46,7 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
+    conjuncts,
     sorted_attrs,
 )
 from .resolver import BUILTIN_ATTRS, BUILTIN_FUNCS, BUILTIN_MODES, BUILTIN_PREDS
@@ -290,15 +291,12 @@ class Formatter:
             tys, tail = self._collect_foralls(f.body)
             inner = len(tys)
             if isinstance(tail, Neg):
-                body = tail.body
-                conjuncts = list(body.conjuncts) if isinstance(body, And) else [body]
-                parts = [self._fmt(c, names, base, inner) for c in conjuncts]
+                parts = [self._fmt(c, names, base, inner) for c in conjuncts(tail.body)]
             else:
                 parts = ["¬" + self._fmt(tail, names, base, inner)]
             header = f"∃ {self._binder_list(tys, names, base, 0)} st"
             return [header_prefix + header] + self._conjunction_lines(parts, indent + 2)
-        conjuncts = list(f.conjuncts) if isinstance(f, And) else [f]
-        parts = [self._fmt(c, names, base, 0) for c in conjuncts]
+        parts = [self._fmt(c, names, base, 0) for c in conjuncts(f)]
         joined = header_prefix + " ∧ ".join(parts)
         if len(joined) <= WIDTH:
             return [joined]
@@ -317,8 +315,7 @@ class Formatter:
         names = {cid: f"b{i}" for i, (cid, _ty) in enumerate(skolems)}
         base = len(skolems)
         lines = [f"refuting {index} @ {where}:"]
-        conjuncts = list(f.conjuncts) if isinstance(f, And) else [f]
-        parts = [self._fmt(c, names, base, 0) for c in conjuncts]
+        parts = [self._fmt(c, names, base, 0) for c in conjuncts(f)]
         if skolems:
             binders = ", ".join(
                 f"b{i}: {self._type(ty, names, base, 0)}" for i, (_cid, ty) in enumerate(skolems)

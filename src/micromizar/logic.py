@@ -278,6 +278,11 @@ def mk_and(parts: list[Formula] | tuple[Formula, ...]) -> Formula:
     return And(tuple(flat))
 
 
+def conjuncts(f: Formula) -> tuple[Formula, ...]:
+    """The conjuncts of `f`: `f` alone unless it is a conjunction."""
+    return f.conjuncts if isinstance(f, And) else (f,)
+
+
 def mk_imp(a: Formula, b: Formula) -> Formula:
     return mk_neg(mk_and([a, mk_neg(b)]))
 
@@ -559,37 +564,65 @@ def replace_thesis(f: Formula, thesis: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # deterministic sort keys (formatting, canonical iteration)
+#
+# A key is a rank, which orders by kind, head, arguments and written
+# adjectives, and then a tie.  The rank skips a proof-local expansion, a
+# Fraenkel guard and a type's rounded-up adjectives, so different nodes
+# can share it; the tie compares every field ``_SHAPE`` lists.  It comes
+# last and only at the top, so a pair the rank orders keeps its order,
+# and no order falls back on hashing.
 
 
-def term_key(t: Term) -> tuple:
+def _term_rank(t: Term) -> tuple:
     match t:
         case Var(kind, i):
             return (0, kind.value, i)
         case Numeral(v):
             return (1, v)
         case FunctorApp(f, args):
-            return (2, f, tuple(term_key(a) for a in args))
+            return (2, f, tuple(map(_term_rank, args)))
         case PrivFunc(f, args, _):
-            return (3, f, tuple(term_key(a) for a in args))
+            return (3, f, tuple(map(_term_rank, args)))
         case SchemeFunctorApp(f, args):
-            return (4, f, tuple(term_key(a) for a in args))
+            return (4, f, tuple(map(_term_rank, args)))
         case Choice(ty):
-            return (5, type_key(ty))
+            return (5, _type_rank(ty))
         case Fraenkel(binders, body, _):
-            return (6, tuple(type_key(b) for b in binders), term_key(body))
+            return (6, tuple(map(_type_rank, binders)), _term_rank(body))
     raise TypeError(t)
 
 
+def _attr_rank(a: Attr) -> tuple:
+    return (a.attr_id, not a.positive, tuple(map(_term_rank, a.args)))
+
+
+def _type_rank(ty: TypeExpr) -> tuple:
+    return (ty.mode, tuple(map(_term_rank, ty.args)), tuple(sorted(map(_attr_rank, ty.lower))))
+
+
+def _tie(node) -> tuple:
+    """Every field of `node` in declaration order, its children as ties."""
+    out = [type(node).__name__]
+    for field, walked in _SHAPE[type(node)].fields:
+        x = getattr(node, field)
+        if not walked:
+            out.append(x.value if type(x) is VarKind else x)
+        elif type(x) is tuple:
+            out.append(tuple(map(_tie, x)))
+        elif type(x) is frozenset:
+            out.append(tuple(sorted(map(_tie, x))))
+        else:
+            out.append(_tie(x))
+    return tuple(out)
+
+
+def term_key(t: Term) -> tuple:
+    return (_term_rank(t), _tie(t))
+
+
 def attr_key(a: Attr) -> tuple:
-    return (a.attr_id, not a.positive, tuple(term_key(t) for t in a.args))
-
-
-def type_key(ty: TypeExpr) -> tuple:
-    return (
-        ty.mode,
-        tuple(term_key(t) for t in ty.args),
-        tuple(sorted(attr_key(a) for a in ty.lower)),
-    )
+    # without arguments the rank tells every adjective apart
+    return (_attr_rank(a), _tie(a) if a.args else ())
 
 
 def sorted_attrs(attrs: frozenset[Attr]) -> list[Attr]:

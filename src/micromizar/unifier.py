@@ -54,6 +54,7 @@ from .logic import (
     Var,
     VarKind,
     any_var,
+    conjuncts,
     subst_bound,
 )
 
@@ -176,7 +177,7 @@ class Unifier:
         f = subst_bound(body, 0, *path)
         if _contains_flex(f):
             return  # flex facts live outside the congruence graph
-        parts = [c for c in (f.conjuncts if isinstance(f, And) else (f,)) if not isinstance(c, FTrue)]
+        parts = [c for c in conjuncts(f) if not isinstance(c, FTrue)]
         for p in parts:
             inner = p
             while isinstance(inner, (Neg, PrivPred)):

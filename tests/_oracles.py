@@ -18,7 +18,9 @@ were before both read ``logic._SHAPE``: one function per kind, and a
 child table of their own.  ``ReferenceDnf`` is the prechecker's
 skolemization and distribution as they were before the clauses were
 counted first and streamed: one substitution per binder, and every
-clause built into a list until ``ClauseOverflow``.
+clause built into a list until ``ClauseOverflow``.  ``reference_term_key``
+and ``reference_attr_key`` are the sort keys as they were before they
+broke ties: the rank alone.
 """
 
 from __future__ import annotations
@@ -1057,3 +1059,38 @@ class ReferenceDnf(Prechecker):
         if len(done) >= self.clause_cap:
             raise ClauseOverflow
         done.append((out, local))
+
+
+# ---------------------------------------------------------------------------
+# the sort keys before ties were broken
+
+
+def reference_term_key(t: Term) -> tuple:
+    match t:
+        case Var(kind, i):
+            return (0, kind.value, i)
+        case Numeral(v):
+            return (1, v)
+        case FunctorApp(f, args):
+            return (2, f, tuple(reference_term_key(a) for a in args))
+        case PrivFunc(f, args, _):
+            return (3, f, tuple(reference_term_key(a) for a in args))
+        case SchemeFunctorApp(f, args):
+            return (4, f, tuple(reference_term_key(a) for a in args))
+        case Choice(ty):
+            return (5, _reference_type_key(ty))
+        case Fraenkel(binders, body, _):
+            return (6, tuple(_reference_type_key(b) for b in binders), reference_term_key(body))
+    raise TypeError(t)
+
+
+def reference_attr_key(a: Attr) -> tuple:
+    return (a.attr_id, not a.positive, tuple(reference_term_key(t) for t in a.args))
+
+
+def _reference_type_key(ty: TypeExpr) -> tuple:
+    return (
+        ty.mode,
+        tuple(reference_term_key(t) for t in ty.args),
+        tuple(sorted(reference_attr_key(a) for a in ty.lower)),
+    )

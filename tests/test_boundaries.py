@@ -4,8 +4,9 @@ builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
 the unifier's search evaluates instances without building them,
-only ``logic`` walks two trees at once, and one table there holds the
-shape of every kernel node kind."""
+only ``logic`` walks two trees at once, one table there holds the
+shape of every kernel node kind, and ``EqGraph._put`` is the only
+writer of the congruence graph's fact tables."""
 
 import ast
 import dataclasses
@@ -148,3 +149,50 @@ def test_one_table_is_keyed_by_node_kinds():
             ):
                 tables.append(f"{path.name}:{names.get(id(node), node.lineno)}")
     assert tables == ["logic.py:_SHAPE"]
+
+
+FACT_TABLES = {"value", "attrs", "types", "atoms", "neg_eq"}
+STORES = {"setdefault", "update", "append", "extend", "insert", "add", "__setitem__", "__ior__"}
+
+
+def _fact_table(node) -> str | None:
+    """The fact table `node` reaches: ``self.T``, or a class's table ``self.T[rep]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr in FACT_TABLES
+    ):
+        return node.attr
+    return None
+
+
+def fact_stores(path: pathlib.Path) -> list[str]:
+    """Each place in an ``EqGraph`` method, other than ``_put``, that stores
+    into a fact table, or rebinds one outside ``__init__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (graph,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EqGraph"]
+    hits = []
+    for method in graph.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "_put":
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    name = _fact_table(t)
+                    if name and not (method.name == "__init__" and isinstance(t, ast.Attribute)):
+                        hits.append(f"{method.name}:{node.lineno} writes {name}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = _fact_table(node.func.value)
+                if name and node.func.attr in STORES:
+                    hits.append(f"{method.name}:{node.lineno} calls {name}.{node.func.attr}")
+    return hits
+
+
+def test_only_put_writes_a_fact_table():
+    # a second writer would need its own clash check, and would be one
+    # more place for a fact to bypass the contradiction
+    assert fact_stores(PACKAGE / "equalizer.py") == []

@@ -11,6 +11,7 @@ from micromizar.logic import (
     PrivFunc,
     PrivPred,
     Qual,
+    SchemePred,
     TypeExpr,
     Var,
     VarKind,
@@ -368,6 +369,55 @@ def test_disequality_survives_a_merge_into_a_smaller_class(req_all):
     assert g.find(c) == a
     assert g.are_unequal(b, c)
     assert g.are_unequal(a, b)
+
+
+def test_adjectives_of_opposite_sign_clash_when_their_classes_merge(req_all):
+    req = req_all
+    empty = req.require("Empty")
+    g = EqGraph(DefinitionDb(req))
+    g.assume(Is(const(0), Attr(True, empty)))
+    g.assume(Is(const(1), Attr(False, empty)))
+    assert not g.contradiction
+    g.assume(eq(req, const(0), const(1)))
+    assert g.contradiction
+
+
+def test_adjectives_of_opposite_sign_clash_when_their_arguments_merge(req_all):
+    req = req_all
+    db = DefinitionDb(req)
+    aid = db.fresh_id("attr")
+    lits = [
+        Is(const(0), Attr(True, aid, (const(1),))),
+        Is(const(0), Attr(False, aid, (const(2),))),
+    ]
+    assert not run_clause(req, lits).contradiction
+    g = EqGraph(db)
+    for lit in lits + [eq(req, const(1), const(2))]:
+        g.assume(lit)
+    g.run()
+    assert g.contradiction
+
+
+def test_atoms_of_opposite_sign_clash_when_their_arguments_merge(req_all):
+    req = req_all
+    lits = [SchemePred(0, (const(0), const(1))), Neg(SchemePred(0, (const(0), const(2))))]
+    assert not run_clause(req, lits).contradiction
+    assert run_clause(req, lits + [eq(req, const(1), const(2))]).contradiction
+
+
+def test_a_merged_class_lists_each_type_once(req_all):
+    req = req_all
+    elem = req.require("Element")
+    g = EqGraph(DefinitionDb(req))
+    for x, a in ((0, 2), (1, 2), (1, 3)):
+        g.assume(Qual(const(x), TypeExpr(FS, FS, elem, (const(a),))))
+    g.assume(eq(req, const(0), const(1)))
+    x, a, b = (g.lookup(const(i)) for i in (0, 2, 3))
+    assert list(g.types[x]) == [(elem, (a,)), (elem, (b,))]
+    g.assume(eq(req, const(2), const(3)))
+    g.run()
+    assert not g.contradiction
+    assert list(g.types[x]) == [(elem, (a,))]
 
 
 def test_a_negated_private_predicate_whose_expansion_is_a_negation(req_all):

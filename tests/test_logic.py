@@ -28,6 +28,7 @@ from micromizar.logic import (
     VarKind,
     abstract_const,
     any_var,
+    attr_key,
     bound,
     const,
     mk_and,
@@ -38,6 +39,7 @@ from micromizar.logic import (
     mk_or,
     replace_thesis,
     shift_up,
+    sorted_attrs,
     subst_bound,
     term_key,
     uses_bound,
@@ -289,3 +291,40 @@ def test_term_key_orders_deterministically():
     once = sorted(terms, key=term_key)
     rng.shuffle(terms)
     assert sorted(terms, key=term_key) == once
+
+
+def test_sort_keys_tell_apart_what_the_rank_leaves_out():
+    # the rank skips a Fraenkel guard, a proof-local expansion and a
+    # type's rounded-up adjectives; without a tie such adjectives would
+    # be sorted in hash order, which changes with PYTHONHASHSEED
+    f1 = Fraenkel((SET,), bound(0), Pred(0, (bound(0),)))
+    f2 = Fraenkel((SET,), bound(0), Pred(1, (bound(0),)))
+    a1, a2 = Attr(True, 0, (f1,)), Attr(True, 0, (f2,))
+    assert term_key(f1) != term_key(f2)
+    assert attr_key(a1) != attr_key(a2)
+    assert sorted_attrs([a1, a2]) == sorted_attrs([a2, a1])
+    assert term_key(PrivFunc(0, (), Numeral(1))) != term_key(PrivFunc(0, (), Numeral(2)))
+    rounded = TypeExpr(frozenset(), frozenset({Attr(True, 3)}), SET.mode)
+    assert term_key(Choice(SET)) != term_key(Choice(rounded))
+
+
+def test_the_tie_keeps_every_order_of_the_rank():
+    rng = random.Random(417)
+    gen = Gen(rng, pattern=True)
+    kinds = [
+        (term_key, orc.reference_term_key, [gen.term(1, 3) for _ in range(150)]),
+        (attr_key, orc.reference_attr_key, [gen.attr(1) for _ in range(150)]),
+        (term_key, orc.reference_term_key, [Choice(gen.type(1, 2)) for _ in range(150)]),
+    ]
+    ties = 0
+    for key, rank, nodes in kinds:
+        keys = [key(n) for n in nodes]
+        ranks = [rank(n) for n in nodes]
+        for i in range(len(nodes)):
+            for j in range(len(nodes)):
+                assert (keys[i] == keys[j]) == (nodes[i] == nodes[j]), (nodes[i], nodes[j])
+                if ranks[i] != ranks[j]:
+                    assert (keys[i] < keys[j]) == (ranks[i] < ranks[j]), (nodes[i], nodes[j])
+                else:
+                    ties += nodes[i] != nodes[j]
+    assert ties > 100
