@@ -8,17 +8,21 @@ adjectives over class-id arguments (the supercluster), mode-level
 types, and negated type claims waiting to be contradicted.
 
 Every table is a dict from a key to what is known, and a key is a head
-and a tuple of class ids: ``node_of_key`` maps ``(head, child classes)``
-to a node, ``atoms`` maps ``((ns, pid), argument classes)`` to a sign,
-each class's ``attrs`` and ``types`` tables map ``(attribute id or mode,
-argument classes)`` to a sign or ``True``, and ``neg_eq`` holds each
-disequality both ways round as ``(None, (a, b))``.  ``value`` maps a
-class to its number.  ``_put(table, key, v)`` is the only writer; a
-different value already at the key is a clash, which for a fact is the
-contradiction.  After merges, ``_rekey(table, clash)`` is the only thing
-that makes keys canonical again: ``_rehash`` re-keys the nodes, whose
-clash is ``union``, and ``_normalize`` the facts.  ``union`` itself only
-moves the merged-away class's value and tables onto the survivor.
+and a tuple of class ids.  ``node_of_key`` maps ``(head, child classes)``
+to a node, the head being ``("num", n)``, ``("var", kind, i)``,
+``("app", functor)`` or, for a choice, comprehension or scheme functor,
+``("opaque", shape)``, whose children are the term's closed parts
+(``logic.split_closed``).  ``atoms`` maps ``((ns, pid), argument
+classes)`` to a sign, each class's ``attrs`` and ``types`` tables map
+``(attribute id or mode, argument classes)`` to a sign or ``True``, and
+``neg_eq`` holds each disequality both ways round as ``(None, (a, b))``.
+``value`` maps a class to its number.  ``_put(table, key, v)`` is the
+only writer; a different value already at the key is a clash, which for
+a fact is the contradiction.  After merges, ``_rekey(table, clash)`` is
+the only thing that makes keys canonical again: ``_rehash`` re-keys the
+nodes, whose clash is ``union``, and ``_normalize`` the facts.
+``union`` itself only moves the merged-away class's value and tables
+onto the survivor.
 
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
@@ -30,7 +34,7 @@ clause as undecided rather than wrong.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
 from .logic import (
@@ -59,6 +63,8 @@ from .logic import (
     VarKind,
     mk_neg,
     sorted_attrs,
+    split_closed,
+    subst_loci,
 )
 from .subtyping import DefinitionDb
 
@@ -141,43 +147,48 @@ class EqGraph:
     def _ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(self.find, ids)) if ids else ids
 
-    def _interned(self, terms: tuple[Term, ...]) -> tuple[int, ...]:
-        return tuple(map(self.intern, terms)) if terms else ()
+    def _interned(self, terms: tuple[Term, ...], env: Sequence[int] = ()) -> tuple[int, ...]:
+        return tuple([self._node(t, True, env) for t in terms]) if terms else ()
 
     # -- interning --------------------------------------------------------
     # A node is keyed by its head and its children's classes at creation.
     # ``intern`` and ``lookup`` are one walk over the term, ``_node``:
     # interning makes a missing node and seeds its facts, a lookup only
-    # finds one and never changes the graph.
+    # finds one and never changes the graph.  Bound level i < len(env) is
+    # read as the class ``env[i]``, so no caller builds an instance.
 
     def intern(self, t: Term) -> int:
         return self._node(t, True)
 
-    def lookup(self, t: Term) -> int | None:
-        return self._node(t, False)
+    def lookup(self, t: Term, env: Sequence[int] = ()) -> int | None:
+        return self._node(t, False, env)
 
-    def _node(self, t: Term, create: bool) -> int | None:
+    def _node(self, t: Term, create: bool, env: Sequence[int] = ()) -> int | None:
         match t:
+            case FunctorApp(f, args):
+                head, parts = ("app", f), args
             case Var(VarKind.EQCLASS, i):
                 return self.find(i)
+            case Var(VarKind.BOUND, i) if i < len(env):
+                return self.find(env[i])
             case PrivFunc(_, _, exp):
-                return self._node(exp, create)
+                return self._node(exp, create, env)
             case Numeral(v):
-                key = (("num", v), ())
+                head, parts = ("num", v), ()
             case Var(kind, i):
-                key = (("var", kind.value, i), ())
-            case FunctorApp(f, args):
-                ch = []
-                for a in args:
-                    r = self._node(a, create)
-                    if r is None:
-                        return None
-                    ch.append(r)
-                key = (("app", f), tuple(ch))
+                head, parts = ("var", kind.value, i), ()
             case Choice() | Fraenkel() | SchemeFunctorApp():
-                key = (("opaque", t), ())
+                shape, parts = split_closed(t, len(env))
+                head = ("opaque", shape)
             case _:
                 raise TypeError(t)
+        ch = []
+        for a in parts:
+            r = self._node(a, create, env)
+            if r is None:
+                return None
+            ch.append(r)
+        key = (head, tuple(ch))
         n = self.node_of_key.get(key)
         if n is None:
             if not create:
@@ -205,11 +216,10 @@ class EqGraph:
                 self._assume_type_expr(n, self.req.numeral_type())
             case ("app", f):
                 self._assume_type_expr(n, self.db.result_type(f, _class_args(children)))
-            case ("opaque", t):
-                if isinstance(t, Choice):
-                    self._assume_type_expr(n, t.ty)
-                else:
-                    self._assume_type_expr(n, self.req.set_type())
+            case ("opaque", Choice(ty)):
+                self._assume_type_expr(n, subst_loci(ty, _class_args(children)))
+            case ("opaque", _):
+                self._assume_type_expr(n, self.req.set_type())
 
     def term_of_class(self, rep: int) -> Term:
         n = min(self.class_nodes[self.find(rep)])
@@ -219,14 +229,15 @@ class EqGraph:
                 return Numeral(v)
             case ("var", kindval, i):
                 return Var(VarKind(kindval), i)
-            case ("opaque", t):
-                return t
+            case ("opaque", shape):
+                return subst_loci(shape, tuple(self.term_of_class(c) for c in children))
             case ("app", f):
                 return FunctorApp(f, tuple(self.term_of_class(c) for c in children))
         raise AssertionError(head)
 
     def classes(self) -> list[int]:
-        return sorted({self.find(n) for n in range(len(self.nodes))})
+        # ascending: nodes come in id order, and a union drops the larger id
+        return list(self.class_nodes)
 
     # -- fact insertion -----------------------------------------------------
 
@@ -325,18 +336,12 @@ class EqGraph:
         req = self.req
         changed = False
         for n, (head, children) in enumerate(self.nodes):
-            rep = self.find(n)
-            v: ComplexRational | None = None
-            match head:
-                case ("num", k):
-                    if req.present("Natural"):
-                        v = ComplexRational.from_int(k)
-                case ("app", f) if f in req.arith:
-                    cv = [self.value.get(self.find(c)) for c in children]
-                    if all(x is not None for x in cv):
-                        v = req.arith[f].value(*cv)
-            if v is not None:
-                changed |= self._put(self.value, rep, v)
+            # a numeral's value is put when its node is made, and moves with it
+            if head[0] == "app" and head[1] in req.arith:
+                cv = [self.value.get(self.find(c)) for c in children]
+                v = req.arith[head[1]].value(*cv) if all(x is not None for x in cv) else None
+                if v is not None:
+                    changed |= self._put(self.value, self.find(n), v)
         byval: dict[ComplexRational, int] = {}
         for rep in sorted(self.value):
             r = self.find(rep)
@@ -494,10 +499,12 @@ class EqGraph:
                     changed |= self._add_attr(rep, s, aid, args)
         return changed
 
-    def _attr_entries(self, attrs: frozenset[Attr]) -> list[tuple[bool, int, tuple[int, ...]]]:
+    def _attr_entries(
+        self, attrs: frozenset[Attr], env: Sequence[int] = ()
+    ) -> list[tuple[bool, int, tuple[int, ...]]]:
         """The adjectives as (sign, attribute id, argument classes), in
         ``sorted_attrs`` order; their arguments are interned."""
-        return [(a.positive, a.attr_id, self._interned(a.args)) for a in sorted_attrs(attrs)]
+        return [(a.positive, a.attr_id, self._interned(a.args, env)) for a in sorted_attrs(attrs)]
 
     def _functor_cluster_pass(self) -> bool:
         changed = False
@@ -645,16 +652,16 @@ class EqGraph:
                         changed |= self._add_atom("pred", member, (rep, a), True)
         return changed
 
-    def class_satisfies(self, rep: int, ty: TypeExpr) -> bool:
-        """Does everything we know about the class place it in ty?"""
+    def class_satisfies(self, rep: int, ty: TypeExpr, env: Sequence[int] = ()) -> bool:
+        """Does everything we know about the class place it in ty (level i read as ``env[i]``)?"""
         req = self.req
         amap = self.attrs[self.find(rep)]
-        for s, aid, args in self._attr_entries(ty.lower):
+        for s, aid, args in self._attr_entries(ty.lower, env):
             if amap.get((aid, args)) != s:
                 return False
         if ty.mode in (req.cid("Object"), req.cid("Set")):
             return True
-        want_args = self._interned(ty.args)
+        want_args = self._interned(ty.args, env)
         for mode, targs in self.types[self.find(rep)]:
             start = TypeExpr(frozenset(), frozenset(), mode, _class_args(targs))
             for anc in self.db.ancestry(start):

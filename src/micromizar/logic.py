@@ -317,7 +317,8 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 # fields that must be equal before ``zip_nodes`` descends, and ``children``
 # the fields every walk descends into, in order.  A child field holds a
 # node, a tuple of nodes or, for a type's adjectives, a set of attributes,
-# which ``zip_nodes`` pairs in ``sorted_attrs`` order.  The entries state
+# which the map visits and ``zip_nodes`` pairs in ``sorted_attrs`` order, so
+# no hook sees a set in hash order.  The entries state
 # where the map and the pair walk differ: a type's ``upper`` is rebuilt and
 # searched but not compared (a type is compared as written, and a rebuilt
 # type keeps the first tree's), and ``ThesisMarker``, with no head, pairs
@@ -398,8 +399,9 @@ def map_terms(node, fn):
             kind = type(x)
             if kind is tuple or kind is frozenset:
                 if x:
-                    out = [map_terms(u, fn) for u in x]
-                    if any(map(is_not, out, x)):
+                    seq = sorted_attrs(x) if kind is frozenset else x
+                    out = [map_terms(u, fn) for u in seq]
+                    if any(map(is_not, out, seq)):
                         x = kind(out)
                         changed = True
             else:
@@ -532,6 +534,25 @@ def subst_loci(node, terms: tuple[Term, ...]):
         return None
 
     return map_terms(node, fn)
+
+
+def split_closed(t: Term, depth: int) -> tuple[Term, tuple[Term, ...]]:
+    """`t`, found under `depth` binders, as a shape and its parts.  Each
+    largest proper subterm that uses no level bound inside `t` (none at
+    `depth` or deeper) is the k-th part and locus k of the shape, in the
+    map's order, and each level bound inside `t` drops by `depth`; so
+    ``subst_loci(shape, parts)`` at depth 0 is `t` again."""
+    parts: list[Term] = []
+
+    def fn(n):
+        if n is t or not isinstance(n, Term):
+            return None
+        if not any_var(n, lambda v: v.kind is VarKind.BOUND and v.index >= depth):
+            parts.append(n)
+            return locus(len(parts) - 1)
+        return Var(VarKind.BOUND, n.index - depth) if type(n) is Var else None
+
+    return map_terms(t, fn), tuple(parts)
 
 
 def replace_term(node, needle: Term, repl: Term):

@@ -6,9 +6,10 @@ module tries to close the clause by instantiating universals with the
 graph's own equivalence classes (singly, then in directly nested
 pairs) and evaluating each instance three-valued against what the
 graph knows.  Each universal is compiled once per clause into closures
-over the class ids of its variables, so an instance is not built: only
-a flexible conjunction, an opaque term or a type that holds a variable
-is instantiated, because it is compared as a term.
+over the class ids of its variables, so an instance is not built: the
+graph reads bound level i as the class ``env[i]`` wherever it looks a
+term or a type up.  Only a flexible conjunction is instantiated,
+because it is compared as a term.
 
 Evaluation looks terms up and does not intern them: a term the graph
 has not seen is simply unknown, which keeps the search sound.  Type
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from . import equalizer
 from .arith import ComplexRational
 from .equalizer import EqGraph, refute_clause
 from .flex import FlexMode, flex_equal
@@ -61,20 +63,6 @@ from .logic import (
 TUPLE_CAP = 1000
 
 
-def _contains_flex(f: Formula) -> bool:
-    match f:
-        case FlexAnd():
-            return True
-        case Neg(b):
-            return _contains_flex(b)
-        case And(cs):
-            return any(_contains_flex(c) for c in cs)
-        case ForAll(_, b):
-            return _contains_flex(b)
-        case _:
-            return False
-
-
 Env = list[int]  # class id of each bound level, outermost first
 Eval = Callable[[Env], "bool | None"]
 
@@ -86,7 +74,7 @@ def _open(node) -> bool:
 
 def _instance(node, env: Env):
     """The syntactic instance of `node` with bound level i read as class
-    ``env[i]``: the only term the search builds."""
+    ``env[i]``: the only term the search builds, a flexible conjunction."""
     return subst_bound(node, 0, *[Var(VarKind.EQCLASS, rep) for rep in env])
 
 
@@ -107,7 +95,7 @@ class Unifier:
         self.fuel = tuple_cap
         self.capped = False
         self._classes = graph.classes()
-        self._cand_cache: dict[TypeExpr, list[int]] = {}
+        self._cand_cache: dict[tuple[TypeExpr, tuple[int, ...]], list[int]] = {}
 
     # -- top level ---------------------------------------------------------
 
@@ -133,11 +121,11 @@ class Unifier:
 
     # -- universal instantiation ---------------------------------------------
 
-    def _candidates(self, ty: TypeExpr) -> list[int]:
-        cached = self._cand_cache.get(ty)
+    def _candidates(self, ty: TypeExpr, env: tuple[int, ...] = ()) -> list[int]:
+        cached = self._cand_cache.get((ty, env))
         if cached is None:
-            cached = [r for r in self._classes if self.g.class_satisfies(r, ty)]
-            self._cand_cache[ty] = cached
+            cached = [r for r in self._classes if self.g.class_satisfies(r, ty, env)]
+            self._cand_cache[ty, env] = cached
         return cached
 
     def _refute_univ(self, fa: ForAll) -> Env | None:
@@ -161,37 +149,24 @@ class Unifier:
         for rep in self._candidates(fa.ty):
             yield [rep]
             if inner is not None:
-                ty = _instance(inner.ty, [rep]) if _open(inner.ty) else inner.ty
-                for rep2 in self._candidates(ty):
+                for rep2 in self._candidates(inner.ty, (rep,) if _open(inner.ty) else ()):
                     yield [rep, rep2]
 
     def _replay(self, fa: ForAll, path: list[Term]) -> None:
         """Sanity harness: the found instance must refute on its own."""
         if not __debug__:
             return
-        body = fa.body
-        for _ in path[1:]:
-            if not isinstance(body, ForAll):
-                return
-            body = body.body
+        body = fa.body.body if len(path) == 2 else fa.body
         f = subst_bound(body, 0, *path)
-        if _contains_flex(f):
-            return  # flex facts live outside the congruence graph
         parts = [c for c in conjuncts(f) if not isinstance(c, FTrue)]
         for p in parts:
             inner = p
             while isinstance(inner, (Neg, PrivPred)):
                 inner = inner.body if isinstance(inner, Neg) else inner.expansion
-            if isinstance(inner, (And, ForAll, FTrue)):
-                return  # compound instance: the three-valued check stands alone
-        g2 = EqGraph(self.g.db)
-        for i in sorted(self.const_types):
-            g2.assume_const_type(i, self.const_types[i])
-        for lit in self.literals:
-            g2.assume(lit)
-        for p in parts:
-            g2.assume(p)
-        g2.run()
+            if isinstance(inner, (And, ForAll, FTrue, FlexAnd)):
+                return  # compound, or flex outside the graph: the three-valued check stands alone
+        # not this module's name, which a tracer may wrap to count clause graphs
+        g2 = equalizer.refute_clause(self.g.db, [*self.literals, *parts], self.const_types)
         assert g2.contradiction or g2.limited, "instance did not replay"
 
     # -- compiled three-valued evaluation -----------------------------------------
@@ -288,13 +263,12 @@ class Unifier:
     def _qual(self, t: Term, ty: TypeExpr) -> Eval:
         g, term = self.g, self._term(t)
         lower = [self._is(term, a) for a in ty.lower]
-        open_ty = _open(ty)
 
         def qual(env):
             r = term(env)
             if r is None:
                 return None
-            if g.class_satisfies(r, _instance(ty, env) if open_ty else ty):
+            if g.class_satisfies(r, ty, env):
                 return True
             return False if any(is_(env) is False for is_ in lower) else None
 
@@ -315,13 +289,10 @@ class Unifier:
         match t:
             case Var(VarKind.BOUND, i):
                 return lambda env: env[i]
-            case PrivFunc(_, _, exp):
-                return self._term(exp)
             case FunctorApp(f, args):
                 classes = self._args(args)
                 return lambda env: None if (reps := classes(env)) is None else g.lookup_app(f, reps)
-        # a choice, comprehension or scheme functor is keyed by the term itself
-        return lambda env: g.lookup(_instance(t, env))
+        return lambda env: g.lookup(t, env)
 
     def _args(self, args: tuple[Term, ...]) -> Callable[[Env], tuple[int, ...] | None]:
         terms = [self._term(a) for a in args]

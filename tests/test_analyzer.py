@@ -2,8 +2,14 @@
 from text to the list of ``(code, line)`` errors.  Line 1 of every
 article is ``environ begin``."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import micromizar
 from micromizar.analyzer import Analyzer
 from micromizar.logic import Numeral
 from micromizar.parser import parse_article
@@ -290,6 +296,56 @@ theorem for a being set holds G(a) = a \\/ {} by DG;
 theorem G(1) = 1 \\/ {} by DG;
 """
     ) == [(61, 3)]
+
+
+# each label is false, so line 2 is rejected; the restatement citing it
+# needs the universal's opaque term found over the class of its closed
+# part, and the last article needs congruence on a choice
+OPAQUE = [
+    (
+        """D: for a being set holds the Element of bool a c= a;
+theorem for b being set holds the Element of bool b c= b by D;
+""",
+        [(61, 2)],
+    ),
+    (
+        """D: for a being set holds the Element of a c= a;
+theorem for b being set holds the Element of b c= b by D;
+""",
+        [(61, 2)],
+    ),
+    (
+        """D: for a being set holds { x where x being Element of a : x in a } c= a;
+theorem for b being set holds { x where x being Element of b : x in b } c= b by D;
+""",
+        [(61, 2)],
+    ),
+    ("theorem for a, b being set st a = b holds the Element of bool a = the Element of bool b;\n", []),
+]
+
+
+@pytest.mark.parametrize("body, expected", OPAQUE, ids=["element_of_bool", "element_of", "fraenkel", "congruence"])
+def test_a_universal_over_an_opaque_term_proves_its_restatement(check, body, expected):
+    assert check(body) == expected
+
+
+def test_opaque_verdicts_do_not_depend_on_string_hashing():
+    # the analyzer in a fresh interpreter under two hash seeds
+    tests = os.path.dirname(__file__)
+    child = (
+        "import json, os, conftest, test_analyzer as t\n"
+        "from micromizar.requirements import enable_groups, load_requirements\n"
+        "req = load_requirements(os.path.join(conftest.CORPUS, 'requirements.txt'))\n"
+        "req, _ = enable_groups(req, conftest.ALL_GROUPS)\n"
+        "print(json.dumps([t.errors(req, body) for body, _ in t.OPAQUE]))\n"
+    )
+    path = os.pathsep.join([tests, os.path.dirname(list(micromizar.__path__)[0])])
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1] == [[list(e) for e in expected] for _, expected in OPAQUE]
 
 
 def test_trace_of_one_obligation(req_all):

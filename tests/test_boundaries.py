@@ -3,7 +3,8 @@
 builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
-the unifier's search evaluates instances without building them,
+the unifier's search evaluates instances without building them, save
+a flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, and ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables."""
@@ -95,8 +96,10 @@ def test_step_kinds_are_dispatched_in_one_place():
     assert stray == []
 
 
-# the replay rebuilds the refuting instance, and `_instance` builds the
-# leaves whose graph key is a term; nothing else in the search may
+# the replay rebuilds the refuting instance, and `_instance` builds a
+# flexible conjunction's, which is compared as a term; the graph reads
+# every other leaf and type over the classes of the environment, so
+# nothing else in the search may build a term
 REWRITERS = {"subst_bound", "map_terms"}
 MAY_REWRITE = {"_replay", "_instance"}
 
@@ -119,6 +122,29 @@ def test_the_unifier_search_builds_no_terms():
         if isinstance(node, ast.Name) and node.id in REWRITERS
     ]
     assert hits == []
+
+
+def call_sites(path: pathlib.Path, name: str) -> list[tuple[str | None, str | None]]:
+    """(function, class pattern of the innermost ``case``) around each call
+    of the bare name `name`."""
+    out = []
+
+    def visit(node, fn, case):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        elif isinstance(node, ast.match_case) and isinstance(node.pattern, ast.MatchClass):
+            case = node.pattern.cls.id
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            out.append((fn, case))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn, case)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None, None)
+    return out
+
+
+def test_only_a_flexible_conjunction_is_instantiated():
+    assert call_sites(PACKAGE / "unifier.py", "_instance") == [("_formula", "FlexAnd")]
 
 
 def test_only_logic_walks_two_trees_by_hand():

@@ -3,6 +3,8 @@
 from micromizar.equalizer import EqGraph, refute_clause
 from micromizar.logic import (
     Attr,
+    Choice,
+    Fraenkel,
     FunctorApp,
     Is,
     Neg,
@@ -15,7 +17,9 @@ from micromizar.logic import (
     TypeExpr,
     Var,
     VarKind,
+    bound,
     const,
+    split_closed,
 )
 from micromizar.requirements import enable_groups
 from micromizar.subtyping import ConditionalCluster, DefinitionDb, FunctorCluster
@@ -369,6 +373,7 @@ def test_disequality_survives_a_merge_into_a_smaller_class(req_all):
     assert g.find(c) == a
     assert g.are_unequal(b, c)
     assert g.are_unequal(a, b)
+    assert g.classes() == sorted({g.find(n) for n in range(len(g.nodes))})
 
 
 def test_adjectives_of_opposite_sign_clash_when_their_classes_merge(req_all):
@@ -443,3 +448,40 @@ def test_lookup_finds_what_intern_made_and_makes_nothing(req_all):
     g.assume(eq(req, const(0), const(1)))
     g.run()
     assert g.lookup(plus(req, const(1), FunctorApp(req.require("EmptySet"), ()))) == g.find(rep)
+
+
+def test_an_opaque_term_is_keyed_by_the_classes_of_its_closed_parts(req_all):
+    req = req_all
+    elem, powerset = req.require("Element"), req.require("PowerSet")
+    element_of = lambda a: Choice(TypeExpr(FS, FS, elem, (a,)))  # noqa: E731
+    # { x where x being Element of a : x in a }, under `depth` binders
+    fraenkel = lambda a, depth: Fraenkel(  # noqa: E731
+        (TypeExpr(FS, FS, elem, (a,)),), bound(depth), member(req, bound(depth), a)
+    )
+    g = EqGraph(DefinitionDb(req))
+    choice = g.intern(element_of(FunctorApp(powerset, (const(0),))))
+    comprehension = g.intern(fraenkel(const(0), 0))
+    c0 = g.lookup(const(0))
+    # the same terms over bound level 0, read as the class of c0
+    assert g.lookup(element_of(FunctorApp(powerset, (bound(0),))), (c0,)) == choice
+    assert g.lookup(fraenkel(bound(0), 1), (c0,)) == comprehension
+    assert g.lookup(element_of(FunctorApp(powerset, (const(1),)))) is None
+    # congruence: equal closed parts make equal terms
+    other = g.intern(element_of(FunctorApp(powerset, (const(1),))))
+    g.assume(eq(req, const(0), const(1)))
+    g.run()
+    assert g.find(other) == g.find(choice)
+    assert g.term_of_class(other) == element_of(FunctorApp(powerset, (const(0),)))
+
+
+def test_an_opaque_key_does_not_depend_on_the_order_of_a_set(req_all):
+    # two equal adjective sets that iterate in different orders: the
+    # closed parts are numbered in ``sorted_attrs`` order all the same
+    req = req_all
+    attrs = [Attr(True, 100 + k, (const(k),)) for k in range(16)]
+    a, b = next((a, b) for a in attrs for b in attrs if list(frozenset([a, b])) != list(frozenset([b, a])))
+    one, two = (Choice(TypeExpr(s, s, req.require("Set"))) for s in (frozenset([a, b]), frozenset([b, a])))
+    assert split_closed(one, 0) == split_closed(two, 0)
+    g = EqGraph(DefinitionDb(req))
+    assert g.intern(one) == g.intern(two)
+    assert [head[0] for head, _ in g.nodes].count("opaque") == 1

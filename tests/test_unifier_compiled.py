@@ -7,7 +7,10 @@ one (``_oracles.ReferenceUnifier``, which substitutes and walks every
 instance) each see the graph exactly as their own search leaves it:
 a type check may intern terms.  Every tuple tried must evaluate the
 same on both, and ``refute`` must give the same result, fuel and graph
-size.
+size.  The compiled search looks an opaque term up by the classes of
+its closed parts, read from its environment, and the reference by the
+class variables of its instance; some refutations must need such a
+lookup.
 """
 
 import random
@@ -60,8 +63,8 @@ NONE = frozenset()
 class Gen:
     """Terms and formulas over the test requirement table.  At `pool`
     bound levels in scope a variable is ``bound(i)``; in a ground fact
-    (pool 0) it is a constant or, inside opaque terms and flexible
-    conjunctions, the class variable an instance would hold."""
+    (pool 0) it is a constant or the class variable an instance would
+    hold."""
 
     def __init__(self, rng: random.Random, req):
         self.rng, self.req = rng, req
@@ -99,9 +102,13 @@ class Gen:
         return orc.gen_term(rng, pool, budget - 1)
 
     def opaque(self, pool: int, v=None, kind=None):
-        """A term over the variable `v` that the graph keys by the term
-        itself."""
-        v = self.var(pool) if v is None else v
+        """A choice, comprehension or scheme functor over `v`, by default a
+        variable or its power set: the graph keys it by the classes of
+        such closed parts."""
+        if v is None:
+            v = self.var(pool)
+            if self.rng.random() < 0.3:
+                v = FunctorApp(self.req.require("PowerSet"), (v,))
         kind = kind or self.rng.choice(OPAQUE)
         self.kinds[kind] += 1
         if kind == "Choice":
@@ -122,7 +129,7 @@ class Gen:
         kind = rng.choice(("Pred", "Equality", "Value", "LessOrEqual", "SchemePred", "Is", "Qual", "FlexAnd"))
         self.kinds[kind] += 1
         if kind == "Pred":
-            if rng.random() < 0.3:
+            if rng.random() < 0.5:
                 return Pred(USER_PREDS[0], (self.opaque(pool),))
             return Pred(rng.choice(USER_PREDS), tuple(t() for _ in range(rng.randrange(1, 3))))
         if kind == "Equality":
@@ -178,7 +185,9 @@ class Gen:
         signed = lambda f: f if rng.random() < 0.5 else mk_neg(f)  # noqa: E731
         for i in range(CONSTS):
             for kind in OPAQUE:
-                facts.append(signed(Pred(USER_PREDS[0], (self.opaque(0, Var(VarKind.EQCLASS, i), kind),))))
+                # over the class variable an instance holds, the constant, or its power set
+                v = rng.choice((Var(VarKind.EQCLASS, i), const(i), FunctorApp(req.require("PowerSet"), (const(i),))))
+                facts.append(signed(Pred(USER_PREDS[0], (self.opaque(0, v, kind),))))
             for j in range(CONSTS):
                 if rng.random() < 0.5:
                     facts.append(signed(Is(const(i), Attr(True, USER_ATTR, (const(j),)))))
@@ -194,6 +203,17 @@ def consts(req):
 
 def graph(req, lits):
     return refute_clause(DefinitionDb(req), list(lits), consts(req))
+
+
+def needs_opaque(g, evaluate, env) -> bool:
+    """Is `evaluate(env)`, which was False, no longer False when the graph
+    finds no opaque term?"""
+    lookup = g.lookup
+    g.lookup = lambda t, env=(): None if type(t).__name__ in OPAQUE else lookup(t, env)
+    try:
+        return evaluate(env) is not False
+    finally:
+        del g.lookup
 
 
 def reference_tuples(u, fa):
@@ -221,6 +241,7 @@ def test_every_tuple_evaluates_as_the_reference_walk(req_all, clauses):
             continue
         ref = orc.ReferenceUnifier(g_ref, tuple(clause))
         new = Unifier(g_new, tuple(clause))
+        refuting = []
         for fa in list(g_new.foralls):
             single = new._formula(fa.body)
             pair = new._formula(fa.body.body) if isinstance(fa.body, ForAll) else None
@@ -228,17 +249,22 @@ def test_every_tuple_evaluates_as_the_reference_walk(req_all, clauses):
             for env in new._tuples(fa):
                 ref_env, inst = next(walk)
                 assert env == ref_env
-                got = (single if len(env) == 1 else pair)(env)
+                evaluate = single if len(env) == 1 else pair
+                got = evaluate(env)
                 assert got == ref.eval(inst), (fa, env)
                 outcomes[got] += 1
+                if got is False:
+                    refuting.append((evaluate, env))
             assert next(walk, None) is None
             assert len(g_new.nodes) == len(g_ref.nodes)
+        # last: a search that cannot see opaque terms may intern other types
+        outcomes["through an opaque leaf"] += sum(needs_opaque(g_new, f, env) for f, env in refuting)
     # the sample reaches every kind and every outcome
     assert set(kinds) >= {
         "Pred", "Equality", "Value", "LessOrEqual", "SchemePred", "Is", "Qual", "FlexAnd",
         "PrivPred", "inner ForAll", "pair", "Choice", "Fraenkel", "SchemeFunctorApp",
     }
-    assert min(outcomes[True], outcomes[False], outcomes[None]) > 0, outcomes
+    assert min(outcomes[True], outcomes[False], outcomes[None], outcomes["through an opaque leaf"]) > 0, outcomes
 
 
 def with_constants(f):
