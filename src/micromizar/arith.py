@@ -15,7 +15,8 @@ assume.
 Polynomials are normal forms over class ids: a sorted tuple of
 (monomial, coefficient) pairs, monomials being sorted tuples of
 (class id, exponent).  Exponents are plain ints, so repeated squaring
-is cheap no matter how large the exponent gets.
+is cheap no matter how large the exponent gets.  Each operation builds
+its result in one dict and freezes it once (``_freeze``).
 
 ``OPS`` is the one definition of the builtin arithmetic functors, keyed
 by requirement name.  Each entry has a ``value`` rule on
@@ -56,6 +57,8 @@ class ComplexRational:
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
+        if not self.im and not other.im:
+            return ComplexRational(self.re * other.re)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -103,11 +106,11 @@ MONO_ONE: Monomial = ()
 
 
 def _freeze(d: dict[Monomial, ComplexRational]) -> Polynomial:
-    return tuple(sorted(((m, c) for m, c in d.items() if not c.is_zero())))
+    return tuple(sorted([t for t in d.items() if t[1].re or t[1].im]))
 
 
 def p_const(c: ComplexRational) -> Polynomial:
-    return _freeze({MONO_ONE: c})
+    return ((MONO_ONE, c),) if c.re or c.im else ()
 
 
 P_ZERO: Polynomial = ()
@@ -164,8 +167,12 @@ def p_is_const(a: Polynomial) -> ComplexRational | None:
     return None
 
 
+def p_is_atom(a: Polynomial) -> int | None:
+    return a[0][0][0][0] if len(a) == 1 and a[0][1] == ONE and len(a[0][0]) == 1 and a[0][0][0][1] == 1 else None
+
+
 def p_sort_key(a: Polynomial) -> tuple:
-    return tuple((m, c.sort_key()) for m, c in a)
+    return tuple([(m, c.sort_key()) for m, c in a])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ nodes, whose clash is ``union``, and ``_normalize`` the facts.
 ``union`` itself only moves the merged-away class's value and tables
 onto the survivor.
 
+``poly`` maps a polynomial normal form (``arith``, over class ids) to
+its class; its clash is ``union``.  A class's polynomials are its value,
+its nodes' and ``canon``, the least (a class in progress read as its
+atom).  A class is due when a node is made in it, it merges or gets a
+value, or a class it reads (``users``) is due; each round's pass replaces
+only the due classes' entries, and compares each pair of them once.
+
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
 normalization the full arithmetic, order reasoning the ordering
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
+from .arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_atom, p_is_const, p_sort_key, p_sub
 from .logic import (
     And,
     Attr,
@@ -83,6 +90,12 @@ class EqGraph:
         self.neg_quals: dict[int, list[tuple[int, tuple[int, ...], list]]] = {}
         self.atoms: dict[tuple[tuple[str, int], tuple[int, ...]], bool] = {}
         self.neg_eq: dict[tuple[None, tuple[int, int]], bool] = {}
+        self.poly: dict[Polynomial, int] = {}
+        self.canon: dict[int, Polynomial] = {}
+        self.polys: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials, compared pairwise by group
+        self.users: dict[int, list[int]] = {}  # class -> arithmetic nodes with a child in it
+        self._due: set[int] = set()  # classes whose polynomials are to be recomputed
+        self._arith = self.req.arith if "ARITHM" in self.req.enabled else None
         self.foralls: list[ForAll] = []
         self.flexes: list[tuple[bool, FlexConj]] = []
         self.contradiction = False
@@ -111,6 +124,9 @@ class EqGraph:
                 self._put(into, key, v)
         self.neg_quals.setdefault(lo, []).extend(self.neg_quals.pop(hi, []))
         self.class_nodes[lo].extend(self.class_nodes.pop(hi))
+        self.users.setdefault(lo, []).extend(self.users.pop(hi, ()))
+        self.polys.setdefault(lo, []).extend(self.polys.pop(hi, ()))
+        self._due.add(lo)
         return True
 
     # -- tables -------------------------------------------------------------
@@ -123,6 +139,8 @@ class EqGraph:
         kept = table.get(key)
         if kept is None:
             table[key] = v
+            if table is self.value:
+                self._due.add(key)
             return True
         if kept != v:
             if clash is None:
@@ -209,6 +227,9 @@ class EqGraph:
         return None if n is None else self.find(n)
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
+        self._due.add(n)
+        for c in set(children) if head[0] == "app" and head[1] in (self._arith or ()) else ():
+            self.users.setdefault(c, []).append(n)
         match head:
             case ("num", v):
                 if self.req.present("Natural"):
@@ -356,9 +377,20 @@ class EqGraph:
         return changed
 
     def _poly_pass(self) -> bool:
-        if "ARITHM" not in self.req.enabled:
+        if self._arith is None or not self._due:
             return False
-        arith = self.req.arith
+        arith, find = self._arith, self.find
+        due: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials compared pairwise, in groups
+        todo, self._due = list(self._due), set()
+        while todo:
+            rep = find(todo.pop())
+            if rep not in due:
+                old = due[rep] = self.polys.pop(rep, [])
+                for p in set().union(*old):
+                    if p in self.poly and find(self.poly[p]) == rep:
+                        del self.poly[p]
+                todo.extend(self.users.get(rep, ()))
+
         memo: dict[int, Polynomial] = {}
         in_progress: set[int] = set()
         # A node's polynomial is kept until the pass merges classes or
@@ -366,30 +398,29 @@ class EqGraph:
         # progress: such a class reads differently once it is finished.
         node_memo: dict[int, Polynomial | None] = {}
         cuts = 0
+        looped: set[int] = set()
 
         def class_poly(rep: int) -> Polynomial:
             nonlocal cuts
-            rep = self.find(rep)
+            rep = find(rep)
             if rep in memo:
                 return memo[rep]
+            if rep not in due:
+                return self.canon[rep]
             if rep in in_progress:
                 cuts += 1
+                looped.add(rep)
                 return p_atom(rep)
             v = self.value.get(rep)
             if v is not None:
                 memo[rep] = p_const(v)
                 return memo[rep]
             in_progress.add(rep)
-            best: Polynomial | None = None
-            for n in sorted(self.class_nodes[rep]):
-                p = node_poly(n)
-                if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
-                    best = p
+            nodes = self.class_nodes[rep]
+            ps = [p for n in (sorted(nodes) if len(nodes) > 1 else nodes) if (p := node_poly(n)) is not None]
             in_progress.discard(rep)
-            if best is None:
-                best = p_atom(rep)
-            memo[rep] = best
-            return best
+            memo[rep] = min(ps, key=p_sort_key) if len(ps) > 1 else ps[0] if ps else p_atom(rep)
+            return memo[rep]
 
         def node_poly(n: int) -> Polynomial | None:
             if n in node_memo:
@@ -408,32 +439,34 @@ class EqGraph:
             return p
 
         changed = False
-        seen: dict[Polynomial, int] = {}
-        for rep in self.classes():
-            cands = {class_poly(rep)}
-            for n in self.class_nodes[rep]:
-                p = node_poly(n)
-                if p is not None:
-                    cands.add(p)
-            v = self.value.get(rep)
-            cands.add(p_const(v) if v is not None else p_atom(rep))
-            ordered = sorted(cands, key=p_sort_key)
+        for rep in sorted(due):
+            if rep not in self.class_nodes:
+                continue
+            canon, v = class_poly(rep), self.value.get(rep)
+            cands = {p for n in self.class_nodes[rep] if (p := node_poly(n)) is not None}
+            cands.update([canon, p_const(v)] if v is not None else [canon] if cands else [])
+            ordered = sorted(cands, key=p_sort_key) if len(cands) > 1 else list(cands)
             grew = False
             for p in ordered:
-                c = p_is_const(p)
+                c, a = (p_is_const(p), p_is_atom(p)) if len(p) <= 1 else (None, None)
                 if c is not None:
-                    grew |= self._put(self.value, self.find(rep), c)
-                prev = seen.get(p)
-                if prev is None:
-                    seen[p] = rep
-                elif self.find(prev) != self.find(rep):
-                    grew |= self.union(prev, rep)
-            for i in range(len(ordered)):
-                for j in range(i + 1, len(ordered)):
-                    grew |= self._poly_gap(p_sub(ordered[i], ordered[j]))
+                    grew |= self._put(self.value, find(rep), c)
+                classes = len(self.class_nodes)
+                if a is None:
+                    self._put(self.poly, p, rep, self.union)
+                else:  # a bare atom names its class
+                    self.union(a, rep)
+                grew |= len(self.class_nodes) < classes
+            ordered += [p_atom(rep)] if v is None and rep in looped else []
+            for i, p in enumerate(ordered):
+                for q in ordered[i + 1 :]:
+                    if not any(p in g and q in g for g in due[rep]):
+                        grew |= self._poly_gap(p_sub(p, q))
+            self.polys.setdefault(find(rep), []).append(cands)
             if grew:
                 node_memo.clear()
                 changed = True
+        self.canon.update(memo)
         return changed
 
     def _poly_gap(self, d: Polynomial) -> bool:

@@ -20,7 +20,11 @@ skolemization and distribution as they were before the clauses were
 counted first and streamed: one substitution per binder, and every
 clause built into a list until ``ClauseOverflow``.  ``reference_term_key``
 and ``reference_attr_key`` are the sort keys as they were before they
-broke ties: the rank alone.
+broke ties: the rank alone.  ``ReferenceGraph`` is the congruence
+graph with polynomials as they were before they became a graph table:
+one pass per round that recomputes the polynomial of every class and
+compares every pair of each class's polynomials, and ``graph_digest``
+is what two saturated graphs must agree on.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import operator
 import random
 
+from micromizar.arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
+from micromizar.equalizer import EqGraph
 from micromizar.flex import MalformedFlex, NoCommonShape, NonNumericBound, flex_equal
 from micromizar.logic import (
     And,
@@ -1094,3 +1100,140 @@ def _reference_type_key(ty: TypeExpr) -> tuple:
         tuple(reference_term_key(t) for t in ty.args),
         tuple(sorted(reference_attr_key(a) for a in ty.lower)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the congruence graph with a polynomial pass every round
+
+
+class ReferenceGraph(EqGraph):
+    """``EqGraph`` with ``_poly_pass`` as it was before polynomials were a
+    graph table: every round it recomputes each class's polynomial (the
+    least of its nodes', a class in progress read as its atom), merges
+    classes that share one, and compares every pair of each class's
+    polynomials."""
+
+    def _poly_pass(self) -> bool:
+        if "ARITHM" not in self.req.enabled:
+            return False
+        arith = self.req.arith
+        memo: dict[int, Polynomial] = {}
+        in_progress: set[int] = set()
+        node_memo: dict[int, Polynomial | None] = {}
+        cuts = 0
+
+        def class_poly(rep: int) -> Polynomial:
+            nonlocal cuts
+            rep = self.find(rep)
+            if rep in memo:
+                return memo[rep]
+            if rep in in_progress:
+                cuts += 1
+                return p_atom(rep)
+            v = self.value.get(rep)
+            if v is not None:
+                memo[rep] = p_const(v)
+                return memo[rep]
+            in_progress.add(rep)
+            best: Polynomial | None = None
+            for n in sorted(self.class_nodes[rep]):
+                p = node_poly(n)
+                if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
+                    best = p
+            in_progress.discard(rep)
+            if best is None:
+                best = p_atom(rep)
+            memo[rep] = best
+            return best
+
+        def node_poly(n: int) -> Polynomial | None:
+            if n in node_memo:
+                return node_memo[n]
+            head, children = self.nodes[n]
+            if head[0] == "num":
+                p = p_const(ComplexRational.from_int(head[1]))
+            elif head[0] != "app" or head[1] not in arith:
+                p = None
+            else:
+                before = cuts
+                p = arith[head[1]].poly(*[class_poly(c) for c in children])
+                if cuts != before:
+                    return p
+            node_memo[n] = p
+            return p
+
+        changed = False
+        seen: dict[Polynomial, int] = {}
+        for rep in self.classes():
+            cands = {class_poly(rep)}
+            for n in self.class_nodes[rep]:
+                p = node_poly(n)
+                if p is not None:
+                    cands.add(p)
+            v = self.value.get(rep)
+            cands.add(p_const(v) if v is not None else p_atom(rep))
+            ordered = sorted(cands, key=p_sort_key)
+            grew = False
+            for p in ordered:
+                c = p_is_const(p)
+                if c is not None:
+                    grew |= self._put(self.value, self.find(rep), c)
+                prev = seen.get(p)
+                if prev is None:
+                    seen[p] = rep
+                elif self.find(prev) != self.find(rep):
+                    grew |= self.union(prev, rep)
+            for i in range(len(ordered)):
+                for j in range(i + 1, len(ordered)):
+                    grew |= self._reference_gap(p_sub(ordered[i], ordered[j]))
+            if grew:
+                node_memo.clear()
+                changed = True
+        return changed
+
+    def _reference_gap(self, d: Polynomial) -> bool:
+        c = p_is_const(d)
+        if c is not None:
+            if not c.is_zero():
+                self.contradiction = True
+            return False
+        monos = dict(d)
+        consts = monos.pop((), ZERO)
+        if len(monos) == 1:
+            (mono, coeff), = monos.items()
+            if len(mono) == 1 and mono[0][1] == 1:
+                cid = mono[0][0]
+                return self._put(self.value, self.find(cid), (-consts) / coeff)
+        return False
+
+
+def reference_refute_clause(db, literals: list[Formula], const_types: dict[int, TypeExpr]) -> ReferenceGraph:
+    g = ReferenceGraph(db)
+    for idx in sorted(const_types):
+        g.assume_const_type(idx, const_types[idx])
+    for lit in literals:
+        g.assume(lit)
+    g.run()
+    return g
+
+
+def graph_digest(g: EqGraph) -> str:
+    """What a saturated graph knows, in a form independent of hash order:
+    its node count and, per class, the class's nodes, value, adjectives
+    and types, and the atoms, every class id made canonical."""
+
+    def ids(args: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(g.find, args))
+
+    parts = [f"nodes {len(g.nodes)}"]
+    for rep in g.classes():
+        v = g.value.get(rep)
+        attrs = sorted((aid, ids(args), s) for (aid, args), s in g.attrs[rep].items())
+        types = sorted({(mode, ids(args)) for mode, args in g.types[rep]})
+        parts.append(
+            f"class {sorted(g.class_nodes[rep])} value {None if v is None else v.sort_key()} "
+            f"attrs {attrs} types {types}"
+        )
+    atoms = sorted({(key, ids(args), s) for (key, args), s in g.atoms.items()})
+    parts.append(f"atoms {atoms}")
+    return "\n".join(parts)

@@ -329,15 +329,16 @@ def test_a_universal_over_an_opaque_term_proves_its_restatement(check, body, exp
     assert check(body) == expected
 
 
-def test_opaque_verdicts_do_not_depend_on_string_hashing():
-    # the analyzer in a fresh interpreter under two hash seeds
+def verdicts_under_hash_seeds(cases: str) -> list:
+    """The errors of each article in the module-level list `cases`, from
+    the analyzer in a fresh interpreter under hash seeds 0 and 1."""
     tests = os.path.dirname(__file__)
     child = (
         "import json, os, conftest, test_analyzer as t\n"
         "from micromizar.requirements import enable_groups, load_requirements\n"
         "req = load_requirements(os.path.join(conftest.CORPUS, 'requirements.txt'))\n"
         "req, _ = enable_groups(req, conftest.ALL_GROUPS)\n"
-        "print(json.dumps([t.errors(req, body) for body, _ in t.OPAQUE]))\n"
+        f"print(json.dumps([t.errors(req, body) for body, _ in t.{cases}]))\n"
     )
     path = os.pathsep.join([tests, os.path.dirname(list(micromizar.__path__)[0])])
     runs = []
@@ -345,7 +346,33 @@ def test_opaque_verdicts_do_not_depend_on_string_hashing():
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
+    return runs
+
+
+def test_opaque_verdicts_do_not_depend_on_string_hashing():
+    runs = verdicts_under_hash_seeds("OPAQUE")
     assert runs[0] == runs[1] == [[list(e) for e in expected] for _, expected in OPAQUE]
+
+
+# a product of linear forms against its expansion, the same with one
+# coefficient off, and a linear hypothesis that pins its unknown
+POLY = [
+    ("theorem for x, y being complex object holds (x + 2) * (y - 3) = x * y - 3 * x + 2 * y - 6;\n", []),
+    ("theorem for x, y being complex object holds (x + 2) * (y - 3) = x * y - 3 * x + 2 * y - 5;\n", [(61, 2)]),
+    ("theorem for y being complex object st 2 * y + 3 = 3 holds y = 0;\n", []),
+]
+
+
+@pytest.mark.parametrize("body, expected", POLY, ids=["expansion", "off_by_one", "pin"])
+def test_polynomial_theorems(check, body, expected):
+    assert check(body) == expected
+
+
+def test_polynomial_verdicts_do_not_depend_on_hashing():
+    # the polynomial table is a dict keyed by normal forms: the order it
+    # is filled and read in must never reach a verdict
+    runs = verdicts_under_hash_seeds("POLY")
+    assert runs[0] == runs[1] == [[list(e) for e in expected] for _, expected in POLY]
 
 
 def test_trace_of_one_obligation(req_all):

@@ -6,8 +6,9 @@ only ``arith`` decides how numbers are represented,
 the unifier's search evaluates instances without building them, save
 a flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
-shape of every kernel node kind, and ``EqGraph._put`` is the only
-writer of the congruence graph's fact tables."""
+shape of every kernel node kind, ``EqGraph._put`` is the only
+writer of the congruence graph's fact tables, and only the upkeep of
+its polynomial table computes a normal form."""
 
 import ast
 import dataclasses
@@ -177,7 +178,7 @@ def test_one_table_is_keyed_by_node_kinds():
     assert tables == ["logic.py:_SHAPE"]
 
 
-FACT_TABLES = {"value", "attrs", "types", "atoms", "neg_eq"}
+FACT_TABLES = {"value", "attrs", "types", "atoms", "neg_eq", "poly", "node_of_key"}
 STORES = {"setdefault", "update", "append", "extend", "insert", "add", "__setitem__", "__ior__"}
 
 
@@ -222,3 +223,23 @@ def test_only_put_writes_a_fact_table():
     # a second writer would need its own clash check, and would be one
     # more place for a fact to bypass the contradiction
     assert fact_stores(PACKAGE / "equalizer.py") == []
+
+
+# the polynomial rules run only where the table is brought up to date,
+# so a node's normal form cannot drift back to being recomputed by some
+# other pass
+POLY_UPKEEP = {"_poly_pass"}
+
+
+def test_only_the_table_upkeep_computes_normal_forms():
+    path = PACKAGE / "equalizer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (graph,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EqGraph"]
+    calls = [
+        (method.name, node.lineno)
+        for method in graph.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poly"
+    ]
+    assert {name for name, _ in calls} == POLY_UPKEEP

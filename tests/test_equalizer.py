@@ -1,5 +1,11 @@
 """Clause refutation through the congruence graph."""
 
+import collections
+import random
+
+import _oracles as orc
+from conftest import ALL_GROUPS
+from micromizar.arith import OPS, Op
 from micromizar.equalizer import EqGraph, refute_clause
 from micromizar.logic import (
     Attr,
@@ -485,3 +491,85 @@ def test_an_opaque_key_does_not_depend_on_the_order_of_a_set(req_all):
     g = EqGraph(DefinitionDb(req))
     assert g.intern(one) == g.intern(two)
     assert [head[0] for head, _ in g.nodes].count("opaque") == 1
+
+
+def minus(req, a, b):
+    return FunctorApp(req.require("Sub"), (a, b))
+
+
+def test_every_pair_of_a_class_s_polynomials_is_compared(req_all):
+    # a = z - 3, a = x + y + 1, a = x + y + 2: the class of a holds three
+    # polynomials, and only the two that are not its least, z - 3, differ
+    # by a nonzero constant
+    req = req_all
+    x, y, z, a = (const(i) for i in range(4))
+    xy = plus(req, x, y)
+    g = run_clause(
+        req,
+        [
+            eq(req, a, minus(req, z, Numeral(3))),
+            eq(req, a, plus(req, xy, Numeral(1))),
+            eq(req, a, plus(req, xy, Numeral(2))),
+        ],
+    )
+    assert g.contradiction
+
+
+def random_arith_term(req, rng: random.Random, consts: int, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return Numeral(rng.randrange(5)) if rng.random() < 0.35 else const(rng.randrange(consts))
+    name = rng.choice(["Add", "Sub", "Mul", "Div", "Neg", "Succ", "Add", "Mul"])
+    arity = 2 if name in ("Add", "Sub", "Mul", "Div") else 1
+    return FunctorApp(req.require(name), tuple(random_arith_term(req, rng, consts, depth - 1) for _ in range(arity)))
+
+
+def random_arith_clause(req, rng: random.Random) -> list:
+    consts = rng.choice([3, 4])
+    lits = []
+    for _ in range(rng.randint(2, 5)):
+        a = random_arith_term(req, rng, consts, 3)
+        b = random_arith_term(req, rng, consts, rng.randrange(4))
+        lits.append(eq(req, a, b) if rng.random() < 0.7 else neq(req, a, b))
+    return lits
+
+
+def test_the_polynomial_table_agrees_with_the_pass_over_every_class(req_all):
+    # ``ReferenceGraph`` recomputes every class's polynomials each round.
+    # A refuted graph stops in the round its contradiction appears, and
+    # what it holds then depends on the order the rules met the facts in
+    # (the table meets a later class's polynomial before the pass reaches
+    # that class), so only a saturated graph's digest is compared.
+    rng = random.Random(12)
+    refuted = 0
+    for _ in range(300):
+        lits = random_arith_clause(req_all, rng)
+        g = run_clause(req_all, lits)
+        ref = orc.reference_refute_clause(DefinitionDb(req_all), lits, {})
+        assert (g.contradiction, g.limited) == (ref.contradiction, ref.limited), lits
+        if not ref.contradiction:
+            assert orc.graph_digest(g) == orc.graph_digest(ref), lits
+        refuted += ref.contradiction
+    assert 50 < refuted < 250
+
+
+def test_a_node_s_normal_form_is_computed_once(req_file, monkeypatch):
+    # the clause saturates in more than one round and merges nothing the
+    # arithmetic reads: the per-round pass applies a polynomial rule to
+    # every node each round, the table once per node
+    calls: collections.Counter = collections.Counter()
+    for name, op in list(OPS.items()):
+        def poly(*args, _name=name, _rule=op.poly):
+            calls[_name] += 1
+            return _rule(*args)
+
+        monkeypatch.setitem(OPS, name, Op(op.value, poly))
+    req, _ = enable_groups(req_file, ALL_GROUPS)
+    x, y, z = (const(i) for i in range(3))
+    lits = [neq(req, plus(req, times(req, x, y), Numeral(1)), z), le(req, z, Numeral(2))]
+    g = run_clause(req, lits)
+    assert not g.contradiction
+    arithmetic = sum(head[0] == "app" and head[1] in req.arith for head, _ in g.nodes)
+    assert sum(calls.values()) == arithmetic == 2
+    calls.clear()
+    orc.reference_refute_clause(DefinitionDb(req), lits, {})
+    assert sum(calls.values()) > arithmetic
