@@ -15,8 +15,8 @@ assume.
 Polynomials are normal forms over class ids: a sorted tuple of
 (monomial, coefficient) pairs, monomials being sorted tuples of
 (class id, exponent).  Exponents are plain ints, so repeated squaring
-is cheap no matter how large the exponent gets.  Each operation builds
-its result in one dict and freezes it once (``_freeze``).
+is cheap no matter how large the exponent gets.  A sum, product or
+scaling builds its result in one dict and freezes it once (``_freeze``).
 
 ``OPS`` is the one definition of the builtin arithmetic functors, keyed
 by requirement name.  Each entry has a ``value`` rule on
@@ -57,8 +57,6 @@ class ComplexRational:
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        if not self.im and not other.im:
-            return ComplexRational(self.re * other.re)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -106,11 +104,11 @@ MONO_ONE: Monomial = ()
 
 
 def _freeze(d: dict[Monomial, ComplexRational]) -> Polynomial:
-    return tuple(sorted([t for t in d.items() if t[1].re or t[1].im]))
+    return tuple(sorted(((m, c) for m, c in d.items() if not c.is_zero())))
 
 
 def p_const(c: ComplexRational) -> Polynomial:
-    return ((MONO_ONE, c),) if c.re or c.im else ()
+    return _freeze({MONO_ONE: c})
 
 
 P_ZERO: Polynomial = ()
@@ -168,11 +166,15 @@ def p_is_const(a: Polynomial) -> ComplexRational | None:
 
 
 def p_is_atom(a: Polynomial) -> int | None:
-    return a[0][0][0][0] if len(a) == 1 and a[0][1] == ONE and len(a[0][0]) == 1 and a[0][0][0][1] == 1 else None
+    if len(a) == 1 and a[0][1] == ONE and len(a[0][0]) == 1:
+        ((cid, e),) = a[0][0]
+        if e == 1:
+            return cid
+    return None
 
 
 def p_sort_key(a: Polynomial) -> tuple:
-    return tuple([(m, c.sort_key()) for m, c in a])
+    return tuple((m, c.sort_key()) for m, c in a)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ onto the survivor.
 its class; its clash is ``union``.  A class's polynomials are its value,
 its nodes' and ``canon``, the least (a class in progress read as its
 atom).  A class is due when a node is made in it, it merges or gets a
-value, or a class it reads (``users``) is due; each round's pass replaces
-only the due classes' entries, and compares each pair of them once.
+value, its ``canon`` was read through a class in progress, or a class it
+reads (``users``) is due; each round's pass recomputes only the due
+classes' entries, and compares each pair of a class's polynomials once.
 
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
@@ -124,9 +125,10 @@ class EqGraph:
                 self._put(into, key, v)
         self.neg_quals.setdefault(lo, []).extend(self.neg_quals.pop(hi, []))
         self.class_nodes[lo].extend(self.class_nodes.pop(hi))
-        self.users.setdefault(lo, []).extend(self.users.pop(hi, ()))
-        self.polys.setdefault(lo, []).extend(self.polys.pop(hi, ()))
-        self._due.add(lo)
+        if self._arith is not None:
+            self.users.setdefault(lo, []).extend(self.users.pop(hi, ()))
+            self.polys.setdefault(lo, []).extend(self.polys.pop(hi, ()))
+            self._due.add(lo)
         return True
 
     # -- tables -------------------------------------------------------------
@@ -139,7 +141,7 @@ class EqGraph:
         kept = table.get(key)
         if kept is None:
             table[key] = v
-            if table is self.value:
+            if table is self.value and self._arith is not None:
                 self._due.add(key)
             return True
         if kept != v:
@@ -227,9 +229,11 @@ class EqGraph:
         return None if n is None else self.find(n)
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
-        self._due.add(n)
-        for c in set(children) if head[0] == "app" and head[1] in (self._arith or ()) else ():
-            self.users.setdefault(c, []).append(n)
+        if self._arith is not None:
+            self._due.add(n)
+            if head[0] == "app" and head[1] in self._arith:
+                for c in children:
+                    self.users.setdefault(c, []).append(n)
         match head:
             case ("num", v):
                 if self.req.present("Natural"):
@@ -379,19 +383,19 @@ class EqGraph:
     def _poly_pass(self) -> bool:
         if self._arith is None or not self._due:
             return False
-        arith, find = self._arith, self.find
+        arith, find, canon = self._arith, self.find, self.canon
         due: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials compared pairwise, in groups
         todo, self._due = list(self._due), set()
         while todo:
             rep = find(todo.pop())
             if rep not in due:
                 old = due[rep] = self.polys.pop(rep, [])
+                canon.pop(rep, None)
                 for p in set().union(*old):
                     if p in self.poly and find(self.poly[p]) == rep:
                         del self.poly[p]
                 todo.extend(self.users.get(rep, ()))
 
-        memo: dict[int, Polynomial] = {}
         in_progress: set[int] = set()
         # A node's polynomial is kept until the pass merges classes or
         # sets a value, and only if no class it read was cut off as in
@@ -403,24 +407,32 @@ class EqGraph:
         def class_poly(rep: int) -> Polynomial:
             nonlocal cuts
             rep = find(rep)
-            if rep in memo:
-                return memo[rep]
-            if rep not in due:
-                return self.canon[rep]
+            if rep in canon:
+                return canon[rep]
             if rep in in_progress:
                 cuts += 1
                 looped.add(rep)
                 return p_atom(rep)
             v = self.value.get(rep)
             if v is not None:
-                memo[rep] = p_const(v)
-                return memo[rep]
+                canon[rep] = p_const(v)
+                return canon[rep]
             in_progress.add(rep)
-            nodes = self.class_nodes[rep]
-            ps = [p for n in (sorted(nodes) if len(nodes) > 1 else nodes) if (p := node_poly(n)) is not None]
+            before = cuts
+            best: Polynomial | None = None
+            for n in sorted(self.class_nodes[rep]):
+                p = node_poly(n)
+                if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
+                    best = p
             in_progress.discard(rep)
-            memo[rep] = min(ps, key=p_sort_key) if len(ps) > 1 else ps[0] if ps else p_atom(rep)
-            return memo[rep]
+            if cuts != before:
+                # read through a cut, it depends on where the walk came
+                # in, so the next pass recomputes it rather than trust canon
+                self._due.add(rep)
+            if best is None:
+                best = p_atom(rep)
+            canon[rep] = best
+            return best
 
         def node_poly(n: int) -> Polynomial | None:
             if n in node_memo:
@@ -442,22 +454,31 @@ class EqGraph:
         for rep in sorted(due):
             if rep not in self.class_nodes:
                 continue
-            canon, v = class_poly(rep), self.value.get(rep)
-            cands = {p for n in self.class_nodes[rep] if (p := node_poly(n)) is not None}
-            cands.update([canon, p_const(v)] if v is not None else [canon] if cands else [])
-            ordered = sorted(cands, key=p_sort_key) if len(cands) > 1 else list(cands)
+            cands = {class_poly(rep)}
+            for n in self.class_nodes[rep]:
+                p = node_poly(n)
+                if p is not None:
+                    cands.add(p)
+            v = self.value.get(rep)
+            if v is not None:
+                cands.add(p_const(v))
+            elif rep in looped:
+                # only a class read as its atom can have a polynomial
+                # whose gap to that atom pins a value
+                cands.add(p_atom(rep))
+            ordered = sorted(cands, key=p_sort_key)
             grew = False
             for p in ordered:
-                c, a = (p_is_const(p), p_is_atom(p)) if len(p) <= 1 else (None, None)
+                c = p_is_const(p)
                 if c is not None:
                     grew |= self._put(self.value, find(rep), c)
-                classes = len(self.class_nodes)
-                if a is None:
+                a = p_is_atom(p)
+                if a is not None:  # a bare atom names its class
+                    grew |= self.union(a, rep)
+                else:
+                    classes = len(self.class_nodes)
                     self._put(self.poly, p, rep, self.union)
-                else:  # a bare atom names its class
-                    self.union(a, rep)
-                grew |= len(self.class_nodes) < classes
-            ordered += [p_atom(rep)] if v is None and rep in looped else []
+                    grew |= len(self.class_nodes) < classes
             for i, p in enumerate(ordered):
                 for q in ordered[i + 1 :]:
                     if not any(p in g and q in g for g in due[rep]):
@@ -466,7 +487,6 @@ class EqGraph:
             if grew:
                 node_memo.clear()
                 changed = True
-        self.canon.update(memo)
         return changed
 
     def _poly_gap(self, d: Polynomial) -> bool:

@@ -226,8 +226,9 @@ def test_only_put_writes_a_fact_table():
 
 
 # the polynomial rules run only where the table is brought up to date,
-# so a node's normal form cannot drift back to being recomputed by some
-# other pass
+# so no second pass computes normal forms beside it.  This pins the call
+# site only: that the upkeep applies a rule once per node, not once per
+# round, is test_equalizer's test_a_node_s_normal_form_is_computed_once
 POLY_UPKEEP = {"_poly_pass"}
 
 

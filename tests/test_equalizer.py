@@ -515,6 +515,26 @@ def test_every_pair_of_a_class_s_polynomials_is_compared(req_all):
     assert g.contradiction
 
 
+def test_a_class_read_through_a_cut_is_read_again(req_all):
+    # c3 = c3 + c2 puts c3's class on a cycle, so the first pass reads
+    # the classes of c1, c2 and c3 through a class in progress, and what
+    # it reads depends on the class the walk comes in from.  c3 - c3 = 0
+    # is found in that pass; only when the cycle is read again from the
+    # merged classes' side does c2 = 0 follow, refuting c1 * c2 = 2.
+    # Keeping the first pass's reading of the cycle misses it.
+    req = req_all
+    c0, c1, c2, c3 = (const(i) for i in range(4))
+    succ = req.require("Succ")
+    lits = [
+        eq(req, FunctorApp(succ, (times(req, c1, c2),)), FunctorApp(succ, (Numeral(2),))),
+        eq(req, c2, plus(req, c0, c3)),
+        eq(req, c3, plus(req, c3, c2)),
+        eq(req, c1, plus(req, minus(req, c3, c3), c1)),
+    ]
+    assert orc.reference_refute_clause(DefinitionDb(req), lits, {}).contradiction
+    assert run_clause(req, lits).contradiction
+
+
 def random_arith_term(req, rng: random.Random, consts: int, depth: int):
     if depth == 0 or rng.random() < 0.3:
         return Numeral(rng.randrange(5)) if rng.random() < 0.35 else const(rng.randrange(consts))
