@@ -8,6 +8,7 @@ print as ``line:col``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ERROR_MESSAGES = {
     51: "Invalid skeleton step",
@@ -32,8 +33,7 @@ ERROR_MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     line: int  # 1-based
     col: int  # 1-based
 

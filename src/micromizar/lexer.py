@@ -1,16 +1,34 @@
 """Tokenizer for article text.
 
-Symbols are matched longest-first from a fixed table; ``::`` starts a
-comment running to end of line (which also swallows the ``::>`` marker
-lines an annotated copy contains, so annotated articles stay
-parseable).  ``c=`` is the one spelling that fuses an identifier
-character with ``=``: it is recognized only when the two characters
-are adjacent.
+One compiled pattern reads the whole article: at each match it skips
+blanks (space, tab, ``\\r``, ``\\n``) and ``::`` comments, which run to
+the end of the line (so the ``::>`` marker lines of an annotated copy
+are skipped too), then takes one token:
+
+* a symbol from `SYMBOLS`, longest spelling first.  ``c=`` is the one
+  symbol that starts like an identifier: ``c`` followed at once by
+  ``=`` is ``c=`` only when the ``c`` is a whole identifier, so ``abc=``
+  is ``abc`` then ``=``;
+* a word: a character for which `str.isalpha` holds, or ``_``, then
+  characters for which `str.isalnum` holds, or ``_``.  A word in
+  `KEYWORDS` is a keyword, any other an identifier.  A digit that is
+  not ASCII (``²``, ``٣``) cannot start a word;
+* a numeral: ASCII digits only (`str.isdigit` also admits ``²``, which
+  `int` rejects);
+* ``$`` and the ASCII digits after it; ``$`` without digits is error 90
+  at the ``$``.
+
+Any other character is error 90 at its own position.  The token list
+ends with an ``eof`` token at the position just past the text.  Lines
+and columns count from 1; a column counts characters, not bytes, and a
+tab or ``\\r`` is one column like any other character.  No symbol
+shares its text with a token of another kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import MizarError, SourcePos
 
@@ -25,47 +43,20 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# ASCII only: str.isdigit() also admits characters such as "²" that
-# int() rejects
-DIGITS = frozenset("0123456789")
+SYMBOLS = frozenset('\\+\\ ... <i> c= <= >= <> -> \\/ /\\ ( ) [ ] { } , ; : = < > + - * / \\ & "'.split())
 
-# longest first so that prefixes never shadow longer spellings
-SYMBOLS = (
-    "\\+\\",
-    "...",
-    "<i>",
-    "c=",
-    "<=",
-    ">=",
-    "<>",
-    "->",
-    "\\/",
-    "/\\",
-    "::",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ";",
-    ":",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "\\",
-    "&",
-    '"',
+# One group per token kind.  ``sym`` comes first so that ``c=`` beats the
+# identifier ``c``; ``[^\W\d]`` in ``other`` also admits digits such as
+# ``²``, hence the `str.isalpha` test.  The last match, at ``\Z``, has no group.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|::[^\n]*)*(?:(?P<sym>{})|(?P<ident>[A-Za-z_]\w*)|(?P<num>[0-9]+)"
+    r"|(?P<dollar>\$[0-9]*)|(?P<other>[^\W\d]\w*|.)|\Z)".format(
+        "|".join(map(re.escape, sorted(SYMBOLS, key=lambda s: (-len(s), s))))
+    )
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "kw" | "ident" | "num" | "sym" | "dollar" | "eof"
     text: str
     pos: SourcePos
@@ -79,68 +70,32 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def pos() -> SourcePos:
-        return SourcePos(line, col)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("::", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        p = pos()
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            if word == "c" and i < n and text[i] == "=":
-                advance(1)
-                out.append(Token("sym", "c=", p))
-            elif word in KEYWORDS:
-                out.append(Token("kw", word, p))
-            else:
-                out.append(Token("ident", word, p))
-            continue
-        if ch in DIGITS:
-            j = i
-            while j < n and text[j] in DIGITS:
-                j += 1
-            out.append(Token("num", text[i:j], p))
-            advance(j - i)
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and text[j] in DIGITS:
-                j += 1
-            if j == i + 1:
-                raise MizarError(p, 90, "expected digits after $")
-            out.append(Token("dollar", text[i + 1 : j], p))
-            advance(j - i)
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(Token("sym", sym, p))
-                advance(len(sym))
-                break
-        else:
-            raise MizarError(p, 90, f"unexpected character {ch!r}")
-    out.append(Token("eof", "", pos()))
+    line, line_start, last = 1, 0, 0  # `last`: where the previous match ended
+    count = text.count
+    new = tuple.__new__  # builds a Token or SourcePos without a Python-level call
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        newlines = count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, start) + 1
+        last = m.end()
+        pos = new(SourcePos, (line, start - line_start + 1))
+        if kind is None:
+            break
+        word = m.group(kind)
+        if kind == "ident":
+            if word in KEYWORDS:
+                kind = "kw"
+        elif kind == "dollar":
+            if len(word) == 1:
+                raise MizarError(pos, 90, "expected digits after $")
+            word = word[1:]
+        elif kind == "other":
+            if not word[0].isalpha():
+                raise MizarError(pos, 90, f"unexpected character {word[0]!r}")
+            kind = "ident"
+        out.append(new(Token, (kind, word, pos)))
+    out.append(Token("eof", "", pos))
     return out

@@ -81,21 +81,24 @@ from .surface import (
 PREFIX_FUNCTORS = frozenset({"bool", "succ"})
 INFIX_PREDS = frozenset({"in", "meets", "divides"})
 RELATIONS = ("=", "<>", "<=", ">=", "<", ">", "c=")
-SETOPS = ("\\/", "/\\", "\\+\\", "\\")
+# binding strength of the binary term operators, loosest 0; a symbol
+# never shares its text with a token of another kind
+BINARY_LEVELS = {"\\/": 0, "/\\": 0, "\\+\\": 0, "\\": 0, "+": 1, "-": 1, "*": 2, "/": 2}
 MAX_NESTING = 100  # nested term() and formula() entries and prefix operators
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
-        self.i = 0
         self.depth = 0
+        self.seek(0)
 
     # -- token plumbing -------------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.toks[self.i]
+    def seek(self, i: int) -> None:
+        """Make token `i` the current one, `tok`."""
+        self.i = i
+        self.tok = self.toks[i]
 
     def peek(self, k: int = 1) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -104,6 +107,7 @@ class Parser:
         t = self.tok
         if t.kind != "eof":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
     def fail(self, note: str) -> MizarError:
@@ -165,30 +169,24 @@ class Parser:
     def term(self) -> STerm:
         try:
             self.enter()
-            t = self.add_term()
-            while self.tok.kind == "sym" and self.tok.text in SETOPS:
-                op = self.next()
-                rhs = self.add_term()
-                t = SApp(op.pos, op.text, (t, rhs))
-            return t
+            return self.binary_term(self.unary_term(), 0)
         finally:
             self.depth -= 1
 
-    def add_term(self) -> STerm:
-        t = self.mul_term()
-        while self.tok.kind == "sym" and self.tok.text in ("+", "-"):
-            op = self.next()
-            rhs = self.mul_term()
-            t = SApp(op.pos, op.text, (t, rhs))
-        return t
-
-    def mul_term(self) -> STerm:
-        t = self.unary_term()
-        while self.tok.kind == "sym" and self.tok.text in ("*", "/"):
+    def binary_term(self, lhs: STerm, floor: int) -> STerm:
+        """Fold onto `lhs` the binary operators that follow it and bind
+        at least as tight as `floor`, each level left-associative."""
+        level = BINARY_LEVELS.get(self.tok.text)
+        while level is not None and level >= floor:
             op = self.next()
             rhs = self.unary_term()
-            t = SApp(op.pos, op.text, (t, rhs))
-        return t
+            after = BINARY_LEVELS.get(self.tok.text)
+            while after is not None and after > level:
+                rhs = self.binary_term(rhs, after)
+                after = BINARY_LEVELS.get(self.tok.text)
+            lhs = SApp(op.pos, op.text, (lhs, rhs))
+            level = after
+        return lhs
 
     def unary_term(self) -> STerm:
         t = self.tok
@@ -441,7 +439,7 @@ class Parser:
             try:
                 return self.relational_formula()
             except MizarError:
-                self.i = mark
+                self.seek(mark)
             self.next()
             inner = self.formula()
             self.expect_sym(")")
@@ -876,7 +874,7 @@ class Parser:
             self.expect_sym(";")
             return RegFunctor(arrow.pos, term, adjs)
         except MizarError:
-            self.i = mark
+            self.seek(mark)
         try:
             guard = self._adj_list()
             self.expect_sym("->")
@@ -886,7 +884,7 @@ class Parser:
             self.expect_sym(";")
             return RegConditional(kw.pos, guard, target, ty)
         except MizarError:
-            self.i = mark
+            self.seek(mark)
         pos = self.tok.pos
         ty = self.type_expr()
         self.expect_sym(";")

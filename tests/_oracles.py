@@ -24,7 +24,9 @@ broke ties: the rank alone.  ``ReferenceGraph`` is the congruence
 graph with polynomials as they were before they became a graph table:
 one pass per round that recomputes the polynomial of every class and
 compares every pair of each class's polynomials, and ``graph_digest``
-is what two saturated graphs must agree on.
+is what two saturated graphs must agree on.  ``reference_tokenize`` is
+the tokenizer as it was before it became one regular expression: one
+character at a time, with a walk over the symbol table at each symbol.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import random
 
 from micromizar.arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
 from micromizar.equalizer import EqGraph
+from micromizar.errors import MizarError, SourcePos
 from micromizar.flex import MalformedFlex, NoCommonShape, NonNumericBound, flex_equal
 from micromizar.logic import (
     And,
@@ -72,6 +75,7 @@ from micromizar.logic import (
     subst_bound,
     uses_bound,
 )
+from micromizar.lexer import KEYWORDS, Token
 from micromizar.prechecker import Prechecker
 from micromizar.schematizer import (
     CONFLICT,
@@ -1237,3 +1241,111 @@ def graph_digest(g: EqGraph) -> str:
     atoms = sorted({(key, ids(args), s) for (key, args), s in g.atoms.items()})
     parts.append(f"atoms {atoms}")
     return "\n".join(parts)
+
+
+# -- the character-at-a-time tokenizer ---------------------------------------
+
+REF_DIGITS = frozenset("0123456789")
+
+REF_SYMBOLS = (
+    "\\+\\",
+    "...",
+    "<i>",
+    "c=",
+    "<=",
+    ">=",
+    "<>",
+    "->",
+    "\\/",
+    "/\\",
+    "::",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    ",",
+    ";",
+    ":",
+    "=",
+    "<",
+    ">",
+    "+",
+    "-",
+    "*",
+    "/",
+    "\\",
+    "&",
+    '"',
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    DIGITS, SYMBOLS = REF_DIGITS, REF_SYMBOLS
+    out: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def pos() -> SourcePos:
+        return SourcePos(line, col)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("::", i):
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        p = pos()
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            if word == "c" and i < n and text[i] == "=":
+                advance(1)
+                out.append(Token("sym", "c=", p))
+            elif word in KEYWORDS:
+                out.append(Token("kw", word, p))
+            else:
+                out.append(Token("ident", word, p))
+            continue
+        if ch in DIGITS:
+            j = i
+            while j < n and text[j] in DIGITS:
+                j += 1
+            out.append(Token("num", text[i:j], p))
+            advance(j - i)
+            continue
+        if ch == "$":
+            j = i + 1
+            while j < n and text[j] in DIGITS:
+                j += 1
+            if j == i + 1:
+                raise MizarError(p, 90, "expected digits after $")
+            out.append(Token("dollar", text[i + 1 : j], p))
+            advance(j - i)
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                out.append(Token("sym", sym, p))
+                advance(len(sym))
+                break
+        else:
+            raise MizarError(p, 90, f"unexpected character {ch!r}")
+    out.append(Token("eof", "", pos()))
+    return out

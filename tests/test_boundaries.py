@@ -8,7 +8,9 @@ a flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, and only the upkeep of
-its polynomial table computes a normal form."""
+its polynomial table computes a normal form.  ``parse_article`` looks
+``tokenize`` up in the parser module's namespace at each call, which is
+where a tracer wraps it."""
 
 import ast
 import dataclasses
@@ -244,3 +246,19 @@ def test_only_the_table_upkeep_computes_normal_forms():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poly"
     ]
     assert {name for name, _ in calls} == POLY_UPKEEP
+
+
+def test_parse_article_calls_the_parser_modules_tokenize(monkeypatch):
+    from micromizar import parser
+
+    texts = []
+    tokenize = parser.tokenize
+
+    def recording_tokenize(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", recording_tokenize)
+    art, errs = parser.parse_article("environ begin theorem 1 = 1;")
+    assert texts == ["environ begin theorem 1 = 1;"]
+    assert errs == [] and len(art.items) == 1

@@ -1,0 +1,77 @@
+"""The tokenizer against the character-at-a-time reference it
+replaced (``_oracles.reference_tokenize``): the same tokens at the same
+positions, or the same error, on seeded random texts."""
+
+import random
+
+import _oracles as orc
+from micromizar.errors import MizarError
+from micromizar.lexer import KEYWORDS, SYMBOLS, tokenize
+from micromizar.parser import parse_article
+
+SEED = 20231
+TEXTS = 3000
+
+PIECES = (
+    sorted(KEYWORDS)
+    + sorted(SYMBOLS)
+    + ["x", "c", "abc", "_y2", "A1", "0", "12", "007", "$12", "$1", "c=", "c =", "abc=", "c==", "::", ":: note"]
+    + ["é", "xé", "a²", "a٣"]
+)
+BLANKS = ("", " ", " ", "  ", "\t", "\n", "\r\n", " :: a comment\n")
+RARE = ("$", "²", "٣", "@", ".", "Ⅻ")  # each an error where a token starts
+
+
+def random_text(rng: random.Random) -> str:
+    out = []
+    for _ in range(rng.randrange(1, 25)):
+        out.append(rng.choice(RARE) if rng.random() < 0.01 else rng.choice(PIECES))
+        out.append(rng.choice(BLANKS))
+    if rng.random() < 0.1:
+        out.append(":: a comment at the end, with no line break")
+    return "".join(out)
+
+
+def outcome(tokenizer, text: str):
+    try:
+        return [(t.kind, t.text, t.pos.line, t.pos.col) for t in tokenizer(text)]
+    except MizarError as e:
+        return (e.code, e.pos, e.note)
+
+
+def test_tokens_and_errors_match_the_reference():
+    rng = random.Random(SEED)
+    errors = 0
+    for _ in range(TEXTS):
+        text = random_text(rng)
+        expected = outcome(orc.reference_tokenize, text)
+        assert outcome(tokenize, text) == expected, text
+        errors += isinstance(expected, tuple)
+    # both outcomes are well represented
+    assert TEXTS // 20 < errors < TEXTS // 2
+
+
+def test_the_rules_in_the_module_docstring():
+    assert outcome(tokenize, "abc= c=d c =") == [
+        ("ident", "abc", 1, 1),
+        ("sym", "=", 1, 4),
+        ("sym", "c=", 1, 6),
+        ("ident", "d", 1, 8),
+        ("ident", "c", 1, 10),
+        ("sym", "=", 1, 12),
+        ("eof", "", 1, 13),
+    ]
+    # a column counts characters; the end sits past a final comment
+    assert outcome(tokenize, "é²\r\n\tx :: é") == [("ident", "é²", 1, 1), ("ident", "x", 2, 2), ("eof", "", 2, 8)]
+    assert outcome(tokenize, "x ²") == (90, (1, 3), "unexpected character '²'")
+    assert outcome(tokenize, "1٣") == (90, (1, 2), "unexpected character '٣'")
+    assert outcome(tokenize, "\n  $x") == (90, (2, 3), "expected digits after $")
+    assert str(tokenize("\n  x")[0].pos) == "2:3"
+
+
+def test_tokens_and_the_nodes_that_hold_them_compare_and_hash_by_value():
+    text = "environ begin\ntheorem T: for x being set holds x = {} \\/ x;"
+    assert tokenize(text) == tokenize(text)
+    assert len({*tokenize(text), *tokenize(text)}) == len(tokenize(text))
+    (first, _), (second, _) = parse_article(text), parse_article(text)
+    assert first == second and hash(first) == hash(second)

@@ -7,6 +7,7 @@ from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
     ItScheme,
     SAnd,
+    SApp,
     SBracketAtom,
     SExists,
     SFlex,
@@ -19,6 +20,7 @@ from micromizar.surface import (
     SPredAtom,
     SQual,
     SSubProof,
+    SVar,
     StAssume,
     StLet,
     StNow,
@@ -167,6 +169,47 @@ def test_implies_right_associative_and_iff_loosest():
     g = parse_formula("1 = 1 implies 2 = 2 iff 3 = 3")
     assert isinstance(g, SIff)
     assert isinstance(g.left, SImplies)
+
+
+def term_shape(t):
+    """A term as nested tuples: ``(name, col, *args)`` for an
+    application, the name of a variable, the value of a numeral."""
+    if isinstance(t, SApp):
+        return (t.name, t.pos.col, *map(term_shape, t.args))
+    return t.name if isinstance(t, SVar) else t.value
+
+
+def parse_term(text: str):
+    """The left side of ``text = 0`` written on a line of its own."""
+    (item,) = parse_ok(f"environ begin theorem\n{text} = 0;").items
+    f = item.prop.formula
+    assert isinstance(f, SPredAtom) and f.name == "="
+    return term_shape(f.args[0])
+
+
+def test_binary_term_trees():
+    """Set operators bind loosest, then ``+ -``, then ``* /``; each
+    level is left-associative, and a prefix operator takes one unary
+    operand.  Each application sits at its operator's column."""
+    assert parse_term('a + b * c \\/ d - e /\\ f"') == (
+        "/\\",
+        20,
+        ("\\/", 11, ("+", 3, "a", ("*", 7, "b", "c")), ("-", 16, "d", "e")),
+        ('"', 24, "f"),
+    )
+    assert parse_term("- a * b + succ c") == ("+", 9, ("*", 5, ("-", 1, "a"), "b"), ("succ", 11, "c"))
+    assert parse_term("a - b - c * d / e \\+\\ f \\ g") == (
+        "\\",
+        25,
+        ("\\+\\", 19, ("-", 7, ("-", 3, "a", "b"), ("/", 15, ("*", 11, "c", "d"), "e")), "f"),
+        "g",
+    )
+    assert parse_term("(a \\/ b) * - - c + f(1 + 2, d /\\ e * 3)") == (
+        "+",
+        18,
+        ("*", 10, ("\\/", 4, "a", "b"), ("-", 12, ("-", 14, "c"))),
+        ("f", 20, ("+", 24, 1, 2), ("/\\", 31, "d", ("*", 36, "e", 3))),
+    )
 
 
 def test_quantifier_scope_is_maximal():
