@@ -22,7 +22,8 @@ a fact is the contradiction.  After merges, ``_rekey(table, clash)`` is
 the only thing that makes keys canonical again: ``_rehash`` re-keys the
 nodes, whose clash is ``union``, and ``_normalize`` the facts.
 ``union`` itself only moves the merged-away class's value and tables
-onto the survivor.
+onto the survivor; merging two classes with a recorded disequality
+closes the graph in that round (``_normalize`` catches a stale key).
 
 ``poly`` maps a polynomial normal form (``arith``, over class ids) to
 its class; its clash is ``union``.  A class's polynomials are its value,
@@ -100,6 +101,7 @@ class EqGraph:
         self.foralls: list[ForAll] = []
         self.flexes: list[tuple[bool, FlexConj]] = []
         self.contradiction = False
+        self.shared_refuted = False  # see refute_clause
         self.limited = False
         self._empty_class: int | None = None
 
@@ -115,6 +117,8 @@ class EqGraph:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        if (None, (ra, rb)) in self.neg_eq:
+            self.contradiction = True
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self.parent[hi] = lo
         if hi in self.value:
@@ -744,19 +748,23 @@ class EqGraph:
             if rounds > budget:
                 self.limited = True
                 break
-            changed = self._rehash()
-            changed |= self._normalize()
-            changed |= self._value_pass()
-            changed |= self._poly_pass()
-            changed |= self._attr_value_pass()
-            changed |= self._supercluster_pass()
-            changed |= self._functor_cluster_pass()
-            changed |= self._order_pass()
-            changed |= self._boole_pass()
-            changed |= self._subset_pass()
-            self._neg_qual_pass()
-            if not changed:
+            if not self.round():
                 break
+
+    def round(self) -> bool:
+        """Every rule pass once; says whether any made progress."""
+        changed = self._rehash()
+        changed |= self._normalize()
+        changed |= self._value_pass()
+        changed |= self._poly_pass()
+        changed |= self._attr_value_pass()
+        changed |= self._supercluster_pass()
+        changed |= self._functor_cluster_pass()
+        changed |= self._order_pass()
+        changed |= self._boole_pass()
+        changed |= self._subset_pass()
+        self._neg_qual_pass()
+        return changed
 
     # -- read access for the instantiation search ---------------------------
 
@@ -782,12 +790,29 @@ def refute_clause(
     db: DefinitionDb,
     literals: list[Formula],
     const_types: dict[int, TypeExpr],
+    shared: tuple[dict[int, TypeExpr], list[Formula]] | None = None,
 ) -> EqGraph:
-    """Assume every literal and saturate; the caller inspects the flags."""
+    """Assume every literal and saturate; the caller inspects the flags.
+    `shared` holds the types and literals that every clause of the
+    obligation has: they go in first for one round, and a contradiction
+    there refutes every clause (``shared_refuted``)."""
     g = EqGraph(db)
-    for idx in sorted(const_types):
-        g.assume_const_type(idx, const_types[idx])
-    for lit in literals:
+    types, lits = shared or ({}, [])
+    for idx in sorted(types):
+        g.assume_const_type(idx, types[idx])
+    for lit in lits:
         g.assume(lit)
+    if shared is not None:
+        if not g.contradiction:
+            g.round()
+        if g.contradiction:
+            g.shared_refuted = True
+            return g
+    for idx in sorted(const_types):
+        if idx not in types:
+            g.assume_const_type(idx, const_types[idx])
+    for lit in literals:
+        if lit not in lits:
+            g.assume(lit)
     g.run()
     return g

@@ -7,14 +7,15 @@ prepares that input and drives the per-clause machinery:
 1. definition unfolding: expandable adjectives, modes, and predicates
    are replaced by their instantiated definientia, and private
    predicates by their bodies;
-2. augmentation: under the subset requirement an equality between
+2. top-level skolemization: outer existentials become fresh typed
+   constants, one substitution for each prefix of binders, and a
+   vacuous quantifier over a provably inhabited type is dropped;
+3. augmentation: under the subset requirement an equality between
    terms also asserts the two inclusions (and a disequality denies
    their conjunction), and a flexible conjunction travels with its
    quantified expansion, fully instantiated when the bounds are
-   numerals;
-3. top-level skolemization: outer existentials become fresh typed
-   constants, one substitution for each prefix of binders, and a
-   vacuous quantifier over a provably inhabited type is dropped;
+   numerals.  After skolemization, so that the negation of ``for x
+   holds s = t`` makes two clauses that both hold ``s <> t``, not three;
 4. distribution into disjunctive normal form, skolemizing existentials
    that only become top-level inside one branch.  The clauses are
    counted first, from the formula's shape alone, and then made one at
@@ -25,6 +26,10 @@ instantiation search.  The first survivor rejects the inference, no
 further clause is made, and the justification says whether that
 survivor hit a search budget.  A count above the cap abandons the
 attempt before any clause exists.
+
+With several clauses, the first clause's graph starts with one round
+over what they all share, the constant types outside any branch and
+the root literals: a contradiction there refutes every clause at once.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .logic import (
     Qual,
     Term,
     TypeExpr,
+    conjuncts,
     const,
     mk_and,
     mk_neg,
@@ -55,7 +61,7 @@ from .logic import (
     uses_bound,
 )
 from .subtyping import DefinitionDb
-from .unifier import clause_refuted
+from .unifier import TUPLE_CAP, clause_refuted
 
 CLAUSE_CAP = 3000
 UNFOLD_FUEL = 16
@@ -93,23 +99,29 @@ class Prechecker:
         self._next = max(next_const, *(i + 1 for i in const_types)) if const_types else next_const
         f = mk_and([*premises, mk_neg(conjecture)])
         f = self._unfold(f, UNFOLD_FUEL)
-        f = self._augment(f)
         skolems: list[tuple[int, TypeExpr]] = []
         f = self._skolemize_top(f, skolems)
+        f = self._augment(f)
         base_types = dict(const_types)
         for idx, ty in skolems:
             base_types[idx] = ty
         count = self._count(f, 0, True)
         if count > self.clause_cap:
             return Justification(False, too_large=True, prepared=f, skolems=skolems)
+        # the root literals that ``_to_dnf`` neither splits nor skolemizes
+        roots = [c for c in conjuncts(f) if not (type(c) is Neg and type(c.body) in (And, ForAll))]
+        shared = (base_types, roots) if count > 1 else None
         for lits, local_types in self._to_dnf(f):
             merged = dict(base_types)
             merged.update(local_types)
-            refuted, limited = clause_refuted(self.db, lits, merged, self.flex_mode)
+            refuted, limited, every = clause_refuted(self.db, lits, merged, self.flex_mode, TUPLE_CAP, shared)
             if not refuted:
                 return Justification(
                     False, prepared=f, skolems=skolems, clause_count=count, limited=limited
                 )
+            if every:
+                break
+            shared = None
         return Justification(True, prepared=f, skolems=skolems, clause_count=count)
 
     # -- definition unfolding ------------------------------------------------
@@ -250,7 +262,8 @@ class Prechecker:
         literals without repeats, in first-seen order, and the types of
         the constants skolemized on its branch.  A branch that meets
         ``not TRUE`` makes no clause.  ``_count`` mirrors this rule for
-        rule; change both together (checked by
+        rule, and ``justify``'s shared literals at the root; change them
+        together (checked by
         ``test_count_and_stream_agree_with_the_reference``)."""
         branches = [([], (f, None), {})]
         while branches:

@@ -331,11 +331,12 @@ def clause_refuted(
     const_types,
     flex_mode: FlexMode = FlexMode.STRICT,
     tuple_cap: int = TUPLE_CAP,
-) -> tuple[bool, bool]:
-    """Saturate then search; returns (refuted, resource-limited)."""
-    g = refute_clause(db, list(literals), dict(const_types))
+    shared: tuple[dict[int, TypeExpr], list[Formula]] | None = None,
+) -> tuple[bool, bool, bool]:
+    """Saturate then search; returns (refuted, resource-limited, refuted by `shared`)."""
+    g = refute_clause(db, list(literals), dict(const_types), shared)
     if g.contradiction:
-        return True, False
+        return True, False, g.shared_refuted
     u = Unifier(g, tuple(literals), dict(const_types), flex_mode, tuple_cap)
     refuted = u.refute()
-    return refuted, (g.limited or u.capped)
+    return refuted, (g.limited or u.capped), False

@@ -27,6 +27,9 @@ compares every pair of each class's polynomials, and ``graph_digest``
 is what two saturated graphs must agree on.  ``reference_tokenize`` is
 the tokenizer as it was before it became one regular expression: one
 character at a time, with a walk over the symbol table at each symbol.
+``ReferencePrechecker`` is ``Prechecker.justify`` as it was before the
+clauses shared a first step: augmentation, then skolemization, then
+every clause refuted in a graph of its own.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from micromizar.logic import (
     uses_bound,
 )
 from micromizar.lexer import KEYWORDS, Token
-from micromizar.prechecker import Prechecker
+from micromizar.prechecker import UNFOLD_FUEL, Justification, Prechecker
 from micromizar.schematizer import (
     CONFLICT,
     FUNC,
@@ -93,7 +96,7 @@ from micromizar.schematizer import (
     _strip,
     apply_assignment,
 )
-from micromizar.unifier import Unifier
+from micromizar.unifier import Unifier, clause_refuted
 
 # ---------------------------------------------------------------------------
 # named-variable mirror of the level-based syntax
@@ -294,6 +297,9 @@ def eval_formula(f: Formula, req, env: dict[int, int], domain: range, depth: int
         case Pred(p, (a, b)) if p == req.cid("Equality"):
             return eval_term(a, req, env) == eval_term(b, req, env)
         case Pred(p, (a, b)) if p == req.cid("LessOrEqual"):
+            return eval_term(a, req, env) <= eval_term(b, req, env)
+        case Pred(p, (a, b)) if p == req.cid("Subset"):
+            # a natural is the set of the smaller ones: inclusion is the order
             return eval_term(a, req, env) <= eval_term(b, req, env)
         case ForAll(_, body):
             return all(
@@ -1069,6 +1075,40 @@ class ReferenceDnf(Prechecker):
         if len(done) >= self.clause_cap:
             raise ClauseOverflow
         done.append((out, local))
+
+
+class ReferencePrechecker(Prechecker):
+    """``Prechecker`` whose ``justify`` augments before it skolemizes and
+    refutes every clause in a graph of its own, with nothing shared."""
+
+    def justify(
+        self,
+        premises: list[Formula],
+        conjecture: Formula,
+        const_types: dict[int, TypeExpr],
+        next_const: int,
+    ) -> Justification:
+        self._next = max(next_const, *(i + 1 for i in const_types)) if const_types else next_const
+        f = mk_and([*premises, mk_neg(conjecture)])
+        f = self._unfold(f, UNFOLD_FUEL)
+        f = self._augment(f)
+        skolems: list[tuple[int, TypeExpr]] = []
+        f = self._skolemize_top(f, skolems)
+        base_types = dict(const_types)
+        for idx, ty in skolems:
+            base_types[idx] = ty
+        count = self._count(f, 0, True)
+        if count > self.clause_cap:
+            return Justification(False, too_large=True, prepared=f, skolems=skolems)
+        for lits, local_types in self._to_dnf(f):
+            merged = dict(base_types)
+            merged.update(local_types)
+            refuted, limited, _ = clause_refuted(self.db, lits, merged, self.flex_mode)
+            if not refuted:
+                return Justification(
+                    False, prepared=f, skolems=skolems, clause_count=count, limited=limited
+                )
+        return Justification(True, prepared=f, skolems=skolems, clause_count=count)
 
 
 # ---------------------------------------------------------------------------

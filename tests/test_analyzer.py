@@ -13,7 +13,7 @@ import micromizar
 from micromizar.analyzer import Analyzer
 from micromizar.logic import Numeral
 from micromizar.parser import parse_article
-from micromizar.prechecker import CLAUSE_CAP, Prechecker
+from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
 
 
 def errors(req, body: str, trace: list[str] | None = None) -> list[tuple[int, int]]:
@@ -407,6 +407,23 @@ def test_the_clause_cap_gives_66(check):
 theorem for a, b being set st {twelve} holds a in b;
 """
     ) == [(61, 2), (66, 3)]
+
+
+def test_unfolding_stops_when_its_fuel_is_spent(check):
+    # P0 means c=, and each P(k+1) means Pk: Pk(a, a) reaches a c= a
+    # after k + 1 unfoldings, so the last chain that unfolds in full is
+    # P(UNFOLD_FUEL - 1); one more leaves P0(a, a), which nothing proves
+    defs = ["definition\n  let a, b be set;\n  expandable pred P0(a, b) means a c= b;\nend;"]
+    for k in range(1, UNFOLD_FUEL + 1):
+        defs.append(f"definition\n  let a, b be set;\n  expandable pred P{k}(a, b) means P{k - 1}(a, b);\nend;")
+    line = 2 + 4 * len(defs)
+    assert check(
+        "\n".join(defs)
+        + f"""
+theorem for a being set holds P{UNFOLD_FUEL - 1}(a, a);
+theorem for a being set holds P{UNFOLD_FUEL}(a, a);
+"""
+    ) == [(61, line + 1)]
 
 
 def test_an_internal_error_fails_one_item_not_the_article(req_all, monkeypatch):

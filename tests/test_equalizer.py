@@ -382,6 +382,28 @@ def test_disequality_survives_a_merge_into_a_smaller_class(req_all):
     assert g.classes() == sorted({g.find(n) for n in range(len(g.nodes))})
 
 
+def test_a_merge_across_a_disequality_closes_the_graph_at_once(req_all):
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    a, b = g.intern(const(0)), g.intern(const(1))
+    g.assume(neq(req, const(1), const(0)))
+    assert not g.contradiction
+    g.union(b, a)
+    assert g.contradiction
+
+
+def test_a_refuting_merge_by_value_ends_its_own_round(req_all):
+    # the values merge the two classes in the value pass, after the
+    # round's re-keying: the merge itself must see the disequality
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    g.assume(eq(req, const(0), plus(req, Numeral(1), Numeral(1))))
+    g.assume(eq(req, const(1), Numeral(2)))
+    g.assume(neq(req, const(0), const(1)))
+    g.round()
+    assert g.contradiction
+
+
 def test_adjectives_of_opposite_sign_clash_when_their_classes_merge(req_all):
     req = req_all
     empty = req.require("Empty")

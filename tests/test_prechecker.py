@@ -1,11 +1,14 @@
 """End-to-end justification checking, before any surface syntax exists."""
 
+import collections
+import itertools
 import random
 
 import pytest
 
 import _oracles as orc
 import micromizar.prechecker as prechecker
+import micromizar.unifier as unifier
 from micromizar.flex import FlexMode, infer_flex_from_diff
 from micromizar.logic import (
     Attr,
@@ -29,6 +32,7 @@ from micromizar.logic import (
     mk_imp,
     mk_neg,
     mk_or,
+    replace_term,
     shift_up,
 )
 from micromizar.prechecker import Prechecker
@@ -451,3 +455,168 @@ def test_prepared_formula_is_reported(db, req_all):
     req = req_all
     j = justify(db, [Pred(100, (const(0),))], Pred(100, (const(0),)), {0: req.set_type()})
     assert j.prepared is not None
+
+
+# ---------------------------------------------------------------------------
+# the literals every clause shares
+
+
+def plus(req, a, b):
+    return FunctorApp(req.require("Add"), (a, b))
+
+
+def graphs_built(monkeypatch) -> list:
+    """Every graph ``clause_refuted`` builds from now on, in order."""
+    graphs = []
+
+    def counting(*args):
+        g = refute_clause(*args)
+        graphs.append(g)
+        return g
+
+    refute_clause = unifier.refute_clause
+    monkeypatch.setattr(unifier, "refute_clause", counting)
+    return graphs
+
+
+def test_a_disequality_under_binders_is_in_every_clause(db, req_all):
+    req = req_all
+    union, st = req.require("Union"), req.set_type()
+    a, b = bound(0), bound(1)
+    goal = ForAll(st, ForAll(st, eq(req, FunctorApp(union, (a, b)), FunctorApp(union, (b, a)))))
+    # s <> t with not s c= t, and with not t c= s; the reference augments
+    # under the binders first, and its skolemized goal splits in three
+    assert justify(db, [], goal).clause_count == 2
+    assert orc.ReferencePrechecker(db).justify([], goal, {}, 0).clause_count == 3
+
+
+def test_an_existential_equality_premise_makes_one_clause(db, req_all):
+    req = req_all
+    nat = req.nat_type()
+    have = mk_exists(nat, eq(req, bound(0), const(0)))
+    want = mk_exists(nat, Pred(req.require("Subset"), (bound(0), const(0))))
+    j = justify(db, [have], want, {0: nat})
+    assert j.clause_count == 1
+    assert j.accepted
+
+
+def test_an_obligation_refuted_by_its_shared_literals_builds_one_graph(db, req_all, monkeypatch):
+    req = req_all
+    nat = req.nat_type()
+    graphs = graphs_built(monkeypatch)
+    a, b = bound(0), bound(1)
+    j = justify(db, [], ForAll(nat, ForAll(nat, eq(req, plus(req, a, b), plus(req, b, a)))))
+    assert j.accepted
+    assert j.clause_count == 2
+    assert len(graphs) == 1
+    assert graphs[0].shared_refuted
+
+
+def test_a_local_witness_does_not_refute_the_other_branches(db, req_all, monkeypatch):
+    # {} is P.  The first branch's witness is an empty non-P set, so it is
+    # {}, and that clause is refuted; but only with the witness's type,
+    # which the second branch does not have, and that branch survives.
+    req = req_all
+    empty_set = FunctorApp(req.require("EmptySet"), ())
+    non_p = frozenset([Attr(True, req.require("Empty")), Attr(False, 500)])
+    witness = TypeExpr(non_p, non_p, req.set_type().mode, ())
+    premises = [
+        Is(empty_set, Attr(True, 500)),
+        mk_or([mk_exists(witness, Pred(100, (bound(0),))), Pred(101, (const(0),))]),
+    ]
+    graphs = graphs_built(monkeypatch)
+    j = justify(db, premises, Pred(102, (const(0),)), {0: req.set_type()})
+    assert not j.accepted
+    assert j.clause_count == 2
+    assert [(g.contradiction, g.shared_refuted) for g in graphs] == [(True, False), (False, False)]
+
+
+# Obligations without functors, over variables, two constants and the
+# numerals below 3: every term denotes a number in DOMAIN, so evaluating
+# over DOMAIN, the constants included, is exact, and an assignment that
+# makes the premises true and the goal false is a real counterexample.
+DOMAIN = range(4)
+
+
+class FlatGen:
+    def __init__(self, rng: random.Random, req):
+        self.rng, self.req = rng, req
+
+    def term(self, pool: int):
+        pick = self.rng.randrange(3)
+        if pick == 0 and pool:
+            return bound(self.rng.randrange(pool))
+        if pick == 1:
+            return Numeral(self.rng.randrange(3))
+        return const(self.rng.randrange(2))
+
+    def body(self, pool: int, budget: int):
+        rng = self.rng
+        pick = rng.randrange(4 if budget else 1)
+        if pick <= 1:
+            p = self.req.require(rng.choice(("Equality", "Equality", "Subset", "LessOrEqual")))
+            return Pred(p, (self.term(pool), self.term(pool)))
+        if pick == 2:
+            return mk_neg(self.body(pool, budget - 1))
+        return mk_and([self.body(pool, budget - 1) for _ in range(rng.randrange(2, 4))])
+
+    def sentence(self):
+        """Up to two universals, or their negation, over a body."""
+        k = self.rng.randrange(3)
+        f = self.body(k, 1)
+        for _ in range(k):
+            f = ForAll(self.req.nat_type(), f)
+        return f if self.rng.random() < 0.5 else mk_neg(f)
+
+
+def counterexample(req, premises, goal) -> bool:
+    f = mk_and([*premises, mk_neg(goal)])
+    for vals in itertools.product(DOMAIN, repeat=2):
+        closed = f
+        for i, v in enumerate(vals):
+            closed = replace_term(closed, const(i), Numeral(v))
+        if orc.eval_formula(closed, req, {}, DOMAIN, 0):
+            return True
+    return False
+
+
+def test_the_shared_first_step_accepts_what_the_reference_accepts(db, req_all):
+    req = req_all
+    rng = random.Random(14)
+    flat = FlatGen(rng, req)
+    st, nat = req.set_type(), req.nat_type()
+    x, c0, c1, two = bound(0), const(0), const(1), Numeral(2)
+
+    def sub(a, b):
+        return Pred(req.require("Subset"), (a, b))
+
+    # accepted only since augmentation follows skolemization: an inclusion
+    # next to the equality it comes from, or to the disequality it denies
+    newly = [
+        ([mk_exists(nat, eq(req, x, c0))], mk_exists(nat, sub(x, c0))),
+        ([ForAll(nat, mk_neg(sub(x, two)))], ForAll(nat, mk_neg(eq(req, c1, two)))),
+        ([ForAll(nat, mk_neg(sub(x, c0)))], ForAll(nat, mk_neg(eq(req, x, c0)))),
+    ]
+    cases = [(ps, g, True) for ps, g in newly]
+    for i in range(240):
+        if i % 2:
+            premises = [flat.sentence() for _ in range(rng.randrange(1, 3))]
+            cases.append((premises, flat.sentence(), True))
+        else:
+            # set terms and types the evaluator cannot read: compared only
+            goal = ForAll(st, ForAll(st, orc.gen_formula(rng, 2, 3)))
+            premises = [mk_exists(st, orc.gen_formula(rng, 1, 2)) for _ in range(rng.randrange(3))]
+            cases.append((premises, goal, False))
+    seen = collections.Counter()
+    for premises, goal, flat_case in cases:
+        consts = {0: nat, 1: nat} if flat_case else {0: st, 1: st, 2: st}
+        want = orc.ReferencePrechecker(db).justify(premises, goal, consts, 3)
+        got = justify(db, premises, goal, consts)
+        assert got.accepted or not want.accepted, (premises, goal)
+        if got.accepted and flat_case:
+            assert not counterexample(req, premises, goal), (premises, goal)
+        seen["accepted", flat_case] += got.accepted
+        seen["new only"] += got.accepted and not want.accepted
+        seen["shared"] += got.clause_count > 1
+    assert seen["new only"] >= len(newly)
+    assert min(seen["accepted", True], seen["accepted", False], seen["shared"]) > 30, seen

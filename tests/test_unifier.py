@@ -35,7 +35,7 @@ def le(req, a, b):
 
 
 def check(req, lits, consts=None, mode=FlexMode.STRICT, cap=1000):
-    return clause_refuted(DefinitionDb(req), lits, consts or {}, mode, cap)
+    return clause_refuted(DefinitionDb(req), lits, consts or {}, mode, cap)[:2]
 
 
 def test_single_instantiation(req_all):
