@@ -36,9 +36,10 @@ classes' entries, and compares each pair of a class's polynomials once.
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
 normalization the full arithmetic, order reasoning the ordering
-predicate, and so on.  Everything runs in interleaved rounds to a
-fixpoint with a hard round budget; hitting the budget abandons the
-clause as undecided rather than wrong.
+predicate, and so on; with the boolean group the node of ``{}`` is
+made as the first round starts, so every pass sees it.  Everything
+runs in interleaved rounds to a fixpoint with a hard round budget;
+hitting the budget abandons the clause as undecided rather than wrong.
 """
 
 from __future__ import annotations
@@ -604,9 +605,6 @@ class EqGraph:
             return False
         changed = False
         empty = req.require("Empty")
-        if self._empty_class is None:
-            self._empty_class = self.intern(FunctorApp(req.require("EmptySet"), ()))
-            changed = True
         e0 = self.find(self._empty_class)
         for rep in self.classes():
             rep = self.find(rep)  # this loop may have merged it into e0
@@ -753,6 +751,8 @@ class EqGraph:
 
     def round(self) -> bool:
         """Every rule pass once; says whether any made progress."""
+        if self._empty_class is None and self.req.present("Empty"):
+            self._empty_class = self.intern(FunctorApp(self.req.require("EmptySet"), ()))
         changed = self._rehash()
         changed |= self._normalize()
         changed |= self._value_pass()

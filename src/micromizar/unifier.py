@@ -3,13 +3,18 @@
 The equalizer leaves behind the clause facts it could not act on:
 positive universal literals and flexible-conjunction literals.  This
 module tries to close the clause by instantiating universals with the
-graph's own equivalence classes (singly, then in directly nested
-pairs) and evaluating each instance three-valued against what the
-graph knows.  Each universal is compiled once per clause into closures
-over the class ids of its variables, so an instance is not built: the
-graph reads bound level i as the class ``env[i]`` wherever it looks a
-term or a type up.  Only a flexible conjunction is instantiated,
-because it is compared as a term.
+graph's own equivalence classes (in pairs for a universal directly
+over another, else singly) and evaluating each instance three-valued
+against what the graph knows.  Instances are found by matching, as in
+E-matching: an instance is false only if the literals its body needs
+for that hold (``_must``), and for such a literal over the variables
+the graph's atom and adjective tables already list the classes at
+which it does (``Unifier._match``).  Only the tuples in every such set
+are evaluated, in candidate order.  A universal is compiled at its
+first tuple into closures over the class ids of its variables, so an
+instance is not built: the graph reads bound level i as the class
+``env[i]`` wherever it looks a term or a type up.  Only a flexible
+conjunction is instantiated, because it is compared as a term.
 
 Evaluation looks terms up and does not intern them: a term the graph
 has not seen is simply unknown, which keeps the search sound.  Type
@@ -60,7 +65,7 @@ from .logic import (
     subst_bound,
 )
 
-TUPLE_CAP = 1000
+TUPLE_CAP = 1000  # instances evaluated per clause
 
 
 Env = list[int]  # class id of each bound level, outermost first
@@ -76,6 +81,21 @@ def _instance(node, env: Env):
     """The syntactic instance of `node` with bound level i read as class
     ``env[i]``: the only term the search builds, a flexible conjunction."""
     return subst_bound(node, 0, *[Var(VarKind.EQCLASS, rep) for rep in env])
+
+
+def _must(f: Formula, sign: bool):
+    """The literals, with their signs, that must hold for `f` to
+    evaluate to `sign`, seen through ``PrivPred`` as ``_formula`` does."""
+    match f:
+        case Neg(b):
+            yield from _must(b, not sign)
+        case PrivPred(_, _, exp):
+            yield from _must(exp, sign)
+        case And(cs) if sign:
+            for c in cs:
+                yield from _must(c, True)
+        case Pred() | SchemePred() | Is():
+            yield f, sign
 
 
 class Unifier:
@@ -107,7 +127,7 @@ class Unifier:
         for fa in list(self.g.foralls):
             path = self._refute_univ(fa)
             if path is not None:
-                self._replay(fa, [self.g.term_of_class(r) for r in path])
+                self._replay(fa, path)
                 return True
         return False
 
@@ -131,40 +151,88 @@ class Unifier:
     def _refute_univ(self, fa: ForAll) -> Env | None:
         """The first instance of `fa` that evaluates to false, as the
         classes of its variables; one unit of fuel per instance tried."""
-        single = self._formula(fa.body)
-        pair = self._formula(fa.body.body) if isinstance(fa.body, ForAll) else None
-        for env in self._tuples(fa):
+        body = fa.body.body if isinstance(fa.body, ForAll) else fa.body
+        evaluate = None
+        for env in self._tuples(fa, body):
             if self.fuel <= 0:
                 self.capped = True
                 return None
             self.fuel -= 1
-            if (single if len(env) == 1 else pair)(env) is False:
+            evaluate = evaluate or self._formula(body)
+            if evaluate(env) is False:
                 return env
         return None
 
-    def _tuples(self, fa: ForAll):
-        """Each candidate class, followed by its pairs with the candidates
-        of a directly nested universal, whose type may depend on it."""
+    def _tuples(self, fa: ForAll, body: Formula):
+        """Each candidate class, or each pair of it with a candidate of a
+        directly nested universal, whose type may depend on it: only those
+        at which every literal that `body` needs to be false can hold."""
         inner = fa.body if isinstance(fa.body, ForAll) else None
+        matches = [m for lit, sign in _must(body, False) if (m := self._match(lit, sign, 1 + bool(inner)))]
+        if not all(found for _, found in matches):
+            return
+        outer = [{t[at.index(0)] for t in found} for at, found in matches if 0 in at]
         for rep in self._candidates(fa.ty):
-            yield [rep]
-            if inner is not None:
-                for rep2 in self._candidates(inner.ty, (rep,) if _open(inner.ty) else ()):
-                    yield [rep, rep2]
+            if not all(rep in o for o in outer):
+                continue
+            if inner is None:
+                envs = ([rep],)
+            else:
+                envs = ([rep, r2] for r2 in self._candidates(inner.ty, (rep,) if _open(inner.ty) else ()))
+            for env in envs:
+                if all(tuple([env[i] for i in at]) in found for at, found in matches):
+                    yield env
 
-    def _replay(self, fa: ForAll, path: list[Term]) -> None:
+    def _match(self, lit: Formula, sign: bool, levels: int) -> tuple[tuple[int, ...], set] | None:
+        """The bound levels of a literal the graph indexes, and the classes
+        at them under which it has `sign`; None if it is not indexed.  The
+        search makes no union and a class it makes holds no atom, and it
+        never writes a candidate's adjectives, so outside this set the
+        literal does not have `sign`."""
+        g, req = self.g, self.req
+        level = {Var(VarKind.BOUND, i): i for i in range(levels)}.get
+        match lit:
+            case Is(t, attr) if level(t) is not None and not any(map(_open, attr.args)):
+                key = (attr.attr_id, tuple([g.lookup(a) for a in attr.args]))
+                want = attr.positive == sign
+                return (t.index,), {(r,) for r in self._classes if g.attrs[r].get(key) is want}
+            case Pred(p, args) if p not in (req.cid("Equality"), req.cid("LessOrEqual")):
+                head = ("pred", p)
+            case SchemePred(p, args):
+                head = ("scheme", p)
+            case _:
+                return None
+        slots = []  # each argument's level, or the class of a closed term (None if the graph lacks it)
+        for a in args:
+            i = level(a)
+            if i is None and _open(a):
+                return None
+            slots.append((i, None if i is not None else g.lookup(a)))
+        at = tuple(sorted({i for i, _ in slots if i is not None}))
+        found = set()
+        for (h, ids), s in g.atoms.items():
+            if h != head or s is not sign or len(ids) != len(slots) or any(g.find(x) != x for x in ids):
+                continue
+            env: dict[int, int] = {}
+            if all(x == (rep if i is None else env.setdefault(i, x)) for (i, rep), x in zip(slots, ids)):
+                found.add(tuple([env[i] for i in at]))
+        return at, found
+
+    def _replay(self, fa: ForAll, path: Env) -> None:
         """Sanity harness: the found instance must refute on its own."""
         if not __debug__:
             return
         body = fa.body.body if len(path) == 2 else fa.body
-        f = subst_bound(body, 0, *path)
-        parts = [c for c in conjuncts(f) if not isinstance(c, FTrue)]
+        parts = [c for c in conjuncts(body) if not isinstance(c, FTrue)]
         for p in parts:
             inner = p
             while isinstance(inner, (Neg, PrivPred)):
                 inner = inner.body if isinstance(inner, Neg) else inner.expansion
             if isinstance(inner, (And, ForAll, FTrue, FlexAnd)):
                 return  # compound, or flex outside the graph: the three-valued check stands alone
+        # a substitution keeps each part's kind, so it is made only for a replay
+        terms = [self.g.term_of_class(r) for r in path]
+        parts = [subst_bound(p, 0, *terms) for p in parts]
         # not this module's name, which a tracer may wrap to count clause graphs
         g2 = equalizer.refute_clause(self.g.db, [*self.literals, *parts], self.const_types)
         assert g2.contradiction or g2.limited, "instance did not replay"

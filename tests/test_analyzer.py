@@ -383,16 +383,21 @@ def test_trace_of_one_obligation(req_all):
 
 
 def test_a_search_out_of_tuples_is_67_not_61(check):
-    # 32 constants and {} make 33 set classes, so the 33 single and
-    # 33 * 33 paired instances of A overrun TUPLE_CAP; none of them is
-    # false.  With two constants the search ends by itself and rejects.
+    # 32 constants and {} make 33 set classes, so the 33 * 33 paired
+    # instances of B overrun TUPLE_CAP; none of them is false.  B's
+    # literals relate terms built on a and b, not a and b themselves, so
+    # the search matches none of them and evaluates every pair.  With two constants the search ends by itself
+    # and rejects.  An instance of A is false only if a c= b both holds
+    # and fails: no pair matches both, so A's search tries none and ends.
     names = ", ".join(f"x{i}" for i in range(32))
     assert check(
         f"""A: for a, b being set holds a c= b implies a c= b;
+B: for a, b being set holds bool a c= bool b implies bool a c= bool b;
+theorem for {names} being set holds x0 = x1 by B;
+theorem for x0, x1 being set holds x0 = x1 by B;
 theorem for {names} being set holds x0 = x1 by A;
-theorem for x0, x1 being set holds x0 = x1 by A;
 """
-    ) == [(61, 4), (67, 3)]
+    ) == [(61, 5), (61, 6), (67, 4)]
 
 
 def test_the_clause_cap_gives_66(check):

@@ -615,3 +615,14 @@ def test_a_node_s_normal_form_is_computed_once(req_file, monkeypatch):
     calls.clear()
     orc.reference_refute_clause(DefinitionDb(req), lits, {})
     assert sum(calls.values()) > arithmetic
+
+
+def test_the_empty_set_is_there_before_the_first_pass(req_all, monkeypatch):
+    # {} is made when the first round starts, not by the boolean pass,
+    # so a clause that nothing changes saturates in one round
+    rounds = []
+    round_ = EqGraph.round
+    monkeypatch.setattr(EqGraph, "round", lambda g: rounds.append(len(g.nodes)) or round_(g))
+    g = refute_clause(DefinitionDb(req_all), [Pred(40, (const(0),))], {0: req_all.set_type()})
+    assert rounds == [1]
+    assert g.lookup(FunctorApp(req_all.require("EmptySet"), ())) == 1

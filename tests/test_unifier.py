@@ -195,3 +195,67 @@ def test_a_refuting_instance_under_a_negated_private_predicate(req_all):
     s = PrivPred(0, (bound(0),), mk_and([eq(req, bound(0), const(0)), eq(req, bound(0), bound(0))]))
     refuted, limited = check(req, [ForAll(req.set_type(), Neg(s))], {0: req.set_type()})
     assert refuted and not limited
+
+
+# -- matching: only the instances whose needed literals the graph holds ----------
+
+R = 40  # a user predicate: the graph keeps its atoms and reads nothing into them
+
+
+def search(req, lits, n=3):
+    """The search over the saturated clause, constants 0..n-1 being sets
+    (classes 0..n-1; the empty set is class n)."""
+    consts = {i: req.set_type() for i in range(n)}
+    return Unifier(refute_clause(DefinitionDb(req), lits, consts), tuple(lits), consts)
+
+
+def tuples(u, fa):
+    return list(u._tuples(fa, fa.body.body if isinstance(fa.body, ForAll) else fa.body))
+
+
+def test_a_negative_fact_matches_a_bare_literal_on_sign_false(req_all):
+    fa = ForAll(req_all.set_type(), Pred(R, (bound(0),)))
+    u = search(req_all, [Neg(Pred(R, (const(1),))), Pred(R, (const(2),)), fa])
+    assert tuples(u, fa) == [[1]]
+    assert u.refute()
+    assert u.fuel == TUPLE_CAP - 1
+
+
+def test_a_closed_argument_matches_its_class(req_all):
+    # for x holds not R(x, c0): only x = c1 has R(x, c0); a closed term
+    # the graph lacks matches no atom, so that universal gives no tuple
+    facts = [Pred(R, (const(1), const(0))), Pred(R, (const(2), const(1)))]
+    fa = ForAll(req_all.set_type(), Neg(Pred(R, (bound(0), const(0)))))
+    missing = ForAll(req_all.set_type(), Neg(Pred(R, (bound(0), FunctorApp(30, (const(0),))))))
+    u = search(req_all, [*facts, fa, missing])
+    assert tuples(u, fa) == [[1]]
+    assert tuples(u, missing) == []
+
+
+def test_a_repeated_variable_matches_one_class_at_both_places(req_all):
+    facts = [Pred(R, (const(0), const(1))), Pred(R, (const(2), const(2)))]
+    fa = ForAll(req_all.set_type(), Neg(Pred(R, (bound(0), bound(0)))))
+    u = search(req_all, [*facts, fa])
+    assert tuples(u, fa) == [[2]]
+    assert u.refute()
+
+
+def test_a_nested_universal_is_tried_in_pairs_only(req_all):
+    # its single instances are universals, which evaluate to None
+    fa = ForAll(req_all.set_type(), ForAll(req_all.set_type(), Neg(Pred(R, (bound(1), bound(0))))))
+    u = search(req_all, [Pred(R, (const(0), const(1))), fa])
+    assert tuples(u, fa) == [[1, 0]]
+    assert u.refute()
+    assert u.fuel == TUPLE_CAP - 1
+
+
+def test_a_universal_without_matched_literals_walks_every_pair(req_all):
+    # an equality reads classes and values, so it is not matched
+    req = req_all
+    fa = ForAll(req.set_type(), ForAll(req.set_type(), Neg(eq(req, FunctorApp(30, (bound(0),)), bound(1)))))
+    u = search(req, [fa])
+    classes = u.g.classes()
+    assert len(classes) == 4
+    assert tuples(u, fa) == [[a, b] for a in classes for b in classes]
+    assert not u.refute()
+    assert u.fuel == TUPLE_CAP - 16
