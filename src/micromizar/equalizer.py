@@ -18,28 +18,36 @@ classes)`` to a sign, each class's ``attrs`` and ``types`` tables map
 ``neg_eq`` holds each disequality both ways round as ``(None, (a, b))``.
 ``value`` maps a class to its number.  ``_put(table, key, v)`` is the
 only writer; a different value already at the key is a clash, which for
-a fact is the contradiction.  After merges, ``_rekey(table, clash)`` is
-the only thing that makes keys canonical again: ``_rehash`` re-keys the
-nodes, whose clash is ``union``, and ``_normalize`` the facts.
-``union`` itself only moves the merged-away class's value and tables
-onto the survivor; merging two classes with a recorded disequality
-closes the graph in that round (``_normalize`` catches a stale key).
+a fact is the contradiction.  Keys are canonical when put, so only a
+merge makes one stale: ``union`` counts merges, and ``_rekey(table,
+clash)``, the only thing that makes keys canonical again, runs only if
+one happened since the last re-keying: ``_rehash`` re-keys the nodes,
+whose clash is ``union``, and ``_normalize`` the facts.  ``union``
+itself only moves the merged-away class's value and tables onto the
+survivor.  Merging two classes with a recorded disequality closes the
+graph in that round, recording a disequality of a class with itself
+closes it at once, and ``_normalize`` catches a key a merge left stale.
 
 ``poly`` maps a polynomial normal form (``arith``, over class ids) to
 its class; its clash is ``union``.  A class's polynomials are its value,
 its nodes' and ``canon``, the least (a class in progress read as its
-atom).  A class is due when a node is made in it, it merges or gets a
-value, its ``canon`` was read through a class in progress, or a class it
-reads (``users``) is due; each round's pass recomputes only the due
-classes' entries, and compares each pair of a class's polynomials once.
+atom).  A class is due when a numeral or arithmetic node is made in it,
+it merges or gets a value, its ``canon`` was read through a class in
+progress, or a class it reads (``users``) is due; each round's pass
+recomputes only the due classes' entries, and compares each pair of a
+class's polynomials once.  A class that was never due has no arithmetic
+node, and an arithmetic node reading it reads its atom.
 
 The rule families are gated on the requirement groups that supply
 their constructors: numeral evaluation needs the naturals, polynomial
 normalization the full arithmetic, order reasoning the ordering
 predicate, and so on; with the boolean group the node of ``{}`` is
-made as the first round starts, so every pass sees it.  Everything
-runs in interleaved rounds to a fixpoint with a hard round budget;
-hitting the budget abandons the clause as undecided rather than wrong.
+made as the first round starts, so every pass sees it.  The cluster
+rules are interned once per graph, by its first supercluster pass, and
+a seeded type's sorted, rounded adjectives come from the database's
+memo (``DefinitionDb.adjectives``).  Everything runs in interleaved
+rounds to a fixpoint with a hard round budget; hitting the budget
+abandons the clause as undecided rather than wrong.
 """
 
 from __future__ import annotations
@@ -98,6 +106,9 @@ class EqGraph:
         self.polys: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials, compared pairwise by group
         self.users: dict[int, list[int]] = {}  # class -> arithmetic nodes with a child in it
         self._due: set[int] = set()  # classes whose polynomials are to be recomputed
+        self._merges = 0
+        self._rehashed = self._normalized = 0  # merge count when each last re-keyed
+        self._rules: list[tuple[list, list, TypeExpr | None]] | None = None
         self._arith = self.req.arith if "ARITHM" in self.req.enabled else None
         self.foralls: list[ForAll] = []
         self.flexes: list[tuple[bool, FlexConj]] = []
@@ -122,6 +133,7 @@ class EqGraph:
             self.contradiction = True
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self.parent[hi] = lo
+        self._merges += 1
         if hi in self.value:
             self._put(self.value, lo, self.value.pop(hi))
         for tables in (self.attrs, self.types):
@@ -234,11 +246,10 @@ class EqGraph:
         return None if n is None else self.find(n)
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
-        if self._arith is not None:
+        if self._arith is not None and (head[0] == "num" or head[0] == "app" and head[1] in self._arith):
             self._due.add(n)
-            if head[0] == "app" and head[1] in self._arith:
-                for c in children:
-                    self.users.setdefault(c, []).append(n)
+            for c in children:
+                self.users.setdefault(c, []).append(n)
         match head:
             case ("num", v):
                 if self.req.present("Natural"):
@@ -283,13 +294,15 @@ class EqGraph:
     def _add_neg_eq(self, a: int, b: int) -> bool:
         # stored both ways round, so a re-keyed pair needs no order
         a, b = self.find(a), self.find(b)
+        if a == b:
+            self.contradiction = True
         new = self._put(self.neg_eq, (None, (a, b)), True)
         return self._put(self.neg_eq, (None, (b, a)), True) or new
 
     def _assume_type_expr(self, rep: int, ty: TypeExpr) -> None:
         self._add_type(rep, ty.mode, self._interned(ty.args))
-        for s, aid, args in self._attr_entries(self.db.round_up(ty).upper):
-            self._add_attr(rep, s, aid, args)
+        for s, aid, args in self.db.adjectives(ty):
+            self._add_attr(rep, s, aid, self._interned(args))
 
     # -- literal intake ------------------------------------------------------
 
@@ -346,19 +359,24 @@ class EqGraph:
 
     def _rehash(self) -> bool:
         """Re-key the nodes; two that now share a key are congruent."""
+        if self._rehashed == self._merges:
+            return False
+        self._rehashed = self._merges
         classes = len(self.class_nodes)
         self._rekey(self.node_of_key, self.union)
         return len(self.class_nodes) < classes
 
     def _normalize(self) -> bool:
         """Re-key the facts; two that now share a key must agree."""
+        if self._normalized == self._merges:
+            return False
+        self._normalized = self._merges
         changed = self._rekey(self.atoms)
         for tables in (self.attrs, self.types):
             for table in tables.values():
                 changed |= self._rekey(table)
         # no rule pass reads disequalities: re-keying them is no progress
-        self._rekey(self.neg_eq)
-        if any(a == b for _, (a, b) in self.neg_eq):
+        if self._rekey(self.neg_eq) and any(a == b for _, (a, b) in self.neg_eq):
             self.contradiction = True
         return changed
 
@@ -540,21 +558,24 @@ class EqGraph:
         return changed
 
     def _supercluster_pass(self) -> bool:
+        if self._rules is None:
+            # no cluster is registered while a graph lives
+            rules = [(g, t, None) for g, t in self.req.builtin_conditional_clusters()]
+            rules += [(c.guard, c.target, c.ty) for c in self.db.conditional]
+            self._rules = [(self._attr_entries(g), self._attr_entries(t), ty) for g, t, ty in rules]
+        # the guards' keys, their argument classes found again
+        rules = [([((aid, self._ids(args)), s) for s, aid, args in g], t, ty) for g, t, ty in self._rules]
         changed = False
-        rules: list[tuple[list, list, TypeExpr | None]] = []
-        for guard, target in self.req.builtin_conditional_clusters():
-            rules.append((self._attr_entries(guard), self._attr_entries(target), None))
-        for c in self.db.conditional:
-            rules.append((self._attr_entries(c.guard), self._attr_entries(c.target), c.ty))
         for rep in self.classes():
             amap = self.attrs[rep]
             for guard, target, subject in rules:
-                if not all(amap.get((aid, args)) == s for s, aid, args in guard):
-                    continue
-                if subject is not None and not self.class_satisfies(rep, subject):
-                    continue
-                for s, aid, args in target:
-                    changed |= self._add_attr(rep, s, aid, args)
+                for key, s in guard:
+                    if amap.get(key) != s:
+                        break
+                else:
+                    if subject is None or self.class_satisfies(rep, subject):
+                        for s, aid, args in target:
+                            changed |= self._add_attr(rep, s, aid, args)
         return changed
 
     def _attr_entries(

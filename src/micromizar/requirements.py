@@ -108,6 +108,7 @@ class RequirementTable:
         self.arith: dict[int, Op] = {self._ids[n]: op for n, op in OPS.items() if n in self._ids}
         self._result_types = self._builtin_result_types()
         self._clusters = self._order_clusters()
+        self._numeral_type: TypeExpr | None = None  # made on first use: set_type() needs HIDDEN
 
     def present(self, name: str) -> bool:
         return name in self._present
@@ -173,9 +174,9 @@ class RequirementTable:
         return self.attr_type(["Natural"])
 
     def numeral_type(self) -> TypeExpr:
-        if self.present("Natural"):
-            return self.nat_type()
-        return self.set_type()
+        if self._numeral_type is None:
+            self._numeral_type = self.nat_type() if self.present("Natural") else self.set_type()
+        return self._numeral_type
 
     def functor_result_type(self, cid: int) -> TypeExpr | None:
         """Result type of a builtin functor, None for user functors."""

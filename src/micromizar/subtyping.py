@@ -26,6 +26,7 @@ from .logic import (
     Term,
     TypeExpr,
     mk_neg,
+    sorted_attrs,
     subst_loci,
 )
 from .requirements import RequirementTable
@@ -91,7 +92,8 @@ class DefinitionDb:
     The database only grows: every id comes from ``fresh_id`` and is
     defined once, and clusters are appended, never removed or replaced.
     So the number of modes and of conditional clusters, with the type,
-    fixes what ``round_up`` returns, and it memoizes on those three.
+    fixes what ``round_up`` returns, and it and ``adjectives`` memoize on
+    those three.
     """
 
     def __init__(self, req: RequirementTable):
@@ -105,6 +107,7 @@ class DefinitionDb:
         self.functor_clusters: list[FunctorCluster] = []
         self._next = {kind: req.max_id(kind) + 1 for kind in ("mode", "func", "pred", "attr")}
         self._rounded: dict[tuple[TypeExpr, int, int], TypeExpr] = {}
+        self._adjectives: dict[tuple[TypeExpr, int, int], tuple] = {}
 
     def fresh_id(self, kind: str) -> int:
         out = self._next[kind]
@@ -145,6 +148,16 @@ class DefinitionDb:
         out = self._rounded.get(key)
         if out is None:
             out = self._rounded[key] = self._round_up(ty)
+        return out
+
+    def adjectives(self, ty: TypeExpr) -> tuple[tuple[bool, int, tuple[Term, ...]], ...]:
+        """``round_up(ty).upper`` in ``sorted_attrs`` order, as (sign,
+        attribute id, arguments); memoized as ``round_up`` is."""
+        key = (ty, len(self.modes), len(self.conditional))
+        out = self._adjectives.get(key)
+        if out is None:
+            attrs = sorted_attrs(self.round_up(ty).upper)
+            out = self._adjectives[key] = tuple((a.positive, a.attr_id, a.args) for a in attrs)
         return out
 
     def _round_up(self, ty: TypeExpr) -> TypeExpr:

@@ -298,8 +298,8 @@ class Unifier:
 
     def _equality(self, a: Term, b: Term) -> Eval:
         g = self.g
-        va, vb = self._value(a), self._value(b)
         ca, cb = self._term(a), self._term(b)
+        va, vb = self._value(a, ca), self._value(b, cb)
 
         def eq(env):
             x = va(env)
@@ -371,13 +371,16 @@ class Unifier:
 
         return classes
 
-    def _value(self, t: Term) -> Callable[[Env], ComplexRational | None]:
+    def _value(
+        self, t: Term, term: Callable[[Env], int | None] | None = None
+    ) -> Callable[[Env], ComplexRational | None]:
         """The class's known value first, then the structural rule, in the
-        order of ``RequirementTable.term_value``."""
+        order of ``RequirementTable.term_value``.  `term` is `t`'s compiled
+        ``_term``, when the caller has one."""
         g, req = self.g, self.req
         if isinstance(t, PrivFunc):
-            return self._value(t.expansion)
-        term = self._term(t)
+            return self._value(t.expansion, term)
+        term = term or self._term(t)
         arith = req.arith.get(t.func) if isinstance(t, FunctorApp) else None
         parts = [self._value(a) for a in t.args] if arith else []
         own = req.term_value(t) if isinstance(t, Numeral) else None

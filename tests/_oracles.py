@@ -24,9 +24,14 @@ broke ties: the rank alone.  ``ReferenceGraph`` is the congruence
 graph with polynomials as they were before they became a graph table:
 one pass per round that recomputes the polynomial of every class and
 compares every pair of each class's polynomials, and ``graph_digest``
-is what two saturated graphs must agree on.  ``reference_tokenize`` is
-the tokenizer as it was before it became one regular expression: one
-character at a time, with a walk over the symbol table at each symbol.
+is what two saturated graphs must agree on.  It also keeps the graph's
+upkeep as it was before the graph did work only where it holds
+something: every node due for the polynomials, every table re-keyed and
+every cluster rule rebuilt each round, each seeded type rounded up
+again; ``ReferenceTableGraph`` is that upkeep with the polynomial
+table.  ``reference_tokenize`` is the tokenizer as it was before it
+became one regular expression: one character at a time, with a walk
+over the symbol table at each symbol.
 ``ReferencePrechecker`` is ``Prechecker.justify`` as it was before the
 clauses shared a first step: augmentation, then skolemization, then
 every clause refuted in a graph of its own.
@@ -1155,7 +1160,38 @@ class ReferenceGraph(EqGraph):
     graph table: every round it recomputes each class's polynomial (the
     least of its nodes', a class in progress read as its atom), merges
     classes that share one, and compares every pair of each class's
-    polynomials."""
+    polynomials.  Every node is due when made, every round re-keys every
+    table and rebuilds the cluster rules, and each seeded type is rounded
+    up and sorted again."""
+
+    def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
+        super()._seed(n, head, children)
+        if self._arith is not None:
+            self._due.add(n)
+
+    def _rehash(self) -> bool:
+        classes = len(self.class_nodes)
+        self._rekey(self.node_of_key, self.union)
+        return len(self.class_nodes) < classes
+
+    def _normalize(self) -> bool:
+        changed = self._rekey(self.atoms)
+        for tables in (self.attrs, self.types):
+            for table in tables.values():
+                changed |= self._rekey(table)
+        self._rekey(self.neg_eq)
+        if any(a == b for _, (a, b) in self.neg_eq):
+            self.contradiction = True
+        return changed
+
+    def _supercluster_pass(self) -> bool:
+        self._rules = None
+        return super()._supercluster_pass()
+
+    def _assume_type_expr(self, rep: int, ty: TypeExpr) -> None:
+        self._add_type(rep, ty.mode, self._interned(ty.args))
+        for s, aid, args in self._attr_entries(self.db.round_up(ty).upper):
+            self._add_attr(rep, s, aid, args)
 
     def _poly_pass(self) -> bool:
         if "ARITHM" not in self.req.enabled:
@@ -1251,8 +1287,17 @@ class ReferenceGraph(EqGraph):
         return False
 
 
-def reference_refute_clause(db, literals: list[Formula], const_types: dict[int, TypeExpr]) -> ReferenceGraph:
-    g = ReferenceGraph(db)
+class ReferenceTableGraph(ReferenceGraph):
+    """``ReferenceGraph`` with the polynomial table of ``EqGraph``: a
+    graph that must take the same rounds as the real one."""
+
+    _poly_pass = EqGraph._poly_pass
+
+
+def reference_refute_clause(
+    db, literals: list[Formula], const_types: dict[int, TypeExpr], graph: type[EqGraph] = ReferenceGraph
+) -> EqGraph:
+    g = graph(db)
     for idx in sorted(const_types):
         g.assume_const_type(idx, const_types[idx])
     for lit in literals:

@@ -626,3 +626,126 @@ def test_the_empty_set_is_there_before_the_first_pass(req_all, monkeypatch):
     g = refute_clause(DefinitionDb(req_all), [Pred(40, (const(0),))], {0: req_all.set_type()})
     assert rounds == [1]
     assert g.lookup(FunctorApp(req_all.require("EmptySet"), ())) == 1
+
+
+def test_a_disequality_of_a_class_with_itself_closes_the_graph_at_intake(req_all, monkeypatch):
+    # the merge-free round re-keys nothing, so no later scan would find it
+    req = req_all
+    rounds = []
+    round_ = EqGraph.round
+    monkeypatch.setattr(EqGraph, "round", lambda g: rounds.append(g) or round_(g))
+    c, d = const(0), const(1)
+    for lits in ([neq(req, c, c)], [eq(req, c, d), neq(req, c, d)]):
+        assert run_clause(req, lits).contradiction
+    assert rounds == []
+    # a disequality whose key a merge left stale is caught when re-keyed
+    e = const(2)
+    assert run_clause(req, [neq(req, d, e), eq(req, c, d), eq(req, c, e)]).contradiction
+
+
+def test_a_clause_without_arithmetic_computes_no_class_polynomial(req_all):
+    req = req_all
+    x, y = const(0), const(1)
+    positive = Attr(True, req.require("Positive"))
+    lits = [Is(x, positive), le(req, x, y), member(req, x, y), Neg(Qual(y, req.nat_type()))]
+    g = run_clause(req, lits, {0: req.set_type(), 1: req.set_type()})
+    assert not g.contradiction
+    assert g.canon == {} and g.polys == {}
+
+
+def test_a_round_after_which_nothing_merged_re_keys_no_table(req_all, monkeypatch):
+    # x = y merges at intake, so the first round re-keys; the order pass
+    # then adds an atom and a disequality but merges nothing
+    req = req_all
+    calls, per_round = [], []
+    rekey, round_ = EqGraph._rekey, EqGraph.round
+    monkeypatch.setattr(EqGraph, "_rekey", lambda g, *a: calls.append(a[0]) or rekey(g, *a))
+
+    def counted(g):
+        start = len(calls)
+        out = round_(g)
+        per_round.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(EqGraph, "round", counted)
+    x, y, z = const(0), const(1), const(2)
+    g = run_clause(req, [eq(req, x, y), Neg(le(req, x, z))], {i: req.set_type() for i in range(3)})
+    assert not g.contradiction
+    assert len(per_round) == 2 and per_round[0] > 0 and per_round[1] == 0
+
+
+ADJECTIVES = ["Positive", "Negative", "ZeroAttr", "Natural", "Empty"]
+
+
+def random_mixed_term(req, rng: random.Random, consts: int, depth: int):
+    if depth == 0 or rng.random() < 0.4:
+        r = rng.random()
+        if r < 0.1:
+            return FunctorApp(req.require("EmptySet"), ())
+        return Numeral(rng.randrange(3)) if r < 0.3 else const(rng.randrange(consts))
+    name = rng.choice(["Add", "Mul", "Sub", "Union", "Intersection"])
+    return FunctorApp(req.require(name), tuple(random_mixed_term(req, rng, consts, depth - 1) for _ in range(2)))
+
+
+def random_mixed_clause(req, rng: random.Random) -> tuple[list, dict]:
+    """Adjectives under the order clusters, types, membership,
+    inclusion, unions and intersections, order, equalities,
+    disequalities and arithmetic, each literal of either sign."""
+    consts = rng.choice([2, 3])
+
+    def term(depth=1):
+        return random_mixed_term(req, rng, consts, depth)
+
+    def adjective():
+        return Attr(rng.random() < 0.7, req.require(rng.choice(ADJECTIVES)))
+
+    lits = []
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            lit = eq(req, term(2), term(2))
+        elif kind == 1:
+            lit = le(req, term(), term())
+        elif kind == 2:
+            lit = Is(term(), adjective())
+        elif kind == 3:
+            attrs = frozenset(adjective() for _ in range(rng.randint(1, 2)))
+            mode, args = rng.choice([(req.require("Set"), ()), (req.require("Element"), (term(0),))])
+            lit = Qual(term(), TypeExpr(attrs, attrs, mode, args))
+        elif kind == 4:
+            lit = member(req, term(), term())
+        else:
+            lit = Pred(req.require("Subset"), (term(), term()))
+        lits.append(lit if rng.random() < 0.6 else Neg(lit))
+    types = [req.set_type(), req.nat_type(), req.object_type()]
+    return lits, {i: rng.choice(types) for i in range(consts)}
+
+
+def test_the_graph_agrees_with_the_upkeep_of_every_class_every_round(req_all, monkeypatch):
+    # ``ReferenceTableGraph`` re-keys every table, rebuilds the cluster
+    # rules and recomputes every class's polynomials each round, and
+    # rounds up each seeded type again: the graph must take the same
+    # rounds to the same verdict and the same saturated graph
+    req = req_all
+    rounds: collections.Counter = collections.Counter()
+    round_ = EqGraph.round
+    monkeypatch.setattr(EqGraph, "round", lambda g: rounds.update([type(g)]) or round_(g))
+    positive, natural = (Attr(True, req.require(n)) for n in ("Positive", "Natural"))
+    rng = random.Random(16)
+    refuted = 0
+    for _ in range(300):
+        lits, types = random_mixed_clause(req, rng)
+        db = DefinitionDb(req)
+        db.conditional.append(ConditionalCluster(frozenset([natural]), frozenset([positive.negate()]), req.set_type()))
+        rounds.clear()
+        g = refute_clause(db, lits, types)
+        ref = orc.reference_refute_clause(db, lits, types, orc.ReferenceTableGraph)
+        assert (g.contradiction, g.limited, rounds[EqGraph]) == (
+            ref.contradiction,
+            ref.limited,
+            rounds[orc.ReferenceTableGraph],
+        ), lits
+        if not ref.contradiction:
+            assert orc.graph_digest(g) == orc.graph_digest(ref), lits
+        refuted += ref.contradiction
+    assert 50 < refuted < 250

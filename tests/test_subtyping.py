@@ -92,8 +92,11 @@ def test_round_up_sees_a_cluster_registered_after_it(db, req_all):
     st = req_all.set_type()
     start = TypeExpr(frozenset({Attr(True, a)}), frozenset({Attr(True, a)}), st.mode)
     assert Attr(True, b) not in db.round_up(start).upper
+    assert db.adjectives(start) == ((True, a, ()),)
     db.conditional.append(ConditionalCluster(frozenset({Attr(True, a)}), frozenset({Attr(True, b)}), st))
     assert Attr(True, b) in db.round_up(start).upper
+    # the seeding memo is keyed as round_up is, and keeps sorted_attrs order
+    assert db.adjectives(start) == ((True, a, ()), (True, b, ()))
 
 
 def test_round_up_sees_a_mode_defined_after_it(db, req_all):
@@ -101,8 +104,10 @@ def test_round_up_sees_a_mode_defined_after_it(db, req_all):
     even = TypeExpr(frozenset(), frozenset(), mid)
     natural = Attr(True, req_all.require("Natural"))
     assert natural not in db.round_up(even).upper
+    assert db.adjectives(even) == ()
     db.modes[mid] = ModeDef(0, ty(req_all, "Natural"), None, False)
     assert natural in db.round_up(even).upper
+    assert db.adjectives(even) == ((True, natural.attr_id, ()),)
 
 
 def test_user_mode_inherits_parent_adjectives(db, req_all):
