@@ -216,7 +216,7 @@ class Analyzer:
         return formula_equal(a, b, self.flex_mode)
 
     def _eq_pred(self, pos: SourcePos) -> int:
-        eq = self.req.cid("Equality")
+        eq = self.req.ids.Equality
         if eq is None:
             raise MizarError(pos, 95, "equality requirement missing")
         return eq
@@ -251,7 +251,7 @@ class Analyzer:
 
     def _by(self, goal: Formula, refs, linked: bool, pos: SourcePos) -> None:
         premises = self._references(refs, linked, pos)
-        eq = self.req.cid("Equality")
+        eq = self.req.ids.Equality
         if eq is not None:
             for cid, t in self.defined:
                 premises.append(Pred(eq, (const(cid), t)))
@@ -395,19 +395,22 @@ class Analyzer:
         return f
 
     def _let(self, st: StLet, thesis: Formula | None) -> Formula:
+        """Fix a constant per name for the thesis's leading binders: binder
+        i's type reads the first i, the body all of them, in one walk."""
         declared = self.resolver.type_expr(st.ty)
+        consts: list[Term] = []
         for name in st.names:
             if not isinstance(thesis, ForAll):
                 raise MizarError(st.pos, 51, "nothing left to generalize")
-            ty = self.db.round_up(thesis.ty)
+            ty = self.db.round_up(subst_bound(thesis.ty, 0, *consts))
             # fixing a variable at a supertype of the bound is fine; the
             # constant keeps the tighter thesis type either way
             if not self.db.subtype(ty, declared):
                 self.errors.append(VerifyError(st.pos, 52))
-            c = self._new_const(name, ty)
-            thesis = subst_bound(thesis.body, 0, const(c))
+            consts.append(const(self._new_const(name, ty)))
+            thesis = thesis.body
         self.prev = None
-        return thesis
+        return subst_bound(thesis, 0, *consts)
 
     def _rest_after(self, f: Formula, target: Formula) -> tuple[Formula, ...] | None:
         """The conjuncts of `target` left once those of `f` match a prefix

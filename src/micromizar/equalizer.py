@@ -322,7 +322,7 @@ class EqGraph:
                     self.assume(c)
             case Pred(p, args):
                 reps = self._interned(args)
-                if p == self.req.cid("Equality") and len(reps) == 2:
+                if p == self.req.ids.Equality and len(reps) == 2:
                     if sign:
                         self.union(reps[0], reps[1])
                     else:
@@ -406,7 +406,7 @@ class EqGraph:
     def _poly_pass(self) -> bool:
         if self._arith is None or not self._due:
             return False
-        arith, find, canon = self._arith, self.find, self.canon
+        find, canon = self.find, self.canon
         due: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials compared pairwise, in groups
         todo, self._due = list(self._due), set()
         while todo:
@@ -419,73 +419,20 @@ class EqGraph:
                         del self.poly[p]
                 todo.extend(self.users.get(rep, ()))
 
-        in_progress: set[int] = set()
-        # A node's polynomial is kept until the pass merges classes or
-        # sets a value, and only if no class it read was cut off as in
-        # progress: such a class reads differently once it is finished.
-        node_memo: dict[int, Polynomial | None] = {}
-        cuts = 0
-        looped: set[int] = set()
-
-        def class_poly(rep: int) -> Polynomial:
-            nonlocal cuts
-            rep = find(rep)
-            if rep in canon:
-                return canon[rep]
-            if rep in in_progress:
-                cuts += 1
-                looped.add(rep)
-                return p_atom(rep)
-            v = self.value.get(rep)
-            if v is not None:
-                canon[rep] = p_const(v)
-                return canon[rep]
-            in_progress.add(rep)
-            before = cuts
-            best: Polynomial | None = None
-            for n in sorted(self.class_nodes[rep]):
-                p = node_poly(n)
-                if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
-                    best = p
-            in_progress.discard(rep)
-            if cuts != before:
-                # read through a cut, it depends on where the walk came
-                # in, so the next pass recomputes it rather than trust canon
-                self._due.add(rep)
-            if best is None:
-                best = p_atom(rep)
-            canon[rep] = best
-            return best
-
-        def node_poly(n: int) -> Polynomial | None:
-            if n in node_memo:
-                return node_memo[n]
-            head, children = self.nodes[n]
-            if head[0] == "num":
-                p = p_const(ComplexRational.from_int(head[1]))
-            elif head[0] != "app" or head[1] not in arith:
-                p = None
-            else:
-                before = cuts
-                p = arith[head[1]].poly(*[class_poly(c) for c in children])
-                if cuts != before:
-                    return p
-            node_memo[n] = p
-            return p
-
+        reader = _PolyReader(self)
         changed = False
         for rep in sorted(due):
             if rep not in self.class_nodes:
                 continue
-            cands = {class_poly(rep)}
+            cands = {reader.class_poly(rep)}
             for n in self.class_nodes[rep]:
-                p = node_poly(n)
+                p = reader.node_poly(n)
                 if p is not None:
                     cands.add(p)
             v = self.value.get(rep)
             if v is not None:
                 cands.add(p_const(v))
-            elif rep in looped:
+            elif rep in reader.looped:
                 # only a class read as its atom can have a polynomial
                 # whose gap to that atom pins a value
                 cands.add(p_atom(rep))
@@ -508,7 +455,7 @@ class EqGraph:
                         grew |= self._poly_gap(p_sub(p, q))
             self.polys.setdefault(find(rep), []).append(cands)
             if grew:
-                node_memo.clear()
+                reader.node_memo.clear()
                 changed = True
         return changed
 
@@ -533,10 +480,10 @@ class EqGraph:
     def _attr_value_pass(self) -> bool:
         req = self.req
         changed = False
-        zero_a = req.cid("ZeroAttr")
-        natural = req.cid("Natural")
-        pos = req.cid("Positive")
-        neg = req.cid("Negative")
+        zero_a = req.ids.ZeroAttr
+        natural = req.ids.Natural
+        pos = req.ids.Positive
+        neg = req.ids.Negative
         for rep in self.classes():
             v = self.value.get(rep)
             amap = self.attrs[rep]
@@ -597,7 +544,7 @@ class EqGraph:
 
     def _order_pass(self) -> bool:
         req = self.req
-        le = req.cid("LessOrEqual")
+        le = req.ids.LessOrEqual
         if le is None:
             return False
         changed = False
@@ -622,20 +569,20 @@ class EqGraph:
 
     def _boole_pass(self) -> bool:
         req = self.req
-        if not req.present("Empty"):
+        empty = req.ids.Empty
+        if empty is None:
             return False
         changed = False
-        empty = req.require("Empty")
         e0 = self.find(self._empty_class)
         for rep in self.classes():
             rep = self.find(rep)  # this loop may have merged it into e0
             if rep != e0 and self.attrs[rep].get((empty, ())) is True:
                 changed |= self.union(rep, e0)
                 e0 = self.find(self._empty_class)
-        union_f = req.cid("Union")
-        inter_f = req.cid("Intersection")
-        diff_f = req.cid("Difference")
-        sym_f = req.cid("SymDiff")
+        union_f = req.ids.Union
+        inter_f = req.ids.Intersection
+        diff_f = req.ids.Difference
+        sym_f = req.ids.SymDiff
         for n, (head, children) in enumerate(self.nodes):
             if head[0] != "app" or len(children) != 2:
                 continue
@@ -667,8 +614,8 @@ class EqGraph:
                 if a == b:
                     changed |= self.union(rep, e0)
             e0 = self.find(self._empty_class)
-        meets = req.cid("Meets")
-        member = req.cid("Membership")
+        meets = req.ids.Meets
+        member = req.ids.Membership
         for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred":
                 continue
@@ -687,14 +634,14 @@ class EqGraph:
 
     def _subset_pass(self) -> bool:
         req = self.req
-        if not req.present("Subset"):
+        subset_p = req.ids.Subset
+        if subset_p is None:
             return False
         changed = False
-        elem = req.require("Element")
-        powerset = req.require("PowerSet")
-        subset_p = req.require("Subset")
-        member = req.cid("Membership")
-        empty = req.cid("Empty")
+        elem = req.ids.Element
+        powerset = req.ids.PowerSet
+        member = req.ids.Membership
+        empty = req.ids.Empty
         for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred" or len(args) != 2:
                 continue
@@ -735,7 +682,7 @@ class EqGraph:
         for s, aid, args in self._attr_entries(ty.lower, env):
             if amap.get((aid, args)) != s:
                 return False
-        if ty.mode in (req.cid("Object"), req.cid("Set")):
+        if ty.mode in (req.ids.Object, req.ids.Set):
             return True
         want_args = self._interned(ty.args, env)
         for mode, targs in self.types[self.find(rep)]:
@@ -837,3 +784,68 @@ def refute_clause(
             g.assume(lit)
     g.run()
     return g
+
+
+class _PolyReader:
+    """One `EqGraph._poly_pass`'s reading of classes and nodes as
+    polynomials.  It holds the graph, never the other way round, so the
+    reader and its memo are freed when the pass returns."""
+
+    def __init__(self, g: EqGraph):
+        self.g = g
+        self.in_progress: set[int] = set()
+        # A node's polynomial is kept until the pass merges classes or
+        # sets a value, and only if no class it read was cut off as in
+        # progress: such a class reads differently once it is finished.
+        self.node_memo: dict[int, Polynomial | None] = {}
+        self.cuts = 0
+        self.looped: set[int] = set()
+
+    def class_poly(self, rep: int) -> Polynomial:
+        g = self.g
+        rep = g.find(rep)
+        canon = g.canon
+        if rep in canon:
+            return canon[rep]
+        if rep in self.in_progress:
+            self.cuts += 1
+            self.looped.add(rep)
+            return p_atom(rep)
+        v = g.value.get(rep)
+        if v is not None:
+            canon[rep] = p_const(v)
+            return canon[rep]
+        self.in_progress.add(rep)
+        before = self.cuts
+        best: Polynomial | None = None
+        for n in sorted(g.class_nodes[rep]):
+            p = self.node_poly(n)
+            if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
+                best = p
+        self.in_progress.discard(rep)
+        if self.cuts != before:
+            # read through a cut, it depends on where the walk came
+            # in, so the next pass recomputes it rather than trust canon
+            g._due.add(rep)
+        if best is None:
+            best = p_atom(rep)
+        canon[rep] = best
+        return best
+
+    def node_poly(self, n: int) -> Polynomial | None:
+        node_memo = self.node_memo
+        if n in node_memo:
+            return node_memo[n]
+        head, children = self.g.nodes[n]
+        arith = self.g._arith
+        if head[0] == "num":
+            p = p_const(ComplexRational.from_int(head[1]))
+        elif head[0] != "app" or head[1] not in arith:
+            p = None
+        else:
+            before = self.cuts
+            p = arith[head[1]].poly(*[self.class_poly(c) for c in children])
+            if self.cuts != before:
+                return p
+        node_memo[n] = p
+        return p

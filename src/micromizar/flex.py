@@ -276,6 +276,16 @@ def formula_equal(a, b, mode: FlexMode) -> bool:
     Fraenkel terms and a type's written adjectives compare exactly, and
     ``thesis`` equals nothing.
     """
+    try:
+        zip_nodes(a, b, _EQUAL_HOOKS[mode])
+    except ShapeMismatch:
+        return False
+    return True
+
+
+def _equal_hook(mode: FlexMode):
+    """`formula_equal`'s hook under `mode`, made once per mode: it names
+    itself, a cycle that only the cyclic collector would free per call."""
 
     def fn(x, y):
         px, py = type(x) in _PRIVATE, type(y) in _PRIVATE
@@ -305,8 +315,7 @@ def formula_equal(a, b, mode: FlexMode) -> bool:
             raise ShapeMismatch("adjectives differ")
         return None
 
-    try:
-        zip_nodes(a, b, fn)
-    except ShapeMismatch:
-        return False
-    return True
+    return fn
+
+
+_EQUAL_HOOKS = {mode: _equal_hook(mode) for mode in FlexMode}

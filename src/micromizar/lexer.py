@@ -21,14 +21,21 @@ are skipped too), then takes one token:
 Any other character is error 90 at its own position.  The token list
 ends with an ``eof`` token at the position just past the text.  Lines
 and columns count from 1; a column counts characters, not bytes, and a
-tab or ``\\r`` is one column like any other character.  No symbol
-shares its text with a token of another kind.
+tab or ``\\r`` is one column like any other character.  No keyword or
+symbol shares its text with a token of another kind, so the parser
+tests them by text alone.
+
+A token is an exact tuple ``(kind, text, line, col)``, `Token`.  The
+cyclic garbage collector untracks an exact tuple of strings and ints at
+its first collection, but never a tuple subclass such as a
+``NamedTuple``, so an article's tokens cost the collector nothing after
+that.  A `SourcePos` is made only where an error or a surface node
+takes one.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import MizarError, SourcePos
 
@@ -56,23 +63,13 @@ _TOKEN = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "kw" | "ident" | "num" | "sym" | "dollar" | "eof"
-    text: str
-    pos: SourcePos
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind == "kw" and self.text == word
-
-    def is_sym(self, sym: str) -> bool:
-        return self.kind == "sym" and self.text == sym
+Token = tuple[str, str, int, int]  # kind ("kw" "ident" "num" "sym" "dollar" "eof"), text, line, col
 
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
     line, line_start, last = 1, 0, 0  # `last`: where the previous match ended
     count = text.count
-    new = tuple.__new__  # builds a Token or SourcePos without a Python-level call
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         start = m.start(kind) if kind else m.end()
@@ -81,7 +78,7 @@ def tokenize(text: str) -> list[Token]:
             line += newlines
             line_start = text.rindex("\n", last, start) + 1
         last = m.end()
-        pos = new(SourcePos, (line, start - line_start + 1))
+        col = start - line_start + 1
         if kind is None:
             break
         word = m.group(kind)
@@ -90,12 +87,12 @@ def tokenize(text: str) -> list[Token]:
                 kind = "kw"
         elif kind == "dollar":
             if len(word) == 1:
-                raise MizarError(pos, 90, "expected digits after $")
+                raise MizarError(SourcePos(line, col), 90, "expected digits after $")
             word = word[1:]
         elif kind == "other":
             if not word[0].isalpha():
-                raise MizarError(pos, 90, f"unexpected character {word[0]!r}")
+                raise MizarError(SourcePos(line, col), 90, f"unexpected character {word[0]!r}")
             kind = "ident"
-        out.append(new(Token, (kind, word, pos)))
-    out.append(Token("eof", "", pos))
+        out.append((kind, word, line, col))
+    out.append(("eof", "", line, col))
     return out

@@ -5,6 +5,11 @@ either a term or a formula, and the three cluster registration shapes
 share a prefix.  Both are resolved by saving the token index and
 retrying; everything else is a single token of lookahead.
 
+A token is the lexer's tuple ``(kind, text, line, col)``, read by index.
+No keyword or symbol shares its text with another kind of token, so
+``tok[1] == "("`` tests for the symbol alone; `_pos` makes a token's
+`SourcePos` only where a node or an error takes one.
+
 Errors carry code 90.  `parse_article` recovers at the next ``;`` after
 a failed item so later items still get checked.  Terms and formulas
 nested deeper than ``MAX_NESTING`` are such an error, a prefix operator
@@ -81,10 +86,13 @@ from .surface import (
 PREFIX_FUNCTORS = frozenset({"bool", "succ"})
 INFIX_PREDS = frozenset({"in", "meets", "divides"})
 RELATIONS = ("=", "<>", "<=", ">=", "<", ">", "c=")
-# binding strength of the binary term operators, loosest 0; a symbol
-# never shares its text with a token of another kind
+# binding strength of the binary term operators, loosest 0
 BINARY_LEVELS = {"\\/": 0, "/\\": 0, "\\+\\": 0, "\\": 0, "+": 1, "-": 1, "*": 2, "/": 2}
 MAX_NESTING = 100  # nested term() and formula() entries and prefix operators
+
+
+def _pos(tok: Token) -> SourcePos:
+    return tuple.__new__(SourcePos, tok[2:])
 
 
 class Parser:
@@ -105,44 +113,40 @@ class Parser:
 
     def next(self) -> Token:
         t = self.tok
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
             self.tok = self.toks[self.i]
         return t
 
     def fail(self, note: str) -> MizarError:
-        return MizarError(self.tok.pos, 90, note)
+        return MizarError(_pos(self.tok), 90, note)
 
-    def expect_sym(self, sym: str) -> Token:
-        if not self.tok.is_sym(sym):
-            raise self.fail(f"expected {sym!r}")
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        if not self.tok.is_kw(word):
-            raise self.fail(f"expected {word!r}")
+    def expect(self, text: str) -> Token:
+        """Take the keyword or symbol `text`."""
+        if self.tok[1] != text:
+            raise self.fail(f"expected {text!r}")
         return self.next()
 
     def expect_ident(self) -> Token:
-        if self.tok.kind != "ident":
+        if self.tok[0] != "ident":
             raise self.fail("expected an identifier")
         return self.next()
 
     def at_label(self) -> bool:
-        return self.tok.kind == "ident" and self.peek().is_sym(":")
+        return self.tok[0] == "ident" and self.peek()[1] == ":"
 
     def take_label(self) -> str | None:
         if self.at_label():
-            name = self.next().text
+            name = self.next()[1]
             self.next()
             return name
         return None
 
     def ident_list(self) -> tuple[str, ...]:
-        names = [self.expect_ident().text]
-        while self.tok.is_sym(","):
+        names = [self.expect_ident()[1]]
+        while self.tok[1] == ",":
             self.next()
-            names.append(self.expect_ident().text)
+            names.append(self.expect_ident()[1])
         return tuple(names)
 
     def enter(self) -> None:
@@ -156,7 +160,7 @@ class Parser:
         """Parse the operand of the prefix operator just taken.  The
         operator counts one level unless a parenthesis, which counts
         itself, opens the operand."""
-        if self.tok.is_sym("("):
+        if self.tok[1] == "(":
             return operand()
         try:
             self.enter()
@@ -176,92 +180,92 @@ class Parser:
     def binary_term(self, lhs: STerm, floor: int) -> STerm:
         """Fold onto `lhs` the binary operators that follow it and bind
         at least as tight as `floor`, each level left-associative."""
-        level = BINARY_LEVELS.get(self.tok.text)
+        level = BINARY_LEVELS.get(self.tok[1])
         while level is not None and level >= floor:
             op = self.next()
             rhs = self.unary_term()
-            after = BINARY_LEVELS.get(self.tok.text)
+            after = BINARY_LEVELS.get(self.tok[1])
             while after is not None and after > level:
                 rhs = self.binary_term(rhs, after)
-                after = BINARY_LEVELS.get(self.tok.text)
-            lhs = SApp(op.pos, op.text, (lhs, rhs))
+                after = BINARY_LEVELS.get(self.tok[1])
+            lhs = SApp(_pos(op), op[1], (lhs, rhs))
             level = after
         return lhs
 
     def unary_term(self) -> STerm:
         t = self.tok
-        if t.is_sym("-") or (t.kind == "ident" and t.text in PREFIX_FUNCTORS):
+        if t[1] == "-" or t[1] in PREFIX_FUNCTORS:
             self.next()
-            return SApp(t.pos, t.text, (self.prefixed(self.unary_term),))
+            return SApp(_pos(t), t[1], (self.prefixed(self.unary_term),))
         return self.postfix_term()
 
     def postfix_term(self) -> STerm:
         t = self.primary_term()
-        while self.tok.is_sym('"'):
+        while self.tok[1] == '"':
             op = self.next()
-            t = SApp(op.pos, '"', (t,))
+            t = SApp(_pos(op), '"', (t,))
         return t
 
     def primary_term(self) -> STerm:
         t = self.tok
-        if t.kind in ("num", "dollar"):
+        if t[0] in ("num", "dollar"):
             return self.number()
-        if t.is_sym("<i>"):
+        if t[1] == "<i>":
             self.next()
-            return SApp(t.pos, "<i>", ())
-        if t.is_kw("it"):
+            return SApp(_pos(t), "<i>", ())
+        if t[1] == "it":
             self.next()
-            return SVar(t.pos, "it")
-        if t.is_kw("the"):
+            return SVar(_pos(t), "it")
+        if t[1] == "the":
             self.next()
-            return SThe(t.pos, self.type_expr())
-        if t.is_sym("{"):
+            return SThe(_pos(t), self.type_expr())
+        if t[1] == "{":
             return self.brace_term()
-        if t.is_sym("("):
+        if t[1] == "(":
             self.next()
             inner = self.term()
-            self.expect_sym(")")
+            self.expect(")")
             return inner
-        if t.kind == "ident":
+        if t[0] == "ident":
             self.next()
-            if self.tok.is_sym("("):
+            if self.tok[1] == "(":
                 self.next()
-                if self.tok.is_sym(")"):
+                if self.tok[1] == ")":
                     self.next()
-                    return SApp(t.pos, t.text, ())
+                    return SApp(_pos(t), t[1], ())
                 args = self.term_list(")")
-                return SApp(t.pos, t.text, args)
-            return SVar(t.pos, t.text)
+                return SApp(_pos(t), t[1], args)
+            return SVar(_pos(t), t[1])
         raise self.fail("expected a term")
 
     def number(self) -> SNum | SDollar:
         """The numeral or ``$`` index at the current token."""
         t = self.next()
         try:
-            value = int(t.text)
+            value = int(t[1])
         except ValueError:  # more digits than the interpreter converts
-            raise MizarError(t.pos, 90, "number too long") from None
-        return SNum(t.pos, value) if t.kind == "num" else SDollar(t.pos, value)
+            raise MizarError(_pos(t), 90, "number too long") from None
+        return SNum(_pos(t), value) if t[0] == "num" else SDollar(_pos(t), value)
 
     def brace_term(self) -> STerm:
-        start = self.expect_sym("{")
-        if self.tok.is_sym("}"):
+        start = self.expect("{")
+        if self.tok[1] == "}":
             self.next()
-            return SApp(start.pos, "{}", ())
+            return SApp(_pos(start), "{}", ())
         body = self.term()
-        self.expect_kw("where")
+        self.expect("where")
         binders = self.binder_groups()
-        self.expect_sym(":")
+        self.expect(":")
         guard = self.formula()
-        self.expect_sym("}")
-        return SFraenkel(start.pos, body, binders, guard)
+        self.expect("}")
+        return SFraenkel(_pos(start), body, binders, guard)
 
     def term_list(self, closer: str) -> tuple[STerm, ...]:
         args = [self.term()]
-        while self.tok.is_sym(","):
+        while self.tok[1] == ",":
             self.next()
             args.append(self.term())
-        self.expect_sym(closer)
+        self.expect(closer)
         return tuple(args)
 
     # -- types and adjectives ---------------------------------------------------
@@ -269,43 +273,43 @@ class Parser:
     def adjective(self) -> SAdj:
         positive = True
         start = self.tok
-        if self.tok.is_kw("non"):
+        if self.tok[1] == "non":
             positive = False
             self.next()
         arg: STerm | None = None
-        if self.tok.kind in ("num", "dollar") and self.peek().is_sym("-"):
+        if self.tok[0] in ("num", "dollar") and self.peek()[1] == "-":
             arg = self.number()
             self.next()
-        elif self.tok.kind == "ident" and self.peek().is_sym("-"):
-            arg = SVar(self.tok.pos, self.next().text)
+        elif self.tok[0] == "ident" and self.peek()[1] == "-":
+            arg = SVar(_pos(self.tok), self.next()[1])
             self.next()
-        elif self.tok.is_sym("("):
+        elif self.tok[1] == "(":
             self.next()
             arg = self.term()
-            self.expect_sym(")")
-            self.expect_sym("-")
+            self.expect(")")
+            self.expect("-")
         name = self.expect_ident()
-        return SAdj(start.pos, positive, name.text, arg)
+        return SAdj(_pos(start), positive, name[1], arg)
 
     def _at_adjective(self) -> bool:
         t = self.tok
-        if t.is_kw("non") or t.kind in ("num", "dollar"):
+        if t[1] == "non" or t[0] in ("num", "dollar"):
             return True
-        if t.kind == "ident":
-            return t.text not in INFIX_PREDS
-        if t.is_sym("("):
+        if t[0] == "ident":
+            return t[1] not in INFIX_PREDS
+        if t[1] == "(":
             return True
         return False
 
     def type_expr(self) -> SType:
         """Adjective units followed by a mode name, optionally ``of t``."""
-        start = self.tok.pos
+        start = _pos(self.tok)
         units: list[SAdj] = []
         while True:
             if not self._at_adjective():
                 raise self.fail("expected a type")
             adj = self.adjective()
-            if adj.positive and adj.arg is None and self.tok.is_kw("of"):
+            if adj.positive and adj.arg is None and self.tok[1] == "of":
                 self.next()
                 return SType(start, tuple(units), adj.name, self.term())
             units.append(adj)
@@ -318,31 +322,31 @@ class Parser:
 
     def binder_groups(self) -> tuple[SBinders, ...]:
         groups = [self.binder_group()]
-        while self.tok.is_sym(","):
+        while self.tok[1] == ",":
             self.next()
             groups.append(self.binder_group())
         return tuple(groups)
 
     def binder_group(self) -> SBinders:
         """``x, y being T``, as in quantifiers and ``let``."""
-        start = self.tok.pos
+        start = _pos(self.tok)
         names = self.ident_list()
         return SBinders(start, names, self.be_type())
 
     def be_type(self) -> SType:
-        if not (self.tok.is_kw("being") or self.tok.is_kw("be")):
+        if self.tok[1] not in ("being", "be"):
             raise self.fail("expected 'be' or 'being'")
         self.next()
         return self.type_expr()
 
     def witness(self) -> tuple[str, SType, tuple[SLabeled, ...]]:
         """``x being T such that ...`` after ``consider`` and ``given``."""
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         ty = self.be_type()
         conds: tuple[SLabeled, ...] = ()
-        if self.tok.is_kw("such"):
+        if self.tok[1] == "such":
             self.next()
-            self.expect_kw("that")
+            self.expect("that")
             conds = self.conditions()
         return name, ty, conds
 
@@ -357,42 +361,42 @@ class Parser:
 
     def iff_level(self):
         f = self.imp_level()
-        while self.tok.is_kw("iff"):
+        while self.tok[1] == "iff":
             op = self.next()
-            f = SIff(op.pos, f, self.imp_level())
+            f = SIff(_pos(op), f, self.imp_level())
         return f
 
     def imp_level(self):
         f = self.or_level()
-        if self.tok.is_kw("implies"):
+        if self.tok[1] == "implies":
             op = self.next()
-            return SImplies(op.pos, f, self.imp_level())
+            return SImplies(_pos(op), f, self.imp_level())
         return f
 
     def or_level(self):
         f = self.and_level()
-        if not self.tok.is_kw("or"):
+        if self.tok[1] != "or":
             return f
         parts = [f]
-        pos = self.tok.pos
-        while self.tok.is_kw("or"):
+        pos = _pos(self.tok)
+        while self.tok[1] == "or":
             self.next()
             parts.append(self.and_level())
         return SOr(pos, tuple(parts))
 
     def and_level(self):
         f = self.unary_formula()
-        if not self.tok.is_sym("&"):
+        if self.tok[1] != "&":
             return f
         parts = [f]
-        pos = self.tok.pos
-        while self.tok.is_sym("&"):
+        pos = _pos(self.tok)
+        while self.tok[1] == "&":
             self.next()
-            if self.tok.is_sym("..."):
+            if self.tok[1] == "...":
                 dots = self.next()
-                self.expect_sym("&")
+                self.expect("&")
                 hi = self.unary_formula()
-                parts[-1] = SFlex(dots.pos, parts[-1], hi)
+                parts[-1] = SFlex(_pos(dots), parts[-1], hi)
             else:
                 parts.append(self.unary_formula())
         if len(parts) == 1:
@@ -401,40 +405,40 @@ class Parser:
 
     def unary_formula(self):
         t = self.tok
-        if t.is_kw("not"):
+        if t[1] == "not":
             self.next()
-            return SNot(t.pos, self.prefixed(self.unary_formula))
-        if t.is_kw("for"):
+            return SNot(_pos(t), self.prefixed(self.unary_formula))
+        if t[1] == "for":
             self.next()
             binders = self.binder_groups()
             guard = None
-            if self.tok.is_kw("st"):
+            if self.tok[1] == "st":
                 self.next()
                 guard = self.formula()
-            self.expect_kw("holds")
-            return SForAll(t.pos, binders, guard, self.formula())
-        if t.is_kw("ex"):
+            self.expect("holds")
+            return SForAll(_pos(t), binders, guard, self.formula())
+        if t[1] == "ex":
             self.next()
             binders = self.binder_groups()
-            self.expect_kw("st")
-            return SExists(t.pos, binders, self.formula())
-        if t.is_kw("contradiction"):
+            self.expect("st")
+            return SExists(_pos(t), binders, self.formula())
+        if t[1] == "contradiction":
             self.next()
-            return SContradiction(t.pos)
-        if t.is_kw("thesis"):
+            return SContradiction(_pos(t))
+        if t[1] == "thesis":
             self.next()
-            return SThesis(t.pos)
+            return SThesis(_pos(t))
         return self.atom_formula()
 
     def atom_formula(self):
-        if self.tok.kind == "ident" and self.peek().is_sym("["):
+        if self.tok[0] == "ident" and self.peek()[1] == "[":
             name = self.next()
             self.next()
-            args = self.term_list("]") if not self.tok.is_sym("]") else ()
+            args = self.term_list("]") if self.tok[1] != "]" else ()
             if args == ():
-                self.expect_sym("]")
-            return SBracketAtom(name.pos, name.text, args)
-        if self.tok.is_sym("("):
+                self.expect("]")
+            return SBracketAtom(_pos(name), name[1], args)
+        if self.tok[1] == "(":
             mark = self.i
             try:
                 return self.relational_formula()
@@ -442,25 +446,22 @@ class Parser:
                 self.seek(mark)
             self.next()
             inner = self.formula()
-            self.expect_sym(")")
+            self.expect(")")
             return inner
         return self.relational_formula()
 
     def relational_formula(self):
-        start = self.tok.pos
+        start = _pos(self.tok)
         t = self.term()
-        if self.tok.kind == "sym" and self.tok.text in RELATIONS:
+        if self.tok[1] in RELATIONS or self.tok[1] in INFIX_PREDS:
             op = self.next()
-            return SPredAtom(op.pos, op.text, (t, self.term()))
-        if self.tok.kind == "ident" and self.tok.text in INFIX_PREDS:
-            op = self.next()
-            return SPredAtom(op.pos, op.text, (t, self.term()))
-        if self.tok.is_kw("is"):
+            return SPredAtom(_pos(op), op[1], (t, self.term()))
+        if self.tok[1] == "is":
             self.next()
             adjs: list[SAdj] = []
             while True:
                 adj = self.adjective()
-                if adj.positive and adj.arg is None and self.tok.is_kw("of"):
+                if adj.positive and adj.arg is None and self.tok[1] == "of":
                     self.next()
                     ty = SType(adj.pos, tuple(adjs), adj.name, self.term())
                     return SQual(start, t, ty)
@@ -479,51 +480,51 @@ class Parser:
 
     def justification(self, linked: bool = False) -> SJust:
         t = self.tok
-        if t.is_kw("by"):
+        if t[1] == "by":
             self.next()
             refs = self.ref_list()
-            return SBy(t.pos, refs, linked)
-        if t.is_kw("from"):
+            return SBy(_pos(t), refs, linked)
+        if t[1] == "from":
             self.next()
             name = self.expect_ident()
             refs: tuple = ()
-            if self.tok.is_sym("("):
+            if self.tok[1] == "(":
                 self.next()
                 refs = self.ref_list()
-                self.expect_sym(")")
-            return SFrom(name.pos, name.text, refs, linked)
-        if t.is_kw("proof"):
+                self.expect(")")
+            return SFrom(_pos(name), name[1], refs, linked)
+        if t[1] == "proof":
             self.next()
             steps = self.steps()
-            end = self.expect_kw("end")
-            return SSubProof(t.pos, tuple(steps), end.pos)
-        return SBy(t.pos, (), linked)
+            end = self.expect("end")
+            return SSubProof(_pos(t), tuple(steps), _pos(end))
+        return SBy(_pos(t), (), linked)
 
     def ref_list(self) -> tuple[tuple[str, SourcePos], ...]:
         refs = [self._ref()]
-        while self.tok.is_sym(","):
+        while self.tok[1] == ",":
             self.next()
             refs.append(self._ref())
         return tuple(refs)
 
     def _ref(self) -> tuple[str, SourcePos]:
         t = self.expect_ident()
-        return (t.text, t.pos)
+        return (t[1], _pos(t))
 
     # -- proof steps ------------------------------------------------------------------
 
     def steps(self) -> list[SStep]:
         out: list[SStep] = []
-        while not (self.tok.is_kw("end") or self.tok.kind == "eof"):
+        while self.tok[1] != "end" and self.tok[0] != "eof":
             out.append(self.step())
         return out
 
     def labeled_formula(self) -> SLabeled:
-        return SLabeled(self.tok.pos, self.take_label(), self.formula())
+        return SLabeled(_pos(self.tok), self.take_label(), self.formula())
 
     def conditions(self) -> tuple[SLabeled, ...]:
         conds = [self.labeled_formula()]
-        while self.tok.is_kw("and"):
+        while self.tok[1] == "and":
             self.next()
             conds.append(self.labeled_formula())
         return tuple(conds)
@@ -531,126 +532,126 @@ class Parser:
     def step(self) -> SStep:
         t = self.tok
         linked = False
-        if t.is_kw("then"):
+        if t[1] == "then":
             self.next()
             linked = True
             t = self.tok
-        if t.is_kw("let"):
+        if t[1] == "let":
             self.next()
             group = self.binder_group()
-            self.expect_sym(";")
-            return StLet(t.pos, group.names, group.ty)
-        if t.is_kw("assume"):
+            self.expect(";")
+            return StLet(_pos(t), group.names, group.ty)
+        if t[1] == "assume":
             self.next()
-            if self.tok.is_kw("that"):
+            if self.tok[1] == "that":
                 self.next()
             conds = self.conditions()
-            self.expect_sym(";")
-            return StAssume(t.pos, conds)
-        if t.is_kw("thus") or t.is_kw("hence"):
+            self.expect(";")
+            return StAssume(_pos(t), conds)
+        if t[1] in ("thus", "hence"):
             self.next()
             prop = self.labeled_formula()
-            just = self.justification(linked or t.is_kw("hence"))
-            self.expect_sym(";")
-            return StThus(t.pos, prop, just)
-        if t.is_kw("take"):
+            just = self.justification(linked or t[1] == "hence")
+            self.expect(";")
+            return StThus(_pos(t), prop, just)
+        if t[1] == "take":
             self.next()
-            if self.tok.kind == "ident" and self.peek().is_sym("="):
-                name = self.next().text
+            if self.tok[0] == "ident" and self.peek()[1] == "=":
+                name = self.next()[1]
                 self.next()
                 term = self.term()
-                self.expect_sym(";")
-                return StTakeEq(t.pos, name, term)
+                self.expect(";")
+                return StTakeEq(_pos(t), name, term)
             term = self.term()
-            self.expect_sym(";")
-            return StTake(t.pos, term)
-        if t.is_kw("consider"):
+            self.expect(";")
+            return StTake(_pos(t), term)
+        if t[1] == "consider":
             self.next()
             name, ty, conds = self.witness()
             just = self.justification(linked)
-            self.expect_sym(";")
-            return StConsider(t.pos, name, ty, conds, just)
-        if t.is_kw("given"):
+            self.expect(";")
+            return StConsider(_pos(t), name, ty, conds, just)
+        if t[1] == "given":
             self.next()
             name, ty, conds = self.witness()
-            self.expect_sym(";")
-            return StGiven(t.pos, name, ty, conds)
-        if t.is_kw("reconsider"):
+            self.expect(";")
+            return StGiven(_pos(t), name, ty, conds)
+        if t[1] == "reconsider":
             self.next()
-            name = self.expect_ident().text
-            self.expect_sym("=")
+            name = self.expect_ident()[1]
+            self.expect("=")
             term = self.term()
-            self.expect_kw("as")
+            self.expect("as")
             ty = self.type_expr()
             just = self.justification(linked)
-            self.expect_sym(";")
-            return StReconsider(t.pos, name, term, ty, just)
-        if t.is_kw("per"):
+            self.expect(";")
+            return StReconsider(_pos(t), name, term, ty, just)
+        if t[1] == "per":
             self.next()
-            self.expect_kw("cases")
+            self.expect("cases")
             just = self.justification(linked)
-            self.expect_sym(";")
-            if not (self.tok.is_kw("suppose") or self.tok.is_kw("case")):
+            self.expect(";")
+            if self.tok[1] not in ("suppose", "case"):
                 raise self.fail("expected 'suppose' or 'case'")
-            kind = self.tok.text
+            kind = self.tok[1]
             blocks = []
-            while self.tok.is_kw(kind):
+            while self.tok[1] == kind:
                 bt = self.next()
                 cond = self.labeled_formula()
-                self.expect_sym(";")
+                self.expect(";")
                 body = self.steps()
-                end = self.expect_kw("end")
-                self.expect_sym(";")
-                blocks.append(StCaseBlock(bt.pos, cond, tuple(body), end.pos))
-            return StPerCases(t.pos, just, kind, tuple(blocks))
-        if t.is_kw("deffunc"):
+                end = self.expect("end")
+                self.expect(";")
+                blocks.append(StCaseBlock(_pos(bt), cond, tuple(body), _pos(end)))
+            return StPerCases(_pos(t), just, kind, tuple(blocks))
+        if t[1] == "deffunc":
             return self._deffunc_step()
-        if t.is_kw("defpred"):
+        if t[1] == "defpred":
             return self._defpred_step()
-        if t.is_kw("now") or (self.at_label() and self.peek(2).is_kw("now")):
+        if t[1] == "now" or (self.at_label() and self.peek(2)[1] == "now"):
             label = self.take_label()
-            now_tok = self.expect_kw("now")
+            now_tok = self.expect("now")
             body = self.steps()
-            end = self.expect_kw("end")
-            self.expect_sym(";")
-            return StNow(now_tok.pos, label, tuple(body), end.pos)
-        return self.proposition(t.pos, linked)
+            end = self.expect("end")
+            self.expect(";")
+            return StNow(_pos(now_tok), label, tuple(body), _pos(end))
+        return self.proposition(_pos(t), linked)
 
     def proposition(self, pos: SourcePos, linked: bool) -> StProp:
         prop = self.labeled_formula()
         just = self.justification(linked)
-        self.expect_sym(";")
+        self.expect(";")
         return StProp(pos, prop, just)
 
     def _deffunc_step(self) -> StDeffunc:
-        t = self.expect_kw("deffunc")
-        name = self.expect_ident().text
-        self.expect_sym("(")
+        t = self.expect("deffunc")
+        name = self.expect_ident()[1]
+        self.expect("(")
         tys = self._type_list(")")
-        self.expect_sym("=")
+        self.expect("=")
         body = self.term()
-        self.expect_sym(";")
-        return StDeffunc(t.pos, name, tys, body)
+        self.expect(";")
+        return StDeffunc(_pos(t), name, tys, body)
 
     def _defpred_step(self) -> StDefpred:
-        t = self.expect_kw("defpred")
-        name = self.expect_ident().text
-        self.expect_sym("[")
+        t = self.expect("defpred")
+        name = self.expect_ident()[1]
+        self.expect("[")
         tys = self._type_list("]")
-        self.expect_kw("means")
+        self.expect("means")
         body = self.formula()
-        self.expect_sym(";")
-        return StDefpred(t.pos, name, tys, body)
+        self.expect(";")
+        return StDefpred(_pos(t), name, tys, body)
 
     def _type_list(self, closer: str) -> tuple[SType, ...]:
-        if self.tok.is_sym(closer):
+        if self.tok[1] == closer:
             self.next()
             return ()
         tys = [self.type_expr()]
-        while self.tok.is_sym(","):
+        while self.tok[1] == ",":
             self.next()
             tys.append(self.type_expr())
-        self.expect_sym(closer)
+        self.expect(closer)
         return tuple(tys)
 
     # -- top-level items ---------------------------------------------------------------
@@ -659,32 +660,32 @@ class Parser:
         errors: list[MizarError] = []
         reqs: list[str] = []
         try:
-            self.expect_kw("environ")
-            while self.tok.is_kw("requirements"):
+            self.expect("environ")
+            while self.tok[1] == "requirements":
                 self.next()
                 reqs.extend(self.ident_list())
-                self.expect_sym(";")
-            self.expect_kw("begin")
+                self.expect(";")
+            self.expect("begin")
         except MizarError as e:
-            errors.append(e)
+            errors.append(e.with_traceback(None))  # a traceback holding this frame, and `errors`, is a cycle
             self._recover()
         items: list[SStep] = []
-        while self.tok.kind != "eof":
+        while self.tok[0] != "eof":
             try:
                 items.append(self.item())
             except MizarError as e:
-                errors.append(e)
+                errors.append(e.with_traceback(None))  # a traceback holding this frame, and `errors`, is a cycle
                 self._recover()
         return Article(tuple(reqs), tuple(items)), errors
 
     def _recover(self) -> None:
-        while self.tok.kind != "eof" and not self.tok.is_sym(";"):
+        while self.tok[0] != "eof" and self.tok[1] != ";":
             self.next()
-        if self.tok.is_sym(";"):
+        if self.tok[1] == ";":
             self.next()
-        while self.tok.is_kw("end"):
+        while self.tok[1] == "end":
             self.next()
-            if self.tok.is_sym(";"):
+            if self.tok[1] == ";":
                 self.next()
 
     def item(self) -> SStep:
@@ -692,92 +693,88 @@ class Parser:
         only the top level admits, or a private definition or a
         proposition, optionally after ``theorem``."""
         t = self.tok
-        if t.is_kw("scheme"):
+        if t[1] == "scheme":
             return self._scheme()
-        if t.is_kw("definition"):
+        if t[1] == "definition":
             return self._definition()
-        if t.is_kw("registration"):
+        if t[1] == "registration":
             return self._registration()
-        if t.is_kw("deffunc"):
+        if t[1] == "deffunc":
             return self._deffunc_step()
-        if t.is_kw("defpred"):
+        if t[1] == "defpred":
             return self._defpred_step()
-        if t.is_kw("theorem"):
+        if t[1] == "theorem":
             self.next()
-        return self.proposition(t.pos, False)
+        return self.proposition(_pos(t), False)
 
     def _scheme(self) -> ItScheme:
-        t = self.expect_kw("scheme")
-        name = self.expect_ident().text
-        self.expect_sym("{")
+        t = self.expect("scheme")
+        name = self.expect_ident()[1]
+        self.expect("{")
         sigs = [self._scheme_sig()]
-        while self.tok.is_sym(","):
+        while self.tok[1] == ",":
             self.next()
             sigs.append(self._scheme_sig())
-        self.expect_sym("}")
-        self.expect_sym(":")
+        self.expect("}")
+        self.expect(":")
         statement = self.formula()
         provided: tuple[SLabeled, ...] = ()
-        if self.tok.is_kw("provided"):
+        if self.tok[1] == "provided":
             self.next()
             provided = self.conditions()
-        self.expect_kw("proof")
+        self.expect("proof")
         body = self.steps()
-        end = self.expect_kw("end")
-        self.expect_sym(";")
-        return ItScheme(t.pos, name, tuple(sigs), statement, provided, tuple(body), end.pos)
+        end = self.expect("end")
+        self.expect(";")
+        return ItScheme(_pos(t), name, tuple(sigs), statement, provided, tuple(body), _pos(end))
 
     def _scheme_sig(self) -> SchemeVarSig:
         name = self.expect_ident()
-        if self.tok.is_sym("["):
+        if self.tok[1] == "[":
             self.next()
             tys = self._type_list("]")
-            return SchemeVarSig(name.pos, name.text, "pred", tys)
-        self.expect_sym("(")
+            return SchemeVarSig(_pos(name), name[1], "pred", tys)
+        self.expect("(")
         tys = self._type_list(")")
-        self.expect_sym("->")
-        return SchemeVarSig(name.pos, name.text, "func", tys, self.type_expr())
+        self.expect("->")
+        return SchemeVarSig(_pos(name), name[1], "func", tys, self.type_expr())
 
     def _lets(self) -> tuple[SBinders, ...]:
         lets: list[SBinders] = []
-        while self.tok.is_kw("let"):
+        while self.tok[1] == "let":
             self.next()
             lets.append(self.binder_group())
-            self.expect_sym(";")
+            self.expect(";")
         return tuple(lets)
 
     def _def_label(self) -> str | None:
-        if self.tok.is_sym(":"):
+        if self.tok[1] == ":":
             self.next()
-            name = self.expect_ident().text
-            self.expect_sym(":")
+            name = self.expect_ident()[1]
+            self.expect(":")
             return name
         return None
 
     def _correctness(self) -> tuple[SCorrectness, ...]:
         out = []
-        while self.tok.kind == "kw" and self.tok.text in (
-            "existence",
-            "coherence",
-            "uniqueness",
-        ):
+        while self.tok[1] in ("existence", "coherence", "uniqueness"):
             t = self.next()
             just = self.justification()
-            self.expect_sym(";")
-            out.append(SCorrectness(t.pos, t.text, just))
+            self.expect(";")
+            out.append(SCorrectness(_pos(t), t[1], just))
         return tuple(out)
 
     def _definition(self) -> ItDefinition:
-        t = self.expect_kw("definition")
+        t = self.expect("definition")
         lets = self._lets()
         expandable = False
-        if self.tok.is_kw("expandable"):
+        if self.tok[1] == "expandable":
             expandable = True
             self.next()
-        if self.tok.is_kw("attr"):
+        if self.tok[1] == "attr":
             self.next()
-            subject = self.expect_ident().text
-            self.expect_kw("is")
+            subject = self.expect_ident()[1]
+            self.expect("is")
             adj = self.adjective()
             if not adj.positive:
                 raise self.fail("cannot define a negated adjective")
@@ -788,106 +785,106 @@ class Parser:
                         arg = vname
                     case _:
                         raise self.fail("adjective argument must be a declared locus")
-            self.expect_kw("means")
+            self.expect("means")
             def_label = self._def_label()
             definiens = self.formula()
-            self.expect_sym(";")
+            self.expect(";")
             body = DefAttr(adj.pos, subject, arg, adj.name, def_label, definiens, expandable)
-        elif self.tok.is_kw("mode"):
+        elif self.tok[1] == "mode":
             self.next()
-            name = self.expect_ident().text
+            name = self.expect_ident()[1]
             margs: tuple[str, ...] = ()
-            if self.tok.is_kw("of"):
+            if self.tok[1] == "of":
                 self.next()
                 margs = self.ident_list()
-            self.expect_sym("->")
+            self.expect("->")
             parent = self.type_expr()
             def_label = None
             definiens = None
-            if self.tok.is_kw("means"):
+            if self.tok[1] == "means":
                 self.next()
                 def_label = self._def_label()
                 definiens = self.formula()
-            self.expect_sym(";")
-            body = DefMode(t.pos, name, margs, parent, def_label, definiens, expandable)
-        elif self.tok.is_kw("func"):
+            self.expect(";")
+            body = DefMode(_pos(t), name, margs, parent, def_label, definiens, expandable)
+        elif self.tok[1] == "func":
             self.next()
-            name = self.expect_ident().text
+            name = self.expect_ident()[1]
             args: tuple[str, ...] = ()
-            if self.tok.is_sym("("):
+            if self.tok[1] == "(":
                 self.next()
                 args = self.ident_list()
-                self.expect_sym(")")
-            self.expect_sym("->")
+                self.expect(")")
+            self.expect("->")
             result = self.type_expr()
             equals = None
             means = None
             def_label = None
-            if self.tok.is_kw("equals"):
+            if self.tok[1] == "equals":
                 self.next()
                 def_label = self._def_label()
                 equals = self.term()
-            elif self.tok.is_kw("means"):
+            elif self.tok[1] == "means":
                 self.next()
                 def_label = self._def_label()
                 means = self.formula()
             else:
                 raise self.fail("expected 'equals' or 'means'")
-            self.expect_sym(";")
-            body = DefFunc(t.pos, name, args, result, def_label, equals, means)
-        elif self.tok.is_kw("pred"):
+            self.expect(";")
+            body = DefFunc(_pos(t), name, args, result, def_label, equals, means)
+        elif self.tok[1] == "pred":
             self.next()
-            name = self.expect_ident().text
+            name = self.expect_ident()[1]
             args = ()
-            if self.tok.is_sym("("):
+            if self.tok[1] == "(":
                 self.next()
                 args = self.ident_list()
-                self.expect_sym(")")
-            self.expect_kw("means")
+                self.expect(")")
+            self.expect("means")
             def_label = self._def_label()
             definiens = self.formula()
-            self.expect_sym(";")
-            body = DefPred(t.pos, name, args, def_label, definiens, expandable)
+            self.expect(";")
+            body = DefPred(_pos(t), name, args, def_label, definiens, expandable)
         else:
             raise self.fail("expected attr, mode, func, or pred")
         correctness = self._correctness()
-        self.expect_kw("end")
-        self.expect_sym(";")
-        return ItDefinition(t.pos, lets, body, correctness)
+        self.expect("end")
+        self.expect(";")
+        return ItDefinition(_pos(t), lets, body, correctness)
 
     def _registration(self) -> ItRegistration:
-        t = self.expect_kw("registration")
+        t = self.expect("registration")
         lets = self._lets()
-        self.expect_kw("cluster")
+        self.expect("cluster")
         body = self._cluster_body()
         correctness = self._correctness()
-        self.expect_kw("end")
-        self.expect_sym(";")
-        return ItRegistration(t.pos, lets, body, correctness)
+        self.expect("end")
+        self.expect(";")
+        return ItRegistration(_pos(t), lets, body, correctness)
 
     def _cluster_body(self):
         mark = self.i
         try:
             term = self.term()
-            arrow = self.expect_sym("->")
+            arrow = self.expect("->")
             adjs = self._adj_list()
-            self.expect_sym(";")
-            return RegFunctor(arrow.pos, term, adjs)
+            self.expect(";")
+            return RegFunctor(_pos(arrow), term, adjs)
         except MizarError:
             self.seek(mark)
         try:
             guard = self._adj_list()
-            self.expect_sym("->")
+            self.expect("->")
             target = self._adj_list()
-            kw = self.expect_kw("for")
+            kw = self.expect("for")
             ty = self.type_expr()
-            self.expect_sym(";")
-            return RegConditional(kw.pos, guard, target, ty)
+            self.expect(";")
+            return RegConditional(_pos(kw), guard, target, ty)
         except MizarError:
             self.seek(mark)
-        pos = self.tok.pos
+        pos = _pos(self.tok)
         ty = self.type_expr()
-        self.expect_sym(";")
+        self.expect(";")
         return RegExistential(pos, ty)
 
     def _adj_list(self) -> tuple[SAdj, ...]:

@@ -160,7 +160,7 @@ class Prechecker:
 
     def _augment(self, f: Formula) -> Formula:
         req = self.req
-        eq_id = req.cid("Equality")
+        eq_id = req.ids.Equality
         subset_on = req.present("Subset")
         match f:
             case Neg(Pred(p, args)) if subset_on and p == eq_id and len(args) == 2:

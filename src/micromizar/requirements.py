@@ -14,6 +14,7 @@ from functor ids to the arithmetic of ``arith.OPS`` are all stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from .arith import OPS, ComplexRational, Op
@@ -105,6 +106,8 @@ class RequirementTable:
         self.enabled = enabled
         self._present = {n: c for n, c in file.assignments.items() if _GROUP_OF[n] in enabled}
         self._ids = {n: c.cid for n, c in self._present.items()}
+        # each requirement's id, or None, as an attribute read in hot loops
+        self.ids = SimpleNamespace(**{n: self._ids.get(n) for n in _GROUP_OF})
         self.arith: dict[int, Op] = {self._ids[n]: op for n, op in OPS.items() if n in self._ids}
         self._result_types = self._builtin_result_types()
         self._clusters = self._order_clusters()
@@ -160,7 +163,7 @@ class RequirementTable:
         return TypeExpr(frozenset(), frozenset(), self.require("Object"))
 
     def set_type(self) -> TypeExpr:
-        mode = self.cid("Set")
+        mode = self.ids.Set
         if mode is None:
             return self.object_type()
         return TypeExpr(frozenset(), frozenset(), mode)
@@ -211,7 +214,7 @@ class RequirementTable:
             return []
         pos = self.require("Positive")
         neg = self.require("Negative")
-        zero = self.cid("ZeroAttr")
+        zero = self.ids.ZeroAttr
         pairs = [(pos, [neg]), (neg, [pos])]
         if zero is not None:
             pairs = [(pos, [neg, zero]), (neg, [pos, zero]), (zero, [pos, neg])]

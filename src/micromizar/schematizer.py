@@ -26,6 +26,7 @@ walk finds different is a head mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .logic import (
     FTrue,
@@ -221,35 +222,37 @@ def apply_assignment(f: Formula, asg: SchemeAssignment) -> Formula:
     """Rebuild a scheme formula under an assignment.  A proof-local head
     gets a placeholder expansion: the result is fit for shape checks,
     not for checking."""
+    return map_terms(f, partial(_assigned, asg))
 
-    def fn(n):
-        if type(n) is SchemeFunctorApp:
-            kind, target = asg.functors[n.func]
-            if kind == GROUND:
-                return target
-            args = tuple([map_terms(a, fn) for a in n.args])
-            if kind == FUNC:
-                return FunctorApp(target, args)
-            return PrivFunc(target, args, Numeral(0))
-        if type(n) is SchemePred:
-            sign, (kind, pid) = asg.predicates[n.pred]
-            args = tuple([map_terms(a, fn) for a in n.args])
-            out = Pred(pid, args) if kind == PRED else PrivPred(pid, args, FTrue())
-            return out if sign else mk_neg(out)
-        return None
 
-    return map_terms(f, fn)
+# the hooks below recurse through their callers: a nested closure that
+# names itself would be a cycle that only the cyclic collector frees
+def _assigned(asg: SchemeAssignment, n):
+    if type(n) is SchemeFunctorApp:
+        kind, target = asg.functors[n.func]
+        if kind == GROUND:
+            return target
+        args = tuple([apply_assignment(a, asg) for a in n.args])
+        if kind == FUNC:
+            return FunctorApp(target, args)
+        return PrivFunc(target, args, Numeral(0))
+    if type(n) is SchemePred:
+        sign, (kind, pid) = asg.predicates[n.pred]
+        args = tuple([apply_assignment(a, asg) for a in n.args])
+        out = Pred(pid, args) if kind == PRED else PrivPred(pid, args, FTrue())
+        return out if sign else mk_neg(out)
+    return None
 
 
 def _strip(f: Formula) -> Formula:
     """Erase proof-local expansions so rebuilt and original instances
     compare on head and argument structure alone."""
+    return map_terms(f, _stripped)
 
-    def fn(n):
-        if type(n) is PrivFunc:
-            return PrivFunc(n.func, tuple([map_terms(a, fn) for a in n.args]), Numeral(0))
-        if type(n) is PrivPred:
-            return PrivPred(n.pred, tuple([map_terms(a, fn) for a in n.args]), FTrue())
-        return None
 
-    return map_terms(f, fn)
+def _stripped(n):
+    if type(n) is PrivFunc:
+        return PrivFunc(n.func, tuple([_strip(a) for a in n.args]), Numeral(0))
+    if type(n) is PrivPred:
+        return PrivPred(n.pred, tuple([_strip(a) for a in n.args]), FTrue())
+    return None

@@ -118,11 +118,11 @@ class DefinitionDb:
 
     def mode_parent(self, mode: int, args: tuple[Term, ...]) -> TypeExpr | None:
         req = self.req
-        if mode == req.cid("Object"):
+        if mode == req.ids.Object:
             return None
-        if mode == req.cid("Set"):
+        if mode == req.ids.Set:
             return req.object_type()
-        if mode == req.cid("Element") or mode == req.cid("SubsetMode"):
+        if mode == req.ids.Element or mode == req.ids.SubsetMode:
             return req.set_type()
         d = self.modes.get(mode)
         if d is None:

@@ -196,7 +196,7 @@ class Unifier:
                 key = (attr.attr_id, tuple([g.lookup(a) for a in attr.args]))
                 want = attr.positive == sign
                 return (t.index,), {(r,) for r in self._classes if g.attrs[r].get(key) is want}
-            case Pred(p, args) if p not in (req.cid("Equality"), req.cid("LessOrEqual")):
+            case Pred(p, args) if p not in (req.ids.Equality, req.ids.LessOrEqual):
                 head = ("pred", p)
             case SchemePred(p, args):
                 head = ("scheme", p)
@@ -267,9 +267,9 @@ class Unifier:
                     return out
 
                 return conj
-            case Pred(p, (a, b)) if p == req.cid("Equality"):
+            case Pred(p, (a, b)) if p == req.ids.Equality:
                 return self._equality(a, b)
-            case Pred(p, (a, b)) if p == req.cid("LessOrEqual"):
+            case Pred(p, (a, b)) if p == req.ids.LessOrEqual:
                 va, vb = self._value(a), self._value(b)
                 atom = self._atom("pred", p, (a, b))
 

@@ -1403,17 +1403,17 @@ def reference_tokenize(text: str) -> list[Token]:
             advance(j - i)
             if word == "c" and i < n and text[i] == "=":
                 advance(1)
-                out.append(Token("sym", "c=", p))
+                out.append(("sym", "c=", *p))
             elif word in KEYWORDS:
-                out.append(Token("kw", word, p))
+                out.append(("kw", word, *p))
             else:
-                out.append(Token("ident", word, p))
+                out.append(("ident", word, *p))
             continue
         if ch in DIGITS:
             j = i
             while j < n and text[j] in DIGITS:
                 j += 1
-            out.append(Token("num", text[i:j], p))
+            out.append(("num", text[i:j], *p))
             advance(j - i)
             continue
         if ch == "$":
@@ -1422,15 +1422,15 @@ def reference_tokenize(text: str) -> list[Token]:
                 j += 1
             if j == i + 1:
                 raise MizarError(p, 90, "expected digits after $")
-            out.append(Token("dollar", text[i + 1 : j], p))
+            out.append(("dollar", text[i + 1 : j], *p))
             advance(j - i)
             continue
         for sym in SYMBOLS:
             if text.startswith(sym, i):
-                out.append(Token("sym", sym, p))
+                out.append(("sym", sym, *p))
                 advance(len(sym))
                 break
         else:
             raise MizarError(p, 90, f"unexpected character {ch!r}")
-    out.append(Token("eof", "", pos()))
+    out.append(("eof", "", *pos()))
     return out

@@ -2,16 +2,21 @@
 from text to the list of ``(code, line)`` errors.  Line 1 of every
 article is ``environ begin``."""
 
+import gc
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import micromizar
+import micromizar.analyzer as analyzer_module
 from micromizar.analyzer import Analyzer
-from micromizar.logic import Numeral
+from micromizar.equalizer import _PolyReader
+from micromizar.logic import Numeral, const
 from micromizar.parser import parse_article
 from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
 
@@ -457,3 +462,86 @@ theorem 2 = 1 + 1 by T;
     assert pos.line == 3
     assert what.startswith("RuntimeError('injected') at test_analyzer.py:")
     assert what.endswith(" in faulty")
+
+
+def test_a_multi_name_let_reads_the_earlier_constants_into_later_binders(req_all, monkeypatch):
+    left = []
+    let = Analyzer._let
+
+    def recording(self, st, thesis):
+        out = let(self, st, thesis)
+        left.append((self, out))
+        return out
+
+    monkeypatch.setattr(Analyzer, "_let", recording)
+    body = """theorem for a being set, b being Element of a, c being Element of bool a holds c c= a or b = b
+proof
+  let a, b, c be set;
+  thus c c= a or b = b;
+end;
+"""
+    assert errors(req_all, body) == []
+    [(analyzer, thesis)] = left
+    a, b, c = sorted(analyzer.ctypes)
+    assert analyzer.ctypes[b].args == (const(a),)
+    [bool_a] = analyzer.ctypes[c].args
+    assert bool_a.args == (const(a),)
+    assert analyzer.formatter.format_formula(thesis) == f"((c{c} c= c{a}) \u2228 (c{b} = c{b}))"
+
+
+def test_let_reports_52_for_a_mismatched_name_and_51_past_the_binders(check):
+    assert check(
+        """theorem for a being set, b being Nat holds b = b
+proof
+  let a, b be Nat;
+  thus b = b;
+end;
+theorem for a being set holds a = a
+proof
+  let a, b be set;
+  thus a = a;
+end;
+"""
+    ) == [(51, 9), (52, 4), (71, 10)]
+
+
+def test_checking_leaves_no_reference_cycles(req_all, monkeypatch):
+    """Refcounting alone frees what checking makes: no nested closure
+    that calls itself, no graph held by its polynomial pass.  Checked on
+    every article of this module whose test takes only `check`, among
+    them an arithmetic clause, a thesis match and a scheme ``from``."""
+    seen = Counter()
+
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            seen[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(analyzer_module, "formula_equal")
+    count(analyzer_module, "match_scheme")
+    count(_PolyReader, "node_poly")
+    garbage = []
+
+    def check_without_collector(body):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = errors(req_all, body)
+            garbage.append(gc.collect())
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        return found
+
+    tests = [f for name, f in globals().items() if name.startswith("test_")]
+    for test in tests:
+        if list(inspect.signature(test).parameters) == ["check"]:
+            test(check_without_collector)
+    assert len(garbage) > 10 and not any(garbage)
+    assert seen["formula_equal"] and seen["match_scheme"] and seen["node_poly"]

@@ -230,19 +230,25 @@ def test_only_put_writes_a_fact_table():
 # the polynomial rules run only where the table is brought up to date,
 # so no second pass computes normal forms beside it.  This pins the call
 # site only: that the upkeep applies a rule once per node, not once per
-# round, is test_equalizer's test_a_node_s_normal_form_is_computed_once
-POLY_UPKEEP = {"_poly_pass"}
+# round, is test_equalizer's test_a_node_s_normal_form_is_computed_once.
+# `_poly_pass` reads classes and nodes through a `_PolyReader`.
+POLY_UPKEEP = {"_PolyReader.node_poly"}
 
 
 def test_only_the_table_upkeep_computes_normal_forms():
     path = PACKAGE / "equalizer.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    (graph,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EqGraph"]
-    calls = [
-        (method.name, node.lineno)
-        for method in graph.body
+    functions = [
+        (f"{cls.name}.{method.name}", method)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
         if isinstance(method, ast.FunctionDef)
-        for node in ast.walk(method)
+    ] + [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    calls = [
+        (name, node.lineno)
+        for name, function in functions
+        for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poly"
     ]
     assert {name for name, _ in calls} == POLY_UPKEEP

@@ -1,7 +1,9 @@
 """Clause refutation through the congruence graph."""
 
 import collections
+import gc
 import random
+import weakref
 
 import _oracles as orc
 from conftest import ALL_GROUPS
@@ -615,6 +617,25 @@ def test_a_node_s_normal_form_is_computed_once(req_file, monkeypatch):
     calls.clear()
     orc.reference_refute_clause(DefinitionDb(req), lits, {})
     assert sum(calls.values()) > arithmetic
+
+
+def test_a_graph_that_ran_the_polynomial_pass_is_freed_with_its_last_reference(req_all, monkeypatch):
+    # the pass's reader holds the graph, never the other way round, so
+    # refcounting frees the graph without the cyclic collector
+    passes = []
+    poly_pass = EqGraph._poly_pass
+    monkeypatch.setattr(EqGraph, "_poly_pass", lambda g: passes.append(bool(g._due)) or poly_pass(g))
+    x, y = const(0), const(1)
+    lits = [neq(req_all, plus(req_all, x, Numeral(1)), y), eq(req_all, y, plus(req_all, Numeral(1), x))]
+    gc.disable()
+    try:
+        g = run_clause(req_all, lits)
+        assert g.contradiction and any(passes)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_the_empty_set_is_there_before_the_first_pass(req_all, monkeypatch):

@@ -2,7 +2,11 @@
 replaced (``_oracles.reference_tokenize``): the same tokens at the same
 positions, or the same error, on seeded random texts."""
 
+import gc
 import random
+from collections import defaultdict
+
+import pytest
 
 import _oracles as orc
 from micromizar.errors import MizarError
@@ -33,10 +37,13 @@ def random_text(rng: random.Random) -> str:
 
 
 def outcome(tokenizer, text: str):
+    """Every token as ``(kind, text, line, col)``, or the error."""
     try:
-        return [(t.kind, t.text, t.pos.line, t.pos.col) for t in tokenizer(text)]
+        tokens = tokenizer(text)
     except MizarError as e:
         return (e.code, e.pos, e.note)
+    assert all(type(t) is tuple for t in tokens)
+    return [(kind, word, line, col) for kind, word, line, col in tokens]
 
 
 def test_tokens_and_errors_match_the_reference():
@@ -66,7 +73,9 @@ def test_the_rules_in_the_module_docstring():
     assert outcome(tokenize, "x ²") == (90, (1, 3), "unexpected character '²'")
     assert outcome(tokenize, "1٣") == (90, (1, 2), "unexpected character '٣'")
     assert outcome(tokenize, "\n  $x") == (90, (2, 3), "expected digits after $")
-    assert str(tokenize("\n  x")[0].pos) == "2:3"
+    with pytest.raises(MizarError) as err:
+        tokenize("\n  $x")
+    assert str(err.value.pos) == "2:3"
 
 
 def test_tokens_and_the_nodes_that_hold_them_compare_and_hash_by_value():
@@ -75,3 +84,24 @@ def test_tokens_and_the_nodes_that_hold_them_compare_and_hash_by_value():
     assert len({*tokenize(text), *tokenize(text)}) == len(tokenize(text))
     (first, _), (second, _) = parse_article(text), parse_article(text)
     assert first == second and hash(first) == hash(second)
+
+
+def test_no_keyword_or_symbol_text_is_a_token_of_another_kind():
+    """The parser tests keywords and symbols by their text alone."""
+    rng = random.Random(SEED)
+    kinds = defaultdict(set)
+    for _ in range(TEXTS):
+        try:
+            tokens = tokenize(random_text(rng))
+        except MizarError:
+            continue
+        for kind, word, _, _ in tokens:
+            kinds[word].add(kind)
+    assert all(kinds[word] == {"kw"} for word in KEYWORDS)
+    assert all(kinds[sym] == {"sym"} for sym in SYMBOLS)
+
+
+def test_tokens_are_exact_tuples_the_cyclic_collector_untracks():
+    tokens = tokenize("environ begin\ntheorem T: for x being set holds x = {} \\/ x;")
+    gc.collect()
+    assert not any(map(gc.is_tracked, tokens))

@@ -1,5 +1,6 @@
 """Parser shape tests: token stream to surface tree."""
 
+import gc
 import random
 
 from micromizar.analyzer import Analyzer
@@ -111,6 +112,23 @@ theorem 2 = 2;
     assert len(errs) == 1
     assert len(art.items) == 1
     assert isinstance(art.items[0], StProp)
+
+
+def test_a_syntax_error_leaves_no_reference_cycle():
+    # the kept error has no traceback, whose frames would hold the error
+    # list and the parser with every token
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        art, errs = parse_article("environ begin\ntheorem 1 = + ;\ntheorem 2 = 2;\n")
+        assert [(e.code, e.pos.line) for e in errs] == [(90, 2)] and len(art.items) == 1
+        del art, errs
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def nested_theorem(depth: int) -> str:
@@ -467,12 +485,12 @@ def token_text(tokens) -> str:
     """Article text of a token list: a line break where the line
     number grows, otherwise one space between tokens."""
     out, line = [], 1
-    for tok in tokens:
-        if tok.kind == "eof":
+    for kind, text, at_line, _col in tokens:
+        if kind == "eof":
             break
-        out.append("\n" if tok.pos.line > line else " ")
-        line = tok.pos.line
-        out.append("$" + tok.text if tok.kind == "dollar" else tok.text)
+        out.append("\n" if at_line > line else " ")
+        line = at_line
+        out.append("$" + text if kind == "dollar" else text)
     return "".join(out)
 
 
