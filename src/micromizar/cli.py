@@ -1,6 +1,8 @@
 """``mizv ARTICLE --requirements FILE``: check one article.
 
 Each error is printed as ``line:col code message``, sorted by position.
+The cause of each code 99, a fault of the checker, goes to standard
+error as ``mizv: internal error at line:col: description``.
 The exit status is 0 when the article has no errors, 1 when it has
 some, and 2 when a file cannot be read or the requirement file lacks a
 group that the article's environment names.
@@ -34,9 +36,12 @@ def main(argv: list[str] | None = None) -> int:
     if note is not None:
         print(f"mizv: {note}", file=sys.stderr)
         return 2
-    errors = [e.to_error() for e in parse_errors] + Analyzer(table).run(article)
+    analyzer = Analyzer(table)
+    errors = [e.to_error() for e in parse_errors] + analyzer.run(article)
     for e in sorted(errors, key=lambda e: (e.pos, e.code)):
         print(f"{e.pos} {e.code} {e.message}")
+    for pos, what in analyzer.internal:
+        print(f"mizv: internal error at {pos}: {what}", file=sys.stderr)
     return 1 if errors else 0
 
 

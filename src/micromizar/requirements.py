@@ -140,7 +140,8 @@ class RequirementTable:
     ) -> ComplexRational | None:
         """Exact value of a term built from numerals and the builtin
         arithmetic functors, None when it has none.  ``known(s)`` may
-        supply a value the caller already has for any subterm ``s``."""
+        supply a value the caller already has for any subterm ``s``:
+        the unifier passes the value the graph holds for its class."""
         if known is not None:
             v = known(t)
             if v is not None:

@@ -10,11 +10,10 @@ E-matching: an instance is false only if the literals its body needs
 for that hold (``_must``), and for such a literal over the variables
 the graph's atom and adjective tables already list the classes at
 which it does (``Unifier._match``).  Only the tuples in every such set
-are evaluated, in candidate order.  A universal is compiled at its
-first tuple into closures over the class ids of its variables, so an
-instance is not built: the graph reads bound level i as the class
-``env[i]`` wherever it looks a term or a type up.  Only a flexible
-conjunction is instantiated, because it is compared as a term.
+are evaluated, in candidate order.  Each instance is read in place,
+not built: the graph reads bound level i as the class ``env[i]``
+wherever it looks a term or a type up.  Only a flexible conjunction
+is instantiated, because it is compared as a term.
 
 Evaluation looks terms up and does not intern them: a term the graph
 has not seen is simply unknown, which keeps the search sound.  Type
@@ -33,8 +32,6 @@ comparison runs.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from . import equalizer
 from .arith import ComplexRational
 from .equalizer import EqGraph, refute_clause
@@ -44,15 +41,11 @@ from .logic import (
     Attr,
     FTrue,
     FlexAnd,
-    FlexConj,
     ForAll,
     Formula,
-    FunctorApp,
     Is,
     Neg,
-    Numeral,
     Pred,
-    PrivFunc,
     PrivPred,
     Qual,
     SchemePred,
@@ -69,7 +62,6 @@ TUPLE_CAP = 1000  # instances evaluated per clause
 
 
 Env = list[int]  # class id of each bound level, outermost first
-Eval = Callable[[Env], "bool | None"]
 
 
 def _open(node) -> bool:
@@ -85,7 +77,7 @@ def _instance(node, env: Env):
 
 def _must(f: Formula, sign: bool):
     """The literals, with their signs, that must hold for `f` to
-    evaluate to `sign`, seen through ``PrivPred`` as ``_formula`` does."""
+    evaluate to `sign`, seen through ``PrivPred`` as ``_eval`` does."""
     match f:
         case Neg(b):
             yield from _must(b, not sign)
@@ -152,14 +144,12 @@ class Unifier:
         """The first instance of `fa` that evaluates to false, as the
         classes of its variables; one unit of fuel per instance tried."""
         body = fa.body.body if isinstance(fa.body, ForAll) else fa.body
-        evaluate = None
         for env in self._tuples(fa, body):
             if self.fuel <= 0:
                 self.capped = True
                 return None
             self.fuel -= 1
-            evaluate = evaluate or self._formula(body)
-            if evaluate(env) is False:
+            if self._eval(body, env) is False:
                 return env
         return None
 
@@ -237,163 +227,86 @@ class Unifier:
         g2 = equalizer.refute_clause(self.g.db, [*self.literals, *parts], self.const_types)
         assert g2.contradiction or g2.limited, "instance did not replay"
 
-    # -- compiled three-valued evaluation -----------------------------------------
+    # -- three-valued evaluation ---------------------------------------------
     #
-    # Each compiles a node into a function of the environment, which holds
-    # a class for each of the node's free bound levels: ``_formula`` gives
-    # True, False or None (a universal inside an instance is unknown),
-    # ``_term`` the instance's class (None if the graph lacks it) and
-    # ``_value`` its exact value.
+    # An instance is read in place: the graph looks each term up with bound
+    # level i read as the class ``env[i]``.
 
-    def _formula(self, f: Formula) -> Eval:
+    def _eval(self, f: Formula, env: Env) -> bool | None:
+        """What the graph knows of `f` at `env`: True, False or None (a
+        universal inside an instance is unknown)."""
         g, req = self.g, self.req
         match f:
             case FTrue():
-                return lambda env: True
+                return True
             case Neg(b):
-                body = self._formula(b)
-                return lambda env: None if (v := body(env)) is None else not v
+                v = self._eval(b, env)
+                return None if v is None else not v
             case And(cs):
-                parts = [self._formula(c) for c in cs]
-
-                def conj(env):
-                    out: bool | None = True
-                    for part in parts:
-                        v = part(env)
-                        if v is False:
-                            return False
-                        if v is None:
-                            out = None
-                    return out
-
-                return conj
+                out: bool | None = True
+                for c in cs:
+                    v = self._eval(c, env)
+                    if v is False:
+                        return False
+                    if v is None:
+                        out = None
+                return out
             case Pred(p, (a, b)) if p == req.ids.Equality:
-                return self._equality(a, b)
+                x = self._value(a, env)
+                y = None if x is None else self._value(b, env)
+                if y is not None:
+                    return x == y
+                ra, rb = self._rep(a, env), self._rep(b, env)
+                if ra is None or rb is None:
+                    return None
+                return True if ra == rb else (False if g.are_unequal(ra, rb) else None)
             case Pred(p, (a, b)) if p == req.ids.LessOrEqual:
-                va, vb = self._value(a), self._value(b)
-                atom = self._atom("pred", p, (a, b))
-
-                def le(env):
-                    x = va(env)
-                    y = None if x is None else vb(env)
-                    return atom(env) if y is None else x.lex_le(y)
-
-                return le
+                x = self._value(a, env)
+                y = None if x is None else self._value(b, env)
+                return self._atom("pred", p, (a, b), env) if y is None else x.lex_le(y)
             case Pred(p, args):
-                return self._atom("pred", p, args)
+                return self._atom("pred", p, args, env)
             case SchemePred(p, args):
-                return self._atom("scheme", p, args)
+                return self._atom("scheme", p, args, env)
             case PrivPred(_, _, exp):
-                return self._formula(exp)
+                return self._eval(exp, env)
             case Is(t, attr):
-                return self._is(self._term(t), attr)
+                r = self._rep(t, env)
+                return None if r is None else self._is(r, attr, env)
             case Qual(t, ty):
-                return self._qual(t, ty)
+                r = self._rep(t, env)
+                if r is None:
+                    return None
+                if g.class_satisfies(r, ty, env):
+                    return True
+                return False if any(self._is(r, a, env) is False for a in ty.lower) else None
             case FlexAnd(fc):
                 if _open(f):
-                    return lambda env: self._flex_lookup(_instance(f, env).flex)
-                known = self._flex_lookup(fc)
-                return lambda env: known
-        return lambda env: None
-
-    def _equality(self, a: Term, b: Term) -> Eval:
-        g = self.g
-        ca, cb = self._term(a), self._term(b)
-        va, vb = self._value(a, ca), self._value(b, cb)
-
-        def eq(env):
-            x = va(env)
-            y = None if x is None else vb(env)
-            if y is not None:
-                return x == y
-            ra, rb = ca(env), cb(env)
-            if ra is None or rb is None:
-                return None
-            return True if ra == rb else (False if g.are_unequal(ra, rb) else None)
-
-        return eq
-
-    def _atom(self, ns: str, pid: int, args: tuple[Term, ...]) -> Eval:
-        g, classes = self.g, self._args(args)
-        return lambda env: None if (reps := classes(env)) is None else g.atom_sign(ns, pid, reps)
-
-    def _is(self, term: Callable[[Env], int | None], attr: Attr) -> Eval:
-        g, args = self.g, self._args(attr.args)
-
-        def is_(env):
-            r = term(env)
-            reps = None if r is None else args(env)
-            s = None if reps is None else g.attr_sign(r, attr.attr_id, reps)
-            return None if s is None else s == attr.positive
-
-        return is_
-
-    def _qual(self, t: Term, ty: TypeExpr) -> Eval:
-        g, term = self.g, self._term(t)
-        lower = [self._is(term, a) for a in ty.lower]
-
-        def qual(env):
-            r = term(env)
-            if r is None:
-                return None
-            if g.class_satisfies(r, ty, env):
-                return True
-            return False if any(is_(env) is False for is_ in lower) else None
-
-        return qual
-
-    def _flex_lookup(self, fc: FlexConj) -> bool | None:
-        for s, f2 in self.g.flexes:
-            if flex_equal(fc, f2, self.mode):
-                return s
+                    fc = _instance(f, env).flex
+                return next((s for s, f2 in g.flexes if flex_equal(fc, f2, self.mode)), None)
         return None
 
-    def _term(self, t: Term) -> Callable[[Env], int | None]:
+    def _rep(self, t: Term, env: Env) -> int | None:
+        """The class of `t` at `env`; None if the graph lacks it."""
+        return env[t.index] if type(t) is Var and t.kind is VarKind.BOUND else self.g.lookup(t, env)
+
+    def _reps(self, args: tuple[Term, ...], env: Env) -> tuple[int, ...] | None:
+        reps = tuple([self._rep(a, env) for a in args])
+        return None if None in reps else reps
+
+    def _atom(self, ns: str, pid: int, args: tuple[Term, ...], env: Env) -> bool | None:
+        reps = self._reps(args, env)
+        return None if reps is None else self.g.atom_sign(ns, pid, reps)
+
+    def _is(self, r: int, attr: Attr, env: Env) -> bool | None:
+        reps = self._reps(attr.args, env)
+        s = None if reps is None else self.g.attr_sign(r, attr.attr_id, reps)
+        return None if s is None else s == attr.positive
+
+    def _value(self, t: Term, env: Env) -> ComplexRational | None:
+        """`t`'s exact value at `env`, its class's known value first."""
         g = self.g
-        if not _open(t):
-            rep = g.lookup(t)
-            # a term found stays in its class: the search makes no union
-            return (lambda env: rep) if rep is not None else (lambda env: g.lookup(t))
-        match t:
-            case Var(VarKind.BOUND, i):
-                return lambda env: env[i]
-            case FunctorApp(f, args):
-                classes = self._args(args)
-                return lambda env: None if (reps := classes(env)) is None else g.lookup_app(f, reps)
-        return lambda env: g.lookup(t, env)
-
-    def _args(self, args: tuple[Term, ...]) -> Callable[[Env], tuple[int, ...] | None]:
-        terms = [self._term(a) for a in args]
-
-        def classes(env):
-            reps = tuple([term(env) for term in terms])
-            return None if None in reps else reps
-
-        return classes
-
-    def _value(
-        self, t: Term, term: Callable[[Env], int | None] | None = None
-    ) -> Callable[[Env], ComplexRational | None]:
-        """The class's known value first, then the structural rule, in the
-        order of ``RequirementTable.term_value``.  `term` is `t`'s compiled
-        ``_term``, when the caller has one."""
-        g, req = self.g, self.req
-        if isinstance(t, PrivFunc):
-            return self._value(t.expansion, term)
-        term = term or self._term(t)
-        arith = req.arith.get(t.func) if isinstance(t, FunctorApp) else None
-        parts = [self._value(a) for a in t.args] if arith else []
-        own = req.term_value(t) if isinstance(t, Numeral) else None
-
-        def value(env):
-            r = term(env)
-            v = None if r is None else g.value.get(r)
-            if v is not None or arith is None:
-                return own if v is None else v
-            vals = [part(env) for part in parts]
-            return None if None in vals else arith.value(*vals)
-
-        return value
+        return self.req.term_value(t, lambda s: g.value.get(self._rep(s, env)))
 
 
 def clause_refuted(

@@ -15,7 +15,7 @@ import pytest
 import micromizar
 import micromizar.analyzer as analyzer_module
 from micromizar.analyzer import Analyzer
-from micromizar.equalizer import _PolyReader
+from micromizar.equalizer import EqGraph, _PolyReader
 from micromizar.logic import Numeral, const
 from micromizar.parser import parse_article
 from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
@@ -403,6 +403,18 @@ theorem for x0, x1 being set holds x0 = x1 by B;
 theorem for {names} being set holds x0 = x1 by A;
 """
     ) == [(61, 5), (61, 6), (67, 4)]
+
+
+def test_a_graph_out_of_rounds_is_67_not_61(req_all, monkeypatch):
+    # 2 + 2 = 5 is rejected only once a round has found nothing to do,
+    # and {} c= {} accepted only by the subset pass: with no round
+    # allowed both graphs give up.  The negation of 1 = 1 contradicts
+    # itself as it is assumed, in no round
+    body = "theorem 2 + 2 = 5;\ntheorem {} c= {};\ntheorem 1 = 1;\n"
+    assert errors(req_all, body) == [(61, 2)]
+    run = EqGraph.run
+    monkeypatch.setattr(EqGraph, "run", lambda self, max_rounds=None: run(self, max_rounds=0))
+    assert errors(req_all, body) == [(67, 2), (67, 3)]
 
 
 def test_the_clause_cap_gives_66(check):

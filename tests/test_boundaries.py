@@ -116,7 +116,7 @@ def test_the_unifier_search_builds_no_terms():
             functions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
         elif isinstance(node, ast.FunctionDef):
             functions.append(node)
-    assert {"_replay", "_instance", "_refute_univ", "_formula"} <= {f.name for f in functions}
+    assert {"_replay", "_instance", "_refute_univ", "_eval"} <= {f.name for f in functions}
     hits = [
         f"{fn.name}:{node.lineno} uses {node.id}"
         for fn in functions
@@ -147,7 +147,7 @@ def call_sites(path: pathlib.Path, name: str) -> list[tuple[str | None, str | No
 
 
 def test_only_a_flexible_conjunction_is_instantiated():
-    assert call_sites(PACKAGE / "unifier.py", "_instance") == [("_formula", "FlexAnd")]
+    assert call_sites(PACKAGE / "unifier.py", "_instance") == [("_eval", "FlexAnd")]
 
 
 def test_only_logic_walks_two_trees_by_hand():

@@ -4,6 +4,7 @@ exit status out."""
 import os
 
 from micromizar.cli import main
+from micromizar.prechecker import Prechecker
 
 ENVIRON = "environ requirements BOOLE, SUBSET, NUMERALS, REAL, ARITHM;\nbegin\n"
 
@@ -35,3 +36,15 @@ def test_a_missing_group_or_file_exits_2(tmp_path, corpus_dir, capsys):
     assert "NOSUCH" in capsys.readouterr().err
     assert main([str(tmp_path / "absent.miz"), "--requirements", os.path.join(corpus_dir, "requirements.txt")]) == 2
     assert "absent.miz" in capsys.readouterr().err
+
+
+def test_a_checker_fault_prints_its_cause_to_stderr(tmp_path, corpus_dir, capsys, monkeypatch):
+    def faulty(self, *args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(Prechecker, "justify", faulty)
+    assert run(tmp_path, corpus_dir, ENVIRON + "theorem 1 = 1;\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "3:1 99 Internal error while checking this item\n"
+    assert err.startswith("mizv: internal error at 3:1: RuntimeError('injected') at test_cli.py:")
+    assert err.endswith(" in faulty\n")

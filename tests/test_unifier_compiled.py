@@ -1,24 +1,25 @@
-"""The compiled instantiation search against the reference walker.
+"""The instantiation search against the reference walker.
 
 Random clauses mix ground facts over three constants with universals
 over every formula and term kind the evaluator reads.  Each clause's
-graph is built twice, so that the compiled search and the reference
-one (``_oracles.ReferenceUnifier``, which substitutes and walks every
-instance) each see the graph exactly as their own search leaves it:
-a type check may intern terms.  The compiled search tries only the
-instances at which the literals an instance needs to be false can hold
+graph is built twice, so that the search and the reference one
+(``_oracles.ReferenceUnifier``, which substitutes and walks every
+instance) each see the graph exactly as their own search leaves it: a
+type check may intern terms.  The search tries only the instances at
+which the literals an instance needs to be false can hold
 (``Unifier._match``), so its tuples are the reference walk's, in the
 same order, less some that the reference walk does not evaluate to
 false; the tuples it tries evaluate the same on both.  ``refute`` must
 give the same verdict unless a side runs out of fuel, with no more
-fuel spent and no more graph nodes made.  The compiled search looks an
-opaque term up by the classes of its closed parts, read from its
-environment, and the reference by the class variables of its
-instance; some refutations must need such a lookup.
+fuel spent and no more graph nodes made.  The search looks an opaque
+term up by the classes of its closed parts, read from its environment,
+and the reference by the class variables of its instance; some
+refutations must need such a lookup.
 """
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -248,7 +249,6 @@ def test_every_tuple_evaluates_as_the_reference_walk(req_all, clauses):
         refuting = []
         for fa in list(g_new.foralls):
             body = fa.body.body if isinstance(fa.body, ForAll) else fa.body
-            evaluate = new._formula(body)
             tried = new._tuples(fa, body)
             env = next(tried, None)
             for ref_env, inst in reference_tuples(ref, fa):
@@ -257,11 +257,11 @@ def test_every_tuple_evaluates_as_the_reference_walk(req_all, clauses):
                     assert want is not False, (fa, ref_env)  # skipped, so never false
                     outcomes["skipped"] += 1
                     continue
-                got = evaluate(env)
+                got = new._eval(body, env)
                 assert got == want, (fa, env)
                 outcomes[got] += 1
                 if got is False:
-                    refuting.append((evaluate, env))
+                    refuting.append((partial(new._eval, body), env))
                 env = next(tried, None)
             assert env is None  # every tuple tried is a reference tuple, in its order
             assert len(g_new.nodes) <= len(g_ref.nodes)
