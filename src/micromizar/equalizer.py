@@ -43,11 +43,15 @@ their constructors: numeral evaluation needs the naturals, polynomial
 normalization the full arithmetic, order reasoning the ordering
 predicate, and so on; with the boolean group the node of ``{}`` is
 made as the first round starts, so every pass sees it.  The cluster
-rules are interned once per graph, by its first supercluster pass, and
-a seeded type's sorted, rounded adjectives come from the database's
-memo (``DefinitionDb.adjectives``).  Everything runs in interleaved
-rounds to a fixpoint with a hard round budget; hitting the budget
-abandons the clause as undecided rather than wrong.
+rules come sorted from the database's memo (``DefinitionDb.cluster_rules``)
+and a seeded type's rounded adjectives too (``adjectives``); a graph
+interns the rules' arguments at its first supercluster pass.  Everything
+runs in interleaved rounds to a fixpoint with a hard round budget;
+hitting the budget abandons the clause as undecided rather than wrong.
+
+``_node``, ``assume`` and ``_seed``, the hottest walks, dispatch on the
+exact node type, as the prechecker's do, and read ``VarKind`` members
+from module names.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ from .logic import (
     subst_loci,
 )
 from .subtyping import DefinitionDb
+
+_BOUND, _EQCLASS = VarKind.BOUND, VarKind.EQCLASS
 
 
 class EqGraph:
@@ -201,24 +207,25 @@ class EqGraph:
         return self._node(t, False, env)
 
     def _node(self, t: Term, create: bool, env: Sequence[int] = ()) -> int | None:
-        match t:
-            case FunctorApp(f, args):
-                head, parts = ("app", f), args
-            case Var(VarKind.EQCLASS, i):
+        k = type(t)
+        if k is Var:
+            kind, i = t.kind, t.index
+            if kind is _EQCLASS:
                 return self.find(i)
-            case Var(VarKind.BOUND, i) if i < len(env):
+            if kind is _BOUND and i < len(env):
                 return self.find(env[i])
-            case PrivFunc(_, _, exp):
-                return self._node(exp, create, env)
-            case Numeral(v):
-                head, parts = ("num", v), ()
-            case Var(kind, i):
-                head, parts = ("var", kind.value, i), ()
-            case Choice() | Fraenkel() | SchemeFunctorApp():
-                shape, parts = split_closed(t, len(env))
-                head = ("opaque", shape)
-            case _:
-                raise TypeError(t)
+            head, parts = ("var", kind.value, i), ()
+        elif k is FunctorApp:
+            head, parts = ("app", t.func), t.args
+        elif k is Numeral:
+            head, parts = ("num", t.value), ()
+        elif k is PrivFunc:
+            return self._node(t.expansion, create, env)
+        elif k is Choice or k is Fraenkel or k is SchemeFunctorApp:
+            shape, parts = split_closed(t, len(env))
+            head = ("opaque", shape)
+        else:
+            raise TypeError(t)
         ch = []
         for a in parts:
             r = self._node(a, create, env)
@@ -246,21 +253,21 @@ class EqGraph:
         return None if n is None else self.find(n)
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
-        if self._arith is not None and (head[0] == "num" or head[0] == "app" and head[1] in self._arith):
+        tag = head[0]
+        if self._arith is not None and (tag == "num" or tag == "app" and head[1] in self._arith):
             self._due.add(n)
             for c in children:
                 self.users.setdefault(c, []).append(n)
-        match head:
-            case ("num", v):
-                if self.req.present("Natural"):
-                    self._put(self.value, n, ComplexRational.from_int(v))
-                self._assume_type_expr(n, self.req.numeral_type())
-            case ("app", f):
-                self._assume_type_expr(n, self.db.result_type(f, _class_args(children)))
-            case ("opaque", Choice(ty)):
-                self._assume_type_expr(n, subst_loci(ty, _class_args(children)))
-            case ("opaque", _):
-                self._assume_type_expr(n, self.req.set_type())
+        if tag == "app":
+            self._assume_type_expr(n, self.db.result_type(head[1], _class_args(children)))
+        elif tag == "num":
+            if self.req.present("Natural"):
+                self._put(self.value, n, ComplexRational.from_int(head[1]))
+            self._assume_type_expr(n, self.req.numeral_type())
+        elif tag == "opaque":
+            shape = head[1]
+            ty = subst_loci(shape.ty, _class_args(children)) if type(shape) is Choice else self.req.set_type()
+            self._assume_type_expr(n, ty)
 
     def term_of_class(self, rep: int) -> Term:
         n = min(self.class_nodes[self.find(rep)])
@@ -309,48 +316,51 @@ class EqGraph:
     def assume(self, lit: Formula) -> None:
         sign = True
         f = lit
-        if isinstance(f, Neg):
+        k = type(f)
+        if k is Neg:
             sign, f = False, f.body
-        match f:
-            case FTrue():
-                if not sign:
-                    self.contradiction = True
-            case And(cs):
-                if not sign:
-                    raise TypeError("clause literals must be negation-atomic")
-                for c in cs:
-                    self.assume(c)
-            case Pred(p, args):
-                reps = self._interned(args)
-                if p == self.req.ids.Equality and len(reps) == 2:
-                    if sign:
-                        self.union(reps[0], reps[1])
-                    else:
-                        self._add_neg_eq(reps[0], reps[1])
-                else:
-                    self._add_atom("pred", p, reps, sign)
-            case SchemePred(p, args):
-                self._add_atom("scheme", p, self._interned(args), sign)
-            case PrivPred(_, _, exp):
-                self.assume(exp if sign else mk_neg(exp))
-            case Is(t, attr):
-                rep = self.intern(t)
-                self._add_attr(rep, attr.positive == sign, attr.attr_id, self._interned(attr.args))
-            case Qual(t, ty):
-                rep = self.intern(t)
+            k = type(f)
+        if k is Pred:
+            p, reps = f.pred, self._interned(f.args)
+            if p == self.req.ids.Equality and len(reps) == 2:
                 if sign:
-                    self._assume_type_expr(rep, ty)
+                    self.union(reps[0], reps[1])
                 else:
-                    args = self._interned(ty.args)
-                    lower = self._attr_entries(ty.lower)
-                    self.neg_quals.setdefault(self.find(rep), []).append((ty.mode, args, lower))
-            case ForAll():
-                if sign:
-                    self.foralls.append(f)
-            case FlexAnd(fx):
-                self.flexes.append((sign, fx))
-            case _:
-                raise TypeError(f)
+                    self._add_neg_eq(reps[0], reps[1])
+            else:
+                self._add_atom("pred", p, reps, sign)
+        elif k is Is:
+            rep = self.intern(f.term)
+            attr = f.attr
+            self._add_attr(rep, attr.positive == sign, attr.attr_id, self._interned(attr.args))
+        elif k is Qual:
+            rep, ty = self.intern(f.term), f.ty
+            if sign:
+                self._assume_type_expr(rep, ty)
+            else:
+                args = self._interned(ty.args)
+                lower = self._attr_entries(ty.lower)
+                self.neg_quals.setdefault(self.find(rep), []).append((ty.mode, args, lower))
+        elif k is ForAll:
+            if sign:
+                self.foralls.append(f)
+        elif k is And:
+            if not sign:
+                raise TypeError("clause literals must be negation-atomic")
+            for c in f.conjuncts:
+                self.assume(c)
+        elif k is SchemePred:
+            self._add_atom("scheme", f.pred, self._interned(f.args), sign)
+        elif k is PrivPred:
+            exp = f.expansion
+            self.assume(exp if sign else mk_neg(exp))
+        elif k is FlexAnd:
+            self.flexes.append((sign, f.flex))
+        elif k is FTrue:
+            if not sign:
+                self.contradiction = True
+        else:
+            raise TypeError(f)
 
     def assume_const_type(self, index: int, ty: TypeExpr) -> None:
         self._assume_type_expr(self.intern(Var(VarKind.CONST, index)), ty)
@@ -507,9 +517,7 @@ class EqGraph:
     def _supercluster_pass(self) -> bool:
         if self._rules is None:
             # no cluster is registered while a graph lives
-            rules = [(g, t, None) for g, t in self.req.builtin_conditional_clusters()]
-            rules += [(c.guard, c.target, c.ty) for c in self.db.conditional]
-            self._rules = [(self._attr_entries(g), self._attr_entries(t), ty) for g, t, ty in rules]
+            self._rules = [(self._with_classes(g), self._with_classes(t), ty) for g, t, ty in self.db.cluster_rules()]
         # the guards' keys, their argument classes found again
         rules = [([((aid, self._ids(args)), s) for s, aid, args in g], t, ty) for g, t, ty in self._rules]
         changed = False
@@ -531,6 +539,10 @@ class EqGraph:
         """The adjectives as (sign, attribute id, argument classes), in
         ``sorted_attrs`` order; their arguments are interned."""
         return [(a.positive, a.attr_id, self._interned(a.args, env)) for a in sorted_attrs(attrs)]
+
+    def _with_classes(self, entries) -> list[tuple[bool, int, tuple[int, ...]]]:
+        """Adjectives given as (sign, attribute id, arguments), their arguments interned."""
+        return [(s, aid, self._interned(args)) for s, aid, args in entries]
 
     def _functor_cluster_pass(self) -> bool:
         changed = False
@@ -751,7 +763,7 @@ class EqGraph:
 
 
 def _class_args(ids: tuple[int, ...]) -> tuple[Term, ...]:
-    return tuple(Var(VarKind.EQCLASS, i) for i in ids)
+    return tuple([Var(_EQCLASS, i) for i in ids])
 
 
 def refute_clause(

@@ -43,6 +43,10 @@ class VarKind(Enum):
     LOCUS = "locus"
 
 
+# an enum member read through the class costs an attribute load; the hot
+# walks of the kernel read these names instead
+_BOUND, _CONST, _LOCUS = VarKind.BOUND, VarKind.CONST, VarKind.LOCUS
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -177,7 +181,7 @@ class And(Formula):
 
     def __post_init__(self):
         assert len(self.conjuncts) >= 2, "And needs >= 2 conjuncts"
-        assert not any(isinstance(c, And) for c in self.conjuncts), "nested And"
+        assert And not in map(type, self.conjuncts), "nested And"
 
 
 @dataclass(frozen=True)
@@ -498,7 +502,7 @@ def subst_bound(node, level: int, *repls: Term):
         return node
 
     def fn(n):
-        if type(n) is Var and n.kind is VarKind.BOUND and n.index >= level:
+        if type(n) is Var and n.kind is _BOUND and n.index >= level:
             i = n.index - level
             return repls[i] if i < k else Var(VarKind.BOUND, n.index - k)
         return None
@@ -513,7 +517,7 @@ def shift_up(node, k: int, floor: int = 0):
         return node
 
     def fn(n):
-        if type(n) is Var and n.kind is VarKind.BOUND and n.index >= floor:
+        if type(n) is Var and n.kind is _BOUND and n.index >= floor:
             return Var(VarKind.BOUND, n.index + k)
         return None
 
@@ -529,7 +533,7 @@ def subst_loci(node, terms: tuple[Term, ...]):
     """
 
     def fn(n):
-        if type(n) is Var and n.kind is VarKind.LOCUS:
+        if type(n) is Var and n.kind is _LOCUS:
             return terms[n.index]
         return None
 
@@ -547,7 +551,7 @@ def split_closed(t: Term, depth: int) -> tuple[Term, tuple[Term, ...]]:
     def fn(n):
         if n is t or not isinstance(n, Term):
             return None
-        if not any_var(n, lambda v: v.kind is VarKind.BOUND and v.index >= depth):
+        if not any_var(n, lambda v: v.kind is _BOUND and v.index >= depth):
             parts.append(n)
             return locus(len(parts) - 1)
         return Var(VarKind.BOUND, n.index - depth) if type(n) is Var else None
@@ -570,11 +574,11 @@ def abstract_const(node, const_index: int, level: int):
 
 
 def uses_bound(node, level: int) -> bool:
-    return any_var(node, lambda v: v.kind is VarKind.BOUND and v.index == level)
+    return any_var(node, lambda v: v.kind is _BOUND and v.index == level)
 
 
 def uses_const(node, index: int) -> bool:
-    return any_var(node, lambda v: v.kind is VarKind.CONST and v.index == index)
+    return any_var(node, lambda v: v.kind is _CONST and v.index == index)
 
 
 def replace_thesis(f: Formula, thesis: Formula) -> Formula:

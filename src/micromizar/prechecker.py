@@ -21,6 +21,15 @@ prepares that input and drives the per-clause machinery:
    counted first, from the formula's shape alone, and then made one at
    a time, depth first.
 
+Steps 1-3 run on one premise at a time, in order, then on the negated
+goal, which allocates the skolem constants as for their conjunction.  A
+cited universal is unfolded once for each version of the definitions,
+and augmented once unless its binder is vacuous; only then can
+skolemization change it.  These walks dispatch on ``type(f) is K``,
+most frequent kind first: a failed ``match`` class pattern costs an
+``isinstance`` and ``__match_args__`` reads, and no kernel node kind
+has a subclass, so the exact type is the same test.
+
 Every clause must be refuted by the congruence graph or the
 instantiation search.  The first survivor rejects the inference, no
 further clause is made, and the justification says whether that
@@ -88,6 +97,9 @@ class Prechecker:
         self.req = db.req
         self.flex_mode = flex_mode
         self.clause_cap = clause_cap
+        # id of a cited universal -> (it, the database version read, its
+        # unfolded form, and that augmented unless it is vacuous)
+        self._cited: dict[int, tuple[ForAll, tuple[int, int, int], ForAll, Formula | None]] = {}
 
     def justify(
         self,
@@ -97,11 +109,8 @@ class Prechecker:
         next_const: int,
     ) -> Justification:
         self._next = max(next_const, *(i + 1 for i in const_types)) if const_types else next_const
-        f = mk_and([*premises, mk_neg(conjecture)])
-        f = self._unfold(f, UNFOLD_FUEL)
         skolems: list[tuple[int, TypeExpr]] = []
-        f = self._skolemize_top(f, skolems)
-        f = self._augment(f)
+        f = mk_and([*[self._premise(p, skolems) for p in premises], self._prepared(mk_neg(conjecture), skolems)])
         base_types = dict(const_types)
         for idx, ty in skolems:
             base_types[idx] = ty
@@ -124,65 +133,79 @@ class Prechecker:
             shared = None
         return Justification(True, prepared=f, skolems=skolems, clause_count=count)
 
+    def _prepared(self, f: Formula, skolems: list[tuple[int, TypeExpr]]) -> Formula:
+        """`f` unfolded, skolemized and augmented, in that order."""
+        return self._augment(self._skolemize_top(self._unfold(f, UNFOLD_FUEL), skolems))
+
+    def _premise(self, p: Formula, skolems: list[tuple[int, TypeExpr]]) -> Formula:
+        """``_prepared(p)``; a cited universal's is kept for each version
+        of the definitions that unfolding reads."""
+        if type(p) is not ForAll:
+            return self._prepared(p, skolems)
+        db = self.db
+        version = (len(db.attrs), len(db.modes), len(db.preds))
+        hit = self._cited.get(id(p))
+        if hit is None or hit[1] != version:
+            u = self._unfold(p, UNFOLD_FUEL)
+            hit = self._cited[id(p)] = (p, version, u, self._augment(u) if uses_bound(u.body, 0) else None)
+        u, augmented = hit[2], hit[3]
+        return augmented if augmented is not None else self._augment(self._skolemize_top(u, skolems))
+
     # -- definition unfolding ------------------------------------------------
 
     def _unfold(self, f: Formula, fuel: int) -> Formula:
-        db = self.db
-        match f:
-            case FTrue():
-                return f
-            case Neg(b):
-                return mk_neg(self._unfold(b, fuel))
-            case And(cs):
-                return mk_and([self._unfold(c, fuel) for c in cs])
-            case ForAll(ty, b):
-                return ForAll(ty, self._unfold(b, fuel))
-            case PrivPred(_, _, exp):
-                return self._unfold(exp, fuel)
-            case Pred(p, args):
-                if fuel > 0 and db.expandable_pred(p):
-                    return self._unfold(db.pred_definiens(p, args), fuel - 1)
-                return f
-            case Is(t, a):
-                if fuel > 0 and db.expandable_attr(a.attr_id):
-                    return self._unfold(db.attr_definiens(a, t), fuel - 1)
-                return f
-            case Qual(t, ty):
-                if fuel > 0 and db.expandable_mode(ty.mode):
-                    parts: list[Formula] = [db.mode_definiens(ty.mode, ty.args, t)]
-                    parts.extend(Is(t, a) for a in sorted_attrs(ty.lower))
-                    return self._unfold(mk_and(parts), fuel - 1)
-                return f
-            case _:
-                return f
+        db, k = self.db, type(f)
+        if k is Pred:
+            if fuel > 0 and db.expandable_pred(f.pred):
+                return self._unfold(db.pred_definiens(f.pred, f.args), fuel - 1)
+        elif k is And:
+            return mk_and([self._unfold(c, fuel) for c in f.conjuncts])
+        elif k is Neg:
+            return mk_neg(self._unfold(f.body, fuel))
+        elif k is Is:
+            if fuel > 0 and db.expandable_attr(f.attr.attr_id):
+                return self._unfold(db.attr_definiens(f.attr, f.term), fuel - 1)
+        elif k is ForAll:
+            return ForAll(f.ty, self._unfold(f.body, fuel))
+        elif k is Qual:
+            t, ty = f.term, f.ty
+            if fuel > 0 and db.expandable_mode(ty.mode):
+                parts: list[Formula] = [db.mode_definiens(ty.mode, ty.args, t)]
+                parts.extend(Is(t, a) for a in sorted_attrs(ty.lower))
+                return self._unfold(mk_and(parts), fuel - 1)
+        elif k is PrivPred:
+            return self._unfold(f.expansion, fuel)
+        return f
 
     # -- augmentation -------------------------------------------------------
 
     def _augment(self, f: Formula) -> Formula:
-        req = self.req
-        eq_id = req.ids.Equality
-        subset_on = req.present("Subset")
-        match f:
-            case Neg(Pred(p, args)) if subset_on and p == eq_id and len(args) == 2:
-                s1, s2 = self._subset_pair(args[0], args[1])
+        k = type(f)
+        if k is Neg:
+            b = f.body
+            if type(b) is Pred and self._is_subset_eq(b):
+                s1, s2 = self._subset_pair(b.args[0], b.args[1])
                 return mk_and([f, mk_neg(mk_and([s1, s2]))])
-            case Neg(FlexAnd(fc)):
-                exp = expand_flex(fc, req)
+            if type(b) is FlexAnd:
+                exp = expand_flex(b.flex, self.req)
                 return mk_and([f, self._augment(mk_neg(exp))])
-            case Neg(b):
-                return mk_neg(self._augment(b))
-            case And(cs):
-                return mk_and([self._augment(c) for c in cs])
-            case ForAll(ty, b):
-                return ForAll(ty, self._augment(b))
-            case Pred(p, args) if subset_on and p == eq_id and len(args) == 2:
-                s1, s2 = self._subset_pair(args[0], args[1])
-                return mk_and([f, s1, s2])
-            case FlexAnd(fc):
-                exp = expand_flex(fc, req)
-                return mk_and([f, self._augment(exp)])
-            case _:
-                return f
+            return mk_neg(self._augment(b))
+        if k is And:
+            return mk_and([self._augment(c) for c in f.conjuncts])
+        if k is ForAll:
+            return ForAll(f.ty, self._augment(f.body))
+        if k is Pred and self._is_subset_eq(f):
+            s1, s2 = self._subset_pair(f.args[0], f.args[1])
+            return mk_and([f, s1, s2])
+        if k is FlexAnd:
+            exp = expand_flex(f.flex, self.req)
+            return mk_and([f, self._augment(exp)])
+        return f
+
+    def _is_subset_eq(self, f: Pred) -> bool:
+        """Is `f` an equality that the subset requirement augments?"""
+        req = self.req
+        return f.pred == req.ids.Equality and len(f.args) == 2 and req.present("Subset")
 
     def _subset_pair(self, a, b) -> tuple[Formula, Formula]:
         sub = self.req.require("Subset")
@@ -196,17 +219,16 @@ class Prechecker:
         return idx
 
     def _skolemize_top(self, f: Formula, out: list[tuple[int, TypeExpr]]) -> Formula:
-        match f:
-            case And(cs):
-                return mk_and([self._skolemize_top(c, out) for c in cs])
-            case Neg(ForAll() as fa):
-                typed, g = self._witness(fa)
-                out.extend(typed)
-                return self._skolemize_top(g, out)
-            case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
-                return self._skolemize_top(subst_bound(body, 0, Numeral(0)), out)
-            case _:
-                return f
+        k = type(f)
+        if k is And:
+            return mk_and([self._skolemize_top(c, out) for c in f.conjuncts])
+        if k is Neg and type(f.body) is ForAll:
+            typed, g = self._witness(f.body)
+            out.extend(typed)
+            return self._skolemize_top(g, out)
+        if k is ForAll and not uses_bound(f.body, 0) and self.db.inhabited(f.ty):
+            return self._skolemize_top(subst_bound(f.body, 0, Numeral(0)), out)
+        return f
 
     def _witness(self, fa: ForAll) -> tuple[list[tuple[int, TypeExpr]], Formula]:
         """Skolemize ``not fa`` with its whole binder prefix: ``not for x0
@@ -238,24 +260,21 @@ class Prechecker:
         compares arguments only by ``==`` against witness types, which
         are closed, so it gives the same answer for both.
         """
-        match f:
-            case Neg(b):
-                return self._count(b, depth, not positive)
-            case FTrue():
-                return 1 if positive else 0
-            case And(cs):
-                cap = self.clause_cap + 1
-                n = 1 if positive else 0
-                for c in cs:
-                    m = self._count(c, depth, positive)
-                    n = min(n * m if positive else n + m, cap)
-                return n
-            case ForAll(ty, body) if not positive or (
-                not uses_bound(body, depth) and self.db.inhabited(ty)
-            ):
-                return self._count(body, depth + 1, positive)
-            case _:
-                return 1
+        k = type(f)
+        if k is Neg:
+            return self._count(f.body, depth, not positive)
+        if k is And:
+            cap = self.clause_cap + 1
+            n = 1 if positive else 0
+            for c in f.conjuncts:
+                m = self._count(c, depth, positive)
+                n = min(n * m if positive else n + m, cap)
+            return n
+        if k is ForAll and (not positive or (not uses_bound(f.body, depth) and self.db.inhabited(f.ty))):
+            return self._count(f.body, depth + 1, positive)
+        if k is FTrue:
+            return 1 if positive else 0
+        return 1
 
     def _to_dnf(self, f: Formula) -> Iterator[tuple[list[Formula], dict[int, TypeExpr]]]:
         """The clauses of `f`, one at a time, depth first: each is its
@@ -270,28 +289,27 @@ class Prechecker:
             out, todo, local = branches.pop()
             while todo is not None:  # a linked stack: branches share its tail
                 lit, todo = todo
-                match lit:
-                    case FTrue():
-                        continue
-                    case Neg(FTrue()):
-                        break  # the branch is already absurd; nothing to refute
-                    case And(cs):
-                        for c in reversed(cs):
-                            todo = (c, todo)
-                    case Neg(And(cs)):
-                        # the first branch goes on here; the others wait
-                        for c in reversed(cs[1:]):
-                            branches.append((list(out), (mk_neg(c), todo), local))
-                        todo = (mk_neg(cs[0]), todo)
-                    case Neg(ForAll() as fa):
-                        typed, g = self._witness(fa)
-                        local = {**local, **dict(typed)}
-                        todo = (g, todo)
-                    case ForAll(ty, body) if not uses_bound(body, 0) and self.db.inhabited(ty):
-                        todo = (subst_bound(body, 0, Numeral(0)), todo)
-                    case _:
-                        # a scan, not a set: a node hashes its whole subtree on every call
-                        if lit not in out:
-                            out.append(lit)
+                k = type(lit)
+                b = lit.body if k is Neg else None
+                if k is And:
+                    for c in reversed(lit.conjuncts):
+                        todo = (c, todo)
+                elif type(b) is And:
+                    # the first branch goes on here; the others wait
+                    cs = b.conjuncts
+                    for c in reversed(cs[1:]):
+                        branches.append((list(out), (mk_neg(c), todo), local))
+                    todo = (mk_neg(cs[0]), todo)
+                elif type(b) is ForAll:
+                    typed, g = self._witness(b)
+                    local = {**local, **dict(typed)}
+                    todo = (g, todo)
+                elif type(b) is FTrue:
+                    break  # the branch is already absurd; nothing to refute
+                elif k is ForAll and not uses_bound(lit.body, 0) and self.db.inhabited(lit.ty):
+                    todo = (subst_bound(lit.body, 0, Numeral(0)), todo)
+                elif k is not FTrue and lit not in out:
+                    # a scan, not a set: a node hashes its whole subtree on every call
+                    out.append(lit)
             else:
                 yield out, local

@@ -93,7 +93,7 @@ class DefinitionDb:
     defined once, and clusters are appended, never removed or replaced.
     So the number of modes and of conditional clusters, with the type,
     fixes what ``round_up`` returns, and it and ``adjectives`` memoize on
-    those three.
+    those three; ``cluster_rules`` memoizes on the number of clusters.
     """
 
     def __init__(self, req: RequirementTable):
@@ -108,6 +108,7 @@ class DefinitionDb:
         self._next = {kind: req.max_id(kind) + 1 for kind in ("mode", "func", "pred", "attr")}
         self._rounded: dict[tuple[TypeExpr, int, int], TypeExpr] = {}
         self._adjectives: dict[tuple[TypeExpr, int, int], tuple] = {}
+        self._cluster_rules: tuple[int, tuple] = (-1, ())
 
     def fresh_id(self, kind: str) -> int:
         out = self._next[kind]
@@ -156,9 +157,19 @@ class DefinitionDb:
         key = (ty, len(self.modes), len(self.conditional))
         out = self._adjectives.get(key)
         if out is None:
-            attrs = sorted_attrs(self.round_up(ty).upper)
-            out = self._adjectives[key] = tuple((a.positive, a.attr_id, a.args) for a in attrs)
+            out = self._adjectives[key] = _entries(self.round_up(ty).upper)
         return out
+
+    def cluster_rules(self) -> tuple[tuple[tuple, tuple, TypeExpr | None], ...]:
+        """The builtin and the registered conditional clusters, as (guard,
+        target, subject type or None), each side as ``adjectives`` gives
+        a type's; memoized on the number of registered clusters."""
+        n = len(self.conditional)
+        if self._cluster_rules[0] != n:
+            rules = [(g, t, None) for g, t in self.req.builtin_conditional_clusters()]
+            rules += [(c.guard, c.target, c.ty) for c in self.conditional]
+            self._cluster_rules = (n, tuple((_entries(g), _entries(t), ty) for g, t, ty in rules))
+        return self._cluster_rules[1]
 
     def _round_up(self, ty: TypeExpr) -> TypeExpr:
         chain = self.ancestry(ty)
@@ -264,3 +275,8 @@ class DefinitionDb:
         if d is None:
             return self.req.set_type()
         return subst_loci(d.result, args)
+
+
+def _entries(attrs: frozenset[Attr]) -> tuple[tuple[bool, int, tuple[Term, ...]], ...]:
+    """The adjectives in ``sorted_attrs`` order, as (sign, attribute id, arguments)."""
+    return tuple([(a.positive, a.attr_id, a.args) for a in sorted_attrs(attrs)])

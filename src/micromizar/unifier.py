@@ -28,6 +28,9 @@ means is the mode switch: the strict mode compares bounds and the
 expansion, the compatibility mode only the two endpoint instances,
 which accepts more and is the known-unsound behaviour kept for
 comparison runs.
+
+The walks over an instance (``_eval``, ``_must``, ``_match``, ``_open``)
+dispatch on the exact node type, as the prechecker's do.
 """
 
 from __future__ import annotations
@@ -60,34 +63,41 @@ from .logic import (
 
 TUPLE_CAP = 1000  # instances evaluated per clause
 
+_BOUND, _EQCLASS = VarKind.BOUND, VarKind.EQCLASS
+
 
 Env = list[int]  # class id of each bound level, outermost first
 
 
 def _open(node) -> bool:
     """Does `node` hold a bound variable, i.e. differ between instances?"""
-    return any_var(node, lambda v: v.kind is VarKind.BOUND)
+    return any_var(node, _is_bound)
+
+
+def _is_bound(v: Var) -> bool:
+    return v.kind is _BOUND
 
 
 def _instance(node, env: Env):
     """The syntactic instance of `node` with bound level i read as class
     ``env[i]``: the only term the search builds, a flexible conjunction."""
-    return subst_bound(node, 0, *[Var(VarKind.EQCLASS, rep) for rep in env])
+    return subst_bound(node, 0, *[Var(_EQCLASS, rep) for rep in env])
 
 
 def _must(f: Formula, sign: bool):
     """The literals, with their signs, that must hold for `f` to
     evaluate to `sign`, seen through ``PrivPred`` as ``_eval`` does."""
-    match f:
-        case Neg(b):
-            yield from _must(b, not sign)
-        case PrivPred(_, _, exp):
-            yield from _must(exp, sign)
-        case And(cs) if sign:
-            for c in cs:
+    k = type(f)
+    if k is Neg:
+        yield from _must(f.body, not sign)
+    elif k is PrivPred:
+        yield from _must(f.expansion, sign)
+    elif k is And:
+        if sign:
+            for c in f.conjuncts:
                 yield from _must(c, True)
-        case Pred() | SchemePred() | Is():
-            yield f, sign
+    elif k is Pred or k is SchemePred or k is Is:
+        yield f, sign
 
 
 class Unifier:
@@ -180,24 +190,28 @@ class Unifier:
         never writes a candidate's adjectives, so outside this set the
         literal does not have `sign`."""
         g, req = self.g, self.req
-        level = {Var(VarKind.BOUND, i): i for i in range(levels)}.get
-        match lit:
-            case Is(t, attr) if level(t) is not None and not any(map(_open, attr.args)):
-                key = (attr.attr_id, tuple([g.lookup(a) for a in attr.args]))
-                want = attr.positive == sign
-                return (t.index,), {(r,) for r in self._classes if g.attrs[r].get(key) is want}
-            case Pred(p, args) if p not in (req.ids.Equality, req.ids.LessOrEqual):
-                head = ("pred", p)
-            case SchemePred(p, args):
-                head = ("scheme", p)
-            case _:
+        k = type(lit)
+        if k is Is:
+            t, attr = lit.term, lit.attr
+            if type(t) is not Var or t.kind is not _BOUND or t.index >= levels or any(map(_open, attr.args)):
                 return None
+            key = (attr.attr_id, tuple([g.lookup(a) for a in attr.args]))
+            want = attr.positive == sign
+            return (t.index,), {(r,) for r in self._classes if g.attrs[r].get(key) is want}
+        if k is Pred and lit.pred != req.ids.Equality and lit.pred != req.ids.LessOrEqual:
+            head = ("pred", lit.pred)
+        elif k is SchemePred:
+            head = ("scheme", lit.pred)
+        else:
+            return None
         slots = []  # each argument's level, or the class of a closed term (None if the graph lacks it)
-        for a in args:
-            i = level(a)
-            if i is None and _open(a):
+        for a in lit.args:
+            if type(a) is Var and a.kind is _BOUND and a.index < levels:
+                slots.append((a.index, None))
+            elif _open(a):
                 return None
-            slots.append((i, None if i is not None else g.lookup(a)))
+            else:
+                slots.append((None, g.lookup(a)))
         at = tuple(sorted({i for i, _ in slots if i is not None}))
         found = set()
         for (h, ids), s in g.atoms.items():
@@ -235,23 +249,12 @@ class Unifier:
     def _eval(self, f: Formula, env: Env) -> bool | None:
         """What the graph knows of `f` at `env`: True, False or None (a
         universal inside an instance is unknown)."""
-        g, req = self.g, self.req
-        match f:
-            case FTrue():
-                return True
-            case Neg(b):
-                v = self._eval(b, env)
-                return None if v is None else not v
-            case And(cs):
-                out: bool | None = True
-                for c in cs:
-                    v = self._eval(c, env)
-                    if v is False:
-                        return False
-                    if v is None:
-                        out = None
-                return out
-            case Pred(p, (a, b)) if p == req.ids.Equality:
+        k = type(f)
+        if k is Pred:
+            p, args = f.pred, f.args
+            ids = self.req.ids
+            if len(args) == 2 and p == ids.Equality:
+                a, b = args
                 x = self._value(a, env)
                 y = None if x is None else self._value(b, env)
                 if y is not None:
@@ -259,36 +262,48 @@ class Unifier:
                 ra, rb = self._rep(a, env), self._rep(b, env)
                 if ra is None or rb is None:
                     return None
-                return True if ra == rb else (False if g.are_unequal(ra, rb) else None)
-            case Pred(p, (a, b)) if p == req.ids.LessOrEqual:
-                x = self._value(a, env)
-                y = None if x is None else self._value(b, env)
-                return self._atom("pred", p, (a, b), env) if y is None else x.lex_le(y)
-            case Pred(p, args):
-                return self._atom("pred", p, args, env)
-            case SchemePred(p, args):
-                return self._atom("scheme", p, args, env)
-            case PrivPred(_, _, exp):
-                return self._eval(exp, env)
-            case Is(t, attr):
-                r = self._rep(t, env)
-                return None if r is None else self._is(r, attr, env)
-            case Qual(t, ty):
-                r = self._rep(t, env)
-                if r is None:
-                    return None
-                if g.class_satisfies(r, ty, env):
-                    return True
-                return False if any(self._is(r, a, env) is False for a in ty.lower) else None
-            case FlexAnd(fc):
-                if _open(f):
-                    fc = _instance(f, env).flex
-                return next((s for s, f2 in g.flexes if flex_equal(fc, f2, self.mode)), None)
+                return True if ra == rb else (False if self.g.are_unequal(ra, rb) else None)
+            if len(args) == 2 and p == ids.LessOrEqual:
+                x = self._value(args[0], env)
+                y = None if x is None else self._value(args[1], env)
+                return self._atom("pred", p, args, env) if y is None else x.lex_le(y)
+            return self._atom("pred", p, args, env)
+        if k is Neg:
+            v = self._eval(f.body, env)
+            return None if v is None else not v
+        if k is And:
+            out: bool | None = True
+            for c in f.conjuncts:
+                v = self._eval(c, env)
+                if v is False:
+                    return False
+                if v is None:
+                    out = None
+            return out
+        if k is Is:
+            r = self._rep(f.term, env)
+            return None if r is None else self._is(r, f.attr, env)
+        if k is Qual:
+            r, ty = self._rep(f.term, env), f.ty
+            if r is None:
+                return None
+            if self.g.class_satisfies(r, ty, env):
+                return True
+            return False if any(self._is(r, a, env) is False for a in ty.lower) else None
+        if k is SchemePred:
+            return self._atom("scheme", f.pred, f.args, env)
+        if k is PrivPred:
+            return self._eval(f.expansion, env)
+        if k is FlexAnd:
+            fc = _instance(f, env).flex if _open(f) else f.flex
+            return next((s for s, f2 in self.g.flexes if flex_equal(fc, f2, self.mode)), None)
+        if k is FTrue:
+            return True
         return None
 
     def _rep(self, t: Term, env: Env) -> int | None:
         """The class of `t` at `env`; None if the graph lacks it."""
-        return env[t.index] if type(t) is Var and t.kind is VarKind.BOUND else self.g.lookup(t, env)
+        return env[t.index] if type(t) is Var and t.kind is _BOUND else self.g.lookup(t, env)
 
     def _reps(self, args: tuple[Term, ...], env: Env) -> tuple[int, ...] | None:
         reps = tuple([self._rep(a, env) for a in args])

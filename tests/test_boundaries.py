@@ -3,8 +3,9 @@
 builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
-the unifier's search evaluates instances without building them, save
-a flexible conjunction's,
+the hottest kernel walks dispatch on exact node type, the unifier's
+search evaluates instances without building them, save a flexible
+conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, and only the upkeep of
@@ -127,9 +128,21 @@ def test_the_unifier_search_builds_no_terms():
     assert hits == []
 
 
-def call_sites(path: pathlib.Path, name: str) -> list[tuple[str | None, str | None]]:
-    """(function, class pattern of the innermost ``case``) around each call
-    of the bare name `name`."""
+KINDS = {name for name, v in vars(logic).items() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+
+
+def kind_tested(test) -> str | None:
+    """K, for a test ``type(x) is K`` or ``k is K`` naming a kernel node kind."""
+    if isinstance(test, ast.Compare) and [type(op) for op in test.ops] == [ast.Is]:
+        (k,) = test.comparators
+        if isinstance(k, ast.Name) and k.id in KINDS:
+            return k.id
+    return None
+
+
+def call_sites(source: str, name: str) -> list[tuple[str | None, str | None]]:
+    """(function, node kind of the innermost ``case`` class pattern or
+    ``if`` branch that tests one) around each call of the bare name `name`."""
     out = []
 
     def visit(node, fn, case):
@@ -137,17 +150,68 @@ def call_sites(path: pathlib.Path, name: str) -> list[tuple[str | None, str | No
             fn = node.name
         elif isinstance(node, ast.match_case) and isinstance(node.pattern, ast.MatchClass):
             case = node.pattern.cls.id
+        elif isinstance(node, ast.If) and (kind := kind_tested(node.test)) is not None:
+            visit(node.test, fn, case)
+            for child in node.body:
+                visit(child, fn, kind)
+            for child in node.orelse:  # an ``elif`` tests its own kind
+                visit(child, fn, case)
+            return
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
             out.append((fn, case))
         for child in ast.iter_child_nodes(node):
             visit(child, fn, case)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), None, None)
+    visit(ast.parse(source), None, None)
     return out
 
 
 def test_only_a_flexible_conjunction_is_instantiated():
-    assert call_sites(PACKAGE / "unifier.py", "_instance") == [("_eval", "FlexAnd")]
+    assert call_sites((PACKAGE / "unifier.py").read_text(), "_instance") == [("_eval", "FlexAnd")]
+
+
+def test_call_sites_reads_kind_tests():
+    # a call in the ``else`` of a kind test is not under that kind
+    src = "def f(x):\n    k = type(x)\n    if k is Neg:\n        g()\n    elif type(x) is And:\n        g()\n    else:\n        g()\n"
+    assert call_sites(src, "g") == [("f", "Neg"), ("f", "And"), ("f", None)]
+    assert kind_tested(ast.parse("k is _BOUND").body[0].value) is None
+
+
+# The hottest kernel walks test ``type(node) is K``, most frequent kind
+# first: a class pattern that fails costs an ``isinstance`` and reads of
+# ``__match_args__``, and no node kind has a subclass, so the exact type
+# is the same test.
+TYPE_DISPATCHED = {
+    "equalizer.py": {"EqGraph._node", "EqGraph.assume", "EqGraph._seed"},
+    "prechecker.py": {
+        "Prechecker._unfold",
+        "Prechecker._augment",
+        "Prechecker._skolemize_top",
+        "Prechecker._count",
+        "Prechecker._to_dnf",
+    },
+    "unifier.py": {"Unifier._eval", "_must", "Unifier._match", "_open"},
+    "logic.py": {"uses_bound", "uses_const"},
+}
+
+
+def test_the_hot_walks_dispatch_on_exact_type():
+    hits = []
+    for name, wanted in TYPE_DISPATCHED.items():
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                functions.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, ast.FunctionDef)})
+        assert wanted <= set(functions), name
+        hits += [
+            f"{name}:{node.lineno} in {fn}"
+            for fn in sorted(wanted)
+            for node in ast.walk(functions[fn])
+            if isinstance(node, ast.Match)
+        ]
+    assert hits == []
 
 
 def test_only_logic_walks_two_trees_by_hand():
@@ -163,7 +227,7 @@ def test_only_logic_walks_two_trees_by_hand():
 def test_one_table_is_keyed_by_node_kinds():
     # the map, the occurrence test and the pair walk all read ``_SHAPE``;
     # a second table per kind would have to learn every new field too
-    kinds = {name for name, v in vars(logic).items() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+    kinds = KINDS
     tables = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

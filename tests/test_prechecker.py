@@ -35,6 +35,8 @@ from micromizar.logic import (
     replace_term,
     shift_up,
 )
+from micromizar.analyzer import Analyzer
+from micromizar.parser import parse_article
 from micromizar.prechecker import Prechecker
 from micromizar.subtyping import AttrDef, DefinitionDb, ModeDef, PredDef
 
@@ -455,6 +457,81 @@ def test_prepared_formula_is_reported(db, req_all):
     req = req_all
     j = justify(db, [Pred(100, (const(0),))], Pred(100, (const(0),)), {0: req.set_type()})
     assert j.prepared is not None
+
+
+# ---------------------------------------------------------------------------
+# cited universals are prepared once
+
+
+def twice(db, premises, goal, consts, nxt):
+    """A second use of `premises` on one prechecker, the prechecker, and a
+    fresh prechecker's answer to the same obligation."""
+    pc = Prechecker(db)
+    pc.justify(premises, goal, consts, nxt)
+    return pc.justify(premises, goal, consts, nxt), pc, Prechecker(db).justify(premises, goal, consts, nxt)
+
+
+def test_a_second_use_of_a_cited_universal_is_prepared_as_the_first(db, req_all, monkeypatch):
+    req = req_all
+    st, c0 = req.set_type(), const(0)
+    # augmented (an equality under the subset requirement), after a premise that takes a skolem
+    fa = ForAll(st, mk_imp(Pred(100, (bound(0),)), eq(req, bound(0), c0)))
+    have = mk_exists(st, Pred(100, (bound(0),)))
+    goal = mk_exists(st, eq(req, bound(0), c0))
+    again, pc, fresh = twice(db, [have, fa], goal, {0: st}, 1)
+    assert again == fresh and again.accepted and len(again.skolems) == 1
+    assert [entry[0] for entry in pc._cited.values()] == [fa]
+    unfolded = []
+    monkeypatch.setattr(pc, "_unfold", lambda f, fuel: unfolded.append(f) or Prechecker._unfold(pc, f, fuel))
+    assert pc.justify([have, fa], goal, {0: st}, 1) == fresh
+    assert fa not in unfolded
+
+
+def test_a_definition_made_after_a_use_is_unfolded_at_the_next(db, req_all):
+    req = req_all
+    st, c0 = req.set_type(), const(0)
+    pid = db.fresh_id("pred")
+    fa = ForAll(st, Pred(pid, (bound(0),)))
+    pc = Prechecker(db)
+    assert not pc.justify([fa], Pred(100, (c0,)), {0: st}, 1).accepted
+    db.preds[pid] = PredDef(1, Pred(100, (locus(0),)), expandable=True)
+    j = pc.justify([fa], Pred(100, (c0,)), {0: st}, 1)
+    assert j.accepted and j == Prechecker(db).justify([fa], Pred(100, (c0,)), {0: st}, 1)
+
+
+def test_only_a_cited_universal_is_kept(db, req_all):
+    req = req_all
+    st, c0 = req.set_type(), const(0)
+    premises = [Pred(100, (c0,)), mk_and([Pred(101, (c0,)), Pred(102, (c0,))]), mk_exists(st, Pred(103, (bound(0),)))]
+    pc = Prechecker(db)
+    pc.justify(premises, Pred(104, (c0,)), {0: st}, 1)
+    assert pc._cited == {}
+    # in an article: a linked atomic step and the cited universal
+    art, errs = parse_article(
+        """environ begin
+A1: for x being set holds x c= x;
+theorem {} c= {}
+proof
+  1 = 1;
+  then {} c= {} & 1 = 1 by A1;
+  thus thesis by A1;
+end;
+"""
+    )
+    an = Analyzer(req)
+    assert errs == [] and an.run(art) == []
+    assert [entry[0] for entry in an.checker._cited.values()] == [an.labels["A1"]]
+
+
+def test_a_vacuous_universal_premise_is_skolemized_at_every_use(db, req_all):
+    req = req_all
+    st = req.set_type()
+    # for x holds ex y st P[y]: dropping the vacuous binder leaves an existential
+    fa = ForAll(st, mk_exists(st, Pred(100, (bound(1),))))
+    goal = mk_exists(st, Pred(100, (bound(0),)))
+    again, pc, fresh = twice(db, [fa], goal, {}, 0)
+    assert again == fresh and again.accepted and again.skolems == [(0, st)]
+    assert [entry[3] for entry in pc._cited.values()] == [None]
 
 
 # ---------------------------------------------------------------------------
