@@ -1,22 +1,26 @@
 """Recursive-descent parser from tokens to the surface tree.
 
-Two spots need backtracking over the token list: a ``(`` can open
-either a term or a formula, and the three cluster registration shapes
-share a prefix.  Both are resolved by saving the token index and
-retrying; everything else is a single token of lookahead.
+It reads each token once and never rewinds.  Connectives fold in one
+precedence loop over `CONNECTIVES`, as term operators do over
+`BINARY_LEVELS`.  A ``(`` in formula position is parsed once: its
+contents may come back a bare term, which the tokens after the ``)`` go
+on as a term, and a bare term becomes a predicate atom only where a
+formula is required.  A cluster's shape is read off the ``->`` and
+``for`` outside brackets before its ``;``.
 
 A token is the lexer's tuple ``(kind, text, line, col)``, read by index.
 No keyword or symbol shares its text with another kind of token, so
 ``tok[1] == "("`` tests for the symbol alone; `_pos` makes a token's
 `SourcePos` only where a node or an error takes one.
 
-Errors carry code 90.  `parse_article` recovers at the next ``;`` after
-a failed item so later items still get checked.  Terms and formulas
-nested deeper than ``MAX_NESTING`` are such an error, a prefix operator
-(``-``, ``succ``, ``bool``, ``not``) without parentheses counting as one
-level: every later stage recurses over the same tree, and past this
-depth the interpreter's recursion limit would take the whole article
-down with it.
+Errors carry code 90.  Only `Parser.article` catches them, resuming at
+the next ``;`` so later items still get checked.  Nesting deeper than
+``MAX_NESTING`` is such an error.  One level is a `term` or `formula`
+entry, a ``(`` in formula position, the right operand of ``implies``, a
+postfix ``"``, or a prefix operator (``-``, ``succ``, ``bool``,
+``not``) whose operand opens with no parenthesis: every later stage
+recurses over the same tree, and past this depth the interpreter's
+recursion limit would take the whole article down with it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .surface import (
     SExists,
     SFlex,
     SForAll,
+    SFormula,
     SFraenkel,
     SFrom,
     SIff,
@@ -86,9 +91,10 @@ from .surface import (
 PREFIX_FUNCTORS = frozenset({"bool", "succ"})
 INFIX_PREDS = frozenset({"in", "meets", "divides"})
 RELATIONS = ("=", "<>", "<=", ">=", "<", ">", "c=")
-# binding strength of the binary term operators, loosest 0
+# binding strength of the binary term operators and of the connectives, loosest 0
 BINARY_LEVELS = {"\\/": 0, "/\\": 0, "\\+\\": 0, "\\": 0, "+": 1, "-": 1, "*": 2, "/": 2}
-MAX_NESTING = 100  # nested term() and formula() entries and prefix operators
+CONNECTIVES = {"iff": 0, "implies": 1, "or": 2, "&": 3}
+MAX_NESTING = 100  # nesting levels, as the module docstring counts them
 
 
 def _pos(tok: Token) -> SourcePos:
@@ -99,14 +105,10 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.depth = 0
-        self.seek(0)
+        self.i = 0
+        self.tok = tokens[0]
 
     # -- token plumbing -------------------------------------------------------
-
-    def seek(self, i: int) -> None:
-        """Make token `i` the current one, `tok`."""
-        self.i = i
-        self.tok = self.toks[i]
 
     def peek(self, k: int = 1) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -150,8 +152,8 @@ class Parser:
         return tuple(names)
 
     def enter(self) -> None:
-        """Count one more nested term, formula or prefix operator; the
-        caller undoes it."""
+        """Count one more nesting level; the caller undoes it, or
+        `_recover` resets the count after an error."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail(f"nested deeper than {MAX_NESTING}")
@@ -162,20 +164,18 @@ class Parser:
         itself, opens the operand."""
         if self.tok[1] == "(":
             return operand()
-        try:
-            self.enter()
-            return operand()
-        finally:
-            self.depth -= 1
+        self.enter()
+        t = operand()
+        self.depth -= 1
+        return t
 
     # -- terms ----------------------------------------------------------------
 
     def term(self) -> STerm:
-        try:
-            self.enter()
-            return self.binary_term(self.unary_term(), 0)
-        finally:
-            self.depth -= 1
+        self.enter()
+        t = self.binary_term(self.unary_term(), 0)
+        self.depth -= 1
+        return t
 
     def binary_term(self, lhs: STerm, floor: int) -> STerm:
         """Fold onto `lhs` the binary operators that follow it and bind
@@ -197,13 +197,15 @@ class Parser:
         if t[1] == "-" or t[1] in PREFIX_FUNCTORS:
             self.next()
             return SApp(_pos(t), t[1], (self.prefixed(self.unary_term),))
-        return self.postfix_term()
+        return self.postfix(self.primary_term())
 
-    def postfix_term(self) -> STerm:
-        t = self.primary_term()
+    def postfix(self, t: STerm) -> STerm:
+        """`t` under the ``"`` that follow it, each one nesting level."""
+        depth = self.depth
         while self.tok[1] == '"':
-            op = self.next()
-            t = SApp(_pos(op), '"', (t,))
+            self.enter()
+            t = SApp(_pos(self.next()), '"', (t,))
+        self.depth = depth
         return t
 
     def primary_term(self) -> STerm:
@@ -301,24 +303,28 @@ class Parser:
             return True
         return False
 
+    def adjectives(self) -> tuple[SAdj, ...]:
+        """One adjective and those that follow it.  A run ends before
+        ``of``, a keyword, which may follow a last one naming a mode."""
+        adjs = [self.adjective()]
+        while self._at_adjective():
+            adjs.append(self.adjective())
+        return tuple(adjs)
+
     def type_expr(self) -> SType:
         """Adjective units followed by a mode name, optionally ``of t``."""
         start = _pos(self.tok)
-        units: list[SAdj] = []
-        while True:
-            if not self._at_adjective():
-                raise self.fail("expected a type")
-            adj = self.adjective()
-            if adj.positive and adj.arg is None and self.tok[1] == "of":
-                self.next()
-                return SType(start, tuple(units), adj.name, self.term())
-            units.append(adj)
-            if not self._at_adjective():
-                break
-        last = units.pop()
-        if not last.positive or last.arg is not None:
+        if not self._at_adjective():
+            raise self.fail("expected a type")
+        adjs = self.adjectives()
+        mode = adjs[-1]
+        if not mode.positive or mode.arg is not None:
             raise self.fail("a type must end with a mode name")
-        return SType(start, tuple(units), last.name, None)
+        arg = None
+        if self.tok[1] == "of":
+            self.next()
+            arg = self.term()
+        return SType(start, adjs[:-1], mode.name, arg)
 
     def binder_groups(self) -> tuple[SBinders, ...]:
         groups = [self.binder_group()]
@@ -352,62 +358,61 @@ class Parser:
 
     # -- formulas ----------------------------------------------------------------
 
-    def formula(self) -> "SFormula":
-        try:
-            self.enter()
-            return self.iff_level()
-        finally:
-            self.depth -= 1
-
-    def iff_level(self):
-        f = self.imp_level()
-        while self.tok[1] == "iff":
-            op = self.next()
-            f = SIff(_pos(op), f, self.imp_level())
+    def formula(self) -> SFormula:
+        self.enter()
+        f = self.as_formula(self.connectives(0))
+        self.depth -= 1
         return f
 
-    def imp_level(self):
-        f = self.or_level()
-        if self.tok[1] == "implies":
-            op = self.next()
-            return SImplies(_pos(op), f, self.imp_level())
-        return f
-
-    def or_level(self):
-        f = self.and_level()
-        if self.tok[1] != "or":
+    def as_formula(self, f: SFormula | STerm) -> SFormula:
+        """`f`, where a bare term becomes the predicate it names."""
+        if not isinstance(f, STerm):
             return f
-        parts = [f]
-        pos = _pos(self.tok)
-        while self.tok[1] == "or":
-            self.next()
-            parts.append(self.and_level())
-        return SOr(pos, tuple(parts))
+        if type(f) is SApp:
+            return SPredAtom(f.pos, f.name, f.args)
+        if type(f) is SVar:
+            return SPredAtom(f.pos, f.name, ())
+        raise self.fail("expected a relation")
 
-    def and_level(self):
+    def connectives(self, floor: int) -> SFormula | STerm:
+        """A unary formula, or bare term, with the connectives that
+        follow it and bind at least as tight as `floor` folded on.
+        ``iff`` is left-associative, ``implies`` right-associative, and
+        ``or`` and ``&`` are n-ary, ``& ... &`` making a flexible
+        conjunction of its neighbours."""
         f = self.unary_formula()
-        if self.tok[1] != "&":
-            return f
-        parts = [f]
-        pos = _pos(self.tok)
-        while self.tok[1] == "&":
-            self.next()
-            if self.tok[1] == "...":
-                dots = self.next()
-                self.expect("&")
-                hi = self.unary_formula()
-                parts[-1] = SFlex(_pos(dots), parts[-1], hi)
+        level = CONNECTIVES.get(self.tok[1])
+        while level is not None and level >= floor:
+            f = self.as_formula(f)
+            op = self.next()
+            if level == 0:
+                f = SIff(_pos(op), f, self.as_formula(self.connectives(1)))
+            elif level == 1:
+                self.enter()
+                f = SImplies(_pos(op), f, self.as_formula(self.connectives(1)))
+                self.depth -= 1
             else:
-                parts.append(self.unary_formula())
-        if len(parts) == 1:
-            return parts[0]
-        return SAnd(pos, tuple(parts))
+                parts = [f]
+                while True:
+                    if level == 3 and self.tok[1] == "...":
+                        dots = self.next()
+                        self.expect("&")
+                        parts[-1] = SFlex(_pos(dots), parts[-1], self.as_formula(self.unary_formula()))
+                    else:
+                        parts.append(self.as_formula(self.connectives(level + 1)))
+                    if self.tok[1] != op[1]:
+                        break
+                    self.next()
+                f = parts[0] if len(parts) == 1 else (SOr if level == 2 else SAnd)(_pos(op), tuple(parts))
+            level = CONNECTIVES.get(self.tok[1])
+        return f
 
-    def unary_formula(self):
+    def unary_formula(self) -> SFormula | STerm:
+        """A formula no connective reaches into, or a bare term."""
         t = self.tok
         if t[1] == "not":
             self.next()
-            return SNot(_pos(t), self.prefixed(self.unary_formula))
+            return SNot(_pos(t), self.as_formula(self.prefixed(self.unary_formula)))
         if t[1] == "for":
             self.next()
             binders = self.binder_groups()
@@ -428,53 +433,44 @@ class Parser:
         if t[1] == "thesis":
             self.next()
             return SThesis(_pos(t))
-        return self.atom_formula()
-
-    def atom_formula(self):
-        if self.tok[0] == "ident" and self.peek()[1] == "[":
-            name = self.next()
+        if t[0] == "ident" and self.peek()[1] == "[":
+            self.next()
             self.next()
             args = self.term_list("]") if self.tok[1] != "]" else ()
             if args == ():
-                self.expect("]")
-            return SBracketAtom(_pos(name), name[1], args)
-        if self.tok[1] == "(":
-            mark = self.i
-            try:
-                return self.relational_formula()
-            except MizarError:
-                self.seek(mark)
-            self.next()
-            inner = self.formula()
-            self.expect(")")
+                self.next()
+            return SBracketAtom(_pos(t), t[1], args)
+        if t[1] != "(":
+            return self.relation(t, self.term())
+        # a formula, or a term that the tokens after ")" go on: its
+        # operators count inside the parenthesis's level, as inside a
+        # `term` entry, and the relation after them does not
+        self.next()
+        self.enter()
+        inner = self.connectives(0)
+        self.expect(")")
+        if not isinstance(inner, STerm):
+            self.depth -= 1
             return inner
-        return self.relational_formula()
+        inner = self.binary_term(self.postfix(inner), 0)
+        self.depth -= 1
+        return self.relation(t, inner)
 
-    def relational_formula(self):
-        start = _pos(self.tok)
-        t = self.term()
+    def relation(self, first: Token, t: STerm) -> SFormula | STerm:
+        """The relation, infix predicate or ``is`` clause on term `t`,
+        whose first token is `first`, or `t` itself if none follows."""
         if self.tok[1] in RELATIONS or self.tok[1] in INFIX_PREDS:
             op = self.next()
             return SPredAtom(_pos(op), op[1], (t, self.term()))
-        if self.tok[1] == "is":
+        if self.tok[1] != "is":
+            return t
+        self.next()
+        adjs = self.adjectives()
+        mode = adjs[-1]
+        if mode.positive and mode.arg is None and self.tok[1] == "of":
             self.next()
-            adjs: list[SAdj] = []
-            while True:
-                adj = self.adjective()
-                if adj.positive and adj.arg is None and self.tok[1] == "of":
-                    self.next()
-                    ty = SType(adj.pos, tuple(adjs), adj.name, self.term())
-                    return SQual(start, t, ty)
-                adjs.append(adj)
-                if not self._at_adjective():
-                    break
-            return SIs(start, t, tuple(adjs))
-        match t:
-            case SApp(pos, name, args):
-                return SPredAtom(pos, name, args)
-            case SVar(pos, name):
-                return SPredAtom(pos, name, ())
-        raise self.fail("expected a relation")
+            return SQual(_pos(first), t, SType(mode.pos, adjs[:-1], mode.name, self.term()))
+        return SIs(_pos(first), t, adjs)
 
     # -- justifications ------------------------------------------------------------
 
@@ -679,6 +675,8 @@ class Parser:
         return Article(tuple(reqs), tuple(items)), errors
 
     def _recover(self) -> None:
+        """Resume at depth 0 past the next ``;`` and any ``end;`` after it."""
+        self.depth = 0
         while self.tok[0] != "eof" and self.tok[1] != ";":
             self.next()
         if self.tok[1] == ";":
@@ -857,41 +855,37 @@ class Parser:
         lets = self._lets()
         self.expect("cluster")
         body = self._cluster_body()
+        self.expect(";")
         correctness = self._correctness()
         self.expect("end")
         self.expect(";")
         return ItRegistration(_pos(t), lets, body, correctness)
 
     def _cluster_body(self):
-        mark = self.i
-        try:
+        """A functor cluster ``term -> adjs``, a conditional one ``adjs
+        -> adjs for type`` or an existential one ``type``, told apart by
+        the ``->`` and ``for`` outside brackets before the ``;`` ending it."""
+        found, depth, j = set(), 0, self.i
+        while (text := self.toks[j][1]) not in (";", ""):
+            if text in ("(", "[", "{"):
+                depth += 1
+            elif text in (")", "]", "}"):
+                depth -= 1
+            elif depth == 0 and text in ("->", "for"):
+                found.add(text)
+            j += 1
+        if "->" not in found:
+            ty = self.type_expr()
+            return RegExistential(ty.pos, ty)
+        if "for" not in found:
             term = self.term()
             arrow = self.expect("->")
-            adjs = self._adj_list()
-            self.expect(";")
-            return RegFunctor(_pos(arrow), term, adjs)
-        except MizarError:
-            self.seek(mark)
-        try:
-            guard = self._adj_list()
-            self.expect("->")
-            target = self._adj_list()
-            kw = self.expect("for")
-            ty = self.type_expr()
-            self.expect(";")
-            return RegConditional(_pos(kw), guard, target, ty)
-        except MizarError:
-            self.seek(mark)
-        pos = _pos(self.tok)
-        ty = self.type_expr()
-        self.expect(";")
-        return RegExistential(pos, ty)
-
-    def _adj_list(self) -> tuple[SAdj, ...]:
-        adjs = [self.adjective()]
-        while self._at_adjective():
-            adjs.append(self.adjective())
-        return tuple(adjs)
+            return RegFunctor(_pos(arrow), term, self.adjectives())
+        guard = self.adjectives()
+        self.expect("->")
+        target = self.adjectives()
+        kw = self.expect("for")
+        return RegConditional(_pos(kw), guard, target, self.type_expr())
 
 
 def parse_article(text: str) -> tuple[Article, list[MizarError]]:

@@ -11,7 +11,7 @@ shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, and only the upkeep of
 its polynomial table computes a normal form.  ``parse_article`` looks
 ``tokenize`` up in the parser module's namespace at each call, which is
-where a tracer wraps it."""
+where a tracer wraps it, and the parser never rewinds its tokens."""
 
 import ast
 import dataclasses
@@ -332,3 +332,30 @@ def test_parse_article_calls_the_parser_modules_tokenize(monkeypatch):
     art, errs = parser.parse_article("environ begin theorem 1 = 1;")
     assert texts == ["environ begin theorem 1 = 1;"]
     assert errs == [] and len(art.items) == 1
+
+
+def test_the_parser_never_rewinds():
+    # the current token moves only forward, one at a time, and a parse
+    # error is caught only to resume at the next item
+    path = PACKAGE / "parser.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    moves = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and sub.attr in ("i", "tok")
+    }
+    assert moves == {"__init__", "next"}
+    catches = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(isinstance(sub, ast.Name) and sub.id == "MizarError" for sub in ast.walk(node.type))
+    }
+    assert catches == {"article", "parse_article"}

@@ -7,16 +7,21 @@ from micromizar.analyzer import Analyzer
 from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
     ItScheme,
+    RegConditional,
+    RegExistential,
+    RegFunctor,
     SAnd,
     SApp,
     SBracketAtom,
     SExists,
     SFlex,
     SForAll,
+    SFraenkel,
     SIff,
     SImplies,
     SIs,
     SNot,
+    SNum,
     SOr,
     SPredAtom,
     SQual,
@@ -161,16 +166,31 @@ def test_nesting_at_the_limit_is_checked(req_all):
     assert [code for code, _, _ in check_article(past, req_all)] == [90]
 
 
-def test_prefix_chains_count_toward_the_limit(req_all):
+def test_operator_chains_count_toward_the_limit(req_all):
     minus = "- " * 500 + "1"
     nots = "not " * 1001 + "1 = 1"
-    text = f"environ begin\ntheorem {minus} = {minus};\ntheorem {nots};\ntheorem 1 = 2;\n"
+    implies = " implies ".join(["1 = 1"] * 1000)
+    quotes = "1" + '"' * 1500
+    text = (
+        f"environ begin\ntheorem {minus} = {minus};\ntheorem {nots};\n"
+        f"theorem {implies};\ntheorem {quotes} = 1;\ntheorem 1 = 2;\n"
+    )
     # the statement and its left side are two levels, so the minus sign
     # number MAX_NESTING - 1 is the first past the limit; each "not" is
-    # one level below the statement's
+    # one level below the statement's; the right operand of "implies"
+    # number MAX_NESTING - 1 is past it at the entry into its left side,
+    # and so is the '"' number MAX_NESTING - 1, at itself
     minus_col = len("theorem ") + 1 + len("- ") * (MAX_NESTING - 1)
     not_col = len("theorem ") + 1 + len("not ") * MAX_NESTING
-    assert check_article(text, req_all) == [(61, 4, 1), (90, 2, minus_col), (90, 3, not_col)]
+    implies_col = len("theorem ") + 1 + len("1 = 1 implies ") * (MAX_NESTING - 1)
+    quote_col = len("theorem 1") + MAX_NESTING - 1
+    assert check_article(text, req_all) == [
+        (61, 6, 1),
+        (90, 2, minus_col),
+        (90, 3, not_col),
+        (90, 4, implies_col),
+        (90, 5, quote_col),
+    ]
 
 
 def test_precedence_and_over_or_over_implies():
@@ -244,12 +264,78 @@ def test_binder_groups_and_guard():
     assert f.guard is not None
 
 
-def test_paren_backtracking_term_vs_formula():
-    t = parse_formula("(1 + 2) * 3 = 9")
-    assert isinstance(t, SPredAtom) and t.name == "="
-    g = parse_formula("(1 = 1 or 2 = 2) & 3 = 3")
-    assert isinstance(g, SAnd)
-    assert isinstance(g.parts[0], SOr)
+def shape(node) -> str:
+    """A formula or term as an s-expression: ``[rel args]`` for a
+    predicate atom or an ``is`` clause, ``(op args)`` for any other
+    node, a variable's name or a numeral's value."""
+    match node:
+        case SVar(_, name):
+            return name
+        case SNum(_, value):
+            return str(value)
+        case SApp(_, name, args):
+            return f"({' '.join([name, *map(shape, args)])})"
+        case SPredAtom(_, name, args):
+            return f"[{' '.join([name, *map(shape, args)])}]"
+        case SIs(_, term, adjs):
+            return f"[is {shape(term)} {' '.join(a.name for a in adjs)}]"
+        case SAnd(_, parts):
+            return f"(& {' '.join(map(shape, parts))})"
+        case SOr(_, parts):
+            return f"(or {' '.join(map(shape, parts))})"
+        case SImplies(_, a, b):
+            return f"(implies {shape(a)} {shape(b)})"
+        case SIff(_, a, b):
+            return f"(iff {shape(a)} {shape(b)})"
+        case SFlex(_, lo, hi):
+            return f"(flex {shape(lo)} {shape(hi)})"
+    raise AssertionError(node)
+
+
+PAREN_AND_CONNECTIVE_CASES = [
+    ("(1 + 2) * 3 = 9", "[= (* (+ 1 2) 3) 9]"),
+    ("((1)) + 2 = 3", "[= (+ 1 2) 3]"),
+    ("(1 = 1 or 2 = 2) & 3 = 3", "(& (or [= 1 1] [= 2 2]) [= 3 3])"),
+    ("(x) & y", "(& [x] [y])"),
+    ("(P(x))", "[P x]"),
+    ("(a) is empty", "[is a empty]"),
+    ('(a)" in b', '[in (" a) b]'),
+    ("(1 = 1) implies (2 = 2)", "(implies [= 1 1] [= 2 2])"),
+    ("a implies b implies c", "(implies [a] (implies [b] [c]))"),
+    ("a iff b iff c", "(iff (iff [a] [b]) [c])"),
+    ("a & b or c iff d implies e", "(iff (or (& [a] [b]) [c]) (implies [d] [e]))"),
+    ("a or b & c or d", "(or [a] (& [b] [c]) [d])"),
+    ("(a & ... & b) & c", "(& (flex [a] [b]) [c])"),
+]
+
+
+def test_a_parenthesis_opens_a_term_or_a_formula_and_connectives_nest():
+    for text, want in PAREN_AND_CONNECTIVE_CASES:
+        assert shape(parse_formula(text)) == want, text
+
+
+def test_cluster_shapes_are_read_off_the_tokens_outside_brackets():
+    art = parse_ok(
+        """environ begin
+registration
+  cluster { a where a being set : for b being set holds a c= b } -> empty;
+  coherence;
+end;
+registration
+  cluster (succ 1)-ordered -> empty for set;
+  coherence;
+end;
+registration
+  cluster non empty Element of { a where a being set : for b being set holds a = b };
+  existence;
+end;
+"""
+    )
+    functor, conditional, existential = (item.body for item in art.items)
+    assert isinstance(functor, RegFunctor) and isinstance(functor.term, SFraenkel)
+    assert isinstance(conditional, RegConditional)
+    assert [(a.name, shape(a.arg)) for a in conditional.guard] == [("ordered", "(succ 1)")]
+    assert isinstance(existential, RegExistential) and existential.ty.mode == "Element"
 
 
 def test_is_clause_and_qualification():

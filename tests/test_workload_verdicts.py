@@ -1,14 +1,15 @@
-"""Every verdict of two benchmark workloads, item by item.
+"""Every verdict of the four benchmark workloads, item by item.
 
 The benchmark's generator (``mizbench/gen.py``, imported, not changed)
 writes each article together with the errors each item must give.  Here
-``algebra``, ``lemmas`` and ``rejects`` at one seed are checked as the
-benchmark's worker checks them: one ``Analyzer`` fed each top-level item
-as a one-item article, each item's ``(code, line)`` errors compared with
-the generator's.  This is the guard on verdicts until a golden corpus
-exists: the unifier's search and the equalizer's rules are exercised
-by the thousands of obligations these articles make, ``algebra``'s
-almost all in the equalizer.
+``algebra``, ``lemmas``, ``rejects`` and ``skeleton`` at one seed are
+checked as the benchmark's worker checks them: one ``Analyzer`` fed each
+top-level item as a one-item article, each item's ``(code, line)``
+errors compared with the generator's.  This is the guard on verdicts
+until a golden corpus exists: the unifier's search and the equalizer's
+rules are exercised by the thousands of obligations these articles
+make, ``algebra``'s almost all in the equalizer, and ``skeleton`` is the
+one with definitions, cluster registrations and schemes.
 """
 
 import os
@@ -35,7 +36,7 @@ def table():
     return table
 
 
-@pytest.mark.parametrize("workload", ["algebra", "lemmas", "rejects"])
+@pytest.mark.parametrize("workload", ["algebra", "lemmas", "rejects", "skeleton"])
 def test_every_item_gets_the_generator_s_verdict(table, workload):
     built = gen.build(workload, SEED)
     article, parse_errors = parse_article(built.text)
