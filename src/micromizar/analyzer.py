@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import MizarError, SourcePos, VerifyError
+from .errors import MizarError, Pos, SourcePos, VerifyError
 from .flex import FlexMode, formula_equal
 from .formatter import Formatter
 from .logic import (
@@ -181,7 +181,7 @@ class Analyzer:
                 self.errors.append(e.to_error())
                 self._reset(mark, keep_labels=True)
             except Exception as e:  # noqa: BLE001 - a checker fault fails one item, not the article
-                self.internal.append((item.pos, _describe(e)))
+                self.internal.append((SourcePos(*item.pos), _describe(e)))
                 self.errors.append(VerifyError(item.pos, 99))
                 self._reset(mark, keep_labels=True)
         return self.errors
@@ -197,7 +197,7 @@ class Analyzer:
             self.labels = mark[1]
         del self.defined[mark[2] :]
 
-    def _bind(self, label: str, f: Formula, pos: SourcePos) -> None:
+    def _bind(self, label: str, f: Formula, pos: Pos) -> None:
         if label in self.labels:
             self.errors.append(VerifyError(pos, 93))
             return
@@ -215,7 +215,7 @@ class Analyzer:
     def _feq(self, a: Formula, b: Formula) -> bool:
         return formula_equal(a, b, self.flex_mode)
 
-    def _eq_pred(self, pos: SourcePos) -> int:
+    def _eq_pred(self, pos: Pos) -> int:
         eq = self.req.ids.Equality
         if eq is None:
             raise MizarError(pos, 95, "equality requirement missing")
@@ -223,7 +223,7 @@ class Analyzer:
 
     # -- justifications ------------------------------------------------------
 
-    def justify(self, goal: Formula, just: SJust, pos: SourcePos) -> None:
+    def justify(self, goal: Formula, just: SJust, pos: Pos) -> None:
         match just:
             case SSubProof(_, steps, end_pos):
                 self.walk_proof(goal, steps, end_pos)
@@ -234,7 +234,7 @@ class Analyzer:
             case _:
                 raise AssertionError(f"unhandled justification {just!r}")
 
-    def _references(self, refs, linked: bool, pos: SourcePos) -> list[Formula]:
+    def _references(self, refs, linked: bool, pos: Pos) -> list[Formula]:
         premises: list[Formula] = []
         if linked:
             if self.prev is None:
@@ -249,7 +249,7 @@ class Analyzer:
                 premises.append(f)
         return premises
 
-    def _by(self, goal: Formula, refs, linked: bool, pos: SourcePos) -> None:
+    def _by(self, goal: Formula, refs, linked: bool, pos: Pos) -> None:
         premises = self._references(refs, linked, pos)
         eq = self.req.ids.Equality
         if eq is not None:
@@ -270,7 +270,7 @@ class Analyzer:
         self.ctypes[c] = ty
         return c
 
-    def _emit_trace(self, goal: Formula, res, pos: SourcePos) -> None:
+    def _emit_trace(self, goal: Formula, res, pos: Pos) -> None:
         self.trace.extend(self.formatter.trace_input(mk_neg(goal)))
         prepared = res.prepared
         if prepared is None:
@@ -279,7 +279,7 @@ class Analyzer:
             branches = [mk_neg(c) for c in prepared.body.conjuncts]
         else:
             branches = [prepared]
-        where = f"{self.article_name}:{pos.line}:{pos.col}"
+        where = f"{self.article_name}:{SourcePos(*pos)}"
         for i, branch in enumerate(branches):
             self.trace.extend(self.formatter.trace_refuting(i, where, branch, res.skolems))
 
@@ -297,7 +297,7 @@ class Analyzer:
     # -- proof walking ---------------------------------------------------------
 
     def walk_proof(
-        self, thesis: Formula, steps, end_pos: SourcePos, case: tuple | None = None
+        self, thesis: Formula, steps, end_pos: Pos, case: tuple | None = None
     ) -> None:
         """Walk a block that must prove `thesis`.  In a case block, `case`
         is the block's condition (`SLabeled`) and its resolved formula:
@@ -420,7 +420,7 @@ class Analyzer:
             return cs[len(ps) :]
         return None
 
-    def _consume(self, a: Formula, thesis: Formula, pos: SourcePos) -> Formula:
+    def _consume(self, a: Formula, thesis: Formula, pos: Pos) -> Formula:
         """Strip an assumption off the front of a negated conjunction."""
         if isinstance(thesis, Neg):
             rest = self._rest_after(a, thesis.body)
@@ -431,7 +431,7 @@ class Analyzer:
         self.errors.append(VerifyError(pos, 71))
         return thesis
 
-    def _discharge(self, f: Formula, thesis: Formula, pos: SourcePos) -> Formula:
+    def _discharge(self, f: Formula, thesis: Formula, pos: Pos) -> Formula:
         if self._feq(f, thesis) or self._feq(f, FALSE):
             return TRUE
         rest = self._rest_after(f, thesis)
@@ -501,7 +501,7 @@ class Analyzer:
 
     # -- diffuse blocks -----------------------------------------------------
 
-    def walk_now(self, steps, end_pos: SourcePos) -> Formula:
+    def walk_now(self, steps, end_pos: Pos) -> Formula:
         """Walk a ``now`` and return what it proved.  Only ``let``,
         ``assume`` and ``thus`` act differently here, recording the
         export; steps that need a thesis are rejected."""
@@ -686,7 +686,7 @@ class Analyzer:
         for _kind in needed:
             self.errors.append(VerifyError(it.pos, 70))
 
-    def _def_attr(self, body: DefAttr, names: list[str], pos: SourcePos) -> dict:
+    def _def_attr(self, body: DefAttr, names: list[str], pos: Pos) -> dict:
         arity = len(names) - 1
         if arity < 0 or names[-1] != body.subject:
             raise MizarError(pos, 90, "the subject must be the last locus")
@@ -705,7 +705,7 @@ class Analyzer:
             self._bind(body.def_label, fact, pos)
         return {}
 
-    def _def_mode(self, body: DefMode, names: list[str], pos: SourcePos) -> dict:
+    def _def_mode(self, body: DefMode, names: list[str], pos: Pos) -> dict:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "mode arguments must match the loci")
         arity = len(names)
@@ -739,7 +739,7 @@ class Analyzer:
             self._bind(body.def_label, self._close_loci(fact, self.loci_types + [parent]), pos)
         return needed
 
-    def _def_func(self, body: DefFunc, names: list[str], pos: SourcePos) -> dict:
+    def _def_func(self, body: DefFunc, names: list[str], pos: Pos) -> dict:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "functor arguments must match the loci")
         arity = len(names)
@@ -775,7 +775,7 @@ class Analyzer:
             self._bind(body.def_label, self._close_loci(fact, self.loci_types), pos)
         return needed
 
-    def _def_pred(self, body: DefPred, names: list[str], pos: SourcePos) -> dict:
+    def _def_pred(self, body: DefPred, names: list[str], pos: Pos) -> dict:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "predicate arguments must match the loci")
         arity = len(names)

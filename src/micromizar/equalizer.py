@@ -247,11 +247,6 @@ class EqGraph:
             self._seed(n, *key)
         return self.find(n)
 
-    def lookup_app(self, f: int, reps: tuple[int, ...]) -> int | None:
-        """Class of the application of functor `f` to the classes `reps`."""
-        n = self.node_of_key.get((("app", f), reps))
-        return None if n is None else self.find(n)
-
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
         tag = head[0]
         if self._arith is not None and (tag == "num" or tag == "app" and head[1] in self._arith):

@@ -33,7 +33,15 @@ ERROR_MESSAGES = {
 }
 
 
+Pos = tuple[int, int]  # (line, col), both 1-based; a `SourcePos` is one too
+
+
 class SourcePos(NamedTuple):
+    """A position that is read by field or printed: an error's, a
+    top-level item's, an internal error's or a trace record's.  Any other
+    is a plain `Pos`, which the collector untracks at its first
+    collection, as it never does a tuple subclass.  Equal to the pair."""
+
     line: int  # 1-based
     col: int  # 1-based
 
@@ -43,8 +51,11 @@ class SourcePos(NamedTuple):
 
 @dataclass(frozen=True)
 class VerifyError:
-    pos: SourcePos
+    pos: SourcePos  # given as any `Pos`
     code: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pos", SourcePos(*self.pos))
 
     @property
     def message(self) -> str:
@@ -54,9 +65,9 @@ class VerifyError:
 class MizarError(Exception):
     """Internal signal carrying a reportable error."""
 
-    def __init__(self, pos: SourcePos, code: int, note: str = ""):
-        super().__init__(f"{pos}: {code}" + (f" ({note})" if note else ""))
-        self.pos = pos
+    def __init__(self, pos: Pos, code: int, note: str = ""):
+        self.pos = SourcePos(*pos)
+        super().__init__(f"{self.pos}: {code}" + (f" ({note})" if note else ""))
         self.code = code
         self.note = note
 

@@ -29,15 +29,15 @@ A token is an exact tuple ``(kind, text, line, col)``, `Token`.  The
 cyclic garbage collector untracks an exact tuple of strings and ints at
 its first collection, but never a tuple subclass such as a
 ``NamedTuple``, so an article's tokens cost the collector nothing after
-that.  A `SourcePos` is made only where an error or a surface node
-takes one.
+that.  A node's position, ``tok[2:]``, is an exact tuple too (see
+`errors.SourcePos`).
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import MizarError, SourcePos
+from .errors import MizarError
 
 KEYWORDS = frozenset(
     """
@@ -87,11 +87,11 @@ def tokenize(text: str) -> list[Token]:
                 kind = "kw"
         elif kind == "dollar":
             if len(word) == 1:
-                raise MizarError(SourcePos(line, col), 90, "expected digits after $")
+                raise MizarError((line, col), 90, "expected digits after $")
             word = word[1:]
         elif kind == "other":
             if not word[0].isalpha():
-                raise MizarError(SourcePos(line, col), 90, f"unexpected character {word[0]!r}")
+                raise MizarError((line, col), 90, f"unexpected character {word[0]!r}")
             kind = "ident"
         out.append((kind, word, line, col))
     out.append(("eof", "", line, col))

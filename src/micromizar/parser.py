@@ -10,8 +10,8 @@ formula is required.  A cluster's shape is read off the ``->`` and
 
 A token is the lexer's tuple ``(kind, text, line, col)``, read by index.
 No keyword or symbol shares its text with another kind of token, so
-``tok[1] == "("`` tests for the symbol alone; `_pos` makes a token's
-`SourcePos` only where a node or an error takes one.
+``tok[1] == "("`` tests for the symbol alone.  A position is the exact
+tuple ``(line, col)`` `_pos` cuts from a token; only `item` makes a `SourcePos`.
 
 Errors carry code 90.  Only `Parser.article` catches them, resuming at
 the next ``;`` so later items still get checked.  Nesting deeper than
@@ -25,7 +25,7 @@ recursion limit would take the whole article down with it.
 
 from __future__ import annotations
 
-from .errors import MizarError, SourcePos
+from .errors import MizarError, Pos, SourcePos
 from .lexer import Token, tokenize
 from .surface import (
     Article,
@@ -97,8 +97,8 @@ CONNECTIVES = {"iff": 0, "implies": 1, "or": 2, "&": 3}
 MAX_NESTING = 100  # nesting levels, as the module docstring counts them
 
 
-def _pos(tok: Token) -> SourcePos:
-    return tuple.__new__(SourcePos, tok[2:])
+def _pos(tok: Token) -> Pos:
+    return tok[2:]
 
 
 class Parser:
@@ -121,7 +121,7 @@ class Parser:
         return t
 
     def fail(self, note: str) -> MizarError:
-        return MizarError(_pos(self.tok), 90, note)
+        return MizarError(self.tok[2:], 90, note)
 
     def expect(self, text: str) -> Token:
         """Take the keyword or symbol `text`."""
@@ -197,7 +197,8 @@ class Parser:
         if t[1] == "-" or t[1] in PREFIX_FUNCTORS:
             self.next()
             return SApp(_pos(t), t[1], (self.prefixed(self.unary_term),))
-        return self.postfix(self.primary_term())
+        p = self.primary_term()
+        return self.postfix(p) if self.tok[1] == '"' else p
 
     def postfix(self, t: STerm) -> STerm:
         """`t` under the ``"`` that follow it, each one nesting level."""
@@ -210,6 +211,16 @@ class Parser:
 
     def primary_term(self) -> STerm:
         t = self.tok
+        if t[0] == "ident":
+            self.next()
+            if self.tok[1] == "(":
+                self.next()
+                if self.tok[1] == ")":
+                    self.next()
+                    return SApp(_pos(t), t[1], ())
+                args = self.term_list(")")
+                return SApp(_pos(t), t[1], args)
+            return SVar(_pos(t), t[1])
         if t[0] in ("num", "dollar"):
             return self.number()
         if t[1] == "<i>":
@@ -228,16 +239,6 @@ class Parser:
             inner = self.term()
             self.expect(")")
             return inner
-        if t[0] == "ident":
-            self.next()
-            if self.tok[1] == "(":
-                self.next()
-                if self.tok[1] == ")":
-                    self.next()
-                    return SApp(_pos(t), t[1], ())
-                args = self.term_list(")")
-                return SApp(_pos(t), t[1], args)
-            return SVar(_pos(t), t[1])
         raise self.fail("expected a term")
 
     def number(self) -> SNum | SDollar:
@@ -496,14 +497,14 @@ class Parser:
             return SSubProof(_pos(t), tuple(steps), _pos(end))
         return SBy(_pos(t), (), linked)
 
-    def ref_list(self) -> tuple[tuple[str, SourcePos], ...]:
+    def ref_list(self) -> tuple[tuple[str, Pos], ...]:
         refs = [self._ref()]
         while self.tok[1] == ",":
             self.next()
             refs.append(self._ref())
         return tuple(refs)
 
-    def _ref(self) -> tuple[str, SourcePos]:
+    def _ref(self) -> tuple[str, Pos]:
         t = self.expect_ident()
         return (t[1], _pos(t))
 
@@ -601,9 +602,9 @@ class Parser:
                 blocks.append(StCaseBlock(_pos(bt), cond, tuple(body), _pos(end)))
             return StPerCases(_pos(t), just, kind, tuple(blocks))
         if t[1] == "deffunc":
-            return self._deffunc_step()
+            return self._deffunc_step(_pos(t))
         if t[1] == "defpred":
-            return self._defpred_step()
+            return self._defpred_step(_pos(t))
         if t[1] == "now" or (self.at_label() and self.peek(2)[1] == "now"):
             label = self.take_label()
             now_tok = self.expect("now")
@@ -613,31 +614,31 @@ class Parser:
             return StNow(_pos(now_tok), label, tuple(body), _pos(end))
         return self.proposition(_pos(t), linked)
 
-    def proposition(self, pos: SourcePos, linked: bool) -> StProp:
+    def proposition(self, pos: Pos, linked: bool) -> StProp:
         prop = self.labeled_formula()
         just = self.justification(linked)
         self.expect(";")
         return StProp(pos, prop, just)
 
-    def _deffunc_step(self) -> StDeffunc:
-        t = self.expect("deffunc")
+    def _deffunc_step(self, pos: Pos) -> StDeffunc:
+        self.expect("deffunc")
         name = self.expect_ident()[1]
         self.expect("(")
         tys = self._type_list(")")
         self.expect("=")
         body = self.term()
         self.expect(";")
-        return StDeffunc(_pos(t), name, tys, body)
+        return StDeffunc(pos, name, tys, body)
 
-    def _defpred_step(self) -> StDefpred:
-        t = self.expect("defpred")
+    def _defpred_step(self, pos: Pos) -> StDefpred:
+        self.expect("defpred")
         name = self.expect_ident()[1]
         self.expect("[")
         tys = self._type_list("]")
         self.expect("means")
         body = self.formula()
         self.expect(";")
-        return StDefpred(_pos(t), name, tys, body)
+        return StDefpred(pos, name, tys, body)
 
     def _type_list(self, closer: str) -> tuple[SType, ...]:
         if self.tok[1] == closer:
@@ -691,22 +692,23 @@ class Parser:
         only the top level admits, or a private definition or a
         proposition, optionally after ``theorem``."""
         t = self.tok
+        pos = SourcePos(*t[2:])  # read by field, as a nested node's is not
         if t[1] == "scheme":
-            return self._scheme()
+            return self._scheme(pos)
         if t[1] == "definition":
-            return self._definition()
+            return self._definition(pos)
         if t[1] == "registration":
-            return self._registration()
+            return self._registration(pos)
         if t[1] == "deffunc":
-            return self._deffunc_step()
+            return self._deffunc_step(pos)
         if t[1] == "defpred":
-            return self._defpred_step()
+            return self._defpred_step(pos)
         if t[1] == "theorem":
             self.next()
-        return self.proposition(_pos(t), False)
+        return self.proposition(pos, False)
 
-    def _scheme(self) -> ItScheme:
-        t = self.expect("scheme")
+    def _scheme(self, pos: SourcePos) -> ItScheme:
+        self.expect("scheme")
         name = self.expect_ident()[1]
         self.expect("{")
         sigs = [self._scheme_sig()]
@@ -724,7 +726,7 @@ class Parser:
         body = self.steps()
         end = self.expect("end")
         self.expect(";")
-        return ItScheme(_pos(t), name, tuple(sigs), statement, provided, tuple(body), _pos(end))
+        return ItScheme(pos, name, tuple(sigs), statement, provided, tuple(body), _pos(end))
 
     def _scheme_sig(self) -> SchemeVarSig:
         name = self.expect_ident()
@@ -762,7 +764,7 @@ class Parser:
             out.append(SCorrectness(_pos(t), t[1], just))
         return tuple(out)
 
-    def _definition(self) -> ItDefinition:
+    def _definition(self, pos: SourcePos) -> ItDefinition:
         t = self.expect("definition")
         lets = self._lets()
         expandable = False
@@ -848,10 +850,10 @@ class Parser:
         correctness = self._correctness()
         self.expect("end")
         self.expect(";")
-        return ItDefinition(_pos(t), lets, body, correctness)
+        return ItDefinition(pos, lets, body, correctness)
 
-    def _registration(self) -> ItRegistration:
-        t = self.expect("registration")
+    def _registration(self, pos: SourcePos) -> ItRegistration:
+        self.expect("registration")
         lets = self._lets()
         self.expect("cluster")
         body = self._cluster_body()
@@ -859,7 +861,7 @@ class Parser:
         correctness = self._correctness()
         self.expect("end")
         self.expect(";")
-        return ItRegistration(_pos(t), lets, body, correctness)
+        return ItRegistration(pos, lets, body, correctness)
 
     def _cluster_body(self):
         """A functor cluster ``term -> adjs``, a conditional one ``adjs

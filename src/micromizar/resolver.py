@@ -199,36 +199,37 @@ class Resolver:
     # -- terms -----------------------------------------------------------
 
     def term(self, s: STerm) -> Term:
+        # exact type, most frequent kind first: no surface kind has a subclass
+        k = type(s)
+        if k is SApp:
+            return self.apply(s.name, tuple([self.term(a) for a in s.args]), s.pos)
+        if k is SVar:
+            return self.name_term(s.name, s.pos)
+        if k is SNum:
+            return Numeral(s.value)
         sc = self.scope
-        match s:
-            case SNum(_, v):
-                return Numeral(v)
-            case SDollar(pos, i):
-                if sc.dollar_types is None:
-                    raise MizarError(pos, 91, "placeholder argument outside a definition body")
-                if not 1 <= i <= len(sc.dollar_types):
-                    raise MizarError(pos, 92, f"this definition has {len(sc.dollar_types)} arguments")
-                return locus(i - 1)
-            case SVar(pos, name):
-                return self.name_term(name, pos)
-            case SApp(pos, name, args):
-                return self.apply(name, tuple(self.term(a) for a in args), pos)
-            case SThe(pos, sty):
-                ty = self.type_expr(sty)
-                # a choice term denotes some member, so the type must be
-                # known non-empty; quantifying over an empty type is fine
-                if not self.db.inhabited(ty):
-                    raise MizarError(pos, 53)
-                return Choice(ty)
-            case SFraenkel(_, body, binders, guard):
-                tys, names = self._binder_types(binders)
-                sc.bound_names.extend(names)
-                try:
-                    b = self.term(body)
-                    g = self.formula(guard)
-                finally:
-                    del sc.bound_names[len(sc.bound_names) - len(names) :]
-                return Fraenkel(tuple(tys), b, g)
+        if k is SDollar:
+            if sc.dollar_types is None:
+                raise MizarError(s.pos, 91, "placeholder argument outside a definition body")
+            if not 1 <= s.index <= len(sc.dollar_types):
+                raise MizarError(s.pos, 92, f"this definition has {len(sc.dollar_types)} arguments")
+            return locus(s.index - 1)
+        if k is SThe:
+            ty = self.type_expr(s.ty)
+            # a choice term denotes some member, so the type must be
+            # known non-empty; quantifying over an empty type is fine
+            if not self.db.inhabited(ty):
+                raise MizarError(s.pos, 53)
+            return Choice(ty)
+        if k is SFraenkel:
+            depth = len(sc.bound_names)
+            try:
+                tys = self._bind(s.binders)
+                b = self.term(s.body)
+                g = self.formula(s.guard)
+            finally:
+                del sc.bound_names[depth:]
+            return Fraenkel(tuple(tys), b, g)
         raise AssertionError(f"unhandled term {s!r}")
 
     def name_term(self, name: str, pos) -> Term:
@@ -330,80 +331,62 @@ class Resolver:
             )
         raise MizarError(s.pos, 91, f"unknown mode {s.mode!r}")
 
-    def _binder_types(self, binders: tuple[SBinders, ...]) -> tuple[list[TypeExpr], list[str]]:
-        """Types and names in binding order.
-
-        Types are resolved left to right with earlier binders already in
-        scope, so a later group's type may mention an earlier variable.
-        """
+    def _bind(self, binders: tuple[SBinders, ...]) -> list[TypeExpr]:
+        """Bind the binders' names in order and return their types.  Each
+        type is resolved with the earlier names bound, so a later group's
+        type may mention an earlier variable.  The caller unbinds them,
+        also when this raises."""
         tys: list[TypeExpr] = []
-        names: list[str] = []
-        sc = self.scope
-        added = 0
-        try:
-            for group in binders:
-                for name in group.names:
-                    tys.append(self.type_expr(group.ty))
-                    sc.bound_names.append(name)
-                    names.append(name)
-                    added += 1
-        finally:
-            del sc.bound_names[len(sc.bound_names) - added :]
-        return tys, names
+        for group in binders:
+            for name in group.names:
+                tys.append(self.type_expr(group.ty))
+                self.scope.bound_names.append(name)
+        return tys
 
     # -- formulas ---------------------------------------------------------------
 
     def formula(self, s: SFormula) -> Formula:
+        # exact type, most frequent kind first, as in `term`
+        k = type(s)
+        if k is SPredAtom:
+            return self.pred_atom(s.pos, s.name, s.args)
         sc = self.scope
-        match s:
-            case SContradiction(_):
-                return Neg(FTrue())
-            case SThesis(pos):
-                if not sc.thesis_ok:
-                    raise MizarError(pos, 51, "'thesis' has no meaning here")
-                return ThesisMarker()
-            case SNot(_, body):
-                return mk_neg(self.formula(body))
-            case SAnd(_, parts):
-                return mk_and([self.formula(p) for p in parts])
-            case SOr(_, parts):
-                return mk_or([self.formula(p) for p in parts])
-            case SImplies(_, a, b):
-                return mk_imp(self.formula(a), self.formula(b))
-            case SIff(_, a, b):
-                return mk_iff(self.formula(a), self.formula(b))
-            case SFlex(pos, left, right):
-                return self._flex(pos, left, right)
-            case SForAll(_, binders, guard, body):
-                tys, names = self._binder_types(binders)
-                sc.bound_names.extend(names)
-                try:
-                    inner = self.formula(body)
-                    if guard is not None:
-                        inner = mk_imp(self.formula(guard), inner)
-                finally:
-                    del sc.bound_names[len(sc.bound_names) - len(names) :]
-                for ty in reversed(tys):
-                    inner = ForAll(ty, inner)
-                return inner
-            case SExists(_, binders, body):
-                tys, names = self._binder_types(binders)
-                sc.bound_names.extend(names)
-                try:
-                    inner = self.formula(body)
-                finally:
-                    del sc.bound_names[len(sc.bound_names) - len(names) :]
-                for ty in reversed(tys):
-                    inner = mk_exists(ty, inner)
-                return inner
-            case SPredAtom(pos, name, sargs):
-                return self.pred_atom(pos, name, sargs)
-            case SBracketAtom(pos, name, sargs):
-                return self.bracket_atom(pos, name, sargs)
-            case SIs(pos, sterm, adjs):
-                return self.is_clause(pos, sterm, adjs)
-            case SQual(_, sterm, sty):
-                return Qual(self.term(sterm), self.type_expr(sty))
+        if k is SForAll or k is SExists:
+            depth = len(sc.bound_names)
+            try:
+                tys = self._bind(s.binders)
+                inner = self.formula(s.body)
+                if k is SForAll and s.guard is not None:
+                    inner = mk_imp(self.formula(s.guard), inner)
+            finally:
+                del sc.bound_names[depth:]
+            for ty in reversed(tys):
+                inner = ForAll(ty, inner) if k is SForAll else mk_exists(ty, inner)
+            return inner
+        if k is SAnd:
+            return mk_and([self.formula(p) for p in s.parts])
+        if k is SOr:
+            return mk_or([self.formula(p) for p in s.parts])
+        if k is SQual:
+            return Qual(self.term(s.term), self.type_expr(s.ty))
+        if k is SIs:
+            return self.is_clause(s.pos, s.term, s.adjs)
+        if k is SThesis:
+            if not sc.thesis_ok:
+                raise MizarError(s.pos, 51, "'thesis' has no meaning here")
+            return ThesisMarker()
+        if k is SBracketAtom:
+            return self.bracket_atom(s.pos, s.name, s.args)
+        if k is SNot:
+            return mk_neg(self.formula(s.body))
+        if k is SImplies:
+            return mk_imp(self.formula(s.antecedent), self.formula(s.consequent))
+        if k is SIff:
+            return mk_iff(self.formula(s.left), self.formula(s.right))
+        if k is SFlex:
+            return self._flex(s.pos, s.lo, s.hi)
+        if k is SContradiction:
+            return Neg(FTrue())
         raise AssertionError(f"unhandled formula {s!r}")
 
     def _flex(self, pos, left: SFormula, right: SFormula) -> Formula:
@@ -418,7 +401,7 @@ class Resolver:
         return FlexAnd(fc)
 
     def pred_atom(self, pos, name: str, sargs) -> Formula:
-        args = tuple(self.term(a) for a in sargs)
+        args = tuple([self.term(a) for a in sargs])
         builtin = BUILTIN_PREDS.get((name, len(args)))
         if builtin is not None:
             return Pred(self._require(builtin, pos, name), args)
@@ -455,7 +438,7 @@ class Resolver:
 
     def bracket_atom(self, pos, name: str, sargs) -> Formula:
         sc = self.scope
-        args = tuple(self.term(a) for a in sargs)
+        args = tuple([self.term(a) for a in sargs])
         if name in sc.priv_preds:
             d = sc.priv_preds[name]
             if len(args) != len(d.arg_types):

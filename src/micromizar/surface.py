@@ -14,40 +14,47 @@ An article is a sequence of proof steps, walked like the body of a
 ``deffunc`` and ``defpred`` appear both there and in proofs, and every
 other step only in proofs.  The parser enforces where each kind may
 appear.
+
+A position is a token's ``(line, col)``: a `SourcePos` for a top-level
+item, else the plain tuple (see `errors.SourcePos`).  Nodes are slotted
+dataclasses compared and hashed by value; not frozen, which would make
+them dearer to build, they are never assigned to (a boundary test holds
+every module to that).  Every concrete kind is a leaf, so ``type(s) is
+K`` tests what the class pattern ``K()`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import SourcePos
+from .errors import Pos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
-    pos: SourcePos
+    pos: Pos
 
 
 # -- terms ---------------------------------------------------------------
 
 
 class STerm(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNum(STerm):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SVar(STerm):
     """Bare identifier; could be a constant, locus, or nullary functor."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SApp(STerm):
     """Named application, including operator spellings like "+" or
     "bool".  Arity disambiguates overloaded spellings ("-" is both
@@ -57,19 +64,19 @@ class SApp(STerm):
     args: tuple[STerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SDollar(STerm):
     """Positional locus $1..$n inside deffunc/defpred bodies."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SThe(STerm):
     ty: "SType"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SFraenkel(STerm):
     body: STerm
     binders: tuple["SBinders", ...]
@@ -79,21 +86,21 @@ class SFraenkel(STerm):
 # -- types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SAdj(Node):
     positive: bool
     name: str
     arg: STerm | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SType(Node):
     adjs: tuple[SAdj, ...]
     mode: str
     arg: STerm | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBinders(Node):
     names: tuple[str, ...]
     ty: SType
@@ -103,47 +110,47 @@ class SBinders(Node):
 
 
 class SFormula(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SContradiction(SFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SThesis(SFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNot(SFormula):
     body: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SAnd(SFormula):
     parts: tuple[SFormula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SOr(SFormula):
     parts: tuple[SFormula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SImplies(SFormula):
     antecedent: SFormula
     consequent: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SIff(SFormula):
     left: SFormula
     right: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SFlex(SFormula):
     """``lo & ... & hi`` with literal dots."""
 
@@ -151,20 +158,20 @@ class SFlex(SFormula):
     hi: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SForAll(SFormula):
     binders: tuple[SBinders, ...]
     guard: SFormula | None
     body: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SExists(SFormula):
     binders: tuple[SBinders, ...]
     body: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPredAtom(SFormula):
     """Predicate application by spelling: "=", "in", "<", user names."""
 
@@ -172,7 +179,7 @@ class SPredAtom(SFormula):
     args: tuple[STerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBracketAtom(SFormula):
     """Square-bracket application: defpred or scheme predicate usage."""
 
@@ -180,13 +187,13 @@ class SBracketAtom(SFormula):
     args: tuple[STerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SIs(SFormula):
     term: STerm
     adjs: tuple[SAdj, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SQual(SFormula):
     term: STerm
     ty: SType
@@ -196,70 +203,70 @@ class SQual(SFormula):
 
 
 class SJust(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBy(SJust):
-    refs: tuple[tuple[str, SourcePos], ...]
+    refs: tuple[tuple[str, Pos], ...]
     linked: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SFrom(SJust):
     scheme: str
-    refs: tuple[tuple[str, SourcePos], ...]
+    refs: tuple[tuple[str, Pos], ...]
     linked: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SSubProof(SJust):
     steps: tuple["SStep", ...]
-    end_pos: SourcePos = field(default_factory=lambda: SourcePos(1, 1))
+    end_pos: Pos
 
 
 # -- proof steps ----------------------------------------------------------
 
 
 class SStep(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SLabeled(Node):
     label: str | None
     formula: SFormula
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StLet(SStep):
     names: tuple[str, ...]
     ty: SType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StAssume(SStep):
     conds: tuple[SLabeled, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StThus(SStep):
     prop: SLabeled
     just: SJust
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StTake(SStep):
     term: STerm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StTakeEq(SStep):
     name: str
     term: STerm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StConsider(SStep):
     name: str
     ty: SType
@@ -267,14 +274,14 @@ class StConsider(SStep):
     just: SJust
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StGiven(SStep):
     name: str
     ty: SType
     conds: tuple[SLabeled, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StReconsider(SStep):
     name: str
     term: STerm
@@ -282,41 +289,41 @@ class StReconsider(SStep):
     just: SJust
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StCaseBlock(Node):
     cond: SLabeled
     steps: tuple[SStep, ...]
-    end_pos: SourcePos
+    end_pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StPerCases(SStep):
     just: SJust
     kind: str  # "suppose" | "case"
     blocks: tuple[StCaseBlock, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StNow(SStep):
     label: str | None
     steps: tuple[SStep, ...]
-    end_pos: SourcePos
+    end_pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StProp(SStep):
     prop: SLabeled
     just: SJust
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StDeffunc(SStep):
     name: str
     arg_types: tuple[SType, ...]
     body: STerm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StDefpred(SStep):
     name: str
     arg_types: tuple[SType, ...]
@@ -326,7 +333,7 @@ class StDefpred(SStep):
 # -- steps only the top level admits -----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SchemeVarSig(Node):
     name: str
     kind: str  # "pred" | "func"
@@ -334,23 +341,23 @@ class SchemeVarSig(Node):
     result: SType | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ItScheme(SStep):
     name: str
     sigs: tuple[SchemeVarSig, ...]
     statement: SFormula
     provided: tuple[SLabeled, ...]
     steps: tuple[SStep, ...]
-    end_pos: SourcePos
+    end_pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SCorrectness(Node):
     kind: str  # "existence" | "coherence" | "uniqueness"
     just: SJust
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DefAttr(Node):
     subject: str
     arg: str | None
@@ -360,7 +367,7 @@ class DefAttr(Node):
     expandable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DefMode(Node):
     name: str
     args: tuple[str, ...]
@@ -370,7 +377,7 @@ class DefMode(Node):
     expandable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DefFunc(Node):
     name: str
     args: tuple[str, ...]
@@ -380,7 +387,7 @@ class DefFunc(Node):
     means: SFormula | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DefPred(Node):
     name: str
     args: tuple[str, ...]
@@ -389,39 +396,39 @@ class DefPred(Node):
     expandable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ItDefinition(SStep):
     lets: tuple[SBinders, ...]
     body: DefAttr | DefMode | DefFunc | DefPred
     correctness: tuple[SCorrectness, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RegExistential(Node):
     ty: SType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RegFunctor(Node):
     term: STerm
     adjs: tuple[SAdj, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RegConditional(Node):
     guard: tuple[SAdj, ...]
     target: tuple[SAdj, ...]
     ty: SType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ItRegistration(SStep):
     lets: tuple[SBinders, ...]
     body: RegExistential | RegFunctor | RegConditional
     correctness: tuple[SCorrectness, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Article:
     requirements: tuple[str, ...]
     items: tuple[SStep, ...]

@@ -3,9 +3,10 @@
 builtin arithmetic functors mean is written only in ``arith.OPS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
-the hottest kernel walks dispatch on exact node type, the unifier's
-search evaluates instances without building them, save a flexible
-conjunction's,
+the hottest kernel walks and the resolver's term and formula walks
+dispatch on exact node type, no module mutates a surface node, the
+unifier's search evaluates instances without building them, save a
+flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, and only the upkeep of
@@ -17,7 +18,7 @@ import ast
 import dataclasses
 import pathlib
 
-from micromizar import logic
+from micromizar import logic, surface
 from micromizar.arith import OPS
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "micromizar"
@@ -177,9 +178,10 @@ def test_call_sites_reads_kind_tests():
     assert kind_tested(ast.parse("k is _BOUND").body[0].value) is None
 
 
-# The hottest kernel walks test ``type(node) is K``, most frequent kind
-# first: a class pattern that fails costs an ``isinstance`` and reads of
-# ``__match_args__``, and no node kind has a subclass, so the exact type
+# The hottest kernel walks, and the resolver's, test ``type(node) is K``,
+# most frequent kind first: a class pattern that fails costs an
+# ``isinstance`` and reads of ``__match_args__``, and no node kind, kernel
+# or surface, has a subclass (``test_surface_kinds``), so the exact type
 # is the same test.
 TYPE_DISPATCHED = {
     "equalizer.py": {"EqGraph._node", "EqGraph.assume", "EqGraph._seed"},
@@ -192,6 +194,7 @@ TYPE_DISPATCHED = {
     },
     "unifier.py": {"Unifier._eval", "_must", "Unifier._match", "_open"},
     "logic.py": {"uses_bound", "uses_const"},
+    "resolver.py": {"Resolver.term", "Resolver.formula"},
 }
 
 
@@ -212,6 +215,63 @@ def test_the_hot_walks_dispatch_on_exact_type():
             if isinstance(node, ast.Match)
         ]
     assert hits == []
+
+
+SURFACE_FIELDS = {
+    f.name
+    for kind in vars(surface).values()
+    if isinstance(kind, type) and dataclasses.is_dataclass(kind)
+    for f in dataclasses.fields(kind)
+}
+
+
+def node_mutations(path: pathlib.Path) -> list[str]:
+    """Each store to, or deletion of, ``x.f`` where ``f`` names a field of
+    a surface kind and ``x`` is not ``self``; each ``setattr`` or
+    ``object.__setattr__`` on anything but ``self``; each use of
+    ``dataclasses.replace``.  ``self`` is never a surface node: the
+    surface kinds define no methods."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            is_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            if isinstance(node.ctx, (ast.Store, ast.Del)) and node.attr in SURFACE_FIELDS and not is_self:
+                hits.append(f"{path.name}:{node.lineno} stores .{node.attr}")
+            elif node.attr == "replace" and isinstance(node.value, ast.Name) and node.value.id == "dataclasses":
+                hits.append(f"{path.name}:{node.lineno} uses dataclasses.replace")
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            if any(alias.name == "replace" for alias in node.names):
+                hits.append(f"{path.name}:{node.lineno} imports dataclasses.replace")
+        elif isinstance(node, ast.Call) and node.args:
+            f = node.func
+            setter = (isinstance(f, ast.Name) and f.id == "setattr") or (
+                isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+            )
+            first = node.args[0]
+            if setter and not (isinstance(first, ast.Name) and first.id == "self"):
+                hits.append(f"{path.name}:{node.lineno} sets an attribute of {ast.unparse(first)}")
+    return hits
+
+
+def test_no_module_mutates_a_surface_node():
+    # the nodes are not frozen, so their value semantics rest on this
+    assert {"pos", "args", "steps", "end_pos"} <= SURFACE_FIELDS
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in node_mutations(path)] == []
+
+
+def test_node_mutations_finds_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import dataclasses\nfrom dataclasses import replace\n"
+        "def f(node, self):\n"
+        "    node.pos = 1\n    node.args += ()\n    del node.steps\n    self.pos = 1\n"
+        "    object.__setattr__(node, 'pos', 1)\n    object.__setattr__(self, 'pos', 1)\n"
+        "    setattr(node, 'pos', 1)\n    dataclasses.replace(node, pos=1)\n    node.scope = 1\n"
+    )
+    assert [hit.split(" ", 1)[0] for hit in node_mutations(path)] == [
+        f"m.py:{n}" for n in (2, 4, 5, 6, 8, 10, 11)
+    ]
 
 
 def test_only_logic_walks_two_trees_by_hand():

@@ -9,9 +9,11 @@ from collections import defaultdict
 import pytest
 
 import _oracles as orc
-from micromizar.errors import MizarError
+from micromizar.errors import MizarError, SourcePos
 from micromizar.lexer import KEYWORDS, SYMBOLS, tokenize
 from micromizar.parser import parse_article
+from test_parser import FUZZ_ARTICLES
+from test_surface_kinds import below
 
 SEED = 20231
 TEXTS = 3000
@@ -105,3 +107,26 @@ def test_tokens_are_exact_tuples_the_cyclic_collector_untracks():
     tokens = tokenize("environ begin\ntheorem T: for x being set holds x = {} \\/ x;")
     gc.collect()
     assert not any(map(gc.is_tracked, tokens))
+
+
+def test_positions_below_the_top_level_are_tuples_the_collector_untracks():
+    # a top-level item's position is a SourcePos, which the collector
+    # tracks for as long as the tree lives; every other is an exact tuple
+    bodies = [text.removeprefix("environ begin\n") for text in FUZZ_ARTICLES]
+    text = "environ begin\n" + bodies[0] + "theorem 1 = ;\n" + "".join(bodies[1:])
+
+    def source_positions() -> int:
+        return sum(type(o) is SourcePos for o in gc.get_objects())
+
+    before = source_positions()
+    article, errors = parse_article(text)
+    made = source_positions() - before
+    gc.collect()
+    inner = [node for item in article.items for node in below(item)]
+    assert len(article.items) > 10 and len(errors) == 1 and len(inner) > 300
+    held = [node.pos for node in inner]
+    held += [node.end_pos for node in (*article.items, *inner) if hasattr(node, "end_pos")]
+    assert all(type(pos) is tuple for pos in held)
+    assert not any(map(gc.is_tracked, held))
+    assert all(type(item.pos) is SourcePos for item in article.items)
+    assert made <= len(article.items) + len(errors)

@@ -213,7 +213,7 @@ def term_shape(t):
     """A term as nested tuples: ``(name, col, *args)`` for an
     application, the name of a variable, the value of a numeral."""
     if isinstance(t, SApp):
-        return (t.name, t.pos.col, *map(term_shape, t.args))
+        return (t.name, t.pos[1], *map(term_shape, t.args))
     return t.name if isinstance(t, SVar) else t.value
 
 
