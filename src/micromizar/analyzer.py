@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 
+from .arith import ComplexRational
 from .errors import MizarError, Pos, SourcePos, VerifyError
 from .flex import FlexMode, formula_equal
 from .formatter import Formatter
@@ -835,16 +836,10 @@ class Analyzer:
                     return self.loci_types[i]
                 return req.set_type()
             case Numeral(v):
+                # the adjectives the value has, not those it lacks
                 base = req.numeral_type()
-                extra = []
-                if v == 0 and req.present("ZeroAttr"):
-                    extra.append(Attr(True, req.require("ZeroAttr")))
-                if v > 0 and req.present("Positive"):
-                    extra.append(Attr(True, req.require("Positive")))
-                if extra:
-                    more = frozenset(extra)
-                    base = TypeExpr(base.lower | more, base.upper | more, base.mode, base.args)
-                return db.round_up(base)
+                more = frozenset(Attr(True, aid) for s, aid in req.value_attrs(ComplexRational.from_int(v)) if s)
+                return db.round_up(TypeExpr(base.lower | more, base.upper | more, base.mode, base.args))
             case FunctorApp(_, _):
                 ty = db.result_type(t.func, t.args)
                 for fc in db.functor_clusters:

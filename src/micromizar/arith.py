@@ -24,7 +24,8 @@ by requirement name.  Each entry has a ``value`` rule on
 arguments, one argument per functor argument.  A rule returns ``None``
 when the application has no value: division by zero, or division by a
 polynomial that is not a constant.  On constant arguments the ``poly``
-rule gives ``p_const`` of what the ``value`` rule gives.
+rule gives ``p_const`` of what the ``value`` rule gives; ``folding``
+keeps only that part of it.
 """
 
 from __future__ import annotations
@@ -217,3 +218,18 @@ OPS: dict[str, Op] = {
     "Mul": Op(operator.mul, p_mul),
     "Div": Op(_div, _p_div),
 }
+
+
+def folding(op: Op) -> Op:
+    """``op`` with a ``poly`` rule that only folds constants: the
+    application has a polynomial only when every argument's is a
+    constant, and it is the constant the ``value`` rule gives."""
+
+    def poly(*args: Polynomial) -> Polynomial | None:
+        vals = [p_is_const(a) for a in args]
+        if None in vals:
+            return None
+        v = op.value(*vals)
+        return None if v is None else p_const(v)
+
+    return Op(op.value, poly)

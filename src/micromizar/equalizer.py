@@ -29,18 +29,25 @@ graph in that round, recording a disequality of a class with itself
 closes it at once, and ``_normalize`` catches a key a merge left stale.
 
 ``poly`` maps a polynomial normal form (``arith``, over class ids) to
-its class; its clash is ``union``.  A class's polynomials are its value,
-its nodes' and ``canon``, the least (a class in progress read as its
-atom).  A class is due when a numeral or arithmetic node is made in it,
-it merges or gets a value, its ``canon`` was read through a class in
-progress, or a class it reads (``users``) is due; each round's pass
-recomputes only the due classes' entries, and compares each pair of a
-class's polynomials once.  A class that was never due has no arithmetic
-node, and an arithmetic node reading it reads its atom.
+its class; its clash is ``union``.  It is the graph's only arithmetic: a
+class's value is its constant polynomial, so classes of one value merge
+through ``poly``, and a node's polynomial comes from the rule
+``req.arith`` holds for its functor.  A class's polynomials are its
+value, its nodes' and ``canon``, the least (a class in progress read as
+its atom).  A class is due when an arithmetic node is made in it, it
+gets a value (a numeral's node gets one when it is made), it merges
+while any arithmetic functor is present, its ``canon`` was read through
+a class in progress, or a class it reads (``users``) is due; each
+round's pass recomputes only the due classes' entries, and compares
+each pair of a class's polynomials once.  A class that was never due
+has no arithmetic node, and an arithmetic node reading it reads its
+atom.
 
-The rule families are gated on the requirement groups that supply
-their constructors: numeral evaluation needs the naturals, polynomial
-normalization the full arithmetic, order reasoning the ordering
+The rule families are gated on the constructors the requirements make
+present, never on a group by name: a numeral has a value only with the
+naturals, an arithmetic functor does what ``req.arith`` says (normalize
+polynomials with the full arithmetic, otherwise only fold constants:
+``RequirementTable.arith``), order reasoning needs the ordering
 predicate, and so on; with the boolean group the node of ``{}`` is
 made as the first round starts, so every pass sees it.  The cluster
 rules come sorted from the database's memo (``DefinitionDb.cluster_rules``)
@@ -115,7 +122,6 @@ class EqGraph:
         self._merges = 0
         self._rehashed = self._normalized = 0  # merge count when each last re-keyed
         self._rules: list[tuple[list, list, TypeExpr | None]] | None = None
-        self._arith = self.req.arith if "ARITHM" in self.req.enabled else None
         self.foralls: list[ForAll] = []
         self.flexes: list[tuple[bool, FlexConj]] = []
         self.contradiction = False
@@ -148,7 +154,7 @@ class EqGraph:
                 self._put(into, key, v)
         self.neg_quals.setdefault(lo, []).extend(self.neg_quals.pop(hi, []))
         self.class_nodes[lo].extend(self.class_nodes.pop(hi))
-        if self._arith is not None:
+        if self.req.arith:
             self.users.setdefault(lo, []).extend(self.users.pop(hi, ()))
             self.polys.setdefault(lo, []).extend(self.polys.pop(hi, ()))
             self._due.add(lo)
@@ -164,7 +170,7 @@ class EqGraph:
         kept = table.get(key)
         if kept is None:
             table[key] = v
-            if table is self.value and self._arith is not None:
+            if table is self.value:
                 self._due.add(key)
             return True
         if kept != v:
@@ -249,7 +255,7 @@ class EqGraph:
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
         tag = head[0]
-        if self._arith is not None and (tag == "num" or tag == "app" and head[1] in self._arith):
+        if tag == "app" and head[1] in self.req.arith:  # a numeral is due when it gets its value
             self._due.add(n)
             for c in children:
                 self.users.setdefault(c, []).append(n)
@@ -385,31 +391,8 @@ class EqGraph:
             self.contradiction = True
         return changed
 
-    def _value_pass(self) -> bool:
-        req = self.req
-        changed = False
-        for n, (head, children) in enumerate(self.nodes):
-            # a numeral's value is put when its node is made, and moves with it
-            if head[0] == "app" and head[1] in req.arith:
-                cv = [self.value.get(self.find(c)) for c in children]
-                v = req.arith[head[1]].value(*cv) if all(x is not None for x in cv) else None
-                if v is not None:
-                    changed |= self._put(self.value, self.find(n), v)
-        byval: dict[ComplexRational, int] = {}
-        for rep in sorted(self.value):
-            r = self.find(rep)
-            v = self.value.get(r)
-            if v is None:
-                continue
-            prev = byval.get(v)
-            if prev is None:
-                byval[v] = r
-            elif self.find(prev) != r:
-                changed |= self.union(prev, r)
-        return changed
-
     def _poly_pass(self) -> bool:
-        if self._arith is None or not self._due:
+        if not self._due:
             return False
         find, canon = self.find, self.canon
         due: dict[int, list[set[Polynomial]]] = {}  # class -> its polynomials compared pairwise, in groups
@@ -486,9 +469,6 @@ class EqGraph:
         req = self.req
         changed = False
         zero_a = req.ids.ZeroAttr
-        natural = req.ids.Natural
-        pos = req.ids.Positive
-        neg = req.ids.Negative
         for rep in self.classes():
             v = self.value.get(rep)
             amap = self.attrs[rep]
@@ -496,16 +476,7 @@ class EqGraph:
                 if zero_a is not None and amap.get((zero_a, ())) is True:
                     changed |= self._put(self.value, rep, ZERO)
                 continue
-            facts: list[tuple[bool, int]] = []
-            if zero_a is not None:
-                facts.append((v.is_zero(), zero_a))
-            if natural is not None:
-                facts.append((v.is_natural(), natural))
-            if pos is not None:
-                facts.append((not v.lex_le(ZERO), pos))
-            if neg is not None:
-                facts.append((not ZERO.lex_le(v), neg))
-            for s, aid in facts:
+            for s, aid in req.value_attrs(v):
                 changed |= self._add_attr(rep, s, aid, ())
         return changed
 
@@ -730,7 +701,6 @@ class EqGraph:
             self._empty_class = self.intern(FunctorApp(self.req.require("EmptySet"), ()))
         changed = self._rehash()
         changed |= self._normalize()
-        changed |= self._value_pass()
         changed |= self._poly_pass()
         changed |= self._attr_value_pass()
         changed |= self._supercluster_pass()
@@ -844,7 +814,7 @@ class _PolyReader:
         if n in node_memo:
             return node_memo[n]
         head, children = self.g.nodes[n]
-        arith = self.g._arith
+        arith = self.g.req.arith
         if head[0] == "num":
             p = p_const(ComplexRational.from_int(head[1]))
         elif head[0] != "app" or head[1] not in arith:

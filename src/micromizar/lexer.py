@@ -1,9 +1,12 @@
 """Tokenizer for article text.
 
-One compiled pattern reads the whole article: at each match it skips
-blanks (space, tab, ``\\r``, ``\\n``) and ``::`` comments, which run to
-the end of the line (so the ``::>`` marker lines of an annotated copy
-are skipped too), then takes one token:
+No token spans a line, so the article is read one line at a time, and
+only ``\\n`` ends a line (``str.split``, not ``str.splitlines``, which
+also breaks at characters such as ``\\x0c`` and ``\\u2028``).  One
+compiled pattern reads each line: at each match it skips blanks (space,
+tab, ``\\r``) and ``::`` comments, which run to the end of the line (so
+the ``::>`` marker lines of an annotated copy are skipped too), then
+takes one token:
 
 * a symbol from `SYMBOLS`, longest spelling first.  ``c=`` is the one
   symbol that starts like an identifier: ``c`` followed at once by
@@ -56,7 +59,7 @@ SYMBOLS = frozenset('\\+\\ ... <i> c= <= >= <> -> \\/ /\\ ( ) [ ] { } , ; : = < 
 # identifier ``c``; ``[^\W\d]`` in ``other`` also admits digits such as
 # ``²``, hence the `str.isalpha` test.  The last match, at ``\Z``, has no group.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|::[^\n]*)*(?:(?P<sym>{})|(?P<ident>[A-Za-z_]\w*)|(?P<num>[0-9]+)"
+    r"(?:[ \t\r]+|::.*)*(?:(?P<sym>{})|(?P<ident>[A-Za-z_]\w*)|(?P<num>[0-9]+)"
     r"|(?P<dollar>\$[0-9]*)|(?P<other>[^\W\d]\w*|.)|\Z)".format(
         "|".join(map(re.escape, sorted(SYMBOLS, key=lambda s: (-len(s), s))))
     )
@@ -68,31 +71,24 @@ Token = tuple[str, str, int, int]  # kind ("kw" "ident" "num" "sym" "dollar" "eo
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, line_start, last = 1, 0, 0  # `last`: where the previous match ended
-    count = text.count
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        newlines = count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", last, start) + 1
-        last = m.end()
-        col = start - line_start + 1
-        if kind is None:
-            break
-        word = m.group(kind)
-        if kind == "ident":
-            if word in KEYWORDS:
-                kind = "kw"
-        elif kind == "dollar":
-            if len(word) == 1:
-                raise MizarError((line, col), 90, "expected digits after $")
-            word = word[1:]
-        elif kind == "other":
-            if not word[0].isalpha():
-                raise MizarError((line, col), 90, f"unexpected character {word[0]!r}")
-            kind = "ident"
-        out.append((kind, word, line, col))
-    out.append(("eof", "", line, col))
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            kind = m.lastgroup
+            if kind is None:
+                break
+            col = m.start(kind) + 1
+            word = m.group(kind)
+            if kind == "ident":
+                if word in KEYWORDS:
+                    kind = "kw"
+            elif kind == "dollar":
+                if len(word) == 1:
+                    raise MizarError((line, col), 90, "expected digits after $")
+                word = word[1:]
+            elif kind == "other":
+                if not word[0].isalpha():
+                    raise MizarError((line, col), 90, f"unexpected character {word[0]!r}")
+                kind = "ident"
+            out.append((kind, word, line, col))
+    out.append(("eof", "", line, len(row) + 1))
     return out

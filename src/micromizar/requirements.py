@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
-from .arith import OPS, ComplexRational, Op
+from .arith import OPS, ZERO, ComplexRational, Op, folding
 from .errors import RequirementFileError
 from .logic import Attr, FunctorApp, Numeral, PrivFunc, Term, TypeExpr
 
@@ -99,7 +99,14 @@ def load_requirements(path: str) -> RequirementFile:
 
 class RequirementTable:
     """Per-article view: file assignments filtered by enabled groups.
-    ``arith`` maps each present builtin functor id to its ``OPS`` entry."""
+
+    ``arith`` maps each present builtin functor id to its ``OPS`` entry
+    and is where the groups decide what the arithmetic does.  With
+    ARITHM the entries keep their polynomial rules, so the equalizer
+    normalizes polynomials; without it each entry only folds constants
+    (``arith.folding``), so the naturals' functors only evaluate
+    numerals: ``succ succ 0 = 2`` holds, but ``succ x = 3`` says nothing
+    of ``x``."""
 
     def __init__(self, file: RequirementFile, enabled: set[str]):
         self._file = file
@@ -108,7 +115,8 @@ class RequirementTable:
         self._ids = {n: c.cid for n, c in self._present.items()}
         # each requirement's id, or None, as an attribute read in hot loops
         self.ids = SimpleNamespace(**{n: self._ids.get(n) for n in _GROUP_OF})
-        self.arith: dict[int, Op] = {self._ids[n]: op for n, op in OPS.items() if n in self._ids}
+        ops = OPS if "ARITHM" in enabled else {n: folding(op) for n, op in OPS.items()}
+        self.arith: dict[int, Op] = {self._ids[n]: op for n, op in ops.items() if n in self._ids}
         self._result_types = self._builtin_result_types()
         self._clusters = self._order_clusters()
         self._numeral_type: TypeExpr | None = None  # made on first use: set_type() needs HIDDEN
@@ -157,6 +165,19 @@ class RequirementTable:
                     return None
                 return self.arith[f].value(*vals)
         return None
+
+    def value_attrs(self, v: ComplexRational) -> list[tuple[bool, int]]:
+        """The adjectives of numbers that are present, zero, natural,
+        positive and negative in that order, each with the sign ``v``
+        gives it, as (sign, attribute id)."""
+        ids = self.ids
+        facts = (
+            (v.is_zero(), ids.ZeroAttr),
+            (v.is_natural(), ids.Natural),
+            (not v.lex_le(ZERO), ids.Positive),
+            (not ZERO.lex_le(v), ids.Negative),
+        )
+        return [(s, aid) for s, aid in facts if aid is not None]
 
     # -- types supplied by the builtin constructors -------------------------
 

@@ -23,13 +23,15 @@ and ``reference_attr_key`` are the sort keys as they were before they
 broke ties: the rank alone.  ``ReferenceGraph`` is the congruence
 graph with polynomials as they were before they became a graph table:
 one pass per round that recomputes the polynomial of every class and
-compares every pair of each class's polynomials, and ``graph_digest``
-is what two saturated graphs must agree on.  It also keeps the graph's
-upkeep as it was before the graph did work only where it holds
-something: every node due for the polynomials, every table re-keyed and
-every cluster rule rebuilt each round, each seeded type rounded up
-again; ``ReferenceTableGraph`` is that upkeep with the polynomial
-table.  ``reference_tokenize`` is the tokenizer as it was before it
+compares every pair of each class's polynomials, with the ARITHM group
+only, after the value pass that evaluated every arithmetic node until
+the polynomial table became the graph's only arithmetic; and
+``graph_digest`` is what two saturated graphs must agree on.  It also
+keeps the graph's upkeep as it was before the graph did work only where
+it holds something: every node due for the polynomials, every table
+re-keyed and every cluster rule rebuilt each round, each seeded type
+rounded up again; ``ReferenceTableGraph`` is that upkeep with the
+polynomial table, and without the value pass.  ``reference_tokenize`` is the tokenizer as it was before it
 became one regular expression: one character at a time, with a walk
 over the symbol table at each symbol.
 ``ReferencePrechecker`` is ``Prechecker.justify`` as it was before the
@@ -1160,13 +1162,17 @@ class ReferenceGraph(EqGraph):
     graph table: every round it recomputes each class's polynomial (the
     least of its nodes', a class in progress read as its atom), merges
     classes that share one, and compares every pair of each class's
-    polynomials.  Every node is due when made, every round re-keys every
-    table and rebuilds the cluster rules, and each seeded type is rounded
-    up and sorted again."""
+    polynomials, with the ARITHM group only.  Before that it runs
+    ``_value_pass``, the graph's other arithmetic until the polynomial
+    table became its only one: it evaluates every arithmetic node whose
+    arguments have values and merges the classes of equal value.  Every
+    node is due when made, every round re-keys every table and rebuilds
+    the cluster rules, and each seeded type is rounded up and sorted
+    again."""
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
         super()._seed(n, head, children)
-        if self._arith is not None:
+        if self.req.arith:
             self._due.add(n)
 
     def _rehash(self) -> bool:
@@ -1193,9 +1199,33 @@ class ReferenceGraph(EqGraph):
         for s, aid, args in self._attr_entries(self.db.round_up(ty).upper):
             self._add_attr(rep, s, aid, args)
 
+    def _value_pass(self) -> bool:
+        req = self.req
+        changed = False
+        for n, (head, children) in enumerate(self.nodes):
+            # a numeral's value is put when its node is made, and moves with it
+            if head[0] == "app" and head[1] in req.arith:
+                cv = [self.value.get(self.find(c)) for c in children]
+                v = req.arith[head[1]].value(*cv) if all(x is not None for x in cv) else None
+                if v is not None:
+                    changed |= self._put(self.value, self.find(n), v)
+        byval: dict[ComplexRational, int] = {}
+        for rep in sorted(self.value):
+            r = self.find(rep)
+            v = self.value.get(r)
+            if v is None:
+                continue
+            prev = byval.get(v)
+            if prev is None:
+                byval[v] = r
+            elif self.find(prev) != r:
+                changed |= self.union(prev, r)
+        return changed
+
     def _poly_pass(self) -> bool:
+        changed = self._value_pass()
         if "ARITHM" not in self.req.enabled:
-            return False
+            return changed
         arith = self.req.arith
         memo: dict[int, Polynomial] = {}
         in_progress: set[int] = set()
@@ -1242,7 +1272,6 @@ class ReferenceGraph(EqGraph):
             node_memo[n] = p
             return p
 
-        changed = False
         seen: dict[Polynomial, int] = {}
         for rep in self.classes():
             cands = {class_poly(rep)}

@@ -19,6 +19,7 @@ from micromizar.equalizer import EqGraph, _PolyReader
 from micromizar.logic import Numeral, const
 from micromizar.parser import parse_article
 from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
+from micromizar.requirements import enable_groups
 
 
 def errors(req, body: str, trace: list[str] | None = None) -> list[tuple[int, int]]:
@@ -557,3 +558,16 @@ def test_checking_leaves_no_reference_cycles(req_all, monkeypatch):
             test(check_without_collector)
     assert len(garbage) > 10 and not any(garbage)
     assert seen["formula_equal"] and seen["match_scheme"] and seen["node_poly"]
+
+
+def test_without_arithm_numerals_evaluate_but_no_equation_is_solved(req_file):
+    # the NUMERALS group evaluates ``succ`` on numbers; solving for an
+    # unknown needs the polynomials of ARITHM
+    body = """theorem succ succ 0 = 2;
+theorem for x being Nat st x = 1 holds succ x = 2;
+theorem for x being Nat st succ x = 3 holds x = 2;
+"""
+    numerals, _ = enable_groups(req_file, ["NUMERALS"])
+    arithm, _ = enable_groups(req_file, ["NUMERALS", "REAL", "ARITHM"])
+    assert errors(numerals, body) == [(61, 4)]
+    assert errors(arithm, body) == []

@@ -596,6 +596,54 @@ def test_the_polynomial_table_agrees_with_the_pass_over_every_class(req_all):
     assert 50 < refuted < 250
 
 
+def random_numeral_term(req, rng: random.Random, consts: int, depth: int):
+    if depth == 0 or rng.random() < 0.35:
+        r = rng.random()
+        if r < 0.15:
+            return FunctorApp(req.require("Zero"), ())
+        return Numeral(rng.randrange(4)) if r < 0.55 else const(rng.randrange(consts))
+    return FunctorApp(req.require("Succ"), (random_numeral_term(req, rng, consts, depth - 1),))
+
+
+def random_numeral_clause(req, rng: random.Random) -> list:
+    """Equalities, disequalities and ``zero`` adjectives over numerals,
+    ``succ``, the ``Zero`` functor and constants."""
+    consts = rng.choice([2, 3])
+
+    def term():
+        return random_numeral_term(req, rng, consts, 3)
+
+    lits = []
+    for _ in range(rng.randint(2, 5)):
+        r = rng.random()
+        if r < 0.2:
+            lits.append(Is(term(), Attr(rng.random() < 0.6, req.require("ZeroAttr"))))
+        else:
+            lits.append(eq(req, term(), term()) if r < 0.7 else neq(req, term(), term()))
+    return lits
+
+
+def test_without_arithm_the_polynomial_table_only_evaluates(req_file):
+    # ``ReferenceGraph`` keeps the value pass over every node and every
+    # valued class, and normalizes no polynomial without ARITHM; the
+    # graph's polynomial table, whose rules only fold constants there,
+    # must reach the same verdicts and the same saturated graphs
+    rng = random.Random(22)
+    refuted = 0
+    for groups in (["NUMERALS"], ["NUMERALS", "REAL"], ["NUMERALS", "REAL", "BOOLE"]):
+        req, note = enable_groups(req_file, groups)
+        assert note is None
+        for _ in range(250):
+            lits = random_numeral_clause(req, rng)
+            g = run_clause(req, lits)
+            ref = orc.reference_refute_clause(DefinitionDb(req), lits, {})
+            assert (g.contradiction, g.limited) == (ref.contradiction, ref.limited), (groups, lits)
+            if not ref.contradiction:
+                assert orc.graph_digest(g) == orc.graph_digest(ref), (groups, lits)
+            refuted += ref.contradiction
+    assert 200 < refuted < 700
+
+
 def test_a_node_s_normal_form_is_computed_once(req_file, monkeypatch):
     # the clause saturates in more than one round and merges nothing the
     # arithmetic reads: the per-round pass applies a polynomial rule to

@@ -75,6 +75,11 @@ def test_the_rules_in_the_module_docstring():
     assert outcome(tokenize, "x ²") == (90, (1, 3), "unexpected character '²'")
     assert outcome(tokenize, "1٣") == (90, (1, 2), "unexpected character '٣'")
     assert outcome(tokenize, "\n  $x") == (90, (2, 3), "expected digits after $")
+    # only "\n" ends a line: a form feed or a line separator is an error
+    # where a token starts, and part of a comment
+    assert outcome(tokenize, "x\x0cy") == (90, (1, 2), "unexpected character '\\x0c'")
+    assert outcome(tokenize, "x\n\u2028 y") == (90, (2, 1), "unexpected character '\\u2028'")
+    assert outcome(tokenize, "x :: \x0c\u2028\n y") == [("ident", "x", 1, 1), ("ident", "y", 2, 2), ("eof", "", 2, 3)]
     with pytest.raises(MizarError) as err:
         tokenize("\n  $x")
     assert str(err.value.pos) == "2:3"
