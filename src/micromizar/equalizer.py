@@ -18,13 +18,16 @@ classes)`` to a sign, each class's ``attrs`` and ``types`` tables map
 ``neg_eq`` holds each disequality both ways round as ``(None, (a, b))``.
 ``value`` maps a class to its number.  ``_put(table, key, v)`` is the
 only writer; a different value already at the key is a clash, which for
-a fact is the contradiction.  Keys are canonical when put, so only a
-merge makes one stale: ``union`` counts merges, and ``_rekey(table,
-clash)``, the only thing that makes keys canonical again, runs only if
-one happened since the last re-keying: ``_rehash`` re-keys the nodes,
-whose clash is ``union``, and ``_normalize`` the facts.  ``union``
-itself only moves the merged-away class's value and tables onto the
-survivor.  Merging two classes with a recorded disequality closes the
+a fact is the contradiction.  A number's adjectives follow from its
+value, so they are set with it: ``_put`` gives a class that gets a
+value the adjectives ``req.value_attrs`` reads off it, and
+``_add_attr`` gives a class that becomes ``zero`` the value 0.  Keys
+are canonical when put, so only a merge makes one stale: ``union``
+counts merges, and ``_rekey(table, clash)``, the only thing that makes
+keys canonical again, runs only if one happened since the last
+re-keying: ``_rehash`` re-keys the nodes, whose clash is ``union``, and
+``_normalize`` the facts.  ``union`` itself only moves the merged-away
+class's value and tables onto the survivor.  Merging two classes with a recorded disequality closes the
 graph in that round, recording a disequality of a class with itself
 closes it at once, and ``_normalize`` catches a key a merge left stale.
 
@@ -49,12 +52,14 @@ naturals, an arithmetic functor does what ``req.arith`` says (normalize
 polynomials with the full arithmetic, otherwise only fold constants:
 ``RequirementTable.arith``), order reasoning needs the ordering
 predicate, and so on; with the boolean group the node of ``{}`` is
-made as the first round starts, so every pass sees it.  The cluster
-rules come sorted from the database's memo (``DefinitionDb.cluster_rules``)
-and a seeded type's rounded adjectives too (``adjectives``); a graph
-interns the rules' arguments at its first supercluster pass.  Everything
-runs in interleaved rounds to a fixpoint with a hard round budget;
-hitting the budget abandons the clause as undecided rather than wrong.
+made as the first round starts, so every pass sees it, and the boolean
+functors' equalities, such as ``a \\/ {} = a``, are the rows
+``req.reductions`` holds for them.  The cluster rules come sorted from
+the database's memo (``DefinitionDb.cluster_rules``) and a seeded
+type's rounded adjectives too (``adjectives``); a graph interns the
+rules' arguments at its first supercluster pass.  Everything runs in
+interleaved rounds to a fixpoint with a hard round budget; hitting the
+budget abandons the clause as undecided rather than wrong.
 
 ``_node``, ``assume`` and ``_seed``, the hottest walks, dispatch on the
 exact node type, as the prechecker's do, and read ``VarKind`` members
@@ -170,8 +175,11 @@ class EqGraph:
         kept = table.get(key)
         if kept is None:
             table[key] = v
-            if table is self.value:
+            if table is self.value:  # keyed by representatives
                 self._due.add(key)
+                attrs = self.attrs[key]
+                for s, aid in self.req.value_attrs(v):
+                    self._put(attrs, (aid, ()), s)
             return True
         if kept != v:
             if clash is None:
@@ -291,7 +299,11 @@ class EqGraph:
     # -- fact insertion -----------------------------------------------------
 
     def _add_attr(self, rep: int, sign: bool, aid: int, args: tuple[int, ...]) -> bool:
-        return self._put(self.attrs[self.find(rep)], (aid, self._ids(args)), sign)
+        rep = self.find(rep)
+        new = self._put(self.attrs[rep], (aid, self._ids(args)), sign)
+        if new and sign and not args and aid == self.req.ids.ZeroAttr:
+            self._put(self.value, rep, ZERO)
+        return new
 
     def _add_type(self, rep: int, mode: int, args: tuple[int, ...]) -> bool:
         return self._put(self.types[self.find(rep)], (mode, self._ids(args)), True)
@@ -465,21 +477,6 @@ class EqGraph:
                 return self._put(self.value, self.find(cid), (-consts) / coeff)
         return False
 
-    def _attr_value_pass(self) -> bool:
-        req = self.req
-        changed = False
-        zero_a = req.ids.ZeroAttr
-        for rep in self.classes():
-            v = self.value.get(rep)
-            amap = self.attrs[rep]
-            if v is None:
-                if zero_a is not None and amap.get((zero_a, ())) is True:
-                    changed |= self._put(self.value, rep, ZERO)
-                continue
-            for s, aid in req.value_attrs(v):
-                changed |= self._add_attr(rep, s, aid, ())
-        return changed
-
     def _supercluster_pass(self) -> bool:
         if self._rules is None:
             # no cluster is registered while a graph lives
@@ -557,43 +554,21 @@ class EqGraph:
             if rep != e0 and self.attrs[rep].get((empty, ())) is True:
                 changed |= self.union(rep, e0)
                 e0 = self.find(self._empty_class)
-        union_f = req.ids.Union
-        inter_f = req.ids.Intersection
-        diff_f = req.ids.Difference
-        sym_f = req.ids.SymDiff
+        reductions = req.reductions
         for n, (head, children) in enumerate(self.nodes):
-            if head[0] != "app" or len(children) != 2:
+            if head[0] != "app" or len(children) != 2 or head[1] not in reductions:
                 continue
-            f = head[1]
+            # every row reads a, b and {} as they were when the loop reached the node
             a, b = self.find(children[0]), self.find(children[1])
             rep = self.find(n)
-            if f == union_f:
-                if a == e0:
-                    changed |= self.union(rep, b)
-                if b == e0:
-                    changed |= self.union(rep, a)
-                if a == b:
-                    changed |= self.union(rep, a)
-            elif f == inter_f:
-                if a == e0 or b == e0:
-                    changed |= self.union(rep, e0)
-                if a == b:
-                    changed |= self.union(rep, a)
-            elif f == diff_f:
-                if b == e0:
-                    changed |= self.union(rep, a)
-                if a == e0 or a == b:
-                    changed |= self.union(rep, e0)
-            elif f == sym_f:
-                if b == e0:
-                    changed |= self.union(rep, a)
-                if a == e0:
-                    changed |= self.union(rep, b)
-                if a == b:
-                    changed |= self.union(rep, e0)
+            at = {"a": a, "b": b, "{}": e0}
+            for first, second, result in reductions[head[1]]:
+                if at[first] == a and at[second] == b:
+                    changed |= self.union(rep, at[result])
             e0 = self.find(self._empty_class)
         meets = req.ids.Meets
         member = req.ids.Membership
+        inter_f = req.ids.Intersection
         for ((ns, pid), args), sign in list(self.atoms.items()):
             if ns != "pred":
                 continue
@@ -702,7 +677,6 @@ class EqGraph:
         changed = self._rehash()
         changed |= self._normalize()
         changed |= self._poly_pass()
-        changed |= self._attr_value_pass()
         changed |= self._supercluster_pass()
         changed |= self._functor_cluster_pass()
         changed |= self._order_pass()

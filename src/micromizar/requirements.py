@@ -7,8 +7,12 @@ and its group is enabled.  Absence is a distinct state (``None``), never
 an index value, and every lookup site has to deal with it.
 
 The table is resolved when it is built and never changed afterwards:
-the lookups, the builtin result types, the order clusters and the map
-from functor ids to the arithmetic of ``arith.OPS`` are all stored.
+the lookups, the builtin result types, the order clusters, the map from
+functor ids to the arithmetic of ``arith.OPS`` and the map from functor
+ids to the boolean equalities of ``REDUCTIONS`` are all stored.  So the
+groups decide here what the equalizer's rule families do: how a
+functor computes (``arith``), what a boolean term equals
+(``reductions``) and which adjectives a number has (``value_attrs``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,18 @@ GROUP_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 KINDS = ("mode", "func", "pred", "attr")
+
+# The boolean requirement's equalities, Mizar's ``reduce`` rules, as rows
+# (first, second, result) over the arguments "a" and "b" and the empty
+# set "{}": ("a", "{}", "a") is a \/ {} = a.  A row holds of a node whose
+# arguments' classes are the ones it names, so a second "a" asks for
+# equal arguments; the equalizer then merges the node with the result.
+REDUCTIONS: dict[str, tuple[tuple[str, str, str], ...]] = {
+    "Union": (("{}", "b", "b"), ("a", "{}", "a"), ("a", "a", "a")),
+    "Intersection": (("{}", "b", "{}"), ("a", "{}", "{}"), ("a", "a", "a")),
+    "Difference": (("a", "{}", "a"), ("{}", "b", "{}"), ("a", "a", "{}")),
+    "SymDiff": (("a", "{}", "a"), ("{}", "b", "b"), ("a", "a", "{}")),
+}
 
 _GROUP_OF = {name: group for group, names in GROUPS.items() for name in names}
 
@@ -106,7 +122,8 @@ class RequirementTable:
     normalizes polynomials; without it each entry only folds constants
     (``arith.folding``), so the naturals' functors only evaluate
     numerals: ``succ succ 0 = 2`` holds, but ``succ x = 3`` says nothing
-    of ``x``."""
+    of ``x``.  ``reductions`` maps each present boolean functor id to its
+    rows of ``REDUCTIONS``."""
 
     def __init__(self, file: RequirementFile, enabled: set[str]):
         self._file = file
@@ -117,6 +134,10 @@ class RequirementTable:
         self.ids = SimpleNamespace(**{n: self._ids.get(n) for n in _GROUP_OF})
         ops = OPS if "ARITHM" in enabled else {n: folding(op) for n, op in OPS.items()}
         self.arith: dict[int, Op] = {self._ids[n]: op for n, op in ops.items() if n in self._ids}
+        self.reductions: dict[int, tuple[tuple[str, str, str], ...]] = {}
+        for n, rows in REDUCTIONS.items():
+            if n in self._ids:
+                self.reductions.setdefault(self._ids[n], rows)  # the first name listed for an id wins
         self._result_types = self._builtin_result_types()
         self._clusters = self._order_clusters()
         self._numeral_type: TypeExpr | None = None  # made on first use: set_type() needs HIDDEN

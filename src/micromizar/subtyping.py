@@ -93,7 +93,8 @@ class DefinitionDb:
     defined once, and clusters are appended, never removed or replaced.
     So the number of modes and of conditional clusters, with the type,
     fixes what ``round_up`` returns, and it and ``adjectives`` memoize on
-    those three; ``cluster_rules`` memoizes on the number of clusters.
+    those three.  One list of the clusters, memoized on their number,
+    serves both ``round_up`` and ``cluster_rules``.
     """
 
     def __init__(self, req: RequirementTable):
@@ -108,7 +109,7 @@ class DefinitionDb:
         self._next = {kind: req.max_id(kind) + 1 for kind in ("mode", "func", "pred", "attr")}
         self._rounded: dict[tuple[TypeExpr, int, int], TypeExpr] = {}
         self._adjectives: dict[tuple[TypeExpr, int, int], tuple] = {}
-        self._cluster_rules: tuple[int, tuple] = (-1, ())
+        self._cluster_rules: tuple[int, list, tuple] = (-1, [], ())
 
     def fresh_id(self, kind: str) -> int:
         out = self._next[kind]
@@ -160,26 +161,28 @@ class DefinitionDb:
             out = self._adjectives[key] = _entries(self.round_up(ty).upper)
         return out
 
-    def cluster_rules(self) -> tuple[tuple[tuple, tuple, TypeExpr | None], ...]:
-        """The builtin and the registered conditional clusters, as (guard,
-        target, subject type or None), each side as ``adjectives`` gives
-        a type's; memoized on the number of registered clusters."""
+    def _clusters(self) -> tuple[list[tuple[frozenset[Attr], frozenset[Attr], TypeExpr | None]], tuple]:
+        """The builtin and the registered conditional clusters as (guard,
+        target, subject type or None), and the same list with each side
+        as ``adjectives`` gives a type's; memoized on the number of
+        registered clusters."""
         n = len(self.conditional)
         if self._cluster_rules[0] != n:
             rules = [(g, t, None) for g, t in self.req.builtin_conditional_clusters()]
             rules += [(c.guard, c.target, c.ty) for c in self.conditional]
-            self._cluster_rules = (n, tuple((_entries(g), _entries(t), ty) for g, t, ty in rules))
-        return self._cluster_rules[1]
+            self._cluster_rules = (n, rules, tuple((_entries(g), _entries(t), ty) for g, t, ty in rules))
+        return self._cluster_rules[1:]
+
+    def cluster_rules(self) -> tuple[tuple[tuple, tuple, TypeExpr | None], ...]:
+        """The clusters of ``_clusters``, each side as ``adjectives`` gives a type's."""
+        return self._clusters()[1]
 
     def _round_up(self, ty: TypeExpr) -> TypeExpr:
         chain = self.ancestry(ty)
         upper = set(ty.lower) | set(ty.upper)
         for t in chain[1:]:
             upper |= t.lower
-        rules: list[tuple[frozenset[Attr], frozenset[Attr], TypeExpr | None]] = [
-            (g, t, None) for g, t in self.req.builtin_conditional_clusters()
-        ]
-        rules += [(c.guard, c.target, c.ty) for c in self.conditional]
+        rules, _ = self._clusters()
         changed = True
         while changed:
             changed = False

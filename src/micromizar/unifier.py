@@ -253,20 +253,18 @@ class Unifier:
         if k is Pred:
             p, args = f.pred, f.args
             ids = self.req.ids
-            if len(args) == 2 and p == ids.Equality:
+            if len(args) == 2 and (p == ids.Equality or p == ids.LessOrEqual):
                 a, b = args
-                x = self._value(a, env)
-                y = None if x is None else self._value(b, env)
-                if y is not None:
-                    return x == y
                 ra, rb = self._rep(a, env), self._rep(b, env)
+                x = self._value(a, ra, env)
+                y = None if x is None else self._value(b, rb, env)
+                if y is not None:
+                    return x == y if p == ids.Equality else x.lex_le(y)
                 if ra is None or rb is None:
                     return None
-                return True if ra == rb else (False if self.g.are_unequal(ra, rb) else None)
-            if len(args) == 2 and p == ids.LessOrEqual:
-                x = self._value(args[0], env)
-                y = None if x is None else self._value(args[1], env)
-                return self._atom("pred", p, args, env) if y is None else x.lex_le(y)
+                if p == ids.Equality:
+                    return True if ra == rb else (False if self.g.are_unequal(ra, rb) else None)
+                return self.g.atom_sign("pred", p, (ra, rb))
             return self._atom("pred", p, args, env)
         if k is Neg:
             v = self._eval(f.body, env)
@@ -318,10 +316,11 @@ class Unifier:
         s = None if reps is None else self.g.attr_sign(r, attr.attr_id, reps)
         return None if s is None else s == attr.positive
 
-    def _value(self, t: Term, env: Env) -> ComplexRational | None:
-        """`t`'s exact value at `env`, its class's known value first."""
-        g = self.g
-        return self.req.term_value(t, lambda s: g.value.get(self._rep(s, env)))
+    def _value(self, t: Term, rep: int | None, env: Env) -> ComplexRational | None:
+        """`t`'s exact value at `env`, its class ``rep`` (None if the graph
+        lacks it) and its subterms' classes read for known values first."""
+        value = self.g.value
+        return self.req.term_value(t, lambda s: value.get(rep if s is t else self._rep(s, env)))
 
 
 def clause_refuted(

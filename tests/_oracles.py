@@ -26,14 +26,20 @@ one pass per round that recomputes the polynomial of every class and
 compares every pair of each class's polynomials, with the ARITHM group
 only, after the value pass that evaluated every arithmetic node until
 the polynomial table became the graph's only arithmetic; and
-``graph_digest`` is what two saturated graphs must agree on.  It also
-keeps the graph's upkeep as it was before the graph did work only where
-it holds something: every node due for the polynomials, every table
-re-keyed and every cluster rule rebuilt each round, each seeded type
-rounded up again; ``ReferenceTableGraph`` is that upkeep with the
-polynomial table, and without the value pass.  ``reference_tokenize`` is the tokenizer as it was before it
-became one regular expression: one character at a time, with a walk
-over the symbol table at each symbol.
+``graph_digest`` is what two saturated graphs must agree on.
+``ReferenceGraph`` keeps two rule families as they were before one
+moved to the fact it follows from and the other became data: a pass over every class each round that gives a class with a
+value its number adjectives and a ``zero`` class the value 0, and the
+boolean equalities as one branch per functor, with ``_put`` and
+``_add_attr`` as they were before them.  It also keeps the graph's
+upkeep as it was before the graph did work only where it holds
+something: every node due for the polynomials, every table re-keyed and
+every cluster rule rebuilt each round, each seeded type rounded up
+again; ``ReferenceTableGraph`` is that upkeep with the graph's
+polynomial table, number adjectives and boolean rows, and without the
+value pass or the adjective pass.  ``reference_tokenize`` is the
+tokenizer as it was before it became one regular expression: one
+character at a time, with a walk over the symbol table at each symbol.
 ``ReferencePrechecker`` is ``Prechecker.justify`` as it was before the
 clauses shared a first step: augmentation, then skolemization, then
 every clause refuted in a graph of its own.
@@ -1165,10 +1171,13 @@ class ReferenceGraph(EqGraph):
     polynomials, with the ARITHM group only.  Before that it runs
     ``_value_pass``, the graph's other arithmetic until the polynomial
     table became its only one: it evaluates every arithmetic node whose
-    arguments have values and merges the classes of equal value.  Every
-    node is due when made, every round re-keys every table and rebuilds
-    the cluster rules, and each seeded type is rounded up and sorted
-    again."""
+    arguments have values and merges the classes of equal value.  Before
+    the supercluster pass it runs ``_attr_value_pass``, which gives every
+    class with a value that value's adjectives and every ``zero`` class
+    the value 0, and ``_boole_pass`` keeps the boolean equalities as
+    branches per functor.  Every node is due when made, every round
+    re-keys every table and rebuilds the cluster rules, and each seeded
+    type is rounded up and sorted again."""
 
     def _seed(self, n: int, head: tuple, children: tuple[int, ...]) -> None:
         super()._seed(n, head, children)
@@ -1191,8 +1200,106 @@ class ReferenceGraph(EqGraph):
         return changed
 
     def _supercluster_pass(self) -> bool:
+        changed = self._attr_value_pass()  # where the round ran it
         self._rules = None
-        return super()._supercluster_pass()
+        return super()._supercluster_pass() | changed
+
+    def _put(self, table: dict, key, v, clash=None) -> bool:
+        kept = table.get(key)
+        if kept is None:
+            table[key] = v
+            if table is self.value:
+                self._due.add(key)
+            return True
+        if kept != v:
+            if clash is None:
+                self.contradiction = True
+            else:
+                clash(kept, v)
+        return False
+
+    def _add_attr(self, rep: int, sign: bool, aid: int, args: tuple[int, ...]) -> bool:
+        return self._put(self.attrs[self.find(rep)], (aid, self._ids(args)), sign)
+
+    def _attr_value_pass(self) -> bool:
+        req = self.req
+        changed = False
+        zero_a = req.ids.ZeroAttr
+        for rep in self.classes():
+            v = self.value.get(rep)
+            amap = self.attrs[rep]
+            if v is None:
+                if zero_a is not None and amap.get((zero_a, ())) is True:
+                    changed |= self._put(self.value, rep, ZERO)
+                continue
+            for s, aid in req.value_attrs(v):
+                changed |= self._add_attr(rep, s, aid, ())
+        return changed
+
+    def _boole_pass(self) -> bool:
+        req = self.req
+        empty = req.ids.Empty
+        if empty is None:
+            return False
+        changed = False
+        e0 = self.find(self._empty_class)
+        for rep in self.classes():
+            rep = self.find(rep)  # this loop may have merged it into e0
+            if rep != e0 and self.attrs[rep].get((empty, ())) is True:
+                changed |= self.union(rep, e0)
+                e0 = self.find(self._empty_class)
+        union_f = req.ids.Union
+        inter_f = req.ids.Intersection
+        diff_f = req.ids.Difference
+        sym_f = req.ids.SymDiff
+        for n, (head, children) in enumerate(self.nodes):
+            if head[0] != "app" or len(children) != 2:
+                continue
+            f = head[1]
+            a, b = self.find(children[0]), self.find(children[1])
+            rep = self.find(n)
+            if f == union_f:
+                if a == e0:
+                    changed |= self.union(rep, b)
+                if b == e0:
+                    changed |= self.union(rep, a)
+                if a == b:
+                    changed |= self.union(rep, a)
+            elif f == inter_f:
+                if a == e0 or b == e0:
+                    changed |= self.union(rep, e0)
+                if a == b:
+                    changed |= self.union(rep, a)
+            elif f == diff_f:
+                if b == e0:
+                    changed |= self.union(rep, a)
+                if a == e0 or a == b:
+                    changed |= self.union(rep, e0)
+            elif f == sym_f:
+                if b == e0:
+                    changed |= self.union(rep, a)
+                if a == e0:
+                    changed |= self.union(rep, b)
+                if a == b:
+                    changed |= self.union(rep, e0)
+            e0 = self.find(self._empty_class)
+        meets = req.ids.Meets
+        member = req.ids.Membership
+        for ((ns, pid), args), sign in list(self.atoms.items()):
+            if ns != "pred":
+                continue
+            if pid == meets and len(args) == 2 and inter_f is not None:
+                m = self.intern(
+                    FunctorApp(inter_f, (Var(VarKind.EQCLASS, args[0]), Var(VarKind.EQCLASS, args[1])))
+                )
+                if sign:
+                    changed |= self._add_attr(m, False, empty, ())
+                else:
+                    changed |= self.union(m, self.find(self._empty_class))
+            if pid == member and sign and len(args) == 2:
+                if self.find(args[1]) == self.find(self._empty_class):
+                    self.contradiction = True
+        return changed
 
     def _assume_type_expr(self, rep: int, ty: TypeExpr) -> None:
         self._add_type(rep, ty.mode, self._interned(ty.args))
@@ -1317,10 +1424,17 @@ class ReferenceGraph(EqGraph):
 
 
 class ReferenceTableGraph(ReferenceGraph):
-    """``ReferenceGraph`` with the polynomial table of ``EqGraph``: a
+    """``ReferenceGraph`` with the polynomial table, the number
+    adjectives set with the value and the boolean rows of ``EqGraph``: a
     graph that must take the same rounds as the real one."""
 
     _poly_pass = EqGraph._poly_pass
+    _put = EqGraph._put
+    _add_attr = EqGraph._add_attr
+    _boole_pass = EqGraph._boole_pass
+
+    def _attr_value_pass(self) -> bool:
+        return False  # ``_put`` sets a number's adjectives with its value
 
 
 def reference_refute_clause(

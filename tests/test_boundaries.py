@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private name
 (one starting with an underscore) from a sibling module, what the
-builtin arithmetic functors mean is written only in ``arith.OPS``,
+builtin arithmetic functors mean is written only in ``arith.OPS``, and
+what the boolean ones equal only in ``requirements.REDUCTIONS``,
 only ``arith`` decides how numbers are represented,
 ``Analyzer._step`` is the only place that dispatches on a proof step,
 the hottest kernel walks and the resolver's term and formula walks
@@ -54,6 +55,23 @@ def test_checker_modules_do_not_name_arithmetic_requirements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Constant) and (node.value in OPS or node.value in GROUPS):
                 hits.append(f"{name}:{node.lineno} names {node.value}")
+    assert hits == []
+
+
+def test_the_equalizer_names_no_functor_that_only_the_boolean_rows_read():
+    # the boolean equalities are rows of ``RequirementTable.reductions``;
+    # the equalizer still reads the intersection, for ``Meets``
+    path = PACKAGE / "equalizer.py"
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in ("Union", "Difference", "SymDiff"):
+            hits.append(f"equalizer.py:{node.lineno} names {name}")
     assert hits == []
 
 

@@ -5,6 +5,8 @@ import gc
 import random
 import weakref
 
+import pytest
+
 import _oracles as orc
 from conftest import ALL_GROUPS
 from micromizar.arith import OPS, Op
@@ -166,6 +168,39 @@ def test_union_with_empty_set(req_all):
     assert g.contradiction
 
 
+# the boolean requirement's equalities, written out: (functor, first
+# argument, second argument, what the term equals)
+BOOLEAN_EQUALITIES = [
+    ("Union", "{}", "b", "b"),
+    ("Union", "a", "{}", "a"),
+    ("Union", "a", "a", "a"),
+    ("Intersection", "{}", "b", "{}"),
+    ("Intersection", "a", "{}", "{}"),
+    ("Intersection", "a", "a", "a"),
+    ("Difference", "a", "{}", "a"),
+    ("Difference", "{}", "b", "{}"),
+    ("Difference", "a", "a", "{}"),
+    ("SymDiff", "a", "{}", "a"),
+    ("SymDiff", "{}", "b", "b"),
+    ("SymDiff", "a", "a", "{}"),
+]
+
+
+@pytest.mark.parametrize("name, first, second, result", BOOLEAN_EQUALITIES)
+def test_each_boolean_equality_is_a_row_that_refutes_its_denial(req_all, monkeypatch, name, first, second, result):
+    req = req_all
+    f = req.require(name)
+    at = {"a": const(0), "b": const(1), "{}": FunctorApp(req.require("EmptySet"), ())}
+    lits = [neq(req, FunctorApp(f, (at[first], at[second])), at[result])]
+    sets = {0: req.set_type(), 1: req.set_type()}
+    assert (first, second, result) in req.reductions[f]
+    assert run_clause(req, lits, sets).contradiction
+    # no other rule proves it
+    rows = tuple(r for r in req.reductions[f] if r != (first, second, result))
+    monkeypatch.setattr(req, "reductions", {**req.reductions, f: rows})
+    assert not run_clause(req, lits, sets).contradiction
+
+
 def test_meets_contradicts_empty_argument(req_all):
     req = req_all
     a, b = const(0), const(1)
@@ -312,6 +347,26 @@ def test_private_functor_unfolds(req_all):
     pf = PrivFunc(0, (x,), body)
     g = run_clause(req, [neq(req, pf, body)], {0: req.object_type()})
     assert g.contradiction
+
+
+def test_a_number_has_its_value_s_adjectives_as_soon_as_it_is_interned(req_all):
+    # no round runs: the adjectives are set when the value is stored
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    names = ("ZeroAttr", "Natural", "Positive", "Negative")
+    for n, signs in ((0, (True, True, False, False)), (3, (False, True, True, False))):
+        rep = g.intern(Numeral(n))
+        assert [g.attr_sign(rep, req.require(a), ()) for a in names] == list(signs), n
+
+
+def test_a_class_that_is_zero_has_the_value_0_at_once(req_all):
+    req = req_all
+    g = EqGraph(DefinitionDb(req))
+    c = const(0)
+    g.assume(Is(c, Attr(True, req.require("ZeroAttr"))))
+    rep = g.lookup(c)
+    assert g.value[rep].is_zero()
+    assert g.attr_sign(rep, req.require("Positive"), ()) is False
 
 
 def test_registered_conditional_cluster(req_all):
@@ -752,13 +807,13 @@ def random_mixed_term(req, rng: random.Random, consts: int, depth: int):
         if r < 0.1:
             return FunctorApp(req.require("EmptySet"), ())
         return Numeral(rng.randrange(3)) if r < 0.3 else const(rng.randrange(consts))
-    name = rng.choice(["Add", "Mul", "Sub", "Union", "Intersection"])
+    name = rng.choice(["Add", "Mul", "Sub", "Union", "Intersection", "Difference", "SymDiff"])
     return FunctorApp(req.require(name), tuple(random_mixed_term(req, rng, consts, depth - 1) for _ in range(2)))
 
 
 def random_mixed_clause(req, rng: random.Random) -> tuple[list, dict]:
     """Adjectives under the order clusters, types, membership,
-    inclusion, unions and intersections, order, equalities,
+    inclusion, the four boolean functors, order, equalities,
     disequalities and arithmetic, each literal of either sign."""
     consts = rng.choice([2, 3])
 
@@ -818,3 +873,24 @@ def test_the_graph_agrees_with_the_upkeep_of_every_class_every_round(req_all, mo
             assert orc.graph_digest(g) == orc.graph_digest(ref), lits
         refuted += ref.contradiction
     assert 50 < refuted < 250
+
+
+def test_the_graph_agrees_with_the_passes_it_retired(req_all):
+    # ``ReferenceGraph`` gives a class its number adjectives, and a zero
+    # class its value, in a pass over every class each round, and keeps
+    # the boolean equalities as branches per functor: the graph, which
+    # sets both with the fact and applies the rows, may take other
+    # rounds but must reach the same verdicts and saturated graphs
+    req = req_all
+    rng = random.Random(23)
+    refuted = 0
+    for _ in range(500):
+        lits, types = random_mixed_clause(req, rng)
+        db = DefinitionDb(req)
+        g = refute_clause(db, lits, types)
+        ref = orc.reference_refute_clause(db, lits, types)
+        assert (g.contradiction, g.limited) == (ref.contradiction, ref.limited), lits
+        if not ref.contradiction:
+            assert orc.graph_digest(g) == orc.graph_digest(ref), lits
+        refuted += ref.contradiction
+    assert 60 < refuted < 200
