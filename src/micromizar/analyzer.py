@@ -7,7 +7,7 @@ instantiates an existential, ``per cases`` splits it.  A block is
 complete when its thesis has shrunk to truth; anything left at ``end``
 is reported as code 70.
 
-The article itself is walked as one diffuse block: a block with no
+The article itself is checked as one diffuse block: a block with no
 thesis, like ``now``.  Its items are steps, and `Analyzer._step` is the
 only dispatcher over step kinds, for the article and for every proof.
 `walk_now` handles only ``let``, ``assume`` and ``thus`` itself,
@@ -57,7 +57,6 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
-    abstract_const,
     bound,
     conjuncts,
     const,
@@ -69,6 +68,7 @@ from .logic import (
     mk_is,
     mk_neg,
     mk_or,
+    replace_term,
     replace_thesis,
     shift_up,
     sorted_attrs,
@@ -84,7 +84,6 @@ from .subtyping import (
     AttrDef,
     ConditionalCluster,
     DefinitionDb,
-    ExistentialCluster,
     FuncDef,
     FunctorCluster,
     ModeDef,
@@ -334,15 +333,8 @@ class Analyzer:
             case StLet():
                 return self._let(st, thesis)
             case StAssume():
-                fs = []
-                for cond in st.conds:
-                    f = self._resolve(cond.formula, thesis)
-                    if cond.label:
-                        self._bind(cond.label, f, cond.formula.pos)
-                    fs.append(f)
-                for f in fs:
+                for f in self._assume(st, thesis):
                     thesis = self._consume(f, thesis, st.pos)
-                self.prev = mk_and(fs) if fs else None
                 return thesis
             case StTake() | StTakeEq():
                 return self._take(st, thesis)
@@ -395,6 +387,18 @@ class Analyzer:
         self.prev = f
         return f
 
+    def _assume(self, st: StAssume, thesis: Formula | None) -> list[Formula]:
+        """Resolve the conditions of an ``assume``, then bind their labels
+        and link the next ``then`` to them; the conditions are returned.
+        A condition that does not resolve aborts the whole step: no label
+        is bound and nothing is assumed."""
+        fs = [self._resolve(cond.formula, thesis) for cond in st.conds]
+        for cond, f in zip(st.conds, fs):
+            if cond.label:
+                self._bind(cond.label, f, cond.formula.pos)
+        self.prev = mk_and(fs) if fs else None
+        return fs
+
     def _let(self, st: StLet, thesis: Formula | None) -> Formula:
         """Fix a constant per name for the thesis's leading binders: binder
         i's type reads the first i, the body all of them, in one walk."""
@@ -403,7 +407,7 @@ class Analyzer:
         for name in st.names:
             if not isinstance(thesis, ForAll):
                 raise MizarError(st.pos, 51, "nothing left to generalize")
-            ty = self.db.round_up(subst_bound(thesis.ty, 0, *consts))
+            ty = subst_bound(thesis.ty, 0, *consts)
             # fixing a variable at a supertype of the bound is fine; the
             # constant keeps the tighter thesis type either way
             if not self.db.subtype(ty, declared):
@@ -444,7 +448,7 @@ class Analyzer:
     def _take(self, st: StTake | StTakeEq, thesis: Formula | None) -> Formula:
         if not (isinstance(thesis, Neg) and isinstance(thesis.body, ForAll)):
             raise MizarError(st.pos, 51, "thesis is not existential")
-        ty = self.db.round_up(thesis.body.ty)
+        ty = thesis.body.ty
         t = self.resolver.term(st.term)
         if not self.db.subtype(self.type_of(t), ty):
             self.errors.append(VerifyError(st.pos, 52))
@@ -522,14 +526,7 @@ class Analyzer:
                             lets_seen += 1
                         self.prev = None
                     case StAssume():
-                        fs = []
-                        for cond in st.conds:
-                            f = self._resolve(cond.formula)
-                            if cond.label:
-                                self._bind(cond.label, f, cond.formula.pos)
-                            fs.append(f)
-                            exports.append(("assume", f, lets_seen))
-                        self.prev = mk_and(fs) if fs else None
+                        exports += [("assume", f, lets_seen) for f in self._assume(st, None)]
                     case StThus():
                         exports.append(("thus", self._proposition(st, None), lets_seen))
                     case StTake() | StTakeEq() | StGiven() | StPerCases():
@@ -550,7 +547,7 @@ class Analyzer:
                         acc = mk_imp(shift_up(f, depth), acc)
                 case ("let", cid, ty, level):
                     if acc is not None:
-                        acc = ForAll(ty, abstract_const(acc, cid, level))
+                        acc = ForAll(ty, replace_term(acc, const(cid), bound(level)))
         self._reset(mark)
         self.prev = saved_prev
         if acc is None:
@@ -723,7 +720,7 @@ class Analyzer:
         mid = self.db.fresh_id("mode")
         self.db.modes[mid] = ModeDef(arity, parent, definiens, body.expandable)
         self.scope.mode_names[body.name] = (mid, arity)
-        mode_ty = TypeExpr(frozenset(), frozenset(), mid, self._locus_args(arity))
+        mode_ty = TypeExpr(frozenset(), mid, self._locus_args(arity))
         needed: dict[str, Formula] = {}
         if definiens is not None:
             inner = subst_loci(definiens, self._locus_args(arity) + (bound(arity),))
@@ -797,12 +794,12 @@ class Analyzer:
         match it.body:
             case RegExistential():
                 ty = self.resolver.type_expr(it.body.ty)
-                base = self.db.round_up(TypeExpr(frozenset(), frozenset(), ty.mode, ty.args))
+                base = TypeExpr(frozenset(), ty.mode, ty.args)
                 goal = mk_exists(
                     base, mk_and([mk_is(bound(0), a) for a in sorted_attrs(ty.lower)])
                 )
                 self._correctness(it, {"existence": goal})
-                self.db.existential.append(ExistentialCluster(ty.lower, base))
+                self.db.existential.append(ty)
             case RegFunctor():
                 t = self.resolver.term(it.body.term)
                 attrs = frozenset(self.resolver.adjective(a) for a in it.body.adjs)
@@ -813,9 +810,7 @@ class Analyzer:
                 guard = frozenset(self.resolver.adjective(a) for a in it.body.guard)
                 target = frozenset(self.resolver.adjective(a) for a in it.body.target)
                 ty = self.resolver.type_expr(it.body.ty)
-                subject = self.db.round_up(
-                    TypeExpr(ty.lower | guard, ty.upper | guard, ty.mode, ty.args)
-                )
+                subject = TypeExpr(ty.lower | guard, ty.mode, ty.args)
                 goal = ForAll(
                     subject, mk_and([mk_is(bound(0), a) for a in sorted_attrs(target)])
                 )
@@ -839,15 +834,13 @@ class Analyzer:
                 # the adjectives the value has, not those it lacks
                 base = req.numeral_type()
                 more = frozenset(Attr(True, aid) for s, aid in req.value_attrs(ComplexRational.from_int(v)) if s)
-                return db.round_up(TypeExpr(base.lower | more, base.upper | more, base.mode, base.args))
+                return TypeExpr(base.lower | more, base.mode, base.args)
             case FunctorApp(_, _):
                 ty = db.result_type(t.func, t.args)
                 for fc in db.functor_clusters:
                     if fc.term == t:
-                        ty = TypeExpr(
-                            ty.lower | fc.attrs, ty.upper | fc.attrs, ty.mode, ty.args
-                        )
-                return db.round_up(ty)
+                        ty = TypeExpr(ty.lower | fc.attrs, ty.mode, ty.args)
+                return ty
             case PrivFunc(_, _, exp):
                 return self.type_of(exp)
             case SchemeFunctorApp(fid, _):

@@ -639,7 +639,7 @@ class EqGraph:
             return True
         want_args = self._interned(ty.args, env)
         for mode, targs in self.types[self.find(rep)]:
-            start = TypeExpr(frozenset(), frozenset(), mode, _class_args(targs))
+            start = TypeExpr(frozenset(), mode, _class_args(targs))
             for anc in self.db.ancestry(start):
                 if anc.mode == ty.mode and self._interned(anc.args) == want_args:
                     return True
@@ -652,7 +652,7 @@ class EqGraph:
                 ok_attrs = all(amap.get((aid, self._ids(aargs))) == s for s, aid, aargs in lower)
                 if not ok_attrs:
                     continue
-                bare = TypeExpr(frozenset(), frozenset(), mode, _class_args(args))
+                bare = TypeExpr(frozenset(), mode, _class_args(args))
                 if self.class_satisfies(rep, bare):
                     self.contradiction = True
         return False

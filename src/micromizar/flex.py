@@ -129,14 +129,13 @@ def _generalize(
 
 
 def _generalize_type(a: TypeExpr, b: TypeExpr, fn) -> TypeExpr:
-    """Both adjective sets are diffed, the rounded-up one too, so that the
-    skeleton reproduces each endpoint's type exactly."""
-    la, lb, ua, ub = (sorted_attrs(x) for x in (a.lower, b.lower, a.upper, b.upper))
-    if (a.mode, len(a.args), len(la), len(ua)) != (b.mode, len(b.args), len(lb), len(ub)):
+    """The written adjectives and the arguments are diffed pairwise, so
+    that the skeleton reproduces each endpoint's type exactly."""
+    la, lb = sorted_attrs(a.lower), sorted_attrs(b.lower)
+    if (a.mode, len(a.args), len(la)) != (b.mode, len(b.args), len(lb)):
         raise NonNumericBound("endpoints differ in a type, not a term")
     return TypeExpr(
         frozenset([zip_nodes(x, y, fn) for x, y in zip(la, lb)]),
-        frozenset([zip_nodes(x, y, fn) for x, y in zip(ua, ub)]),
         a.mode,
         tuple([zip_nodes(x, y, fn) for x, y in zip(a.args, b.args)]),
     )

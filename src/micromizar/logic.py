@@ -138,15 +138,15 @@ class Attr:
 
 @dataclass(frozen=True)
 class TypeExpr:
-    """Adjective-decorated mode application.
+    """Adjective-decorated mode application, as written.
 
-    ``lower`` is the cluster as written, ``upper`` its rounding-up under
-    the active conditional clusters.  Constructors outside the rounding
-    machinery must keep ``lower <= upper``.
+    ``lower`` is the written cluster.  Its rounding-up under the active
+    conditional clusters is not part of the type: it depends on what the
+    article has registered so far, and ``DefinitionDb.round_up`` holds it.
+    So two writings of one type are one term, whenever they were written.
     """
 
     lower: frozenset[Attr]
-    upper: frozenset[Attr]
     mode: int
     args: tuple[Term, ...] = ()
 
@@ -322,11 +322,8 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 # the fields every walk descends into, in order.  A child field holds a
 # node, a tuple of nodes or, for a type's adjectives, a set of attributes,
 # which the map visits and ``zip_nodes`` pairs in ``sorted_attrs`` order, so
-# no hook sees a set in hash order.  The entries state
-# where the map and the pair walk differ: a type's ``upper`` is rebuilt and
-# searched but not compared (a type is compared as written, and a rebuilt
-# type keeps the first tree's), and ``ThesisMarker``, with no head, pairs
-# with nothing.
+# no hook sees a set in hash order.  Every walk visits the same fields; the
+# one difference is that ``ThesisMarker``, with no head, pairs with nothing.
 #
 # The map's hook is ``asked`` at every term and atomic formula.  The
 # connectives Neg, And, ForAll and FlexAnd, attributes and types are only
@@ -338,19 +335,18 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 
 
 class _Shape:
-    __slots__ = ("head", "children", "walked", "asked", "build", "fields")
+    __slots__ = ("head", "children", "asked", "build", "fields")
 
-    def __init__(self, head, children=(), uncompared=(), asked=True, build=None):
+    def __init__(self, head, children=(), asked=True, build=None):
         self.head = head
         self.children = children
-        self.walked = children + uncompared
         self.asked = asked
         self.build = build
 
     def bind(self, kind: type) -> None:
         """Take `kind`'s fields in declaration order, the order ``build``
-        takes them in, each marked walked or not."""
-        self.fields = tuple((f, f in self.walked) for f in kind.__match_args__)
+        takes them in, each marked as a child or not."""
+        self.fields = tuple((f, f in self.children) for f in kind.__match_args__)
         self.build = self.build or kind
 
 
@@ -363,7 +359,7 @@ _SHAPE = {
     Choice: _Shape((), ("ty",)),
     Fraenkel: _Shape((), ("binders", "body", "guard")),
     Attr: _Shape(("positive", "attr_id"), ("args",), asked=False),
-    TypeExpr: _Shape(("mode",), ("args", "lower"), ("upper",), asked=False),
+    TypeExpr: _Shape(("mode",), ("args", "lower"), asked=False),
     FTrue: _Shape(()),
     ThesisMarker: _Shape(None),
     Neg: _Shape((), ("body",), asked=False, build=mk_neg),
@@ -393,13 +389,13 @@ def map_terms(node, fn):
         r = fn(node)
         if r is not None:
             return r
-    if not shape.walked:
+    if not shape.children:
         return node
     fields = []
     changed = False
-    for field, walked in shape.fields:
+    for field, child in shape.fields:
         x = getattr(node, field)
-        if walked:
+        if child:
             kind = type(x)
             if kind is tuple or kind is frozenset:
                 if x:
@@ -421,7 +417,7 @@ def any_var(node, pred) -> bool:
     """Does `pred` hold of some variable occurring anywhere in `node`?"""
     if type(node) is Var:
         return pred(node)
-    for field in _SHAPE[type(node)].walked:
+    for field in _SHAPE[type(node)].children:
         x = getattr(node, field)
         if type(x) is tuple or type(x) is frozenset:
             for u in x:
@@ -564,15 +560,6 @@ def replace_term(node, needle: Term, repl: Term):
     return map_terms(node, lambda n: repl if n == needle else None)
 
 
-def abstract_const(node, const_index: int, level: int):
-    """Turn occurrences of a constant into bound level `level`.
-
-    The caller must already have shifted `node` to make room for the new
-    binder (see ``shift_up``).
-    """
-    return replace_term(node, const(const_index), bound(level))
-
-
 def uses_bound(node, level: int) -> bool:
     return any_var(node, lambda v: v.kind is _BOUND and v.index == level)
 
@@ -590,12 +577,11 @@ def replace_thesis(f: Formula, thesis: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # deterministic sort keys (formatting, canonical iteration)
 #
-# A key is a rank, which orders by kind, head, arguments and written
-# adjectives, and then a tie.  The rank skips a proof-local expansion, a
-# Fraenkel guard and a type's rounded-up adjectives, so different nodes
-# can share it; the tie compares every field ``_SHAPE`` lists.  It comes
-# last and only at the top, so a pair the rank orders keeps its order,
-# and no order falls back on hashing.
+# A key is a rank, which orders by kind, head, arguments and adjectives,
+# and then a tie.  The rank skips a proof-local expansion and a Fraenkel
+# guard, so different nodes can share it; the tie compares every field
+# ``_SHAPE`` lists.  It comes last and only at the top, so a pair the rank
+# orders keeps its order, and no order falls back on hashing.
 
 
 def _term_rank(t: Term) -> tuple:
@@ -628,9 +614,9 @@ def _type_rank(ty: TypeExpr) -> tuple:
 def _tie(node) -> tuple:
     """Every field of `node` in declaration order, its children as ties."""
     out = [type(node).__name__]
-    for field, walked in _SHAPE[type(node)].fields:
+    for field, child in _SHAPE[type(node)].fields:
         x = getattr(node, field)
-        if not walked:
+        if not child:
             out.append(x.value if type(x) is VarKind else x)
         elif type(x) is tuple:
             out.append(tuple(map(_tie, x)))

@@ -203,18 +203,18 @@ class RequirementTable:
     # -- types supplied by the builtin constructors -------------------------
 
     def object_type(self) -> TypeExpr:
-        return TypeExpr(frozenset(), frozenset(), self.require("Object"))
+        return TypeExpr(frozenset(), self.require("Object"))
 
     def set_type(self) -> TypeExpr:
         mode = self.ids.Set
         if mode is None:
             return self.object_type()
-        return TypeExpr(frozenset(), frozenset(), mode)
+        return TypeExpr(frozenset(), mode)
 
     def attr_type(self, attr_names: list[str], extra: tuple[Attr, ...] = ()) -> TypeExpr:
         base = self.set_type()
         attrs = frozenset(Attr(True, self.require(n)) for n in attr_names) | frozenset(extra)
-        return TypeExpr(attrs, attrs, base.mode, base.args)
+        return TypeExpr(attrs, base.mode, base.args)
 
     def nat_type(self) -> TypeExpr:
         return self.attr_type(["Natural"])

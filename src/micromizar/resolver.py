@@ -290,16 +290,16 @@ class Resolver:
             return Attr(s.positive, self._require(builtin, s.pos, s.name))
         raise MizarError(s.pos, 91, f"unknown adjective {s.name!r}")
 
-    def _rounded(self, raw: TypeExpr, pos) -> TypeExpr:
-        """Close a written type under the clusters and reject contradictions.
+    def _checked(self, ty: TypeExpr, pos) -> TypeExpr:
+        """Return a written type as it is, once its rounded-up cluster is
+        found free of contradictions.
 
         A spelled-out type whose upward closure asserts some adjective both
         ways ("positive negative Nat") denotes nothing; letting it through
         would hand every proof a vacuously typed variable.
         """
-        ty = self.db.round_up(raw)
         signs: dict[tuple[int, tuple[Term, ...]], bool] = {}
-        for a in ty.upper:
+        for a in self.db.round_up(ty):
             key = (a.attr_id, a.args)
             if signs.setdefault(key, a.positive) != a.positive:
                 raise MizarError(pos, 52, "contradictory adjectives on one type")
@@ -314,21 +314,18 @@ class Resolver:
                 raise MizarError(s.pos, 92, "Nat takes no arguments")
             self._require("Natural", s.pos, "Nat")
             base = self.req.nat_type()
-            raw = TypeExpr(attrs | base.lower, attrs | base.upper, base.mode, base.args)
-            return self._rounded(raw, s.pos)
+            return self._checked(TypeExpr(attrs | base.lower, base.mode, base.args), s.pos)
         if s.mode in sc.mode_names:
             mid, arity = sc.mode_names[s.mode]
             if len(args) != arity:
                 raise MizarError(s.pos, 92, f"mode {s.mode} takes {arity} arguments")
-            return self._rounded(TypeExpr(attrs, attrs, mid, args), s.pos)
+            return self._checked(TypeExpr(attrs, mid, args), s.pos)
         builtin = BUILTIN_MODES.get(s.mode)
         if builtin is not None:
             name, arity = builtin
             if len(args) != arity:
                 raise MizarError(s.pos, 92, f"mode {s.mode} takes {arity} arguments")
-            return self._rounded(
-                TypeExpr(attrs, attrs, self._require(name, s.pos, s.mode), args), s.pos
-            )
+            return self._checked(TypeExpr(attrs, self._require(name, s.pos, s.mode), args), s.pos)
         raise MizarError(s.pos, 91, f"unknown mode {s.mode!r}")
 
     def _bind(self, binders: tuple[SBinders, ...]) -> list[TypeExpr]:

@@ -101,14 +101,10 @@ def match_scheme(
     except ShapeMismatch as e:
         raise SchemeMatchError(HEAD_MISMATCH, str(e)) from None
     if __debug__:
-        # compared as matched: a type's rounded-up adjectives are not, since
-        # a cluster registered after the scheme may have widened them
         pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
         for pat, subj in pairs:
-            try:
-                zip_nodes(_strip(apply_assignment(pat, m.out)), _strip(subj), lambda x, y: None)
-            except ShapeMismatch:
-                raise AssertionError("assignment does not reproduce the instance") from None
+            rebuilt = _strip(apply_assignment(pat, m.out))
+            assert rebuilt == _strip(subj), "assignment does not reproduce the instance"
     return m.out
 
 

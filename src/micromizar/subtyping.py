@@ -7,11 +7,15 @@ target asks for must appear in the source's rounded-up cluster.
 Rounding closes the written adjectives under the conditional cluster
 registrations (builtin ones from the requirement table plus whatever
 the article registered) and folds in adjectives inherited from parent
-modes.
+modes.  A type holds only what was written; its rounded cluster is a
+fact of the database (``DefinitionDb.round_up``), which grows as the
+article registers clusters.
 
 Attributed types are not self-evidently inhabited; ``inhabited`` says
-whether some existential registration (or a builtin witness) covers the
-written cluster.  Callers that introduce a constant of a type gate on
+whether some witness in ``DefinitionDb.existential`` covers the written
+cluster.  The builtin witnesses (natural, zero natural, empty and
+complex sets) come first there, then each existential registration's
+type as written.  Callers that introduce a constant of a type gate on
 it, and the refutation machinery only strips vacuous quantifiers over
 types that pass it.
 """
@@ -68,12 +72,6 @@ class PredDef:
 
 
 @dataclass(frozen=True)
-class ExistentialCluster:
-    attrs: frozenset[Attr]
-    ty: TypeExpr
-
-
-@dataclass(frozen=True)
 class ConditionalCluster:
     guard: frozenset[Attr]
     target: frozenset[Attr]
@@ -95,6 +93,10 @@ class DefinitionDb:
     fixes what ``round_up`` returns, and it and ``adjectives`` memoize on
     those three.  One list of the clusters, memoized on their number,
     serves both ``round_up`` and ``cluster_rules``.
+
+    ``existential`` lists the types known to be inhabited: first the
+    builtin witnesses the requirement groups supply, then the type of
+    each existential registration.
     """
 
     def __init__(self, req: RequirementTable):
@@ -103,11 +105,15 @@ class DefinitionDb:
         self.modes: dict[int, ModeDef] = {}
         self.funcs: dict[int, FuncDef] = {}
         self.preds: dict[int, PredDef] = {}
-        self.existential: list[ExistentialCluster] = []
+        self.existential: list[TypeExpr] = []
+        if req.present("Object"):  # no base type without HIDDEN
+            for names in (["Natural"], ["Natural", "ZeroAttr"], ["Empty"], ["Complex"]):
+                if all(map(req.present, names)):
+                    self.existential.append(req.attr_type(names))
         self.conditional: list[ConditionalCluster] = []
         self.functor_clusters: list[FunctorCluster] = []
         self._next = {kind: req.max_id(kind) + 1 for kind in ("mode", "func", "pred", "attr")}
-        self._rounded: dict[tuple[TypeExpr, int, int], TypeExpr] = {}
+        self._rounded: dict[tuple[TypeExpr, int, int], frozenset[Attr]] = {}
         self._adjectives: dict[tuple[TypeExpr, int, int], tuple] = {}
         self._cluster_rules: tuple[int, list, tuple] = (-1, [], ())
 
@@ -145,7 +151,9 @@ class DefinitionDb:
 
     # -- adjective rounding ---------------------------------------------
 
-    def round_up(self, ty: TypeExpr) -> TypeExpr:
+    def round_up(self, ty: TypeExpr) -> frozenset[Attr]:
+        """`ty`'s written adjectives closed under the clusters and the
+        parent modes."""
         key = (ty, len(self.modes), len(self.conditional))
         out = self._rounded.get(key)
         if out is None:
@@ -153,12 +161,12 @@ class DefinitionDb:
         return out
 
     def adjectives(self, ty: TypeExpr) -> tuple[tuple[bool, int, tuple[Term, ...]], ...]:
-        """``round_up(ty).upper`` in ``sorted_attrs`` order, as (sign,
+        """``round_up(ty)`` in ``sorted_attrs`` order, as (sign,
         attribute id, arguments); memoized as ``round_up`` is."""
         key = (ty, len(self.modes), len(self.conditional))
         out = self._adjectives.get(key)
         if out is None:
-            out = self._adjectives[key] = _entries(self.round_up(ty).upper)
+            out = self._adjectives[key] = _entries(self.round_up(ty))
         return out
 
     def _clusters(self) -> tuple[list[tuple[frozenset[Attr], frozenset[Attr], TypeExpr | None]], tuple]:
@@ -177,33 +185,33 @@ class DefinitionDb:
         """The clusters of ``_clusters``, each side as ``adjectives`` gives a type's."""
         return self._clusters()[1]
 
-    def _round_up(self, ty: TypeExpr) -> TypeExpr:
+    def _round_up(self, ty: TypeExpr) -> frozenset[Attr]:
         chain = self.ancestry(ty)
-        upper = set(ty.lower) | set(ty.upper)
+        out = set(ty.lower)
         for t in chain[1:]:
-            upper |= t.lower
+            out |= t.lower
         rules, _ = self._clusters()
         changed = True
         while changed:
             changed = False
             for guard, target, subject in rules:
-                if target <= upper or not guard <= upper:
+                if target <= out or not guard <= out:
                     continue
-                if subject is not None and not self._covers(chain, subject, upper):
+                if subject is not None and not self._covers(chain, subject, out):
                     continue
-                upper |= target
+                out |= target
                 changed = True
-        return TypeExpr(ty.lower, frozenset(upper), ty.mode, ty.args)
+        return frozenset(out)
 
-    def _covers(self, chain: list[TypeExpr], subject: TypeExpr, upper: set[Attr]) -> bool:
-        return subject.lower <= upper and any(
+    def _covers(self, chain: list[TypeExpr], subject: TypeExpr, attrs: set[Attr]) -> bool:
+        return subject.lower <= attrs and any(
             t.mode == subject.mode and t.args == subject.args for t in chain
         )
 
     # -- subtyping -------------------------------------------------------
 
     def subtype(self, a: TypeExpr, b: TypeExpr) -> bool:
-        if not b.lower <= self.round_up(a).upper:
+        if not b.lower <= self.round_up(a):
             return False
         return any(t.mode == b.mode and t.args == b.args for t in self.ancestry(a))
 
@@ -211,29 +219,10 @@ class DefinitionDb:
 
     def inhabited(self, ty: TypeExpr) -> bool:
         """Bare mode applications are inhabited by fiat; a written
-        adjective cluster needs a covering existential registration."""
+        adjective cluster needs a covering witness in ``existential``."""
         if not ty.lower:
             return True
-        return any(self.subtype(w, ty) for w in self._witnesses())
-
-    def _witnesses(self) -> list[TypeExpr]:
-        req = self.req
-        st = req.set_type()
-        out = []
-
-        def builtin(names: list[str]) -> None:
-            if all(req.present(n) for n in names):
-                attrs = frozenset(Attr(True, req.require(n)) for n in names)
-                out.append(TypeExpr(attrs, attrs, st.mode, st.args))
-
-        builtin(["Natural"])
-        builtin(["Natural", "ZeroAttr"])
-        builtin(["Empty"])
-        builtin(["Complex"])
-        for c in self.existential:
-            attrs = c.ty.lower | c.attrs
-            out.append(TypeExpr(attrs, attrs, c.ty.mode, c.ty.args))
-        return out
+        return any(self.subtype(w, ty) for w in self.existential)
 
     # -- definiens instantiation -------------------------------------------
 

@@ -7,7 +7,7 @@ happens later, scope by scope, because most names (local constants,
 loci, scheme placeholders) only acquire meaning inside the proof
 walker.
 
-An article is a sequence of proof steps, walked like the body of a
+An article is a sequence of proof steps, checked like the body of a
 ``now``.  A theorem is a `StProp` and a top-level ``deffunc`` or
 ``defpred`` is the step of that name.  `ItScheme`, `ItDefinition` and
 `ItRegistration` may appear only at the top level; propositions,

@@ -47,7 +47,6 @@ every clause refuted in a graph of its own.
 
 from __future__ import annotations
 
-import operator
 import random
 
 from micromizar.arith import ZERO, ComplexRational, Polynomial, p_atom, p_const, p_is_const, p_sort_key, p_sub
@@ -138,7 +137,6 @@ def named_of_type(ty: TypeExpr, env: list[str]):
         ty.mode,
         tuple(named_of_term(t, env) for t in ty.args),
         tuple(sorted(named_of_attr(a, env) for a in ty.lower)),
-        tuple(sorted(named_of_attr(a, env) for a in ty.upper)),
     )
 
 
@@ -191,10 +189,9 @@ def levels_of_attr(nt, names: dict[str, int]) -> Attr:
 
 
 def levels_of_type(nt, names: dict[str, int]) -> TypeExpr:
-    _, mode, args, lower, upper = nt
+    _, mode, args, lower = nt
     return TypeExpr(
         frozenset(levels_of_attr(a, names) for a in lower),
-        frozenset(levels_of_attr(a, names) for a in upper),
         mode,
         tuple(levels_of_term(a, names) for a in args),
     )
@@ -246,7 +243,7 @@ def gen_type(rng: random.Random, pool: int, budget: int) -> TypeExpr:
         for _ in range(rng.randrange(2))
     )
     args = tuple(gen_term(rng, pool, budget - 1) for _ in range(rng.randrange(2)))
-    return TypeExpr(attrs, attrs, rng.randrange(2), args)
+    return TypeExpr(attrs, rng.randrange(2), args)
 
 
 def gen_formula(rng: random.Random, pool: int, budget: int) -> Formula:
@@ -506,12 +503,10 @@ def _diff_type(a: TypeExpr, b: TypeExpr, tr: _PairTracker, depth: int) -> TypeEx
     if a.mode != b.mode or len(a.args) != len(b.args):
         raise NonNumericBound("endpoints differ in a type, not a term")
     la, lb = sorted(a.lower, key=tr.attr_order), sorted(b.lower, key=tr.attr_order)
-    ua, ub = sorted(a.upper, key=tr.attr_order), sorted(b.upper, key=tr.attr_order)
-    if len(la) != len(lb) or len(ua) != len(ub):
+    if len(la) != len(lb):
         raise NonNumericBound("endpoints differ in a type, not a term")
     return TypeExpr(
         frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(la, lb)),
-        frozenset(_diff_attr(x, y, tr, depth) for x, y in zip(ua, ub)),
         a.mode,
         tuple(_diff_term(x, y, tr, depth) for x, y in zip(a.args, b.args)),
     )
@@ -690,11 +685,9 @@ def reference_formula_equal(a: Formula, b: Formula, mode) -> bool:
             return False
 
 
-def reference_match_scheme(
-    scheme: Scheme, cited: tuple[Formula, ...], goal: Formula, same=operator.eq
-) -> SchemeAssignment:
-    """``schematizer.match_scheme`` with its own walk over the pattern.
-    `same` compares each rebuilt instance with the one cited or proved."""
+def reference_match_scheme(scheme: Scheme, cited: tuple[Formula, ...], goal: Formula) -> SchemeAssignment:
+    """``schematizer.match_scheme`` with its own walk over the pattern;
+    each rebuilt instance must equal the one cited or proved."""
     if len(cited) != len(scheme.premises):
         raise SchemeMatchError(PREMISE_COUNT, scheme.name)
     m = _ReferenceMatcher(scheme)
@@ -705,7 +698,7 @@ def reference_match_scheme(
         pairs = [(scheme.conclusion, goal), *zip(scheme.premises, cited)]
         for pat, subj in pairs:
             rebuilt = apply_assignment(pat, m.out)
-            assert same(_strip(rebuilt), _strip(subj)), "assignment does not reproduce the instance"
+            assert _strip(rebuilt) == _strip(subj), "assignment does not reproduce the instance"
     return m.out
 
 
@@ -914,11 +907,10 @@ def _map_attr(a: Attr, fn) -> Attr:
 
 
 def _map_type(ty: TypeExpr, fn) -> TypeExpr:
-    if not ty.args and not any(a.args for a in ty.lower) and not any(a.args for a in ty.upper):
+    if not ty.args and not any(a.args for a in ty.lower):
         return ty
     return TypeExpr(
         frozenset([_map_attr(a, fn) for a in ty.lower]),
-        frozenset([_map_attr(a, fn) for a in ty.upper]),
         ty.mode,
         _map_args(ty.args, fn),
     )
@@ -995,7 +987,7 @@ _REF_CHILDREN = {
     Choice: lambda n: (n.ty,),
     Fraenkel: lambda n: (*n.binders, n.body, n.guard),
     Attr: lambda n: n.args,
-    TypeExpr: lambda n: (*n.args, *n.lower, *n.upper),
+    TypeExpr: lambda n: (*n.args, *n.lower),
     FTrue: lambda n: (),
     ThesisMarker: lambda n: (),
     Neg: lambda n: (n.body,),
@@ -1303,7 +1295,7 @@ class ReferenceGraph(EqGraph):
 
     def _assume_type_expr(self, rep: int, ty: TypeExpr) -> None:
         self._add_type(rep, ty.mode, self._interned(ty.args))
-        for s, aid, args in self._attr_entries(self.db.round_up(ty).upper):
+        for s, aid, args in self._attr_entries(self.db.round_up(ty)):
             self._add_attr(rep, s, aid, args)
 
     def _value_pass(self) -> bool:

@@ -185,8 +185,8 @@ theorem 1 = 1 from Mp(L);
 
 def test_scheme_used_after_a_cluster_widened_its_types(check):
     # the cluster rounds `Z set` up to `Z empty set` only after the scheme
-    # was stored, so the instance's binder type has more rounded-up
-    # adjectives than the scheme's; instances are matched as written
+    # was stored; a type holds only what was written, so the instance's
+    # binder type is still the scheme's
     assert check(
         """definition
   let a be set;
@@ -282,6 +282,48 @@ end;
 theorem for a being Z set holds a is empty;
 """
     ) == []
+
+
+def test_a_choice_written_before_a_cluster_is_the_one_written_after(check):
+    # `the Z set` in P and in the theorems is one term, though the cluster
+    # between them rounds `Z set` up to `Z W set`; only P, which cites
+    # nothing, fails
+    assert check(
+        """definition
+  let a be set;
+  attr a is Z means :DZ: a = {};
+end;
+definition
+  let a be set;
+  attr a is W means :DW: a c= a;
+end;
+definition
+  let a be set;
+  pred R(a) means :DR: a = {};
+end;
+registration
+  cluster Z set;
+  existence
+  proof
+    take {};
+    A: {} = {};
+    thus {} is Z by A, DZ;
+  end;
+end;
+P: R(the Z set);
+registration
+  cluster Z -> W for set;
+  coherence
+  proof
+    let a be Z set;
+    A: a = {} by DZ;
+    thus a is W by A, DW;
+  end;
+end;
+theorem R(the Z set) by P;
+theorem for x being set st x = the Z set holds R(x) by P;
+"""
+    ) == [(61, 23)]
 
 
 def test_cited_universal_proves_its_restatement_over_union(check):

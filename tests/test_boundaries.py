@@ -10,8 +10,9 @@ unifier's search evaluates instances without building them, save a
 flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
-writer of the congruence graph's fact tables, and only the upkeep of
-its polynomial table computes a normal form.  ``parse_article`` looks
+writer of the congruence graph's fact tables, only the upkeep of
+its polynomial table computes a normal form, and only ``subtyping`` and
+the resolver's contradiction check round a type up.  ``parse_article`` looks
 ``tokenize`` up in the parser module's namespace at each call, which is
 where a tracer wraps it, and the parser never rewinds its tokens."""
 
@@ -396,6 +397,37 @@ def test_only_the_table_upkeep_computes_normal_forms():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "poly"
     ]
     assert {name for name, _ in calls} == POLY_UPKEEP
+
+
+# A type is what was written, and its rounded-up cluster is a fact of the
+# definition database, which grows as the article registers clusters: a
+# caller reads it through ``subtype`` or ``adjectives``, and only the
+# resolver asks for it, to reject a written type that contradicts itself.
+MAY_ROUND = "resolver.py:Resolver._checked"
+
+
+def round_up_calls(path: pathlib.Path) -> list[str]:
+    """``file:Class.function`` around each call of ``round_up`` in `path`."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "round_up":
+                out.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return out
+
+
+def test_only_subtyping_and_the_contradiction_check_round_a_type():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in round_up_calls(path)]
+    assert MAY_ROUND in hits
+    assert [hit for hit in hits if hit != MAY_ROUND and not hit.startswith("subtyping.py:")] == []
 
 
 def test_parse_article_calls_the_parser_modules_tokenize(monkeypatch):

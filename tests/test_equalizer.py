@@ -243,7 +243,7 @@ def test_powerset_membership_types(req_all):
     pow_b = FunctorApp(req.require("PowerSet"), (b,))
     lits = [
         member(req, x, a),
-        Qual(a, TypeExpr(FS, FS, elem, (pow_b,))),
+        Qual(a, TypeExpr(FS, elem, (pow_b,))),
     ]
     g = run_clause(req, lits, {0: req.set_type(), 1: req.set_type(), 2: req.set_type()})
     assert not g.contradiction
@@ -258,7 +258,7 @@ def test_membership_from_nonempty_element_type(req_all):
     x, a = const(0), const(1)
     elem = req.require("Element")
     lits = [
-        Qual(x, TypeExpr(FS, FS, elem, (a,))),
+        Qual(x, TypeExpr(FS, elem, (a,))),
         Is(a, Attr(False, req.require("Empty"))),
         Neg(member(req, x, a)),
     ]
@@ -500,7 +500,7 @@ def test_a_merged_class_lists_each_type_once(req_all):
     elem = req.require("Element")
     g = EqGraph(DefinitionDb(req))
     for x, a in ((0, 2), (1, 2), (1, 3)):
-        g.assume(Qual(const(x), TypeExpr(FS, FS, elem, (const(a),))))
+        g.assume(Qual(const(x), TypeExpr(FS, elem, (const(a),))))
     g.assume(eq(req, const(0), const(1)))
     x, a, b = (g.lookup(const(i)) for i in (0, 2, 3))
     assert list(g.types[x]) == [(elem, (a,)), (elem, (b,))]
@@ -538,10 +538,10 @@ def test_lookup_finds_what_intern_made_and_makes_nothing(req_all):
 def test_an_opaque_term_is_keyed_by_the_classes_of_its_closed_parts(req_all):
     req = req_all
     elem, powerset = req.require("Element"), req.require("PowerSet")
-    element_of = lambda a: Choice(TypeExpr(FS, FS, elem, (a,)))  # noqa: E731
+    element_of = lambda a: Choice(TypeExpr(FS, elem, (a,)))  # noqa: E731
     # { x where x being Element of a : x in a }, under `depth` binders
     fraenkel = lambda a, depth: Fraenkel(  # noqa: E731
-        (TypeExpr(FS, FS, elem, (a,)),), bound(depth), member(req, bound(depth), a)
+        (TypeExpr(FS, elem, (a,)),), bound(depth), member(req, bound(depth), a)
     )
     g = EqGraph(DefinitionDb(req))
     choice = g.intern(element_of(FunctorApp(powerset, (const(0),))))
@@ -565,7 +565,7 @@ def test_an_opaque_key_does_not_depend_on_the_order_of_a_set(req_all):
     req = req_all
     attrs = [Attr(True, 100 + k, (const(k),)) for k in range(16)]
     a, b = next((a, b) for a in attrs for b in attrs if list(frozenset([a, b])) != list(frozenset([b, a])))
-    one, two = (Choice(TypeExpr(s, s, req.require("Set"))) for s in (frozenset([a, b]), frozenset([b, a])))
+    one, two = (Choice(TypeExpr(s, req.require("Set"))) for s in (frozenset([a, b]), frozenset([b, a])))
     assert split_closed(one, 0) == split_closed(two, 0)
     g = EqGraph(DefinitionDb(req))
     assert g.intern(one) == g.intern(two)
@@ -835,7 +835,7 @@ def random_mixed_clause(req, rng: random.Random) -> tuple[list, dict]:
         elif kind == 3:
             attrs = frozenset(adjective() for _ in range(rng.randint(1, 2)))
             mode, args = rng.choice([(req.require("Set"), ()), (req.require("Element"), (term(0),))])
-            lit = Qual(term(), TypeExpr(attrs, attrs, mode, args))
+            lit = Qual(term(), TypeExpr(attrs, mode, args))
         elif kind == 4:
             lit = member(req, term(), term())
         else:

@@ -38,7 +38,7 @@ from micromizar.logic import (
 )
 from micromizar.requirements import enable_groups
 
-SET = TypeExpr(frozenset(), frozenset(), 1)
+SET = TypeExpr(frozenset(), 1)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_infer_rejects_shape_mismatches(req_all, ids):
 
 
 def test_infer_rejects_type_level_differences(req_all):
-    other = TypeExpr(frozenset(), frozenset(), 0)
+    other = TypeExpr(frozenset(), 0)
     with pytest.raises(NonNumericBound):
         infer_flex_from_diff(Qual(const(0), SET), Qual(const(0), other), req_all)
 
@@ -154,7 +154,7 @@ def test_infer_pairs_adjectives_in_argument_order(req_all):
     # how the arguments print, which put 12 before 9
     def p_type(*ks):
         attrs = frozenset(Attr(True, 7, (n(k),)) for k in ks)
-        return TypeExpr(attrs, attrs, 1)
+        return TypeExpr(attrs, 1)
 
     left, right = Qual(const(0), p_type(9, 12)), Qual(const(0), p_type(10, 12))
     fc = infer_flex_from_diff(left, right, req_all)

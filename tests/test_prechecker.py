@@ -261,12 +261,12 @@ class DnfGen:
         outer = (bound(r.randrange(depth)),)
         mode = req.set_type().mode
         if pick == 3:
-            return TypeExpr(FS, FS, mode, outer), True  # inhabited by fiat
+            return TypeExpr(FS, mode, outer), True  # inhabited by fiat
         if pick == 4:
             lower = frozenset([self.nat])
-            return TypeExpr(lower, lower, mode, outer), True
+            return TypeExpr(lower, mode, outer), True
         lower = frozenset([Attr(True, self.nat.attr_id, outer)])
-        return TypeExpr(lower, lower, mode), True
+        return TypeExpr(lower, mode), True
 
     def formula(self, depth: int, budget: int):
         r = self.rng
@@ -424,7 +424,7 @@ def test_expandable_mode_unfolds(db, req_all):
     db.modes[mid] = ModeDef(
         0, req.set_type(), le(req, locus(0), locus(0)), expandable=True
     )
-    goal = Qual(const(0), TypeExpr(FS, FS, mid))
+    goal = Qual(const(0), TypeExpr(FS, mid))
     j = justify(db, [le(req, const(0), const(0))], goal, {0: req.set_type()})
     assert j.accepted
 
@@ -596,7 +596,7 @@ def test_a_local_witness_does_not_refute_the_other_branches(db, req_all, monkeyp
     req = req_all
     empty_set = FunctorApp(req.require("EmptySet"), ())
     non_p = frozenset([Attr(True, req.require("Empty")), Attr(False, 500)])
-    witness = TypeExpr(non_p, non_p, req.set_type().mode, ())
+    witness = TypeExpr(non_p, req.set_type().mode, ())
     premises = [
         Is(empty_set, Attr(True, 500)),
         mk_or([mk_exists(witness, Pred(100, (bound(0),))), Pred(101, (const(0),))]),

@@ -25,7 +25,7 @@ from micromizar.logic import (
 from micromizar.parser import parse_article
 from micromizar.resolver import PrivDef, Resolver, Scope
 from micromizar.requirements import enable_groups
-from micromizar.subtyping import DefinitionDb, ExistentialCluster
+from micromizar.subtyping import DefinitionDb
 
 
 @pytest.fixture
@@ -184,7 +184,10 @@ def test_dollar_args_resolve_to_loci(resolver, scope):
 def test_type_round_up_applies_builtin_sign_clusters(resolver):
     ty = resolver.type_expr(parse_type("positive Nat"))
     neg = resolver.req.require("Negative")
-    assert Attr(False, neg) in ty.upper
+    assert Attr(False, neg) in resolver.db.round_up(ty)
+    # the type itself is what was written
+    nat = resolver.req.nat_type()
+    assert ty == TypeExpr(nat.lower | {Attr(True, resolver.req.require("Positive"))}, nat.mode)
 
 
 def test_guarded_forall_nests_guard_inside(resolver):
@@ -196,9 +199,7 @@ def test_guarded_forall_nests_guard_inside(resolver):
 
 def test_fraenkel_and_choice_terms(resolver, scope):
     empty = scope.req.require("Empty")
-    scope.db.existential.append(
-        ExistentialCluster(frozenset([Attr(False, empty)]), scope.req.set_type())
-    )
+    scope.db.existential.append(TypeExpr(frozenset([Attr(False, empty)]), scope.req.set_type().mode))
     f = rf(resolver, "the non empty set in { x where x being Nat : x = x }")
     member, collection = f.args
     assert member.ty.mode == resolver.req.require("Set")

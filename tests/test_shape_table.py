@@ -52,16 +52,17 @@ def kernel_classes() -> set[type]:
 
 
 def shape_faults(kind: type, shape) -> list[str]:
-    """Fields of `kind` the shape leaves out or names twice, and fields it
-    walks without comparing them, bar the one declared (``TypeExpr.upper``)."""
+    """Fields of `kind` the shape leaves out or names twice, and fields the
+    single-tree walks visit (``shape.fields``) that ``zip_nodes`` does not
+    compare as children."""
     fields = [f.name for f in dataclasses.fields(kind)]
-    listed = [*(shape.head or ()), *shape.walked]
+    listed = [*(shape.head or ()), *shape.children]
     name = kind.__name__
     faults = [f"{name}.{f} is not in the table" for f in fields if f not in listed]
     faults += [f"{name}.{f} is listed twice" for f in set(listed) if listed.count(f) > 1]
     faults += [f"{name} names {f}, no field" for f in listed if f not in fields]
-    uncompared = [f for f in shape.walked if f not in shape.children]
-    if uncompared != (["upper"] if kind is TypeExpr else []):
+    uncompared = [f for f, child in shape.fields if child and f not in shape.children]
+    if uncompared:
         faults.append(f"{name} walks {uncompared} without comparing")
     return faults
 
@@ -74,6 +75,17 @@ def test_every_kernel_node_kind_has_a_shape():
 def test_a_field_missing_from_the_table_is_found():
     grown = dataclasses.make_dataclass("Pred", [("pred", int), ("args", tuple), ("weight", int)])
     assert shape_faults(grown, logic._SHAPE[Pred]) == ["Pred.weight is not in the table"]
+
+
+def test_a_field_walked_without_comparing_is_found():
+    grown = dataclasses.make_dataclass("Pred", [("pred", int), ("args", tuple), ("weight", int)])
+    shape = logic._Shape(("pred",), ("args",))
+    shape.bind(grown)
+    shape.fields = tuple((f, child or f == "weight") for f, child in shape.fields)
+    assert shape_faults(grown, shape) == [
+        "Pred.weight is not in the table",
+        "Pred walks ['weight'] without comparing",
+    ]
 
 
 def test_only_the_thesis_marker_pairs_with_nothing():

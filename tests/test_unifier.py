@@ -161,7 +161,7 @@ def test_a_qual_instance_can_intern_its_type_arguments(req_all):
     # "x is Element of bool x": class_satisfies interns each instance's
     # type argument, so the search adds bool c0 and bool {} to the graph
     req = req_all
-    element = TypeExpr(FSET, FSET, req.require("Element"), (FunctorApp(req.require("PowerSet"), (bound(0),)),))
+    element = TypeExpr(FSET, req.require("Element"), (FunctorApp(req.require("PowerSet"), (bound(0),)),))
     lits = [ForAll(req.set_type(), Qual(bound(0), element))]
     g = refute_clause(DefinitionDb(req), lits, {0: req.set_type()})
     assert len(g.nodes) == 2  # c0 and {}
@@ -178,7 +178,7 @@ def test_a_term_the_search_interns_is_seen_by_later_lookups(req_all):
     # type, so the second conjunct is false in the very same instance
     req = req_all
     seven_is_natural = Is(Numeral(7), Attr(True, req.require("Natural")))
-    element = TypeExpr(FSET, FSET, req.require("Element"), (Numeral(7),))
+    element = TypeExpr(FSET, req.require("Element"), (Numeral(7),))
     lits = [ForAll(req.set_type(), mk_and([Qual(bound(0), element), mk_neg(seven_is_natural)]))]
     g = refute_clause(DefinitionDb(req), lits, {0: req.set_type()})
     assert len(g.nodes) == 2

@@ -76,7 +76,7 @@ class Gen:
         self.kinds: Counter = Counter()
 
     def type_(self, mode: str, *args) -> TypeExpr:
-        return TypeExpr(NONE, NONE, self.req.require(mode), tuple(args))
+        return TypeExpr(NONE, self.req.require(mode), tuple(args))
 
     def var(self, pool: int):
         if pool:
@@ -153,7 +153,7 @@ class Gen:
             lower = frozenset([Attr(rng.random() < 0.5, req.require("Empty"))]) if rng.random() < 0.5 else NONE
             mode = rng.choice(("Element", "Set"))
             args = (self.var(pool),) if mode == "Element" else ()
-            return Qual(t(), TypeExpr(lower, lower, req.require(mode), args))
+            return Qual(t(), TypeExpr(lower, req.require(mode), args))
         return FlexAnd(self.flex(self.var(pool)))
 
     def formula(self, pool: int, budget: int):
