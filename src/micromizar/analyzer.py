@@ -145,7 +145,6 @@ class Analyzer:
         *,
         flex_mode: FlexMode = FlexMode.STRICT,
         trace: list[str] | None = None,
-        article_name: str = "",
     ):
         self.req = req
         self.db = db if db is not None else DefinitionDb(req)
@@ -156,7 +155,6 @@ class Analyzer:
         self.formatter = Formatter(self.scope)
         self.errors: list[VerifyError] = []
         self.labels: dict[str, Formula] = {}
-        self.ctypes: dict[int, TypeExpr] = {}  # by constant id; survives shadowing
         self.defined: list[tuple[int, Term]] = []  # constants introduced with := t
         self.schemes: dict[str, Scheme] = {}
         self.scheme_results: dict[int, TypeExpr] = {}
@@ -164,7 +162,6 @@ class Analyzer:
         self.loci_types: list[TypeExpr] = []
         self.prev: Formula | None = None
         self.trace = trace
-        self.article_name = article_name
         # each item lost to a checker fault: the exception's repr and the
         # place it was raised (not the exception, whose traceback would
         # keep every frame of the failed check alive)
@@ -256,7 +253,7 @@ class Analyzer:
             for cid, t in self.defined:
                 premises.append(Pred(eq, (const(cid), t)))
         premises.extend(self.scheme_premises)
-        res = self.checker.justify(premises, goal, dict(self.ctypes), self.scope.next_const)
+        res = self.checker.justify(premises, goal, self.scope.const_types)
         if self.trace is not None:
             self._emit_trace(goal, res, pos)
         if res.too_large:
@@ -265,9 +262,8 @@ class Analyzer:
             self.errors.append(VerifyError(pos, 67 if res.limited else 61))
 
     def _new_const(self, name: str, ty: TypeExpr) -> int:
-        c = self.scope.fresh_const()
-        self.scope.consts[name] = (c, ty)
-        self.ctypes[c] = ty
+        c = self.scope.fresh_const(ty)
+        self.scope.consts[name] = c
         return c
 
     def _emit_trace(self, goal: Formula, res, pos: Pos) -> None:
@@ -279,7 +275,7 @@ class Analyzer:
             branches = [mk_neg(c) for c in prepared.body.conjuncts]
         else:
             branches = [prepared]
-        where = f"{self.article_name}:{SourcePos(*pos)}"
+        where = str(SourcePos(*pos))
         for i, branch in enumerate(branches):
             self.trace.extend(self.formatter.trace_refuting(i, where, branch, res.skolems))
 
@@ -511,7 +507,7 @@ class Analyzer:
         ``assume`` and ``thus`` act differently here, recording the
         export; steps that need a thesis are rejected."""
         mark = self._mark()
-        first_fresh = self.scope.next_const
+        first_fresh = len(self.scope.const_types)
         saved_prev, self.prev = self.prev, None
         exports: list[tuple] = []  # ("let", cid, ty, level) | ("assume"/"thus", f, depth)
         lets_seen = 0
@@ -548,12 +544,13 @@ class Analyzer:
                 case ("let", cid, ty, level):
                     if acc is not None:
                         acc = ForAll(ty, replace_term(acc, const(cid), bound(level)))
+        fresh = range(first_fresh, len(self.scope.const_types))  # before the reset drops them
         self._reset(mark)
         self.prev = saved_prev
         if acc is None:
             self.errors.append(VerifyError(end_pos, 70))
             return TRUE
-        for cid in range(first_fresh, self.scope.next_const):
+        for cid in fresh:
             if uses_const(acc, cid):
                 # a consider/reconsider constant escaped its block
                 self.errors.append(VerifyError(end_pos, 51))
@@ -825,7 +822,7 @@ class Analyzer:
         req, db = self.req, self.db
         match t:
             case Var(VarKind.CONST, i):
-                return self.ctypes.get(i, req.set_type())
+                return self.scope.const_types[i]
             case Var(VarKind.LOCUS, i):
                 if i < len(self.loci_types):
                     return self.loci_types[i]

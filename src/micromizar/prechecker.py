@@ -105,13 +105,15 @@ class Prechecker:
         self,
         premises: list[Formula],
         conjecture: Formula,
-        const_types: dict[int, TypeExpr],
-        next_const: int,
+        const_types: list[TypeExpr],
     ) -> Justification:
-        self._next = max(next_const, *(i + 1 for i in const_types)) if const_types else next_const
+        """Refute the premises with the conjecture denied.  Constant i has
+        type ``const_types[i]``; those are every live constant, so the
+        skolem constants are numbered from ``len(const_types)``."""
+        self._next = len(const_types)
         skolems: list[tuple[int, TypeExpr]] = []
         f = mk_and([*[self._premise(p, skolems) for p in premises], self._prepared(mk_neg(conjecture), skolems)])
-        base_types = dict(const_types)
+        base_types = dict(enumerate(const_types))
         for idx, ty in skolems:
             base_types[idx] = ty
         count = self._count(f, 0, True)

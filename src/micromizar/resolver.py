@@ -134,7 +134,12 @@ class PrivDef:
 
 @dataclass
 class Scope:
-    """Everything a name can currently mean."""
+    """Everything a name can currently mean.
+
+    Constant i's type is ``const_types[i]``, its only record.  A constant
+    lives as long as the block that introduced it: `block_reset` drops
+    the names and types of the block's constants, and their ids are
+    handed out again to the constants of a later block."""
 
     req: RequirementTable
     db: DefinitionDb
@@ -142,7 +147,8 @@ class Scope:
     mode_names: dict[str, tuple[int, int]] = field(default_factory=dict)
     func_names: dict[tuple[str, int], int] = field(default_factory=dict)
     pred_names: dict[tuple[str, int], int] = field(default_factory=dict)
-    consts: dict[str, tuple[int, TypeExpr]] = field(default_factory=dict)
+    consts: dict[str, int] = field(default_factory=dict)
+    const_types: list[TypeExpr] = field(default_factory=list)
     loci: dict[str, int] = field(default_factory=dict)
     bound_names: list[str] = field(default_factory=list)
     priv_funcs: dict[str, PrivDef] = field(default_factory=dict)
@@ -154,13 +160,11 @@ class Scope:
     dollar_types: tuple[TypeExpr, ...] | None = None
     it_term: Term | None = None
     thesis_ok: bool = False
-    next_const: int = 0
     next_priv: dict[str, int] = field(default_factory=lambda: {"func": 0, "pred": 0})
 
-    def fresh_const(self) -> int:
-        out = self.next_const
-        self.next_const = out + 1
-        return out
+    def fresh_const(self, ty: TypeExpr) -> int:
+        self.const_types.append(ty)
+        return len(self.const_types) - 1
 
     def fresh_priv(self, kind: str) -> int:
         out = self.next_priv[kind]
@@ -172,16 +176,12 @@ class Scope:
             dict(self.consts),
             dict(self.priv_funcs),
             dict(self.priv_preds),
-            self.next_const,
+            len(self.const_types),
         )
 
     def block_reset(self, mark) -> None:
-        self.consts, self.priv_funcs, self.priv_preds, self.next_const = (
-            dict(mark[0]),
-            dict(mark[1]),
-            dict(mark[2]),
-            mark[3],
-        )
+        self.consts, self.priv_funcs, self.priv_preds = dict(mark[0]), dict(mark[1]), dict(mark[2])
+        del self.const_types[mark[3] :]
 
 
 class Resolver:
@@ -242,7 +242,7 @@ class Resolver:
             if sc.bound_names[lvl] == name:
                 return bound(lvl)
         if name in sc.consts:
-            return const(sc.consts[name][0])
+            return const(sc.consts[name])
         if name in sc.loci:
             return locus(sc.loci[name])
         return self.apply(name, (), pos)

@@ -1090,16 +1090,15 @@ class ReferencePrechecker(Prechecker):
         self,
         premises: list[Formula],
         conjecture: Formula,
-        const_types: dict[int, TypeExpr],
-        next_const: int,
+        const_types: list[TypeExpr],
     ) -> Justification:
-        self._next = max(next_const, *(i + 1 for i in const_types)) if const_types else next_const
+        self._next = len(const_types)
         f = mk_and([*premises, mk_neg(conjecture)])
         f = self._unfold(f, UNFOLD_FUEL)
         f = self._augment(f)
         skolems: list[tuple[int, TypeExpr]] = []
         f = self._skolemize_top(f, skolems)
-        base_types = dict(const_types)
+        base_types = dict(enumerate(const_types))
         for idx, ty in skolems:
             base_types[idx] = ty
         count = self._count(f, 0, True)

@@ -326,6 +326,52 @@ theorem for x being set st x = the Z set holds R(x) by P;
     ) == [(61, 23)]
 
 
+# `Z` is empty, `T` says so, and the last proof fixes a `Z set` that
+# dies with its block; lines 2-15
+DEAD_Z = """definition
+  let a be set;
+  attr a is Z means :DZ: contradiction;
+end;
+theorem T: for y being set holds y is non Z
+proof
+  let y be set;
+  thus y is non Z by DZ;
+end;
+theorem for a being Z set holds a = a
+proof
+  let a be Z set;
+  thus a = a;
+end;
+"""
+
+
+def test_a_dead_constant_types_no_later_obligation(check):
+    # the dead `a` is a `Z set`; with its type still about, `T` refutes
+    # that type and proves anything
+    assert check(DEAD_Z + "theorem 1 = 2 by T;\n") == [(61, 16)]
+
+
+def test_a_dead_constant_is_no_witness_of_a_cluster(check):
+    assert check(DEAD_Z + "registration\n  cluster Z set;\n  existence;\nend;\n") == [(61, 18)]
+
+
+def test_a_now_does_not_export_its_consider_constant(check):
+    # were `y` exported, `x` would take its id and `N` would say x = {}
+    assert check(
+        DEAD_Z
+        + """theorem for x being set holds x = {}
+proof
+  N: now
+    consider y being set such that Y: y = {};
+    thus y = {} by Y;
+  end;
+  let x be set;
+  thus x = {} by N;
+end;
+"""
+    ) == [(51, 21), (61, 23)]
+
+
 def test_cited_universal_proves_its_restatement_over_union(check):
     # the label is false (bool b is not b); the restatement citing it
     # needs "b \/ b = b" and the disequality to meet in one class
@@ -427,7 +473,7 @@ def test_trace_of_one_obligation(req_all):
     trace: list[str] = []
     assert errors(req_all, "theorem for a being set holds a c= a;\n", trace) == []
     assert trace[0] == "input: ∃ b0: set st"
-    assert "refuting 0 @ :2:1:" in trace
+    assert "refuting 0 @ 2:1:" in trace
 
 
 def test_a_search_out_of_tuples_is_67_not_61(check):
@@ -525,7 +571,7 @@ def test_a_multi_name_let_reads_the_earlier_constants_into_later_binders(req_all
 
     def recording(self, st, thesis):
         out = let(self, st, thesis)
-        left.append((self, out))
+        left.append((self, list(self.scope.const_types), out))
         return out
 
     monkeypatch.setattr(Analyzer, "_let", recording)
@@ -536,10 +582,10 @@ proof
 end;
 """
     assert errors(req_all, body) == []
-    [(analyzer, thesis)] = left
-    a, b, c = sorted(analyzer.ctypes)
-    assert analyzer.ctypes[b].args == (const(a),)
-    [bool_a] = analyzer.ctypes[c].args
+    [(analyzer, types, thesis)] = left
+    a, b, c = range(len(types))
+    assert types[b].args == (const(a),)
+    [bool_a] = types[c].args
     assert bool_a.args == (const(a),)
     assert analyzer.formatter.format_formula(thesis) == f"((c{c} c= c{a}) \u2228 (c{b} = c{b}))"
 

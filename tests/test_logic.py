@@ -304,10 +304,22 @@ def test_sort_keys_tell_apart_what_the_rank_leaves_out():
 def test_the_tie_keeps_every_order_of_the_rank():
     rng = random.Random(417)
     gen = Gen(rng, pattern=True)
+    # nodes that tie on the rank whatever the generator draws, 224 ordered
+    # pairs of them: proof-local functors that differ only in their
+    # expansion, Fraenkel terms that differ only in their guard, and
+    # adjectives over either
+    privs = [PrivFunc(0, (bound(0),), Numeral(k)) for k in range(8)]
+    fraenkels = [Fraenkel((SET,), bound(0), Pred(k, (bound(0),))) for k in range(8)]
+    fixed = [*privs, *fraenkels]
+    fixed_attrs = [Attr(True, 0, (t,)) for t in fixed]
+    for nodes, rank in [(fixed, orc.reference_term_key), (fixed_attrs, orc.reference_attr_key)]:
+        assert len({rank(n) for n in nodes[:8]}) == len({rank(n) for n in nodes[8:]}) == 1
     kinds = [
         (term_key, orc.reference_term_key, [gen.term(1, 3) for _ in range(500)]),
         (attr_key, orc.reference_attr_key, [gen.attr(1) for _ in range(150)]),
         (term_key, orc.reference_term_key, [Choice(gen.type(1, 2)) for _ in range(150)]),
+        (term_key, orc.reference_term_key, fixed),
+        (attr_key, orc.reference_attr_key, fixed_attrs),
     ]
     ties = 0
     for key, rank, nodes in kinds:

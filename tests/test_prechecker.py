@@ -56,11 +56,8 @@ def le(req, a, b):
     return Pred(req.require("LessOrEqual"), (a, b))
 
 
-def justify(db, premises, conjecture, consts=None, **kw):
-    pc = Prechecker(db, **kw)
-    consts = consts or {}
-    nxt = max(consts, default=-1) + 1
-    return pc.justify(premises, conjecture, consts, nxt)
+def justify(db, premises, conjecture, consts=(), **kw):
+    return Prechecker(db, **kw).justify(premises, conjecture, list(consts))
 
 
 def test_trivial_truth(db):
@@ -71,14 +68,14 @@ def test_trivial_truth(db):
 
 def test_premise_restates_goal(db, req_all):
     p = Pred(100, (const(0),))
-    j = justify(db, [p], p, {0: req_all.set_type()})
+    j = justify(db, [p], p, [req_all.set_type()])
     assert j.accepted
 
 
 def test_unrelated_goal_rejected(db, req_all):
     p = Pred(100, (const(0),))
     q = Pred(101, (const(0),))
-    j = justify(db, [p], q, {0: req_all.set_type()})
+    j = justify(db, [p], q, [req_all.set_type()])
     assert not j.accepted
     assert not j.too_large
 
@@ -86,7 +83,7 @@ def test_unrelated_goal_rejected(db, req_all):
 def test_conjunction_introduction(db, req_all):
     a = Pred(100, (const(0),))
     b = Pred(101, (const(0),))
-    j = justify(db, [a, b], mk_and([a, b]), {0: req_all.set_type()})
+    j = justify(db, [a, b], mk_and([a, b]), [req_all.set_type()])
     assert j.accepted
     assert j.clause_count == 2
 
@@ -94,7 +91,7 @@ def test_conjunction_introduction(db, req_all):
 def test_disjunction_elimination(db, req_all):
     a = Pred(100, (const(0),))
     b = Pred(101, (const(0),))
-    j = justify(db, [mk_or([a, b]), mk_neg(a)], b, {0: req_all.set_type()})
+    j = justify(db, [mk_or([a, b]), mk_neg(a)], b, [req_all.set_type()])
     assert j.accepted
 
 
@@ -110,14 +107,14 @@ def test_arithmetic_goal(db, req_all):
 def test_universal_elimination(db, req_all):
     req = req_all
     fa = ForAll(req.set_type(), Pred(100, (bound(0),)))
-    j = justify(db, [fa], Pred(100, (const(0),)), {0: req.set_type()})
+    j = justify(db, [fa], Pred(100, (const(0),)), [req.set_type()])
     assert j.accepted
 
 
 def test_existential_introduction(db, req_all):
     req = req_all
     goal = mk_exists(req.set_type(), Pred(100, (bound(0),)))
-    j = justify(db, [Pred(100, (const(0),))], goal, {0: req.set_type()})
+    j = justify(db, [Pred(100, (const(0),))], goal, [req.set_type()])
     assert j.accepted
 
 
@@ -135,7 +132,7 @@ def test_implication_chaining(db, req_all):
     a = Pred(100, (const(0),))
     b = Pred(101, (const(0),))
     c = Pred(102, (const(0),))
-    j = justify(db, [mk_imp(a, b), mk_imp(b, c), a], c, {0: req.set_type()})
+    j = justify(db, [mk_imp(a, b), mk_imp(b, c), a], c, [req.set_type()])
     assert j.accepted
 
 
@@ -159,7 +156,7 @@ def test_clause_cap_reports_overflow(db, req_all):
     x = const(0)
     lits = [mk_or([Pred(100 + i, (x,)), Pred(200 + i, (x,))]) for i in range(5)]
     j = justify(
-        db, lits, Pred(999, (x,)), {0: req.set_type()}, clause_cap=8
+        db, lits, Pred(999, (x,)), [req.set_type()], clause_cap=8
     )
     assert j.too_large
     assert not j.accepted
@@ -171,7 +168,7 @@ def disjunction(n: int, base: int = 100):
 
 @pytest.mark.parametrize("k", [1, 2, 6, 7])
 def test_clause_cap_boundary(db, req_all, k):
-    consts = {0: req_all.set_type()}
+    consts = [req_all.set_type()]
     goal = Pred(999, (const(0),))
     at_cap = justify(db, [disjunction(k)], goal, consts, clause_cap=k)
     assert not at_cap.too_large
@@ -183,7 +180,7 @@ def test_clause_cap_boundary(db, req_all, k):
 
 
 def test_clause_cap_boundary_on_a_product(db, req_all):
-    consts = {0: req_all.set_type()}
+    consts = [req_all.set_type()]
     goal = Pred(999, (const(0),))
     six = [disjunction(2), disjunction(3, 200)]
     assert justify(db, six, goal, consts, clause_cap=6).clause_count == 6
@@ -196,7 +193,7 @@ def test_an_overflow_builds_no_clause(db, req_all, monkeypatch):
 
     monkeypatch.setattr(Prechecker, "_to_dnf", no_clauses)
     lits = [disjunction(2, 100 + 2 * i) for i in range(40)]  # 2**40 clauses
-    j = justify(db, lits, Pred(999, (const(0),)), {0: req_all.set_type()})
+    j = justify(db, lits, Pred(999, (const(0),)), [req_all.set_type()])
     assert j.too_large
     assert not j.accepted
     assert j.clause_count == 0
@@ -211,7 +208,7 @@ def test_a_rejection_stops_at_the_first_surviving_clause(db, req_all, monkeypatc
 
     clause_refuted = prechecker.clause_refuted
     monkeypatch.setattr(prechecker, "clause_refuted", counting)
-    consts = {0: req_all.set_type()}
+    consts = [req_all.set_type()]
     j = justify(db, [disjunction(2), disjunction(3, 200)], Pred(999, (const(0),)), consts)
     assert not j.accepted
     assert j.clause_count == 6
@@ -334,7 +331,7 @@ def test_equality_carries_inclusions(db, req_all):
         db,
         [eq(req, a, b)],
         Pred(req.require("Subset"), (a, b)),
-        {0: req.set_type(), 1: req.set_type()},
+        [req.set_type(), req.set_type()],
     )
     assert j.accepted
 
@@ -344,7 +341,7 @@ def test_disequality_denies_mutual_inclusion(db, req_all):
     a, b = const(0), const(1)
     sub = req.require("Subset")
     goal = mk_neg(mk_and([Pred(sub, (a, b)), Pred(sub, (b, a))]))
-    j = justify(db, [mk_neg(eq(req, a, b))], goal, {0: req.set_type(), 1: req.set_type()})
+    j = justify(db, [mk_neg(eq(req, a, b))], goal, [req.set_type(), req.set_type()])
     assert j.accepted
 
 
@@ -373,7 +370,7 @@ def test_symbolic_flex_needs_matching_bounds(db, req_all):
     nine = Numeral(9)
     f1 = infer_flex_from_diff(le(req, Numeral(0), nine), le(req, n, nine), req)
     f2_same = infer_flex_from_diff(le(req, Numeral(0), nine), le(req, n, nine), req)
-    consts = {0: req.nat_type()}
+    consts = [req.nat_type()]
     j = justify(db, [FlexAnd(f1)], FlexAnd(f2_same), consts)
     assert j.accepted
     f3_shifted = infer_flex_from_diff(le(req, Numeral(1), nine), le(req, n, nine), req)
@@ -384,7 +381,7 @@ def test_symbolic_flex_needs_matching_bounds(db, req_all):
 def test_compat_mode_is_looser_on_flex(db, req_all):
     req = req_all
     n = const(0)
-    consts = {0: req.nat_type()}
+    consts = [req.nat_type()]
     base = le(req, Numeral(0), n)
     f1 = infer_flex_from_diff(base, base, req)
     i = bound(0)
@@ -404,7 +401,7 @@ def test_private_predicate_unfolds(db, req_all):
     x = const(0)
     body = le(req, x, Numeral(9))
     pp = PrivPred(0, (x,), body)
-    j = justify(db, [pp], body, {0: req.set_type()})
+    j = justify(db, [pp], body, [req.set_type()])
     assert j.accepted
 
 
@@ -414,7 +411,7 @@ def test_expandable_adjective_unfolds(db, req_all):
     db.attrs[aid] = AttrDef(
         0, req.set_type(), eq(req, locus(0), locus(0)), expandable=True
     )
-    j = justify(db, [], Is(const(0), Attr(True, aid)), {0: req.set_type()})
+    j = justify(db, [], Is(const(0), Attr(True, aid)), [req.set_type()])
     assert j.accepted
 
 
@@ -425,7 +422,7 @@ def test_expandable_mode_unfolds(db, req_all):
         0, req.set_type(), le(req, locus(0), locus(0)), expandable=True
     )
     goal = Qual(const(0), TypeExpr(FS, mid))
-    j = justify(db, [le(req, const(0), const(0))], goal, {0: req.set_type()})
+    j = justify(db, [le(req, const(0), const(0))], goal, [req.set_type()])
     assert j.accepted
 
 
@@ -438,7 +435,7 @@ def test_expandable_predicate_unfolds(db, req_all):
         db,
         [Pred(pid, (x, y))],
         le(req, x, y),
-        {0: req.set_type(), 1: req.set_type()},
+        [req.set_type(), req.set_type()],
     )
     assert j.accepted
 
@@ -455,7 +452,7 @@ def test_skolem_types_feed_the_clause(db, req_all):
 
 def test_prepared_formula_is_reported(db, req_all):
     req = req_all
-    j = justify(db, [Pred(100, (const(0),))], Pred(100, (const(0),)), {0: req.set_type()})
+    j = justify(db, [Pred(100, (const(0),))], Pred(100, (const(0),)), [req.set_type()])
     assert j.prepared is not None
 
 
@@ -463,12 +460,12 @@ def test_prepared_formula_is_reported(db, req_all):
 # cited universals are prepared once
 
 
-def twice(db, premises, goal, consts, nxt):
+def twice(db, premises, goal, consts):
     """A second use of `premises` on one prechecker, the prechecker, and a
     fresh prechecker's answer to the same obligation."""
     pc = Prechecker(db)
-    pc.justify(premises, goal, consts, nxt)
-    return pc.justify(premises, goal, consts, nxt), pc, Prechecker(db).justify(premises, goal, consts, nxt)
+    pc.justify(premises, goal, consts)
+    return pc.justify(premises, goal, consts), pc, Prechecker(db).justify(premises, goal, consts)
 
 
 def test_a_second_use_of_a_cited_universal_is_prepared_as_the_first(db, req_all, monkeypatch):
@@ -478,12 +475,12 @@ def test_a_second_use_of_a_cited_universal_is_prepared_as_the_first(db, req_all,
     fa = ForAll(st, mk_imp(Pred(100, (bound(0),)), eq(req, bound(0), c0)))
     have = mk_exists(st, Pred(100, (bound(0),)))
     goal = mk_exists(st, eq(req, bound(0), c0))
-    again, pc, fresh = twice(db, [have, fa], goal, {0: st}, 1)
+    again, pc, fresh = twice(db, [have, fa], goal, [st])
     assert again == fresh and again.accepted and len(again.skolems) == 1
     assert [entry[0] for entry in pc._cited.values()] == [fa]
     unfolded = []
     monkeypatch.setattr(pc, "_unfold", lambda f, fuel: unfolded.append(f) or Prechecker._unfold(pc, f, fuel))
-    assert pc.justify([have, fa], goal, {0: st}, 1) == fresh
+    assert pc.justify([have, fa], goal, [st]) == fresh
     assert fa not in unfolded
 
 
@@ -493,10 +490,10 @@ def test_a_definition_made_after_a_use_is_unfolded_at_the_next(db, req_all):
     pid = db.fresh_id("pred")
     fa = ForAll(st, Pred(pid, (bound(0),)))
     pc = Prechecker(db)
-    assert not pc.justify([fa], Pred(100, (c0,)), {0: st}, 1).accepted
+    assert not pc.justify([fa], Pred(100, (c0,)), [st]).accepted
     db.preds[pid] = PredDef(1, Pred(100, (locus(0),)), expandable=True)
-    j = pc.justify([fa], Pred(100, (c0,)), {0: st}, 1)
-    assert j.accepted and j == Prechecker(db).justify([fa], Pred(100, (c0,)), {0: st}, 1)
+    j = pc.justify([fa], Pred(100, (c0,)), [st])
+    assert j.accepted and j == Prechecker(db).justify([fa], Pred(100, (c0,)), [st])
 
 
 def test_only_a_cited_universal_is_kept(db, req_all):
@@ -504,7 +501,7 @@ def test_only_a_cited_universal_is_kept(db, req_all):
     st, c0 = req.set_type(), const(0)
     premises = [Pred(100, (c0,)), mk_and([Pred(101, (c0,)), Pred(102, (c0,))]), mk_exists(st, Pred(103, (bound(0),)))]
     pc = Prechecker(db)
-    pc.justify(premises, Pred(104, (c0,)), {0: st}, 1)
+    pc.justify(premises, Pred(104, (c0,)), [st])
     assert pc._cited == {}
     # in an article: a linked atomic step and the cited universal
     art, errs = parse_article(
@@ -529,7 +526,7 @@ def test_a_vacuous_universal_premise_is_skolemized_at_every_use(db, req_all):
     # for x holds ex y st P[y]: dropping the vacuous binder leaves an existential
     fa = ForAll(st, mk_exists(st, Pred(100, (bound(1),))))
     goal = mk_exists(st, Pred(100, (bound(0),)))
-    again, pc, fresh = twice(db, [fa], goal, {}, 0)
+    again, pc, fresh = twice(db, [fa], goal, [])
     assert again == fresh and again.accepted and again.skolems == [(0, st)]
     assert [entry[3] for entry in pc._cited.values()] == [None]
 
@@ -564,7 +561,7 @@ def test_a_disequality_under_binders_is_in_every_clause(db, req_all):
     # s <> t with not s c= t, and with not t c= s; the reference augments
     # under the binders first, and its skolemized goal splits in three
     assert justify(db, [], goal).clause_count == 2
-    assert orc.ReferencePrechecker(db).justify([], goal, {}, 0).clause_count == 3
+    assert orc.ReferencePrechecker(db).justify([], goal, []).clause_count == 3
 
 
 def test_an_existential_equality_premise_makes_one_clause(db, req_all):
@@ -572,7 +569,7 @@ def test_an_existential_equality_premise_makes_one_clause(db, req_all):
     nat = req.nat_type()
     have = mk_exists(nat, eq(req, bound(0), const(0)))
     want = mk_exists(nat, Pred(req.require("Subset"), (bound(0), const(0))))
-    j = justify(db, [have], want, {0: nat})
+    j = justify(db, [have], want, [nat])
     assert j.clause_count == 1
     assert j.accepted
 
@@ -602,7 +599,7 @@ def test_a_local_witness_does_not_refute_the_other_branches(db, req_all, monkeyp
         mk_or([mk_exists(witness, Pred(100, (bound(0),))), Pred(101, (const(0),))]),
     ]
     graphs = graphs_built(monkeypatch)
-    j = justify(db, premises, Pred(102, (const(0),)), {0: req.set_type()})
+    j = justify(db, premises, Pred(102, (const(0),)), [req.set_type()])
     assert not j.accepted
     assert j.clause_count == 2
     assert [(g.contradiction, g.shared_refuted) for g in graphs] == [(True, False), (False, False)]
@@ -686,8 +683,8 @@ def test_the_shared_first_step_accepts_what_the_reference_accepts(db, req_all):
             cases.append((premises, goal, False))
     seen = collections.Counter()
     for premises, goal, flat_case in cases:
-        consts = {0: nat, 1: nat} if flat_case else {0: st, 1: st, 2: st}
-        want = orc.ReferencePrechecker(db).justify(premises, goal, consts, 3)
+        consts = [nat, nat] if flat_case else [st, st, st]
+        want = orc.ReferencePrechecker(db).justify(premises, goal, consts)
         got = justify(db, premises, goal, consts)
         assert got.accepted or not want.accepted, (premises, goal)
         if got.accepted and flat_case:

@@ -71,7 +71,7 @@ def test_inner_binder_shadows_outer(resolver):
 
 
 def test_consts_resolve_behind_binders(resolver, scope):
-    scope.consts["c"] = (scope.fresh_const(), scope.req.nat_type())
+    scope.consts["c"] = scope.fresh_const(scope.req.nat_type())
     f = rf(resolver, "for c being Nat holds c = c")
     assert f.body.args == (bound(0), bound(0))
     g = rf(resolver, "c = c")

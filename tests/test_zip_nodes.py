@@ -359,11 +359,27 @@ def match_outcome(fn, scheme, cited, goal):
     return out.predicates, out.functors
 
 
+# one pattern/subject pair per error code, given the scheme's
+# conclusion: the random trees reach code 62 about once in 2,000
+FIXED_MISMATCHES = [
+    # P[] is met once as P and once as not P
+    (62, mk_and([SchemePred(0, ()), mk_neg(SchemePred(0, ()))]), mk_and([Pred(3, ()), Pred(3, ())])),
+    # a placeholder predicate stands only for an atomic statement
+    (63, SchemePred(0, ()), ForAll(TypeExpr(frozenset(), 0, ()), Pred(3, (bound(0),)))),
+    # P[] is met as two predicates
+    (64, mk_and([SchemePred(0, ()), SchemePred(0, ())]), mk_and([Pred(3, ()), Pred(4, ())])),
+]
+
+
 def test_scheme_matching_agrees_with_the_reference():
     rng = random.Random(7)
     gen = Gen(rng, pattern=True)
     matched = 0
     codes = set()
+    for code, pattern, subject in FIXED_MISMATCHES:
+        args = (Scheme("S", (0, 1), (0, 1), (), pattern), (), subject)
+        assert match_outcome(match_scheme, *args) == match_outcome(orc.reference_match_scheme, *args) == code
+        codes.add(code)
     for _ in range(2000):
         pats = [gen.formula(0, 3) for _ in range(rng.randrange(1, 3))]
         asg = random_assignment(rng, gen.plain)
