@@ -301,20 +301,22 @@ class Analyzer:
         block's mark, is dropped when the block ends."""
         mark = self._mark()
         saved_prev, self.prev = self.prev, None
-        if case is not None:
-            cond, self.prev = case
-            if cond.label:
-                self._bind(cond.label, self.prev, cond.formula.pos)
-        for st in steps:
-            try:
-                thesis = self._step(st, thesis)
-            except MizarError as e:
-                self.errors.append(e.to_error())
-                self.prev = None
-        if not isinstance(thesis, FTrue):
-            self.errors.append(VerifyError(end_pos, 70))
-        self._reset(mark)
-        self.prev = saved_prev
+        try:  # a checker fault ends the block too: nothing it bound outlives it
+            if case is not None:
+                cond, self.prev = case
+                if cond.label:
+                    self._bind(cond.label, self.prev, cond.formula.pos)
+            for st in steps:
+                try:
+                    thesis = self._step(st, thesis)
+                except MizarError as e:
+                    self.errors.append(e.to_error())
+                    self.prev = None
+            if not isinstance(thesis, FTrue):
+                self.errors.append(VerifyError(end_pos, 70))
+        finally:
+            self._reset(mark)
+            self.prev = saved_prev
 
     def _step(self, st: SStep, thesis: Formula | None) -> Formula | None:
         """Check one step and return what is left of `thesis`.  A thesis
@@ -511,27 +513,32 @@ class Analyzer:
         saved_prev, self.prev = self.prev, None
         exports: list[tuple] = []  # ("let", cid, ty, level) | ("assume"/"thus", f, depth)
         lets_seen = 0
-        for st in steps:
-            try:
-                match st:
-                    case StLet():
-                        ty = self.resolver.type_expr(st.ty)
-                        for name in st.names:
-                            c = self._new_const(name, ty)
-                            exports.append(("let", c, ty, lets_seen))
-                            lets_seen += 1
-                        self.prev = None
-                    case StAssume():
-                        exports += [("assume", f, lets_seen) for f in self._assume(st, None)]
-                    case StThus():
-                        exports.append(("thus", self._proposition(st, None), lets_seen))
-                    case StTake() | StTakeEq() | StGiven() | StPerCases():
-                        raise MizarError(st.pos, 51, "step needs a thesis to act on")
-                    case _:
-                        self._step(st, None)
-            except MizarError as e:
-                self.errors.append(e.to_error())
-                self.prev = None
+        try:  # a checker fault ends the block too: nothing it bound outlives it
+            for st in steps:
+                try:
+                    match st:
+                        case StLet():
+                            ty = self.resolver.type_expr(st.ty)
+                            for name in st.names:
+                                c = self._new_const(name, ty)
+                                exports.append(("let", c, ty, lets_seen))
+                                lets_seen += 1
+                            self.prev = None
+                        case StAssume():
+                            exports += [("assume", f, lets_seen) for f in self._assume(st, None)]
+                        case StThus():
+                            exports.append(("thus", self._proposition(st, None), lets_seen))
+                        case StTake() | StTakeEq() | StGiven() | StPerCases():
+                            raise MizarError(st.pos, 51, "step needs a thesis to act on")
+                        case _:
+                            self._step(st, None)
+                except MizarError as e:
+                    self.errors.append(e.to_error())
+                    self.prev = None
+            fresh = range(first_fresh, len(self.scope.const_types))  # before the reset drops them
+        finally:
+            self._reset(mark)
+            self.prev = saved_prev
         acc: Formula | None = None
         for entry in reversed(exports):
             match entry:
@@ -544,9 +551,6 @@ class Analyzer:
                 case ("let", cid, ty, level):
                     if acc is not None:
                         acc = ForAll(ty, replace_term(acc, const(cid), bound(level)))
-        fresh = range(first_fresh, len(self.scope.const_types))  # before the reset drops them
-        self._reset(mark)
-        self.prev = saved_prev
         if acc is None:
             self.errors.append(VerifyError(end_pos, 70))
             return TRUE
@@ -580,6 +584,7 @@ class Analyzer:
         saved_preds = dict(self.scope.scheme_preds)
         func_arities: list[int] = []
         pred_arities: list[int] = []
+        mark = self._mark()  # the provided labels end with the item, however it ends
         try:
             for sig in it.sigs:
                 tys = self._priv_types(sig.arg_types)
@@ -602,14 +607,12 @@ class Analyzer:
                     pred_arities.append(len(tys))
             statement = self._resolve(it.statement)
             premises = []
-            mark = self._mark()
             for p in it.provided:
                 f = self._resolve(p.formula)
                 if p.label:
                     self._bind(p.label, f, p.formula.pos)
                 premises.append(f)
             self.walk_proof(statement, it.steps, it.end_pos)
-            self._reset(mark)
             if it.name in self.schemes:
                 self.errors.append(VerifyError(it.pos, 93))
             else:
@@ -621,6 +624,7 @@ class Analyzer:
                     statement,
                 )
         finally:
+            self._reset(mark)
             self.scope.scheme_funcs = saved_funcs
             self.scope.scheme_preds = saved_preds
             self.scheme_results = {}

@@ -10,13 +10,17 @@ of equal value compare and hash equal and both have ``numerator`` and
 the representation.  The order used for deciding ``<=`` atoms is
 lexicographic on (re, im): it restricts to the usual order on the reals
 and is total, which is what the order requirement's reasoning rules
-assume.
+assume.  A ``ComplexRational`` is slotted and immutable; its hash is
+computed once, when it is made.
 
 Polynomials are normal forms over class ids: a sorted tuple of
 (monomial, coefficient) pairs, monomials being sorted tuples of
 (class id, exponent).  Exponents are plain ints, so repeated squaring
-is cheap no matter how large the exponent gets.  A sum, product or
-scaling builds its result in one dict and freezes it once (``_freeze``).
+is cheap no matter how large the exponent gets.  A sum or product
+builds its result in one dict and freezes it once (``_freeze``), but
+a zero operand, a constant second summand or a constant factor skips
+that; ``p_scale`` by a nonzero constant keeps every term nonzero and in
+place, so it maps the coefficients.
 
 ``OPS`` is the one definition of the builtin arithmetic functors, keyed
 by requirement name.  Each entry has a ``value`` rule on
@@ -31,7 +35,6 @@ keeps only that part of it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -42,10 +45,33 @@ def _exact(x: Fraction) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
 class ComplexRational:
+    """An exact complex number; ``__init__`` writes each slot once."""
+
+    __slots__ = ("re", "im", "_hash")
     re: Rational
-    im: Rational = 0
+    im: Rational
+
+    def __init__(self, re: Rational, im: Rational = 0) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_hash(self, hash((re, im)))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"ComplexRational is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ComplexRational:
+            return NotImplemented
+        return self is other or self._hash == other._hash and self.re == other.re and self.im == other.im
+
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def from_int(n: int) -> "ComplexRational":
@@ -90,6 +116,8 @@ class ComplexRational:
         return (self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
 
 
+# the slots' own setters, which __init__ calls past __setattr__
+_set_re, _set_im, _set_hash = [getattr(ComplexRational, n).__set__ for n in ComplexRational.__slots__]
 ZERO = ComplexRational.from_int(0)
 ONE = ComplexRational.from_int(1)
 IMAG_UNIT = ComplexRational(0, 1)
@@ -109,7 +137,7 @@ def _freeze(d: dict[Monomial, ComplexRational]) -> Polynomial:
 
 
 def p_const(c: ComplexRational) -> Polynomial:
-    return _freeze({MONO_ONE: c})
+    return P_ZERO if c.is_zero() else ((MONO_ONE, c),)
 
 
 P_ZERO: Polynomial = ()
@@ -121,6 +149,10 @@ def p_atom(cid: int) -> Polynomial:
 
 
 def p_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    if not a or not b:
+        return a or b
+    if len(b) == 1 and b[0][0] == MONO_ONE:  # a constant term sorts first
+        return p_const(a[0][1] + b[0][1]) + a[1:] if a[0][0] == MONO_ONE else b + a
     d = dict(a)
     for m, c in b:
         d[m] = d[m] + c if m in d else c
@@ -143,6 +175,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def p_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    if not a or not b:
+        return P_ZERO
+    if len(a) == 1 and a[0][0] == MONO_ONE:
+        return p_scale(b, a[0][1])
+    if len(b) == 1 and b[0][0] == MONO_ONE:
+        return p_scale(a, b[0][1])
     d: dict[Monomial, ComplexRational] = {}
     for ma, ca in a:
         for mb, cb in b:
@@ -155,7 +193,7 @@ def p_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 def p_scale(a: Polynomial, c: ComplexRational) -> Polynomial:
     if c.is_zero():
         return P_ZERO
-    return _freeze({m: co * c for m, co in a})
+    return tuple([(m, co * c) for m, co in a])
 
 
 def p_is_const(a: Polynomial) -> ComplexRational | None:

@@ -414,7 +414,7 @@ class EqGraph:
             if rep not in due:
                 old = due[rep] = self.polys.pop(rep, [])
                 canon.pop(rep, None)
-                for p in set().union(*old):
+                for p in set().union(*old) if old else ():
                     if p in self.poly and find(self.poly[p]) == rep:
                         del self.poly[p]
                 todo.extend(self.users.get(rep, ()))
@@ -436,7 +436,7 @@ class EqGraph:
                 # only a class read as its atom can have a polynomial
                 # whose gap to that atom pins a value
                 cands.add(p_atom(rep))
-            ordered = sorted(cands, key=p_sort_key)
+            ordered = sorted(cands, key=p_sort_key) if len(cands) > 1 else list(cands)
             grew = False
             for p in ordered:
                 c = p_is_const(p)
@@ -449,7 +449,7 @@ class EqGraph:
                     classes = len(self.class_nodes)
                     self._put(self.poly, p, rep, self.union)
                     grew |= len(self.class_nodes) < classes
-            for i, p in enumerate(ordered):
+            for i, p in enumerate(ordered[:-1]):
                 for q in ordered[i + 1 :]:
                     if not any(p in g and q in g for g in due[rep]):
                         grew |= self._poly_gap(p_sub(p, q))
@@ -740,7 +740,9 @@ def refute_clause(
 class _PolyReader:
     """One `EqGraph._poly_pass`'s reading of classes and nodes as
     polynomials.  It holds the graph, never the other way round, so the
-    reader and its memo are freed when the pass returns."""
+    reader and its memo are freed when the pass returns.  ``node_poly``
+    is the only caller of the arithmetic rules; a class of one node, the
+    common case, reads as that node's polynomial with nothing to sort."""
 
     def __init__(self, g: EqGraph):
         self.g = g
@@ -768,11 +770,15 @@ class _PolyReader:
             return canon[rep]
         self.in_progress.add(rep)
         before = self.cuts
-        best: Polynomial | None = None
-        for n in sorted(g.class_nodes[rep]):
-            p = self.node_poly(n)
-            if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
-                best = p
+        nodes = g.class_nodes[rep]
+        if len(nodes) == 1:
+            best = self.node_poly(nodes[0])
+        else:
+            best = None
+            for n in sorted(nodes):
+                p = self.node_poly(n)
+                if p is not None and (best is None or p_sort_key(p) < p_sort_key(best)):
+                    best = p
         self.in_progress.discard(rep)
         if self.cuts != before:
             # read through a cut, it depends on where the walk came

@@ -141,6 +141,7 @@ class RequirementTable:
         self._result_types = self._builtin_result_types()
         self._clusters = self._order_clusters()
         self._numeral_type: TypeExpr | None = None  # made on first use: set_type() needs HIDDEN
+        self._value_attrs: dict[ComplexRational, tuple[tuple[bool, int], ...]] = {}
 
     def present(self, name: str) -> bool:
         return name in self._present
@@ -187,18 +188,21 @@ class RequirementTable:
                 return self.arith[f].value(*vals)
         return None
 
-    def value_attrs(self, v: ComplexRational) -> list[tuple[bool, int]]:
+    def value_attrs(self, v: ComplexRational) -> tuple[tuple[bool, int], ...]:
         """The adjectives of numbers that are present, zero, natural,
         positive and negative in that order, each with the sign ``v``
-        gives it, as (sign, attribute id)."""
-        ids = self.ids
-        facts = (
-            (v.is_zero(), ids.ZeroAttr),
-            (v.is_natural(), ids.Natural),
-            (not v.lex_le(ZERO), ids.Positive),
-            (not ZERO.lex_le(v), ids.Negative),
-        )
-        return [(s, aid) for s, aid in facts if aid is not None]
+        gives it, as (sign, attribute id); memoized per value."""
+        out = self._value_attrs.get(v)
+        if out is None:
+            ids = self.ids
+            facts = (
+                (v.is_zero(), ids.ZeroAttr),
+                (v.is_natural(), ids.Natural),
+                (not v.lex_le(ZERO), ids.Positive),
+                (not ZERO.lex_le(v), ids.Negative),
+            )
+            out = self._value_attrs[v] = tuple([(s, aid) for s, aid in facts if aid is not None])
+        return out
 
     # -- types supplied by the builtin constructors -------------------------
 

@@ -20,12 +20,13 @@ from micromizar.logic import Numeral, const
 from micromizar.parser import parse_article
 from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
 from micromizar.requirements import enable_groups
+from micromizar.surface import StThus
 
 
-def errors(req, body: str, trace: list[str] | None = None) -> list[tuple[int, int]]:
+def errors(req, body: str, trace: list[str] | None = None, cols: bool = False) -> list[tuple[int, ...]]:
     art, parse_errors = parse_article("environ begin\n" + body)
     found = [e.to_error() for e in parse_errors] + Analyzer(req, trace=trace).run(art)
-    return sorted((e.code, e.pos.line) for e in found)
+    return sorted((e.code, e.pos.line, e.pos.col) if cols else (e.code, e.pos.line) for e in found)
 
 
 @pytest.fixture
@@ -370,6 +371,45 @@ proof
 end;
 """
     ) == [(51, 21), (61, 23)]
+
+
+def test_a_scheme_that_fails_to_resolve_binds_no_provided_label(req_all):
+    # were `A1` left bound, the false theorem would cite it
+    assert errors(
+        req_all,
+        """scheme S{P[set]}: for x being set holds P[x]
+provided A1: 1 = 2 and A2: nosuchthing = 0
+proof thus thesis by A1; end;
+theorem 1 = 2 by A1;
+""",
+        cols=True,
+    ) == [(61, 5, 1), (91, 3, 28), (91, 5, 18)]
+
+
+# each article's `thus` faults; `A` says the dead constant 0 is {}, and
+# the next theorem's `y` is constant 0 again
+FAULTED_BLOCKS = {
+    "proof": """theorem for x being empty set holds x = x
+proof let x be empty set; A: x = {}; thus x = x; end;
+""",
+    "now in a proof": """theorem for x being empty set holds x = x
+proof now let x be empty set; A: x = {}; thus x = x; end; let x be empty set; thus x = x; end;
+""",
+}
+
+
+@pytest.mark.parametrize("block", sorted(FAULTED_BLOCKS))
+def test_a_fault_inside_a_block_leaves_none_of_its_labels_bound(req_all, monkeypatch, block):
+    proposition = Analyzer._proposition
+
+    def faulty(self, st, thesis):
+        if isinstance(st, StThus):
+            raise RuntimeError("injected")
+        return proposition(self, st, thesis)
+
+    monkeypatch.setattr(Analyzer, "_proposition", faulty)
+    body = FAULTED_BLOCKS[block] + "theorem for y being set holds y = {} by A;\n"
+    assert errors(req_all, body, cols=True) == [(61, 4, 1), (91, 4, 41), (99, 2, 1)]
 
 
 def test_cited_universal_proves_its_restatement_over_union(check):

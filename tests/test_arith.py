@@ -1,22 +1,28 @@
 """The table of builtin arithmetic functors: value and polynomial rules."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from micromizar.arith import (
     IMAG_UNIT,
+    MONO_ONE,
     ONE,
     OPS,
     P_ONE,
     P_ZERO,
     ZERO,
     ComplexRational,
+    _freeze,
+    p_add,
     p_atom,
     p_const,
+    p_mul,
     p_scale,
 )
+from micromizar.requirements import enable_groups
 
 ARITY = {"Zero": 0, "ImaginaryUnit": 0, "Succ": 1, "Neg": 1, "Inv": 1, "Add": 2, "Sub": 2, "Mul": 2, "Div": 2}
 
@@ -90,3 +96,85 @@ def test_only_a_non_integral_quotient_makes_a_fraction():
     assert third.re == Fraction(1, 3)
     assert parts(third) == parts(OPS["Inv"].value(three)) == (Fraction, int)
     assert parts(ONE / (ONE + IMAG_UNIT)) == (Fraction, Fraction)
+
+
+# -- the fast paths against the general loops ------------------------------
+
+
+def ref_add(a, b):
+    d = {}
+    for m, c in a + b:
+        d[m] = d[m] + c if m in d else c
+    return _freeze(d)
+
+
+def ref_mul(a, b):
+    d = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            exps = dict(ma)
+            for cid, e in mb:
+                exps[cid] = exps.get(cid, 0) + e
+            m = tuple(sorted(exps.items()))
+            d[m] = d[m] + ca * cb if m in d else ca * cb
+    return _freeze(d)
+
+
+def ref_scale(a, c):
+    return _freeze({m: co * c for m, co in a})
+
+
+def random_value(rng):
+    def part():
+        return rng.choice([0, 0, 1, -1, 2, Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
+
+    return ComplexRational(part(), part())
+
+
+def random_poly(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return P_ZERO
+    if kind == 1:
+        return _freeze({MONO_ONE: random_value(rng)})
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = {rng.randrange(4): rng.randint(1, 3) for _ in range(rng.randint(0, 2))}
+        terms[tuple(sorted(mono.items()))] = random_value(rng)
+    return _freeze(terms)
+
+
+def test_fast_paths_give_what_the_general_loops_give():
+    rng = random.Random(26)
+    for _ in range(2000):
+        a, b, c = random_poly(rng), random_poly(rng), random_value(rng)
+        assert p_add(a, b) == ref_add(a, b), (a, b)
+        assert p_mul(a, b) == ref_mul(a, b), (a, b)
+        assert p_scale(a, c) == ref_scale(a, c), (a, c)
+        assert p_const(c) == _freeze({MONO_ONE: c}), c
+
+
+def test_a_value_is_immutable_and_keeps_its_hash():
+    v = ComplexRational(Fraction(1, 2), 3)
+    h = hash(v)
+    for name in ("re", "im", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    with pytest.raises(AttributeError):
+        del v.re
+    assert (v.re, v.im, hash(v)) == (Fraction(1, 2), 3, h)
+    assert v == ComplexRational(Fraction(1, 2), Fraction(3)) and v != ComplexRational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("groups", [["NUMERALS"], ["BOOLE", "SUBSET", "NUMERALS", "REAL", "ARITHM"]])
+def test_value_attrs_is_the_rule_for_every_value(req_file, groups):
+    req, _ = enable_groups(req_file, groups)
+    ids = req.ids
+    for v in VALUES + VALUES:  # the second round reads the memo
+        facts = (
+            (v.is_zero(), ids.ZeroAttr),
+            (v.is_natural(), ids.Natural),
+            (not v.lex_le(ZERO), ids.Positive),
+            (not ZERO.lex_le(v), ids.Negative),
+        )
+        assert req.value_attrs(v) == tuple((s, aid) for s, aid in facts if aid is not None), v
