@@ -39,6 +39,19 @@ attempt before any clause exists.
 With several clauses, the first clause's graph starts with one round
 over what they all share, the constant types outside any branch and
 the root literals: a contradiction there refutes every clause at once.
+
+A verdict depends only on the premises, the goal, the live constants'
+types and the definition database, which only grows.  So ``justify``
+memoizes verdicts, and forgets every obligation when
+``DefinitionDb.version()`` changes.  The key ``(premises, goal,
+constant types)`` is exact: kernel nodes compare every field with
+``==``, private expansions included.  An obligation is admitted at its
+second sighting under one version: the first files only its hash, in at
+most ``SEEN_CAP`` untracked ints, so one-off obligations keep no
+formula alive.  The memo is filed by that hash, keeps the key to
+compare, and holds ``MEMO_CAP`` verdicts, least recently used dropped
+first.  A hit returns the very ``Justification`` the check made; a
+check that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +87,8 @@ from .unifier import TUPLE_CAP, clause_refuted
 
 CLAUSE_CAP = 3000
 UNFOLD_FUEL = 16
+MEMO_CAP = 64  # verdicts kept, least recently used dropped first
+SEEN_CAP = 256  # hashes of obligations seen once, oldest dropped first
 
 
 @dataclass
@@ -99,7 +114,13 @@ class Prechecker:
         self.clause_cap = clause_cap
         # id of a cited universal -> (it, the database version read, its
         # unfolded form, and that augmented unless it is vacuous)
-        self._cited: dict[int, tuple[ForAll, tuple[int, int, int], ForAll, Formula | None]] = {}
+        self._cited: dict[int, tuple[ForAll, tuple[int, ...], ForAll, Formula | None]] = {}
+        # for the database version `_memo_version`: hash of an obligation
+        # -> (it, its verdict), least recently used first, and the hashes
+        # seen, oldest first
+        self._memo: dict[int, tuple[tuple, Justification]] = {}
+        self._memo_version = db.version()
+        self._seen: dict[int, None] = {}
 
     def justify(
         self,
@@ -110,6 +131,31 @@ class Prechecker:
         """Refute the premises with the conjecture denied.  Constant i has
         type ``const_types[i]``; those are every live constant, so the
         skolem constants are numbered from ``len(const_types)``."""
+        version = self.db.version()
+        if version != self._memo_version:
+            self._memo_version = version
+            self._memo.clear()
+            self._seen.clear()
+        key = (tuple(premises), conjecture, tuple(const_types))
+        h = hash(key)
+        seen = self._seen
+        if h not in seen:
+            seen[h] = None
+            if len(seen) > SEEN_CAP:
+                del seen[next(iter(seen))]
+            return self._justify(premises, conjecture, const_types)
+        memo = self._memo
+        hit = memo.pop(h, None)
+        if hit is not None and hit[0] == key:
+            memo[h] = hit
+            return hit[1]
+        out = self._justify(premises, conjecture, const_types)
+        memo[h] = (key, out)
+        if len(memo) > MEMO_CAP:
+            del memo[next(iter(memo))]
+        return out
+
+    def _justify(self, premises: list[Formula], conjecture: Formula, const_types: list[TypeExpr]) -> Justification:
         self._next = len(const_types)
         skolems: list[tuple[int, TypeExpr]] = []
         f = mk_and([*[self._premise(p, skolems) for p in premises], self._prepared(mk_neg(conjecture), skolems)])
@@ -144,8 +190,7 @@ class Prechecker:
         of the definitions that unfolding reads."""
         if type(p) is not ForAll:
             return self._prepared(p, skolems)
-        db = self.db
-        version = (len(db.attrs), len(db.modes), len(db.preds))
+        version = self.db.version()
         hit = self._cited.get(id(p))
         if hit is None or hit[1] != version:
             u = self._unfold(p, UNFOLD_FUEL)

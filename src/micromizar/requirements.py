@@ -40,6 +40,7 @@ GROUP_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 KINDS = ("mode", "func", "pred", "attr")
+VALUE_ATTRS_CAP = 4096  # values whose adjectives are kept, oldest dropped first
 
 # The boolean requirement's equalities, Mizar's ``reduce`` rules, as rows
 # (first, second, result) over the arguments "a" and "b" and the empty
@@ -191,9 +192,13 @@ class RequirementTable:
     def value_attrs(self, v: ComplexRational) -> tuple[tuple[bool, int], ...]:
         """The adjectives of numbers that are present, zero, natural,
         positive and negative in that order, each with the sign ``v``
-        gives it, as (sign, attribute id); memoized per value."""
-        out = self._value_attrs.get(v)
+        gives it, as (sign, attribute id); memoized per value, for at
+        most ``VALUE_ATTRS_CAP`` values."""
+        memo = self._value_attrs
+        out = memo.get(v)
         if out is None:
+            if len(memo) >= VALUE_ATTRS_CAP:
+                del memo[next(iter(memo))]
             ids = self.ids
             facts = (
                 (v.is_zero(), ids.ZeroAttr),
@@ -201,7 +206,7 @@ class RequirementTable:
                 (not v.lex_le(ZERO), ids.Positive),
                 (not ZERO.lex_le(v), ids.Negative),
             )
-            out = self._value_attrs[v] = tuple([(s, aid) for s, aid in facts if aid is not None])
+            out = memo[v] = tuple([(s, aid) for s, aid in facts if aid is not None])
         return out
 
     # -- types supplied by the builtin constructors -------------------------

@@ -88,9 +88,13 @@ class DefinitionDb:
     """Everything an article has defined or registered so far.
 
     The database only grows: every id comes from ``fresh_id`` and is
-    defined once, and clusters are appended, never removed or replaced.
-    So the number of modes and of conditional clusters, with the type,
-    fixes what ``round_up`` returns, and it and ``adjectives`` memoize on
+    defined once, and clusters are appended, never removed or replaced
+    (``tests/test_boundaries.py`` checks that no module shrinks or
+    reorders a registry).  So ``version()``, the sizes of the seven
+    registries, changes whenever what the database says changes: the
+    prechecker's cited universals and its verdict memo rely on it.  The
+    number of modes and of conditional clusters, with the type, fixes
+    what ``round_up`` returns, and it and ``adjectives`` memoize on
     those three.  One list of the clusters, memoized on their number,
     serves both ``round_up`` and ``cluster_rules``.
 
@@ -121,6 +125,11 @@ class DefinitionDb:
         out = self._next[kind]
         self._next[kind] = out + 1
         return out
+
+    def version(self) -> tuple[int, ...]:
+        """The size of every registry; it changes whenever one grows."""
+        return (len(self.attrs), len(self.modes), len(self.funcs), len(self.preds),
+                len(self.existential), len(self.conditional), len(self.functor_clusters))
 
     # -- mode ancestry -------------------------------------------------
 

@@ -22,7 +22,7 @@ from micromizar.arith import (
     p_mul,
     p_scale,
 )
-from micromizar.requirements import enable_groups
+from micromizar.requirements import VALUE_ATTRS_CAP, enable_groups
 
 ARITY = {"Zero": 0, "ImaginaryUnit": 0, "Succ": 1, "Neg": 1, "Inv": 1, "Add": 2, "Sub": 2, "Mul": 2, "Div": 2}
 
@@ -166,15 +166,30 @@ def test_a_value_is_immutable_and_keeps_its_hash():
     assert v == ComplexRational(Fraction(1, 2), Fraction(3)) and v != ComplexRational(Fraction(1, 2))
 
 
+def value_attrs_rule(req, v):
+    ids = req.ids
+    facts = (
+        (v.is_zero(), ids.ZeroAttr),
+        (v.is_natural(), ids.Natural),
+        (not v.lex_le(ZERO), ids.Positive),
+        (not ZERO.lex_le(v), ids.Negative),
+    )
+    return tuple((s, aid) for s, aid in facts if aid is not None)
+
+
 @pytest.mark.parametrize("groups", [["NUMERALS"], ["BOOLE", "SUBSET", "NUMERALS", "REAL", "ARITHM"]])
 def test_value_attrs_is_the_rule_for_every_value(req_file, groups):
     req, _ = enable_groups(req_file, groups)
-    ids = req.ids
     for v in VALUES + VALUES:  # the second round reads the memo
-        facts = (
-            (v.is_zero(), ids.ZeroAttr),
-            (v.is_natural(), ids.Natural),
-            (not v.lex_le(ZERO), ids.Positive),
-            (not ZERO.lex_le(v), ids.Negative),
-        )
-        assert req.value_attrs(v) == tuple((s, aid) for s, aid in facts if aid is not None), v
+        assert req.value_attrs(v) == value_attrs_rule(req, v), v
+
+
+def test_the_value_attrs_memo_is_bounded(req_file):
+    req, _ = enable_groups(req_file, ["BOOLE", "SUBSET", "NUMERALS", "REAL", "ARITHM"])
+    values = [ComplexRational(Fraction(n - 2500, 7), n % 3 - 1) for n in range(5000)]
+    assert len(set(values)) == 5000
+    for v in values:
+        assert req.value_attrs(v) == value_attrs_rule(req, v), v
+        assert len(req._value_attrs) <= VALUE_ATTRS_CAP
+    assert len(req._value_attrs) == VALUE_ATTRS_CAP
+    assert values[0] not in req._value_attrs and values[-1] in req._value_attrs

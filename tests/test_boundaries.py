@@ -11,8 +11,9 @@ flexible conjunction's,
 only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, only the upkeep of
-its polynomial table computes a normal form, and only ``subtyping`` and
-the resolver's contradiction check round a type up.  ``parse_article`` looks
+its polynomial table computes a normal form, only ``subtyping`` and
+the resolver's contradiction check round a type up, and no module
+outside ``subtyping`` shrinks or reorders a definition registry.  ``parse_article`` looks
 ``tokenize`` up in the parser module's namespace at each call, which is
 where a tracer wraps it, and the parser never rewinds its tokens."""
 
@@ -471,3 +472,64 @@ def test_the_parser_never_rewinds():
         and any(isinstance(sub, ast.Name) and sub.id == "MizarError" for sub in ast.walk(node.type))
     }
     assert catches == {"article", "parse_article"}
+
+
+# The definition database only grows, so the sizes of its registries
+# (``DefinitionDb.version()``) change whenever what it says changes: the
+# prechecker's verdict memo and its cited universals rest on that.  A
+# registry is reached as ``db.R`` or ``<anything>.db.R``.
+REGISTRIES = {"attrs", "modes", "funcs", "preds", "existential", "conditional", "functor_clusters"}
+SHRINKS = {"pop", "popitem", "remove", "clear", "insert", "sort", "reverse", "__delitem__"}
+
+
+def _registry(node) -> str | None:
+    """R, if `node` is ``db.R`` or ``x.db.R`` for a registry R."""
+    if isinstance(node, ast.Attribute) and node.attr in REGISTRIES:
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id == "db") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "db"
+        ):
+            return node.attr
+    return None
+
+
+def registry_shrinks(path: pathlib.Path) -> list[str]:
+    """Each ``del``, slice store, rebinding or shrinking or reordering
+    method call on a definition registry in `path`."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Delete):
+            targets = node.targets
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t for t in targets if not isinstance(t, ast.Subscript) or isinstance(t.slice, ast.Slice)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in SHRINKS:
+            if (name := _registry(node.func.value)) is not None:
+                hits.append(f"{path.name}:{node.lineno} calls {name}.{node.func.attr}")
+            continue
+        else:
+            continue
+        for t in targets:
+            name = _registry(t.value if isinstance(t, ast.Subscript) else t)
+            if name is not None:
+                hits.append(f"{path.name}:{node.lineno} {type(node).__name__.lower()} {name}")
+    return hits
+
+
+def test_only_subtyping_may_shrink_a_definition_registry():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "subtyping.py" for hit in registry_shrinks(path)]
+    assert hits == []
+
+
+def test_registry_shrinks_finds_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def f(self, db, graph):\n"
+        "    del self.db.attrs[1]\n    db.modes.pop(2)\n    self.db.conditional.remove(3)\n"
+        "    db.existential.clear()\n    self.db.functor_clusters.insert(0, 4)\n"
+        "    db.conditional[1:] = []\n    self.db.preds = {}\n    db.existential.sort()\n"
+        "    self.db.funcs[5] = 6\n    db.conditional.append(7)\n    graph.attrs.pop(8)\n"
+        "    del self.attrs[9]\n    x = db.attrs\n"
+    )
+    lines = sorted(int(hit.split(" ", 1)[0].split(":")[1]) for hit in registry_shrinks(path))
+    assert lines == list(range(2, 10))

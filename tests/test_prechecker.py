@@ -38,7 +38,15 @@ from micromizar.logic import (
 from micromizar.analyzer import Analyzer
 from micromizar.parser import parse_article
 from micromizar.prechecker import Prechecker
-from micromizar.subtyping import AttrDef, DefinitionDb, ModeDef, PredDef
+from micromizar.subtyping import (
+    AttrDef,
+    ConditionalCluster,
+    DefinitionDb,
+    FuncDef,
+    FunctorCluster,
+    ModeDef,
+    PredDef,
+)
 
 FS = frozenset()
 
@@ -529,6 +537,161 @@ def test_a_vacuous_universal_premise_is_skolemized_at_every_use(db, req_all):
     again, pc, fresh = twice(db, [fa], goal, [])
     assert again == fresh and again.accepted and again.skolems == [(0, st)]
     assert [entry[3] for entry in pc._cited.values()] == [None]
+
+
+# ---------------------------------------------------------------------------
+# the verdict memo
+
+
+def checked(pc, check=None) -> list:
+    """The goals of the obligations `pc` checks from now on, rather than
+    reads from its memo; each check is `check`, or the real one."""
+    goals = []
+    check = check or pc._justify
+
+    def counting(premises, conjecture, const_types):
+        goals.append(conjecture)
+        return check(premises, conjecture, const_types)
+
+    pc._justify = counting
+    return goals
+
+
+def obligation(req, i: int):
+    """The i-th of a family of distinct obligations."""
+    return [], Pred(100, (Numeral(i),)), [req.set_type()]
+
+
+def nothing_new(db, registry: str) -> None:
+    """Add to `registry` an entry that no obligation below reads."""
+    st = db.req.set_type()
+    kind = {"attrs": "attr", "modes": "mode", "funcs": "func", "preds": "pred"}.get(registry)
+    if kind is not None:
+        defs = {
+            "attrs": AttrDef(0, st, TRUE, False),
+            "modes": ModeDef(0, st, None, False),
+            "funcs": FuncDef(0, st),
+            "preds": PredDef(0, TRUE, False),
+        }
+        getattr(db, registry)[db.fresh_id(kind)] = defs[registry]
+    else:
+        entries = {
+            "existential": st,
+            "conditional": ConditionalCluster(FS, FS, st),
+            "functor_clusters": FunctorCluster(Numeral(0), FS),
+        }
+        getattr(db, registry).append(entries[registry])
+
+
+@pytest.mark.parametrize(
+    "registry", ["attrs", "modes", "funcs", "preds", "existential", "conditional", "functor_clusters"]
+)
+def test_a_grown_registry_makes_the_next_use_a_check(db, req_all, registry):
+    c0 = const(0)
+    args = ([Pred(100, (c0,))], Pred(100, (c0,)), [req_all.set_type()])
+    pc = Prechecker(db)
+    checks = checked(pc)
+    got = [pc.justify(*args) for _ in range(3)]
+    assert len(checks) == 2 and got[2] is got[1]
+    nothing_new(db, registry)
+    again = [pc.justify(*args) for _ in range(3)]  # seen anew, stored, read
+    assert len(checks) == 4 and again[0] == got[1] and again[0] is not got[1]
+    assert again[2] is again[1]
+
+
+def test_an_obligation_is_stored_at_its_second_sighting_and_read_at_its_third(db, req_all):
+    pc = Prechecker(db)
+    checks = checked(pc)
+    ob = obligation(req_all, 0)
+    got = [pc.justify(*ob) for _ in range(4)]
+    assert len(checks) == 2 and len(pc._memo) == 1
+    assert got[1] is not got[0] and got[1] == got[0] == Prechecker(db).justify(*ob)
+    assert got[3] is got[2] is got[1]
+
+
+def test_obligations_that_differ_only_in_a_constant_type_or_an_expansion_are_two(db, req_all):
+    req = req_all
+    st, nat, c0 = req.set_type(), req.nat_type(), const(0)
+    is_nat = Is(c0, Attr(True, req.require("Natural")))
+    pc = Prechecker(db)
+    for _ in range(3):
+        assert pc.justify([], is_nat, [nat]).accepted
+        assert pc.justify([Pred(100, (c0,))], PrivPred(7, (c0,), Pred(100, (c0,))), [st]).accepted
+    assert not pc.justify([], is_nat, [st]).accepted
+    assert not pc.justify([Pred(100, (c0,))], PrivPred(7, (c0,), Pred(101, (c0,))), [st]).accepted
+
+
+def admit(pc, obs) -> None:
+    for ob in obs:
+        pc.justify(*ob)
+        pc.justify(*ob)
+
+
+def test_the_memo_drops_its_least_recently_used_verdict(db, req_all):
+    obs = [obligation(req_all, i) for i in range(prechecker.MEMO_CAP + 1)]
+    pc = Prechecker(db)
+    checks = checked(pc, lambda *args: prechecker.Justification(True))
+    admit(pc, obs)
+    assert len(checks) == 2 * len(obs) and len(pc._memo) == prechecker.MEMO_CAP
+    pc.justify(*obs[0])
+    assert len(checks) == 2 * len(obs) + 1
+    # a hit makes a verdict the most recently used
+    pc = Prechecker(db)
+    checks = checked(pc, lambda *args: prechecker.Justification(True))
+    admit(pc, obs[:-1])
+    pc.justify(*obs[0])
+    admit(pc, obs[-1:])
+    pc.justify(*obs[0])
+    assert len(checks) == 2 * len(obs)
+    pc.justify(*obs[1])
+    assert len(checks) == 2 * len(obs) + 1
+
+
+def test_a_hash_seen_once_is_forgotten_after_seen_cap_others(db, req_all):
+    obs = [obligation(req_all, i) for i in range(prechecker.SEEN_CAP + 1)]
+    pc = Prechecker(db)
+    checks = checked(pc, lambda *args: prechecker.Justification(True))
+    for ob in obs:
+        pc.justify(*ob)
+    assert len(pc._seen) == prechecker.SEEN_CAP and pc._memo == {}
+    for _ in range(3):  # seen again as new, then stored, then read
+        pc.justify(*obs[0])
+    assert len(checks) == len(obs) + 2
+
+
+def test_a_check_that_raises_stores_nothing(db, req_all):
+    ob = obligation(req_all, 0)
+    pc = Prechecker(db)
+    check = pc._justify
+
+    def failing(*args):
+        raise RuntimeError("fault")
+
+    pc._justify = failing
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            pc.justify(*ob)
+    assert pc._memo == {}
+    checks = checked(pc, check)
+    got = pc.justify(*ob)
+    assert len(checks) == 1 and got == Prechecker(db).justify(*ob)
+    assert pc.justify(*ob) is got and len(checks) == 1
+
+
+def test_a_cited_universal_is_prepared_once_when_the_memo_misses(db, req_all, monkeypatch):
+    req = req_all
+    st, c0 = req.set_type(), const(0)
+    fa = ForAll(st, mk_imp(Pred(100, (bound(0),)), eq(req, bound(0), c0)))
+    have = mk_exists(st, Pred(100, (bound(0),)))
+    pc = Prechecker(db)
+    pc.justify([have, fa], mk_exists(st, eq(req, bound(0), c0)), [st])
+    unfolded = []
+    monkeypatch.setattr(pc, "_unfold", lambda f, fuel: unfolded.append(f) or Prechecker._unfold(pc, f, fuel))
+    checks = checked(pc)
+    other = mk_exists(st, eq(req, c0, bound(0)))
+    got = pc.justify([have, fa], other, [st])
+    assert len(checks) == 1 and unfolded and fa not in unfolded
+    assert got == Prechecker(db).justify([have, fa], other, [st]) and got.accepted
 
 
 # ---------------------------------------------------------------------------

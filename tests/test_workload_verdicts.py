@@ -14,9 +14,17 @@ one with definitions, cluster registrations and schemes.
 Each item is also checked to leave no constant alive once it ends, and
 each obligation to name only live constants: the checker numbers its
 skolem constants from the count of live ones.
+
+The prechecker's verdict memo is checked here too: on ``lemmas`` and
+``skeleton``, where most obligations repeat, every verdict it returns
+must equal what a fresh prechecker computes, and the hash seed, which
+decides the fingerprints it admits obligations by, must change no
+verdict.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -28,7 +36,8 @@ from micromizar.prechecker import Prechecker
 from micromizar.requirements import enable_groups, load_requirements
 from micromizar.surface import Article
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mizbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "mizbench")
 sys.path.insert(0, BENCH)
 import gen  # noqa: E402
 
@@ -73,3 +82,86 @@ def test_every_item_gets_the_generator_s_verdict(table, workload, monkeypatch):
     assert wrong == []
     assert left == []
     assert dead == []
+
+
+@pytest.mark.parametrize("workload", ["lemmas", "skeleton"])
+def test_every_memo_hit_is_what_a_fresh_check_gives(table, workload, monkeypatch):
+    article, _ = parse_article(gen.build(workload, SEED).text)
+    justify, check = Prechecker.justify, Prechecker._justify
+    checks = []
+    hits = []
+    wrong = []
+
+    def counting(self, *args):
+        checks.append(None)
+        return check(self, *args)
+
+    def rechecked(self, premises, conjecture, const_types):
+        n = len(checks)
+        got = justify(self, premises, conjecture, const_types)
+        if len(checks) == n:
+            fresh = Prechecker(self.db, self.flex_mode, self.clause_cap)
+            hits.append(conjecture)
+            if check(fresh, premises, conjecture, const_types) != got:
+                wrong.append(conjecture)
+        return got
+
+    monkeypatch.setattr(Prechecker, "_justify", counting)
+    monkeypatch.setattr(Prechecker, "justify", rechecked)
+    analyzer = Analyzer(table)
+    for item in article.items:
+        analyzer.run(Article(article.requirements, (item,)))
+    assert analyzer.internal == []
+    assert len(hits) > 100
+    assert wrong == []
+
+
+# Checks the first N items of `lemmas` at SEED and prints their errors
+# and every obligation's verdict, and how many verdicts the memo gave.
+HASH_SEED_RUN = """
+import json, sys
+root, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+sys.path[:0] = [root + "/src", root + "/mizbench"]
+import gen
+from micromizar.analyzer import Analyzer
+from micromizar.parser import parse_article
+from micromizar.prechecker import Prechecker
+from micromizar.requirements import enable_groups, load_requirements
+from micromizar.surface import Article
+
+table, _ = enable_groups(load_requirements(root + "/mizbench/requirements.txt"), list(gen.GROUPS))
+article, _ = parse_article(gen.build("lemmas", seed).text)
+justify, check = Prechecker.justify, Prechecker._justify
+verdicts, checks = [], []
+Prechecker._justify = lambda self, *args: checks.append(None) or check(self, *args)
+
+def recorded(self, *args):
+    j = justify(self, *args)
+    verdicts.append((j.accepted, j.too_large, j.clause_count, j.limited))
+    return j
+
+Prechecker.justify = recorded
+analyzer = Analyzer(table)
+for item in article.items[:n]:
+    analyzer.run(Article(article.requirements, (item,)))
+errors = [(e.code, e.pos.line, e.pos.col) for e in analyzer.errors]
+print(json.dumps([errors, verdicts, len(verdicts) - len(checks)]))
+"""
+
+
+def test_the_hash_seed_changes_no_verdict():
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_RUN, ROOT, str(SEED), "300"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("0", "1")
+    ]
+    outs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    (errors0, verdicts0, hits0), (errors1, verdicts1, hits1) = map(json.loads, outs)
+    assert errors0 == errors1
+    assert verdicts0 == verdicts1
+    assert min(hits0, hits1) > 100
