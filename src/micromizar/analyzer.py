@@ -24,9 +24,13 @@ kept in ``Analyzer.internal``.
 
 The same walker elaborates definitions and cluster registrations,
 emitting their correctness goals (existence, coherence, uniqueness) as
-ordinary justification obligations and recording the constructor in
-the definition database afterwards, proof or no proof, so later text
-can still refer to it.
+ordinary justification obligations.  A definition's name and label are
+published once its block has closed, proof or no proof: later text can
+refer to them, its own correctness conditions cannot.
+
+What ends with a block is decided in one place: every write to
+block-scoped state goes through `Trail.write`, and a block (``with
+self.trail:``) unwinds what was written in it, however it ends.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from .logic import (
 )
 from .prechecker import Prechecker
 from .requirements import RequirementTable
-from .resolver import PrivDef, Resolver, Scope
+from .resolver import PrivDef, Resolver, Scope, ThesisResolver
 from .schematizer import Scheme, SchemeMatchError, match_scheme
 from .subtyping import (
     AttrDef,
@@ -125,6 +129,51 @@ TRUE = FTrue()
 FALSE = Neg(FTrue())
 
 
+_ABSENT = object()
+
+
+class Trail:
+    """The undo log of block-scoped state, as in a Prolog machine.
+
+    `write` is the one writer of that state: it sets a dict entry or
+    appends to a list (`key` unused).  ``with trail:`` opens a block: it
+    marks the log's length, and on every exit it restores, newest first,
+    each old value logged since.  A mark costs O(1) and an unwinding
+    O(what the block wrote).  Outside every block (the article's own
+    level) nothing is logged, because nothing there is ever unwound."""
+
+    __slots__ = ("log", "marks")
+
+    def __init__(self) -> None:
+        self.log: list[tuple] = []
+        self.marks: list[int] = []
+
+    def write(self, table: dict | list, key, value) -> None:
+        if type(table) is list:
+            if self.marks:
+                self.log.append((table, len(table), None))
+            table.append(value)
+        else:
+            if self.marks:
+                self.log.append((table, key, table.get(key, _ABSENT)))
+            table[key] = value
+
+    def __enter__(self) -> Trail:
+        self.marks.append(len(self.log))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        log, mark = self.log, self.marks.pop()
+        while len(log) > mark:
+            table, key, old = log.pop()
+            if type(table) is list:
+                del table[key:]
+            elif old is _ABSENT:
+                del table[key]
+            else:
+                table[key] = old
+
+
 def _describe(e: Exception) -> str:
     """`e`'s repr and the innermost frame it was raised in, as
     ``RuntimeError('x') at logic.py:12 in f``."""
@@ -151,16 +200,19 @@ class Analyzer:
         self.flex_mode = flex_mode
         self.scope = Scope(req, self.db)
         self.resolver = Resolver(self.scope)
+        self.thesis_resolver = ThesisResolver(self.scope)
         self.checker = Prechecker(self.db, flex_mode)
         self.formatter = Formatter(self.scope)
         self.errors: list[VerifyError] = []
+        self.trail = Trail()
         self.labels: dict[str, Formula] = {}
         self.defined: list[tuple[int, Term]] = []  # constants introduced with := t
         self.schemes: dict[str, Scheme] = {}
         self.scheme_results: dict[int, TypeExpr] = {}
         self.scheme_premises: list[Formula] = []
         self.loci_types: list[TypeExpr] = []
-        self.prev: Formula | None = None
+        # what ``then`` links to: a slot per open block, the last current
+        self.links: list[Formula | None] = [None]
         self.trace = trace
         # each item lost to a checker fault: the exception's repr and the
         # place it was raised (not the exception, whose traceback would
@@ -170,44 +222,37 @@ class Analyzer:
     # -- entry ------------------------------------------------------------
 
     def run(self, article: Article) -> list[VerifyError]:
+        # an item's blocks unwind themselves; what it binds at the
+        # article's level (a label, a private definition) survives an error
         for item in article.items:
-            mark = self._mark()
             try:
                 self._step(item, None)
             except MizarError as e:
                 self.errors.append(e.to_error())
-                self._reset(mark, keep_labels=True)
             except Exception as e:  # noqa: BLE001 - a checker fault fails one item, not the article
                 self.internal.append((SourcePos(*item.pos), _describe(e)))
                 self.errors.append(VerifyError(item.pos, 99))
-                self._reset(mark, keep_labels=True)
         return self.errors
 
     # -- shared plumbing ----------------------------------------------------
-
-    def _mark(self):
-        return (self.scope.block_mark(), dict(self.labels), len(self.defined))
-
-    def _reset(self, mark, keep_labels: bool = False) -> None:
-        self.scope.block_reset(mark[0])
-        if not keep_labels:
-            self.labels = mark[1]
-        del self.defined[mark[2] :]
 
     def _bind(self, label: str, f: Formula, pos: Pos) -> None:
         if label in self.labels:
             self.errors.append(VerifyError(pos, 93))
             return
-        self.labels[label] = f
+        self.trail.write(self.labels, label, f)
+
+    def _resolving(self, resolve, s, name: str, value):
+        """`resolve(s)` with the scope's context `name` set to `value`."""
+        with self.trail:
+            self.trail.write(self.scope.context, name, value)
+            return resolve(s)
 
     def _resolve(self, s, thesis: Formula | None = None) -> Formula:
         """Resolve a surface formula; `thesis` enables and fills the marker."""
-        self.scope.thesis_ok = thesis is not None
-        try:
-            f = self.resolver.formula(s)
-        finally:
-            self.scope.thesis_ok = False
-        return replace_thesis(f, thesis) if thesis is not None else f
+        if thesis is None:
+            return self.resolver.formula(s)
+        return replace_thesis(self.thesis_resolver.formula(s), thesis)
 
     def _feq(self, a: Formula, b: Formula) -> bool:
         return formula_equal(a, b, self.flex_mode)
@@ -234,10 +279,10 @@ class Analyzer:
     def _references(self, refs, linked: bool, pos: Pos) -> list[Formula]:
         premises: list[Formula] = []
         if linked:
-            if self.prev is None:
+            if self.links[-1] is None:
                 self.errors.append(VerifyError(pos, 51))
             else:
-                premises.append(self.prev)
+                premises.append(self.links[-1])
         for name, rpos in refs:
             f = self.labels.get(name)
             if f is None:
@@ -262,8 +307,9 @@ class Analyzer:
             self.errors.append(VerifyError(pos, 67 if res.limited else 61))
 
     def _new_const(self, name: str, ty: TypeExpr) -> int:
-        c = self.scope.fresh_const(ty)
-        self.scope.consts[name] = c
+        c = len(self.scope.const_types)
+        self.trail.write(self.scope.const_types, None, ty)
+        self.trail.write(self.scope.consts, name, c)
         return c
 
     def _emit_trace(self, goal: Formula, res, pos: Pos) -> None:
@@ -297,26 +343,22 @@ class Analyzer:
     ) -> None:
         """Walk a block that must prove `thesis`.  In a case block, `case`
         is the block's condition (`SLabeled`) and its resolved formula:
-        the first ``then`` links to it, and its label, bound after the
-        block's mark, is dropped when the block ends."""
-        mark = self._mark()
-        saved_prev, self.prev = self.prev, None
-        try:  # a checker fault ends the block too: nothing it bound outlives it
+        the first ``then`` links to it, and its label, bound inside the
+        block, is dropped when the block ends."""
+        with self.trail:
+            self.trail.write(self.links, None, None)
             if case is not None:
-                cond, self.prev = case
+                cond, self.links[-1] = case
                 if cond.label:
-                    self._bind(cond.label, self.prev, cond.formula.pos)
+                    self._bind(cond.label, self.links[-1], cond.formula.pos)
             for st in steps:
                 try:
                     thesis = self._step(st, thesis)
                 except MizarError as e:
                     self.errors.append(e.to_error())
-                    self.prev = None
+                    self.links[-1] = None
             if not isinstance(thesis, FTrue):
                 self.errors.append(VerifyError(end_pos, 70))
-        finally:
-            self._reset(mark)
-            self.prev = saved_prev
 
     def _step(self, st: SStep, thesis: Formula | None) -> Formula | None:
         """Check one step and return what is left of `thesis`.  A thesis
@@ -346,8 +388,8 @@ class Analyzer:
                 t = self.resolver.term(st.term)
                 goal = Qual(t, ty)
                 self.justify(goal, st.just, st.pos)
-                self.defined.append((self._new_const(st.name, ty), t))
-                self.prev = goal
+                self.trail.write(self.defined, None, (self._new_const(st.name, ty), t))
+                self.links[-1] = goal
                 return thesis
             case StPerCases():
                 return self._per_cases(st, thesis)
@@ -355,7 +397,7 @@ class Analyzer:
                 export = self.walk_now(st.steps, st.end_pos)
                 if st.label:
                     self._bind(st.label, export, st.pos)
-                self.prev = export
+                self.links[-1] = export
                 return thesis
             case StDeffunc():
                 self._private(st, self.resolver.term, self.scope.priv_funcs, "func")
@@ -382,7 +424,7 @@ class Analyzer:
         self.justify(f, st.just, st.pos)
         if st.prop.label:
             self._bind(st.prop.label, f, st.pos)
-        self.prev = f
+        self.links[-1] = f
         return f
 
     def _assume(self, st: StAssume, thesis: Formula | None) -> list[Formula]:
@@ -394,7 +436,7 @@ class Analyzer:
         for cond, f in zip(st.conds, fs):
             if cond.label:
                 self._bind(cond.label, f, cond.formula.pos)
-        self.prev = mk_and(fs) if fs else None
+        self.links[-1] = mk_and(fs) if fs else None
         return fs
 
     def _let(self, st: StLet, thesis: Formula | None) -> Formula:
@@ -412,7 +454,7 @@ class Analyzer:
                 self.errors.append(VerifyError(st.pos, 52))
             consts.append(const(self._new_const(name, ty)))
             thesis = thesis.body
-        self.prev = None
+        self.links[-1] = None
         return subst_bound(thesis, 0, *consts)
 
     def _rest_after(self, f: Formula, target: Formula) -> tuple[Formula, ...] | None:
@@ -452,9 +494,9 @@ class Analyzer:
             self.errors.append(VerifyError(st.pos, 52))
         if isinstance(st, StTakeEq):
             c = self._new_const(st.name, self.type_of(t))
-            self.defined.append((c, t))
+            self.trail.write(self.defined, None, (c, t))
             t = const(c)
-        self.prev = None
+        self.links[-1] = None
         return mk_neg(subst_bound(thesis.body.body, 0, t))
 
     def _witness(self, st: StConsider | StGiven, settle):
@@ -463,18 +505,16 @@ class Analyzer:
         consider justifies it, a given takes it off the thesis); its
         result is returned."""
         ty = self.resolver.type_expr(st.ty)
-        self.scope.bound_names.append(st.name)
-        try:
+        with self.trail:
+            self.trail.write(self.scope.bound_names, None, st.name)
             conds = [self._resolve(c.formula) for c in st.conds]
-        finally:
-            self.scope.bound_names.pop()
         out = settle(mk_exists(ty, mk_and(conds)))
         c = self._new_const(st.name, ty)
         inst = [subst_bound(f, 0, const(c)) for f in conds]
         for cond, fi in zip(st.conds, inst):
             if cond.label:
                 self._bind(cond.label, fi, cond.formula.pos)
-        self.prev = mk_and(inst) if inst else Qual(const(c), ty)
+        self.links[-1] = mk_and(inst) if inst else Qual(const(c), ty)
         return out
 
     def _per_cases(self, st: StPerCases, thesis: Formula) -> Formula:
@@ -508,12 +548,11 @@ class Analyzer:
         """Walk a ``now`` and return what it proved.  Only ``let``,
         ``assume`` and ``thus`` act differently here, recording the
         export; steps that need a thesis are rejected."""
-        mark = self._mark()
         first_fresh = len(self.scope.const_types)
-        saved_prev, self.prev = self.prev, None
         exports: list[tuple] = []  # ("let", cid, ty, level) | ("assume"/"thus", f, depth)
         lets_seen = 0
-        try:  # a checker fault ends the block too: nothing it bound outlives it
+        with self.trail:
+            self.trail.write(self.links, None, None)
             for st in steps:
                 try:
                     match st:
@@ -523,7 +562,7 @@ class Analyzer:
                                 c = self._new_const(name, ty)
                                 exports.append(("let", c, ty, lets_seen))
                                 lets_seen += 1
-                            self.prev = None
+                            self.links[-1] = None
                         case StAssume():
                             exports += [("assume", f, lets_seen) for f in self._assume(st, None)]
                         case StThus():
@@ -534,11 +573,8 @@ class Analyzer:
                             self._step(st, None)
                 except MizarError as e:
                     self.errors.append(e.to_error())
-                    self.prev = None
-            fresh = range(first_fresh, len(self.scope.const_types))  # before the reset drops them
-        finally:
-            self._reset(mark)
-            self.prev = saved_prev
+                    self.links[-1] = None
+            fresh = range(first_fresh, len(self.scope.const_types))  # before the block drops them
         acc: Formula | None = None
         for entry in reversed(exports):
             match entry:
@@ -570,29 +606,22 @@ class Analyzer:
         """Elaborate ``deffunc`` or ``defpred``: `resolve` reads the body
         with the ``$`` arguments typed, and `table` records it."""
         tys = self._priv_types(st.arg_types)
-        saved, self.scope.dollar_types = self.scope.dollar_types, tys
-        try:
-            body = resolve(st.body)
-        finally:
-            self.scope.dollar_types = saved
-        table[st.name] = PrivDef(self.scope.fresh_priv(kind), tys, body)
+        body = self._resolving(resolve, st.body, "dollar_types", tys)
+        self.trail.write(table, st.name, PrivDef(self.scope.fresh_priv(kind), tys, body))
 
     # -- schemes ------------------------------------------------------------------
 
     def _scheme_item(self, it: ItScheme) -> None:
-        saved_funcs = dict(self.scope.scheme_funcs)
-        saved_preds = dict(self.scope.scheme_preds)
         func_arities: list[int] = []
         pred_arities: list[int] = []
-        mark = self._mark()  # the provided labels end with the item, however it ends
-        try:
+        with self.trail:  # the placeholders and provided labels end with the item
             for sig in it.sigs:
                 tys = self._priv_types(sig.arg_types)
                 if sig.kind == "func":
                     result = self.resolver.type_expr(sig.result)
                     fid = len(func_arities)
-                    self.scope.scheme_funcs[sig.name] = (fid, tys, result)
-                    self.scheme_results[fid] = result
+                    self.trail.write(self.scope.scheme_funcs, sig.name, (fid, tys, result))
+                    self.trail.write(self.scheme_results, fid, result)
                     # let the checker type applications of the placeholder
                     typed: Formula = Qual(
                         SchemeFunctorApp(fid, tuple(bound(i) for i in range(len(tys)))),
@@ -600,10 +629,10 @@ class Analyzer:
                     )
                     for i in reversed(range(len(tys))):
                         typed = ForAll(tys[i], typed)
-                    self.scheme_premises.append(typed)
+                    self.trail.write(self.scheme_premises, None, typed)
                     func_arities.append(len(tys))
                 else:
-                    self.scope.scheme_preds[sig.name] = (len(pred_arities), tys)
+                    self.trail.write(self.scope.scheme_preds, sig.name, (len(pred_arities), tys))
                     pred_arities.append(len(tys))
             statement = self._resolve(it.statement)
             premises = []
@@ -613,22 +642,16 @@ class Analyzer:
                     self._bind(p.label, f, p.formula.pos)
                 premises.append(f)
             self.walk_proof(statement, it.steps, it.end_pos)
-            if it.name in self.schemes:
-                self.errors.append(VerifyError(it.pos, 93))
-            else:
-                self.schemes[it.name] = Scheme(
-                    it.name,
-                    tuple(func_arities),
-                    tuple(pred_arities),
-                    tuple(premises),
-                    statement,
-                )
-        finally:
-            self._reset(mark)
-            self.scope.scheme_funcs = saved_funcs
-            self.scope.scheme_preds = saved_preds
-            self.scheme_results = {}
-            self.scheme_premises = []
+        if it.name in self.schemes:
+            self.errors.append(VerifyError(it.pos, 93))
+        else:
+            self.schemes[it.name] = Scheme(
+                it.name,
+                tuple(func_arities),
+                tuple(pred_arities),
+                tuple(premises),
+                statement,
+            )
 
     # -- definitions ---------------------------------------------------------------
 
@@ -637,8 +660,8 @@ class Analyzer:
         for group in lets:
             for name in group.names:
                 ty = self.resolver.type_expr(group.ty)
-                self.scope.loci[name] = len(self.loci_types)
-                self.loci_types.append(ty)
+                self.trail.write(self.scope.loci, name, len(self.loci_types))
+                self.trail.write(self.loci_types, None, ty)
                 names.append(name)
         return names
 
@@ -653,27 +676,28 @@ class Analyzer:
         return tuple(locus(i) for i in range(arity))
 
     def _definition(self, it: ItDefinition) -> None:
-        saved_loci = dict(self.scope.loci)
-        saved_types = list(self.loci_types)
-        self.scope.loci = {}
-        self.loci_types = []
-        try:
+        """Elaborate a definition and check its correctness conditions in
+        one block, then publish what its ``_def_*`` returned: a name
+        table, the key, the constructor and the label's fact (or None),
+        which its own conditions therefore cannot use."""
+        with self.trail:
             names = self._loci(it.lets)
             match it.body:
                 case DefAttr():
-                    needed = self._def_attr(it.body, names, it.pos)
+                    needed, published = self._def_attr(it.body, names, it.pos)
                 case DefMode():
-                    needed = self._def_mode(it.body, names, it.pos)
+                    needed, published = self._def_mode(it.body, names, it.pos)
                 case DefFunc():
-                    needed = self._def_func(it.body, names, it.pos)
+                    needed, published = self._def_func(it.body, names, it.pos)
                 case DefPred():
-                    needed = self._def_pred(it.body, names, it.pos)
+                    needed, published = self._def_pred(it.body, names, it.pos)
                 case _:
                     raise AssertionError(it.body)
             self._correctness(it, needed)
-        finally:
-            self.scope.loci = saved_loci
-            self.loci_types = saved_types
+        table, key, ident, fact = published
+        table[key] = ident
+        if fact is not None:
+            self._bind(it.body.def_label, fact, it.pos)
 
     def _correctness(self, it, needed: dict[str, Formula]) -> None:
         for sc in it.correctness:
@@ -685,7 +709,7 @@ class Analyzer:
         for _kind in needed:
             self.errors.append(VerifyError(it.pos, 70))
 
-    def _def_attr(self, body: DefAttr, names: list[str], pos: Pos) -> dict:
+    def _def_attr(self, body: DefAttr, names: list[str], pos: Pos) -> tuple[dict, tuple]:
         arity = len(names) - 1
         if arity < 0 or names[-1] != body.subject:
             raise MizarError(pos, 90, "the subject must be the last locus")
@@ -697,14 +721,11 @@ class Analyzer:
         definiens = self._resolve(body.definiens)
         aid = self.db.fresh_id("attr")
         self.db.attrs[aid] = AttrDef(arity, self.loci_types[arity], definiens, body.expandable)
-        self.scope.attr_names[body.name] = (aid, arity)
-        if body.def_label:
-            head = Is(locus(arity), Attr(True, aid, self._locus_args(arity)))
-            fact = self._close_loci(mk_iff(head, definiens), self.loci_types)
-            self._bind(body.def_label, fact, pos)
-        return {}
+        head = Is(locus(arity), Attr(True, aid, self._locus_args(arity)))
+        fact = self._close_loci(mk_iff(head, definiens), self.loci_types) if body.def_label else None
+        return {}, (self.scope.attr_names, body.name, (aid, arity), fact)
 
-    def _def_mode(self, body: DefMode, names: list[str], pos: Pos) -> dict:
+    def _def_mode(self, body: DefMode, names: list[str], pos: Pos) -> tuple[dict, tuple]:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "mode arguments must match the loci")
         arity = len(names)
@@ -713,32 +734,21 @@ class Analyzer:
         parent = self.resolver.type_expr(body.parent)
         definiens = None
         if body.definiens is not None:
-            saved, self.scope.it_term = self.scope.it_term, locus(arity)
-            try:
-                definiens = self._resolve(body.definiens)
-            finally:
-                self.scope.it_term = saved
+            definiens = self._resolving(self.resolver.formula, body.definiens, "it_term", locus(arity))
         mid = self.db.fresh_id("mode")
         self.db.modes[mid] = ModeDef(arity, parent, definiens, body.expandable)
-        self.scope.mode_names[body.name] = (mid, arity)
         mode_ty = TypeExpr(frozenset(), mid, self._locus_args(arity))
         needed: dict[str, Formula] = {}
         if definiens is not None:
             inner = subst_loci(definiens, self._locus_args(arity) + (bound(arity),))
             needed["existence"] = self._close_loci(mk_exists(parent, inner), self.loci_types)
-            if body.def_label:
-                fact = mk_iff(Qual(locus(arity), mode_ty), definiens)
-                self._bind(
-                    body.def_label,
-                    self._close_loci(fact, self.loci_types + [parent]),
-                    pos,
-                )
-        elif body.def_label:
+            fact = mk_iff(Qual(locus(arity), mode_ty), definiens)
+        else:
             fact = mk_imp(Qual(locus(arity), mode_ty), Qual(locus(arity), parent))
-            self._bind(body.def_label, self._close_loci(fact, self.loci_types + [parent]), pos)
-        return needed
+        fact = self._close_loci(fact, self.loci_types + [parent]) if body.def_label else None
+        return needed, (self.scope.mode_names, body.name, (mid, arity), fact)
 
-    def _def_func(self, body: DefFunc, names: list[str], pos: Pos) -> dict:
+    def _def_func(self, body: DefFunc, names: list[str], pos: Pos) -> tuple[dict, tuple]:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "functor arguments must match the loci")
         arity = len(names)
@@ -752,11 +762,7 @@ class Analyzer:
             needed["coherence"] = self._close_loci(Qual(term, result), self.loci_types)
             fact = Pred(self._eq_pred(pos), (FunctorApp(fid, args), term))
         else:
-            saved, self.scope.it_term = self.scope.it_term, locus(arity)
-            try:
-                definiens = self._resolve(body.means)
-            finally:
-                self.scope.it_term = saved
+            definiens = self._resolving(self.resolver.formula, body.means, "it_term", locus(arity))
             fid = self.db.fresh_id("func")
             self.db.funcs[fid] = FuncDef(arity, result)
             inner = subst_loci(definiens, args + (bound(arity),))
@@ -769,23 +775,19 @@ class Analyzer:
                 self.loci_types + [result, result],
             )
             fact = subst_loci(definiens, args + (FunctorApp(fid, args),))
-        self.scope.func_names[(body.name, arity)] = fid
-        if body.def_label:
-            self._bind(body.def_label, self._close_loci(fact, self.loci_types), pos)
-        return needed
+        fact = self._close_loci(fact, self.loci_types) if body.def_label else None
+        return needed, (self.scope.func_names, (body.name, arity), fid, fact)
 
-    def _def_pred(self, body: DefPred, names: list[str], pos: Pos) -> dict:
+    def _def_pred(self, body: DefPred, names: list[str], pos: Pos) -> tuple[dict, tuple]:
         if tuple(names) != body.args:
             raise MizarError(pos, 90, "predicate arguments must match the loci")
         arity = len(names)
         definiens = self._resolve(body.definiens)
         pid = self.db.fresh_id("pred")
         self.db.preds[pid] = PredDef(arity, definiens, body.expandable)
-        self.scope.pred_names[(body.name, arity)] = pid
-        if body.def_label:
-            fact = mk_iff(Pred(pid, self._locus_args(arity)), definiens)
-            self._bind(body.def_label, self._close_loci(fact, self.loci_types), pos)
-        return {}
+        fact = mk_iff(Pred(pid, self._locus_args(arity)), definiens)
+        fact = self._close_loci(fact, self.loci_types) if body.def_label else None
+        return {}, (self.scope.pred_names, (body.name, arity), pid, fact)
 
     # -- cluster registrations ----------------------------------------------------
 

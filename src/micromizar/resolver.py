@@ -134,12 +134,16 @@ class PrivDef:
 
 @dataclass
 class Scope:
-    """Everything a name can currently mean.
+    """Everything a name can currently mean, and no block bookkeeping.
 
     Constant i's type is ``const_types[i]``, its only record.  A constant
-    lives as long as the block that introduced it: `block_reset` drops
-    the names and types of the block's constants, and their ids are
-    handed out again to the constants of a later block."""
+    lives as long as the block that introduced it: the analyzer's trail
+    drops the names and types of the block's constants when the block
+    ends, and their ids are handed out again to the constants of a later
+    block.  ``context`` is what the current resolution may read: the
+    types of a private definition's ``$`` arguments (``dollar_types``)
+    and the term ``it`` stands for (``it_term``).  The analyzer writes
+    the proof-local tables and ``context`` only through that trail."""
 
     req: RequirementTable
     db: DefinitionDb
@@ -157,34 +161,18 @@ class Scope:
         default_factory=dict
     )
     scheme_preds: dict[str, tuple[int, tuple[TypeExpr, ...]]] = field(default_factory=dict)
-    dollar_types: tuple[TypeExpr, ...] | None = None
-    it_term: Term | None = None
-    thesis_ok: bool = False
+    context: dict[str, object] = field(default_factory=lambda: {"dollar_types": None, "it_term": None})
     next_priv: dict[str, int] = field(default_factory=lambda: {"func": 0, "pred": 0})
-
-    def fresh_const(self, ty: TypeExpr) -> int:
-        self.const_types.append(ty)
-        return len(self.const_types) - 1
 
     def fresh_priv(self, kind: str) -> int:
         out = self.next_priv[kind]
         self.next_priv[kind] = out + 1
         return out
 
-    def block_mark(self):
-        return (
-            dict(self.consts),
-            dict(self.priv_funcs),
-            dict(self.priv_preds),
-            len(self.const_types),
-        )
-
-    def block_reset(self, mark) -> None:
-        self.consts, self.priv_funcs, self.priv_preds = dict(mark[0]), dict(mark[1]), dict(mark[2])
-        del self.const_types[mark[3] :]
-
 
 class Resolver:
+    thesis_ok = False  # ``thesis`` means something only to a `ThesisResolver`
+
     def __init__(self, scope: Scope):
         self.scope = scope
         self.req = scope.req
@@ -209,10 +197,11 @@ class Resolver:
             return Numeral(s.value)
         sc = self.scope
         if k is SDollar:
-            if sc.dollar_types is None:
+            tys = sc.context["dollar_types"]
+            if tys is None:
                 raise MizarError(s.pos, 91, "placeholder argument outside a definition body")
-            if not 1 <= s.index <= len(sc.dollar_types):
-                raise MizarError(s.pos, 92, f"this definition has {len(sc.dollar_types)} arguments")
+            if not 1 <= s.index <= len(tys):
+                raise MizarError(s.pos, 92, f"this definition has {len(tys)} arguments")
             return locus(s.index - 1)
         if k is SThe:
             ty = self.type_expr(s.ty)
@@ -235,9 +224,10 @@ class Resolver:
     def name_term(self, name: str, pos) -> Term:
         sc = self.scope
         if name == "it":
-            if sc.it_term is None:
+            it = sc.context["it_term"]
+            if it is None:
                 raise MizarError(pos, 91, "'it' is only available inside a definiens")
-            return sc.it_term
+            return it
         for lvl in range(len(sc.bound_names) - 1, -1, -1):
             if sc.bound_names[lvl] == name:
                 return bound(lvl)
@@ -369,7 +359,7 @@ class Resolver:
         if k is SIs:
             return self.is_clause(s.pos, s.term, s.adjs)
         if k is SThesis:
-            if not sc.thesis_ok:
+            if not self.thesis_ok:
                 raise MizarError(s.pos, 51, "'thesis' has no meaning here")
             return ThesisMarker()
         if k is SBracketAtom:
@@ -461,3 +451,9 @@ class Resolver:
         if mode_tail is not None:
             return Qual(t, self.type_expr(mode_tail))
         return mk_and([mk_is(t, self.adjective(a)) for a in adjs])
+
+
+class ThesisResolver(Resolver):
+    """Resolves a proposition stated against a thesis, which ``thesis`` marks."""
+
+    thesis_ok = True

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,11 +17,12 @@ import micromizar
 import micromizar.analyzer as analyzer_module
 from micromizar.analyzer import Analyzer
 from micromizar.equalizer import EqGraph, _PolyReader
-from micromizar.logic import Numeral, const
+from micromizar.errors import MizarError
+from micromizar.logic import Numeral, VarKind, any_var, const
 from micromizar.parser import parse_article
 from micromizar.prechecker import CLAUSE_CAP, UNFOLD_FUEL, Prechecker
 from micromizar.requirements import enable_groups
-from micromizar.surface import StThus
+from micromizar.surface import Article, ItDefinition, StDeffunc, StDefpred, StProp, StThus
 
 
 def errors(req, body: str, trace: list[str] | None = None, cols: bool = False) -> list[tuple[int, ...]]:
@@ -373,17 +375,16 @@ end;
     ) == [(51, 21), (61, 23)]
 
 
-def test_a_scheme_that_fails_to_resolve_binds_no_provided_label(req_all):
-    # were `A1` left bound, the false theorem would cite it
-    assert errors(
-        req_all,
-        """scheme S{P[set]}: for x being set holds P[x]
+PROVIDED = """scheme S{P[set]}: for x being set holds P[x]
 provided A1: 1 = 2 and A2: nosuchthing = 0
 proof thus thesis by A1; end;
 theorem 1 = 2 by A1;
-""",
-        cols=True,
-    ) == [(61, 5, 1), (91, 3, 28), (91, 5, 18)]
+"""
+
+
+def test_a_scheme_that_fails_to_resolve_binds_no_provided_label(req_all):
+    # were `A1` left bound, the false theorem would cite it
+    assert errors(req_all, PROVIDED, cols=True) == [(61, 5, 1), (91, 3, 28), (91, 5, 18)]
 
 
 # each article's `thus` faults; `A` says the dead constant 0 is {}, and
@@ -410,6 +411,207 @@ def test_a_fault_inside_a_block_leaves_none_of_its_labels_bound(req_all, monkeyp
     monkeypatch.setattr(Analyzer, "_proposition", faulty)
     body = FAULTED_BLOCKS[block] + "theorem for y being set holds y = {} by A;\n"
     assert errors(req_all, body, cols=True) == [(61, 4, 1), (91, 4, 41), (99, 2, 1)]
+
+
+# each definition's existence proof uses what the definition introduces:
+# its label, its functor's result type, its mode; were they visible,
+# each article would prove 1 = 2 without an error
+Z = """definition
+  let a be set;
+  attr a is Z means :DZ: contradiction;
+end;
+"""
+SELF_DEFINING = {
+    "label": (
+        """definition
+  let x be set;
+  func f(x) -> set means :D: it <> it;
+  existence
+  proof
+    let x be set;
+    A: f(x) <> f(x) by D;
+    take f(x);
+    thus thesis by A;
+  end;
+  uniqueness;
+end;
+theorem 1 = 2
+proof
+  A: f(1) <> f(1) by D;
+  thus thesis by A;
+end;
+""",
+        [(61, 10, 5), (91, 8, 8), (91, 9, 10), (91, 10, 20)],
+    ),
+    "functor": (
+        Z
+        + """definition
+  let x be set;
+  func h(x) -> Z set means it = it;
+  existence
+  proof
+    let x be set;
+    take h(x);
+    thus h(x) = h(x);
+  end;
+  uniqueness by DZ;
+end;
+theorem 1 = 2
+proof
+  A: h(1) is Z;
+  thus thesis by A, DZ;
+end;
+""",
+        [(70, 14, 3), (91, 12, 10), (91, 13, 10)],
+    ),
+    "mode": (
+        Z
+        + """definition
+  let x be set;
+  mode Bad of x -> Z set means it = it;
+  existence
+  proof
+    let x be set;
+    take the Bad of x;
+    thus thesis;
+  end;
+end;
+theorem 1 = 2
+proof
+  A: the Bad of 1 is Z;
+  thus thesis by A, DZ;
+end;
+""",
+        [(61, 13, 5), (91, 12, 14)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SELF_DEFINING))
+def test_a_definition_is_not_visible_in_its_own_correctness_conditions(req_all, kind):
+    body, expected = SELF_DEFINING[kind]
+    assert errors(req_all, body, cols=True) == expected
+
+
+# the regression articles of the block bookkeeping, for the oracle below
+REGRESSIONS = {
+    **{f"self-defining {kind}": body for kind, (body, _) in SELF_DEFINING.items()},
+    "dead Z": DEAD_Z + "theorem 1 = 2 by T;\n",
+    "provided": PROVIDED,
+    **{f"fault in a {block}": body + "theorem for y being set holds y = {} by A;\n" for block, body in FAULTED_BLOCKS.items()},
+}
+
+
+def block_state(an: Analyzer) -> dict:
+    """A copy of every table that a block's end restores."""
+    sc = an.scope
+    tables = {
+        "labels": an.labels,
+        "defined": an.defined,
+        "loci_types": an.loci_types,
+        "scheme_results": an.scheme_results,
+        "scheme_premises": an.scheme_premises,
+        "consts": sc.consts,
+        "const_types": sc.const_types,
+        "loci": sc.loci,
+        "priv_funcs": sc.priv_funcs,
+        "priv_preds": sc.priv_preds,
+        "scheme_funcs": sc.scheme_funcs,
+        "scheme_preds": sc.scheme_preds,
+        "bound_names": sc.bound_names,
+        "context": sc.context,
+        "links": an.links[:-1],  # the last is the article's own: see `block_local`
+    }
+    return {name: table.copy() for name, table in tables.items()}
+
+
+def block_local(link) -> bool:
+    """Whether the article's ``then`` target names a constant or a locus,
+    which live only inside a block."""
+    return link is not None and any_var(link, lambda v: v.kind in (VarKind.CONST, VarKind.LOCUS))
+
+
+def mizar_error(pos) -> MizarError:
+    return MizarError(pos, 51, "injected")
+
+
+def publishable(item) -> dict[str, set[str]]:
+    """The names `item` may bind at the article's own level, by table."""
+    out: dict[str, set[str]] = {"labels": set(), "priv_funcs": set(), "priv_preds": set()}
+    match item:
+        case StProp():
+            out["labels"].add(item.prop.label)
+        case ItDefinition():
+            out["labels"].add(item.body.def_label)
+        case StDeffunc():
+            out["priv_funcs"].add(item.name)
+        case StDefpred():
+            out["priv_preds"].add(item.name)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSIONS))
+def test_a_fault_at_any_step_leaves_only_what_the_item_publishes(req_all, monkeypatch, name):
+    """Raise `MizarError`, then `RuntimeError`, at the k-th `_step` call
+    for every k.  After each item, the block-scoped state is what it was
+    before, plus names the item binds at its own level, ``then`` links
+    to nothing block-local, and the trail is empty."""
+    art, parse_errors = parse_article("environ begin\n" + REGRESSIONS[name])
+    assert parse_errors == []
+    step = Analyzer._step
+    fault = {"at": 0, "calls": 0, "raise": None}
+
+    def faulty(self, st, thesis):
+        fault["calls"] += 1
+        if fault["calls"] == fault["at"]:
+            raise fault["raise"](st.pos)
+        return step(self, st, thesis)
+
+    monkeypatch.setattr(Analyzer, "_step", faulty)
+
+    def check(at, raiser) -> list[tuple]:
+        fault.update({"at": at, "calls": 0, "raise": raiser})
+        an = Analyzer(req_all)
+        leaks = []
+        for item in art.items:
+            before = block_state(an)
+            an.run(Article(art.requirements, (item,)))
+            after = block_state(an)
+            for table, names in publishable(item).items():
+                for key in names & after[table].keys() - before[table].keys():
+                    del after[table][key]
+            if after != before or block_local(an.links[-1]) or an.trail.log or an.trail.marks:
+                leaks.append((at, raiser, item.pos.line))
+        assert fault["calls"] >= at
+        return leaks
+
+    assert check(0, None) == []
+    steps = fault["calls"]
+    leaks = [leak for at in range(1, steps + 1) for raiser in (mizar_error, RuntimeError) for leak in check(at, raiser)]
+    assert steps >= len(art.items)
+    assert leaks == []
+
+
+def test_one_more_theorem_allocates_as_much_after_a_thousand_as_after_fifty(req_all):
+    """A block costs what it binds, not what the article holds: the peak
+    traced allocation of checking one more theorem, with a proof and a
+    ``now``, is within 1.5x after 1,000 theorems of what it is after 50.
+    Copying the labels at every block made it grow with the article."""
+    theorem = "T{}: for x being set holds x = x proof let x be set; N: now thus 1 = 1; end; thus x = x; end;\n"
+    peaks = []
+    for n in (50, 1000):
+        art, parse_errors = parse_article("environ begin\n" + "".join(theorem.format(i) for i in range(n + 1)))
+        assert parse_errors == []
+        an = Analyzer(req_all)
+        an.run(Article(art.requirements, art.items[:-1]))
+        tracemalloc.start()
+        try:
+            an.run(Article(art.requirements, art.items[-1:]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert an.errors == []
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_cited_universal_proves_its_restatement_over_union(check):

@@ -12,8 +12,9 @@ only ``logic`` walks two trees at once, one table there holds the
 shape of every kernel node kind, ``EqGraph._put`` is the only
 writer of the congruence graph's fact tables, only the upkeep of
 its polynomial table computes a normal form, only ``subtyping`` and
-the resolver's contradiction check round a type up, and no module
-outside ``subtyping`` shrinks or reorders a definition registry.  ``parse_article`` looks
+the resolver's contradiction check round a type up, no module
+outside ``subtyping`` shrinks or reorders a definition registry, and
+only ``Trail.write`` changes the analyzer's block-scoped state.  ``parse_article`` looks
 ``tokenize`` up in the parser module's namespace at each call, which is
 where a tracer wraps it, and the parser never rewinds its tokens."""
 
@@ -533,3 +534,102 @@ def test_registry_shrinks_finds_each_form(tmp_path):
     )
     lines = sorted(int(hit.split(" ", 1)[0].split(":")[1]) for hit in registry_shrinks(path))
     assert lines == list(range(2, 10))
+
+
+# the analyzer's block-scoped state: only `Trail.write` changes it, so
+# that the block unwinds it.  ``links`` holds one slot per open block;
+# a step's store into the current block's own slot, ``links[-1]``, dies
+# with the slot, so it is no write to be unwound.
+BLOCK_SCOPED = {
+    "labels", "defined", "loci_types", "scheme_results", "scheme_premises", "links", "consts", "const_types",
+    "loci", "priv_funcs", "priv_preds", "scheme_funcs", "scheme_preds", "bound_names", "context",
+}
+MUTATORS = SHRINKS | {"append", "extend", "update", "setdefault", "__setitem__"}
+
+
+def _own_link(node) -> bool:
+    """Whether `node` is ``x.links[-1]``."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "links"
+        and isinstance(node.slice, ast.UnaryOp)
+        and isinstance(node.slice.op, ast.USub)
+        and isinstance(node.slice.operand, ast.Constant)
+        and node.slice.operand.value == 1
+    )
+
+
+def _scoped(node) -> str | None:
+    """T, if `node` is ``x.T`` or ``x.T[...]`` for a block-scoped T."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in BLOCK_SCOPED:
+        return node.attr
+    return None
+
+
+def block_state_writes(path: pathlib.Path) -> list[str]:
+    """Each assignment to, deletion from or mutating call on a block-scoped
+    table in `path`, and each ``setattr`` of one or store into a
+    ``vars()``, outside an ``__init__``, which creates them, and save a
+    store into ``links[-1]``.  A table reached through a local alias is
+    not seen."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    init_lines = {
+        line
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+        for line in range(f.lineno, f.end_lineno + 1)
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            targets = [node.func.value]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr":
+            name = node.args[1] if len(node.args) > 1 else None
+            targets = [ast.Attribute(node.args[0], name.value)] if isinstance(name, ast.Constant) else []
+        else:
+            continue
+        for t in targets:
+            if _own_link(t) and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            into_vars = (
+                isinstance(t, ast.Subscript)
+                and isinstance(t.value, ast.Call)
+                and isinstance(t.value.func, ast.Name)
+                and t.value.func.id == "vars"
+            )
+            name = "vars()" if into_vars else _scoped(t)
+            if name is not None and node.lineno not in init_lines:
+                hits.append(f"{path.name}:{node.lineno} writes {name}")
+    return hits
+
+
+def test_only_the_trail_writes_block_scoped_state():
+    assert block_state_writes(PACKAGE / "analyzer.py") == []
+
+
+def test_block_state_writes_finds_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.labels = {}\n        self.defined = []\n"
+        "    def f(self, table, k):\n"
+        "        self.labels[k] = 1\n        del self.scope.consts[k]\n        self.defined.append(k)\n"
+        "        self.loci_types = []\n        self.scope.context = {}\n        self.scheme_premises += [k]\n"
+        "        self.scope.priv_funcs.update({})\n        del self.scope.const_types[k:]\n"
+        "        self.scope.bound_names.pop()\n        setattr(self.scope, 'context', k)\n"
+        "        vars(self.scope)['consts'] = k\n        self.scheme_results: dict = {}\n"
+        "        self.scope.context['it_term'] = k\n        self.links.append(k)\n        self.links[0] = k\n"
+        "        del self.links[-1]\n        self.links[-1] += k\n"
+        "        self.trail.write(self.labels, k, 1)\n        self.schemes[k] = 1\n        self.links[-1] = k\n"
+        "        table[k] = 1\n        x = self.labels[k]\n        self.scope.attr_names[k] = 1\n"
+    )
+    lines = sorted(int(hit.split(" ", 1)[0].split(":")[1]) for hit in block_state_writes(path))
+    assert lines == list(range(6, 23))
+

@@ -71,7 +71,8 @@ def test_inner_binder_shadows_outer(resolver):
 
 
 def test_consts_resolve_behind_binders(resolver, scope):
-    scope.consts["c"] = scope.fresh_const(scope.req.nat_type())
+    scope.const_types.append(scope.req.nat_type())
+    scope.consts["c"] = 0
     f = rf(resolver, "for c being Nat holds c = c")
     assert f.body.args == (bound(0), bound(0))
     g = rf(resolver, "c = c")
@@ -173,11 +174,11 @@ def test_scheme_placeholders_resolve_opaquely(resolver, scope):
 
 
 def test_dollar_args_resolve_to_loci(resolver, scope):
-    scope.dollar_types = (scope.req.nat_type(), scope.req.nat_type())
+    scope.context["dollar_types"] = (scope.req.nat_type(), scope.req.nat_type())
     f = rf(resolver, "$1 + $2 = $2 + $1")
     assert f.args[0] == FunctorApp(scope.req.require("Add"), (locus(0), locus(1)))
     assert err_code(resolver, "$3 = $3") == 92
-    scope.dollar_types = None
+    scope.context["dollar_types"] = None
     assert err_code(resolver, "$1 = $1") == 91
 
 
