@@ -39,7 +39,7 @@ import os
 
 from .arith import ComplexRational
 from .errors import MizarError, Pos, SourcePos, VerifyError
-from .flex import FlexMode, formula_equal
+from .flex import formula_equal
 from .formatter import Formatter
 from .logic import (
     And,
@@ -187,21 +187,13 @@ def _describe(e: Exception) -> str:
 
 
 class Analyzer:
-    def __init__(
-        self,
-        req: RequirementTable,
-        db: DefinitionDb | None = None,
-        *,
-        flex_mode: FlexMode = FlexMode.STRICT,
-        trace: list[str] | None = None,
-    ):
+    def __init__(self, req: RequirementTable, *, trace: list[str] | None = None):
         self.req = req
-        self.db = db if db is not None else DefinitionDb(req)
-        self.flex_mode = flex_mode
+        self.db = DefinitionDb(req)
         self.scope = Scope(req, self.db)
         self.resolver = Resolver(self.scope)
         self.thesis_resolver = ThesisResolver(self.scope)
-        self.checker = Prechecker(self.db, flex_mode)
+        self.checker = Prechecker(self.db)
         self.formatter = Formatter(self.scope)
         self.errors: list[VerifyError] = []
         self.trail = Trail()
@@ -253,9 +245,6 @@ class Analyzer:
         if thesis is None:
             return self.resolver.formula(s)
         return replace_thesis(self.thesis_resolver.formula(s), thesis)
-
-    def _feq(self, a: Formula, b: Formula) -> bool:
-        return formula_equal(a, b, self.flex_mode)
 
     def _eq_pred(self, pos: Pos) -> int:
         eq = self.req.ids.Equality
@@ -313,7 +302,8 @@ class Analyzer:
         return c
 
     def _emit_trace(self, goal: Formula, res, pos: Pos) -> None:
-        self.trace.extend(self.formatter.trace_input(mk_neg(goal)))
+        where = str(SourcePos(*pos))
+        self.trace.extend(self.formatter.trace_input(where, mk_neg(goal)))
         prepared = res.prepared
         if prepared is None:
             return
@@ -321,7 +311,6 @@ class Analyzer:
             branches = [mk_neg(c) for c in prepared.body.conjuncts]
         else:
             branches = [prepared]
-        where = str(SourcePos(*pos))
         for i, branch in enumerate(branches):
             self.trace.extend(self.formatter.trace_refuting(i, where, branch, res.skolems))
 
@@ -461,7 +450,7 @@ class Analyzer:
         """The conjuncts of `target` left once those of `f` match a prefix
         of them, or None where they do not."""
         ps, cs = conjuncts(f), conjuncts(target)
-        if len(ps) <= len(cs) and all(self._feq(p, c) for p, c in zip(ps, cs)):
+        if len(ps) <= len(cs) and all(map(formula_equal, ps, cs)):
             return cs[len(ps) :]
         return None
 
@@ -471,13 +460,13 @@ class Analyzer:
             rest = self._rest_after(a, thesis.body)
             if rest is not None:
                 return mk_neg(mk_and(rest))
-        if self._feq(a, mk_neg(thesis)):
+        if formula_equal(a, mk_neg(thesis)):
             return FALSE
         self.errors.append(VerifyError(pos, 71))
         return thesis
 
     def _discharge(self, f: Formula, thesis: Formula, pos: Pos) -> Formula:
-        if self._feq(f, thesis) or self._feq(f, FALSE):
+        if formula_equal(f, thesis) or formula_equal(f, FALSE):
             return TRUE
         rest = self._rest_after(f, thesis)
         if rest:

@@ -13,8 +13,6 @@ The diff and ``formula_equal`` (thesis matching) are hooks on
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .logic import (
     And,
     Attr,
@@ -53,11 +51,6 @@ from .logic import (
     zip_nodes,
 )
 from .requirements import RequirementTable
-
-
-class FlexMode(Enum):
-    STRICT = "strict"
-    COMPAT = "compat"
 
 
 class FlexError(Exception):
@@ -255,66 +248,57 @@ def expand_flex(fc: FlexConj, req: RequirementTable) -> Formula:
 # equality
 
 
-def flex_equal(a: FlexConj, b: FlexConj, mode: FlexMode) -> bool:
-    """Strict mode compares the underlying objects (bounds and defining
-    universal); compat mode compares only the two endpoint instances."""
-    if mode is FlexMode.STRICT:
-        return a.lo == b.lo and a.hi == b.hi and a.expansion == b.expansion
-    return a.inst_lo == b.inst_lo and a.inst_hi == b.inst_hi
+def flex_equal(a: FlexConj, b: FlexConj) -> bool:
+    """Two flexary conjunctions are one when their underlying objects are:
+    the bounds and the defining universal, however the endpoints were
+    written."""
+    return a.lo == b.lo and a.hi == b.hi and a.expansion == b.expansion
 
 
 _PRIVATE = (PrivFunc, PrivPred)
 
 
-def formula_equal(a, b, mode: FlexMode) -> bool:
+def formula_equal(a, b) -> bool:
     """Structural equality used for thesis matching, of nodes of any kind.
 
     A proof-local application is unfolded when only one side is one; two
     of them are equal when their heads and arguments are, or else their
-    expansions.  Flexary conjunctions compare per ``mode``; ``the T``,
+    expansions.  Flexary conjunctions compare by `flex_equal`; ``the T``,
     Fraenkel terms and a type's written adjectives compare exactly, and
     ``thesis`` equals nothing.
     """
     try:
-        zip_nodes(a, b, _EQUAL_HOOKS[mode])
+        zip_nodes(a, b, _equal)
     except ShapeMismatch:
         return False
     return True
 
 
-def _equal_hook(mode: FlexMode):
-    """`formula_equal`'s hook under `mode`, made once per mode: it names
-    itself, a cycle that only the cyclic collector would free per call."""
-
-    def fn(x, y):
-        px, py = type(x) in _PRIVATE, type(y) in _PRIVATE
-        if px or py:
-            # `x` stands for the pair: an expansion may not fit where `x` is
-            if px != py:
-                zip_nodes(x.expansion if px else x, y.expansion if py else y, fn)
+def _equal(x, y):
+    """`formula_equal`'s hook on ``zip_nodes``."""
+    px, py = type(x) in _PRIVATE, type(y) in _PRIVATE
+    if px or py:
+        # `x` stands for the pair: an expansion may not fit where `x` is
+        if px != py:
+            zip_nodes(x.expansion if px else x, y.expansion if py else y, _equal)
+            return x
+        if same_head(x, y):
+            try:
+                for u, v in zip(x.args, y.args):
+                    zip_nodes(u, v, _equal)
                 return x
-            if same_head(x, y):
-                try:
-                    for u, v in zip(x.args, y.args):
-                        zip_nodes(u, v, fn)
-                    return x
-                except ShapeMismatch:
-                    pass
-            zip_nodes(x.expansion, y.expansion, fn)
-            return x
-        if type(x) is FlexAnd and type(y) is FlexAnd:
-            if not flex_equal(x.flex, y.flex, mode):
-                raise ShapeMismatch("flexary conjunctions differ")
-            return x
-        if type(x) is Choice or type(x) is Fraenkel:
-            if x != y:
-                raise ShapeMismatch("opaque terms differ")
-            return x
-        if type(x) is TypeExpr and x.lower != y.lower:
-            raise ShapeMismatch("adjectives differ")
-        return None
-
-    return fn
-
-
-_EQUAL_HOOKS = {mode: _equal_hook(mode) for mode in FlexMode}
+            except ShapeMismatch:
+                pass
+        zip_nodes(x.expansion, y.expansion, _equal)
+        return x
+    if type(x) is FlexAnd and type(y) is FlexAnd:
+        if not flex_equal(x.flex, y.flex):
+            raise ShapeMismatch("flexary conjunctions differ")
+        return x
+    if type(x) is Choice or type(x) is Fraenkel:
+        if x != y:
+            raise ShapeMismatch("opaque terms differ")
+        return x
+    if type(x) is TypeExpr and x.lower != y.lower:
+        raise ShapeMismatch("adjectives differ")
+    return None

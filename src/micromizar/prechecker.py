@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .flex import FlexMode, expand_flex
+from .flex import expand_flex
 from .logic import (
     And,
     FTrue,
@@ -102,15 +102,9 @@ class Justification:
 
 
 class Prechecker:
-    def __init__(
-        self,
-        db: DefinitionDb,
-        flex_mode: FlexMode = FlexMode.STRICT,
-        clause_cap: int = CLAUSE_CAP,
-    ):
+    def __init__(self, db: DefinitionDb, clause_cap: int = CLAUSE_CAP):
         self.db = db
         self.req = db.req
-        self.flex_mode = flex_mode
         self.clause_cap = clause_cap
         # id of a cited universal -> (it, the database version read, its
         # unfolded form, and that augmented unless it is vacuous)
@@ -171,7 +165,7 @@ class Prechecker:
         for lits, local_types in self._to_dnf(f):
             merged = dict(base_types)
             merged.update(local_types)
-            refuted, limited, every = clause_refuted(self.db, lits, merged, self.flex_mode, TUPLE_CAP, shared)
+            refuted, limited, every = clause_refuted(self.db, lits, merged, TUPLE_CAP, shared)
             if not refuted:
                 return Justification(
                     False, prepared=f, skolems=skolems, clause_count=count, limited=limited

@@ -23,11 +23,9 @@ classes that carry only what their types say; no union happens, and
 the candidate classes are fixed when the search starts.
 
 Flexible conjunctions are matched as literals: a positive and a
-negative one that agree make the clause contradictory.  What "agree"
-means is the mode switch: the strict mode compares bounds and the
-expansion, the compatibility mode only the two endpoint instances,
-which accepts more and is the known-unsound behaviour kept for
-comparison runs.
+negative one that agree make the clause contradictory: they agree when
+their bounds and expansions are equal (`flex.flex_equal`), however
+their endpoints were written.
 
 The walks over an instance (``_eval``, ``_must``, ``_match``, ``_open``)
 dispatch on the exact node type, as the prechecker's do.
@@ -38,7 +36,7 @@ from __future__ import annotations
 from . import equalizer
 from .arith import ComplexRational
 from .equalizer import EqGraph, refute_clause
-from .flex import FlexMode, flex_equal
+from .flex import flex_equal
 from .logic import (
     And,
     Attr,
@@ -106,14 +104,12 @@ class Unifier:
         graph: EqGraph,
         literals: tuple[Formula, ...] = (),
         const_types: dict[int, TypeExpr] | None = None,
-        flex_mode: FlexMode = FlexMode.STRICT,
         tuple_cap: int = TUPLE_CAP,
     ):
         self.g = graph
         self.req = graph.req
         self.literals = tuple(literals)
         self.const_types = dict(const_types or {})
-        self.mode = flex_mode
         self.fuel = tuple_cap
         self.capped = False
         self._classes = graph.classes()
@@ -137,7 +133,7 @@ class Unifier:
         fx = self.g.flexes
         for i, (s1, f1) in enumerate(fx):
             for s2, f2 in fx[i + 1 :]:
-                if s1 != s2 and flex_equal(f1, f2, self.mode):
+                if s1 != s2 and flex_equal(f1, f2):
                     return True
         return False
 
@@ -294,7 +290,7 @@ class Unifier:
             return self._eval(f.expansion, env)
         if k is FlexAnd:
             fc = _instance(f, env).flex if _open(f) else f.flex
-            return next((s for s, f2 in self.g.flexes if flex_equal(fc, f2, self.mode)), None)
+            return next((s for s, f2 in self.g.flexes if flex_equal(fc, f2)), None)
         if k is FTrue:
             return True
         return None
@@ -327,7 +323,6 @@ def clause_refuted(
     db,
     literals,
     const_types,
-    flex_mode: FlexMode = FlexMode.STRICT,
     tuple_cap: int = TUPLE_CAP,
     shared: tuple[dict[int, TypeExpr], list[Formula]] | None = None,
 ) -> tuple[bool, bool, bool]:
@@ -335,6 +330,6 @@ def clause_refuted(
     g = refute_clause(db, list(literals), dict(const_types), shared)
     if g.contradiction:
         return True, False, g.shared_refuted
-    u = Unifier(g, tuple(literals), dict(const_types), flex_mode, tuple_cap)
+    u = Unifier(g, tuple(literals), dict(const_types), tuple_cap)
     refuted = u.refute()
     return refuted, (g.limited or u.capped), False

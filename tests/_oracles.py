@@ -399,7 +399,7 @@ class ReferenceUnifier(Unifier):
                 return None
             case FlexAnd(fc):
                 for s, f2 in self.g.flexes:
-                    if flex_equal(fc, f2, self.mode):
+                    if flex_equal(fc, f2):
                         return s
                 return None
         return None
@@ -644,25 +644,25 @@ def _type_equal(a: TypeExpr, b: TypeExpr) -> bool:
     )
 
 
-def reference_formula_equal(a: Formula, b: Formula, mode) -> bool:
+def reference_formula_equal(a: Formula, b: Formula) -> bool:
     """``flex.formula_equal`` with its own walks over formulas, types and terms."""
     if isinstance(a, PrivPred) and not isinstance(b, PrivPred):
-        return reference_formula_equal(a.expansion, b, mode)
+        return reference_formula_equal(a.expansion, b)
     if isinstance(b, PrivPred) and not isinstance(a, PrivPred):
-        return reference_formula_equal(a, b.expansion, mode)
+        return reference_formula_equal(a, b.expansion)
     match (a, b):
         case (FTrue(), FTrue()):
             return True
         case (Neg(x), Neg(y)):
-            return reference_formula_equal(x, y, mode)
+            return reference_formula_equal(x, y)
         case (And(xs), And(ys)):
             return len(xs) == len(ys) and all(
-                reference_formula_equal(x, y, mode) for x, y in zip(xs, ys)
+                reference_formula_equal(x, y) for x, y in zip(xs, ys)
             )
         case (FlexAnd(f1), FlexAnd(f2)):
-            return flex_equal(f1, f2, mode)
+            return flex_equal(f1, f2)
         case (ForAll(t1, b1), ForAll(t2, b2)):
-            return _type_equal(t1, t2) and reference_formula_equal(b1, b2, mode)
+            return _type_equal(t1, t2) and reference_formula_equal(b1, b2)
         case (Pred(p, xs), Pred(q, ys)):
             return p == q and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys))
         case (SchemePred(p, xs), SchemePred(q, ys)):
@@ -670,7 +670,7 @@ def reference_formula_equal(a: Formula, b: Formula, mode) -> bool:
         case (PrivPred(p, xs, e1), PrivPred(q, ys, e2)):
             if p == q and len(xs) == len(ys) and all(_term_equal(x, y) for x, y in zip(xs, ys)):
                 return True
-            return reference_formula_equal(e1, e2, mode)
+            return reference_formula_equal(e1, e2)
         case (Is(t1, a1), Is(t2, a2)):
             return (
                 _term_equal(t1, t2)
@@ -1107,7 +1107,7 @@ class ReferencePrechecker(Prechecker):
         for lits, local_types in self._to_dnf(f):
             merged = dict(base_types)
             merged.update(local_types)
-            refuted, limited, _ = clause_refuted(self.db, lits, merged, self.flex_mode)
+            refuted, limited, _ = clause_refuted(self.db, lits, merged)
             if not refuted:
                 return Justification(
                     False, prepared=f, skolems=skolems, clause_count=count, limited=limited

@@ -4,7 +4,6 @@ import pytest
 
 import _oracles as orc
 from micromizar.flex import (
-    FlexMode,
     MalformedFlex,
     NoCommonShape,
     NonNumericBound,
@@ -284,29 +283,26 @@ def test_flex_equal_modes(req_all, ids):
     fcb = FlexConj(
         FunctorApp(ids.add, (n(0), n(1))), fca.hi, fca.expansion, fca.inst_lo, fca.inst_hi
     )
-    assert flex_equal(fca, fca, FlexMode.STRICT)
-    assert flex_equal(fca, fca, FlexMode.COMPAT)
-    assert not flex_equal(fca, fcb, FlexMode.STRICT)
-    assert flex_equal(fca, fcb, FlexMode.COMPAT)
+    assert flex_equal(fca, fca)
+    assert not flex_equal(fca, fcb)
     fcc = infer_flex_from_diff(
         Pred(ids.le, (n(1), n(8))), Pred(ids.le, (n(5), n(8))), req_all
     )
-    assert not flex_equal(fca, fcc, FlexMode.STRICT)
-    assert not flex_equal(fca, fcc, FlexMode.COMPAT)
+    assert not flex_equal(fca, fcc)
 
 
 def test_formula_equal_unfolds_private_definitions(req_all, ids):
     body = Pred(ids.eq, (const(0), const(0)))
     priv = PrivPred(3, (const(0),), body)
-    assert formula_equal(priv, body, FlexMode.STRICT)
-    assert formula_equal(body, priv, FlexMode.STRICT)
-    assert formula_equal(mk_and([priv, body]), mk_and([body, body]), FlexMode.STRICT)
-    assert not formula_equal(priv, Pred(ids.eq, (const(0), const(1))), FlexMode.STRICT)
+    assert formula_equal(priv, body)
+    assert formula_equal(body, priv)
+    assert formula_equal(mk_and([priv, body]), mk_and([body, body]))
+    assert not formula_equal(priv, Pred(ids.eq, (const(0), const(1))))
     two = PrivFunc(0, (), n(2))
-    assert formula_equal(two, n(2), FlexMode.STRICT)
-    assert formula_equal(n(2), two, FlexMode.STRICT)
-    assert not formula_equal(two, n(3), FlexMode.STRICT)
-    assert formula_equal(Pred(ids.eq, (two, n(2))), Pred(ids.eq, (n(2), n(2))), FlexMode.STRICT)
+    assert formula_equal(two, n(2))
+    assert formula_equal(n(2), two)
+    assert not formula_equal(two, n(3))
+    assert formula_equal(Pred(ids.eq, (two, n(2))), Pred(ids.eq, (n(2), n(2))))
 
 
 def test_formula_equal_of_private_applications_under_neg_and_and(req_all, ids):
@@ -314,16 +310,16 @@ def test_formula_equal_of_private_applications_under_neg_and_and(req_all, ids):
     # parent with an expansion in the place of the application
     body = Neg(Pred(ids.eq, (const(0), const(1))))
     a, b = PrivPred(0, (), body), PrivPred(1, (), body)
-    assert formula_equal(Neg(a), Neg(b), FlexMode.STRICT)
+    assert formula_equal(Neg(a), Neg(b))
     conj = mk_and([Pred(ids.eq, (const(0), const(0))), Pred(ids.eq, (const(1), const(1)))])
     c, d = PrivPred(0, (), conj), PrivPred(1, (), conj)
     q = Pred(ids.eq, (const(2), const(2)))
-    assert formula_equal(mk_and([c, q]), mk_and([d, q]), FlexMode.STRICT)
+    assert formula_equal(mk_and([c, q]), mk_and([d, q]))
     # same head, arguments differ, an expansion that ignores them
     s0, s1 = PrivPred(2, (const(0),), body), PrivPred(2, (const(1),), body)
-    assert formula_equal(Neg(s0), Neg(s1), FlexMode.STRICT)
+    assert formula_equal(Neg(s0), Neg(s1))
     for x, y in [(Neg(a), Neg(b)), (mk_and([c, q]), mk_and([d, q])), (Neg(s0), Neg(s1))]:
-        assert orc.reference_formula_equal(x, y, FlexMode.STRICT)
+        assert orc.reference_formula_equal(x, y)
 
 
 def test_formula_equal_uses_flex_mode(req_all, ids):
@@ -334,9 +330,8 @@ def test_formula_equal_uses_flex_mode(req_all, ids):
     )
     a = mk_and([p(n(0)), FlexAnd(fca)])
     b = mk_and([p(n(0)), FlexAnd(fcb)])
-    assert not formula_equal(a, b, FlexMode.STRICT)
-    assert formula_equal(a, b, FlexMode.COMPAT)
-    assert formula_equal(a, a, FlexMode.STRICT)
+    assert not formula_equal(a, b)
+    assert formula_equal(a, a)
 
 
 def test_malformed_expansions_are_rejected(req_all, ids):

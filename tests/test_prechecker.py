@@ -9,7 +9,7 @@ import pytest
 import _oracles as orc
 import micromizar.prechecker as prechecker
 import micromizar.unifier as unifier
-from micromizar.flex import FlexMode, infer_flex_from_diff
+from micromizar.flex import infer_flex_from_diff
 from micromizar.logic import (
     Attr,
     FTrue,
@@ -384,24 +384,13 @@ def test_symbolic_flex_needs_matching_bounds(db, req_all):
     f3_shifted = infer_flex_from_diff(le(req, Numeral(1), nine), le(req, n, nine), req)
     j = justify(db, [FlexAnd(f1)], FlexAnd(f3_shifted), consts)
     assert not j.accepted
-
-
-def test_compat_mode_is_looser_on_flex(db, req_all):
-    req = req_all
-    n = const(0)
-    consts = [req.nat_type()]
+    # the endpoints as written agree, the bounds and expansion do not
     base = le(req, Numeral(0), n)
-    f1 = infer_flex_from_diff(base, base, req)
+    f4 = infer_flex_from_diff(base, base, req)
     i = bound(0)
-    guard = mk_and(
-        [le(req, Numeral(7), i), le(req, i, Numeral(0)), mk_neg(le(req, i, n))]
-    )
-    exp2 = ForAll(req.nat_type(), mk_neg(guard))
-    f2 = FlexConj(Numeral(7), Numeral(0), exp2, f1.inst_lo, f1.inst_hi)
-    strict = justify(db, [FlexAnd(f1)], FlexAnd(f2), consts)
-    loose = justify(db, [FlexAnd(f1)], FlexAnd(f2), consts, flex_mode=FlexMode.COMPAT)
-    assert not strict.accepted
-    assert loose.accepted
+    guard = mk_and([le(req, Numeral(7), i), le(req, i, Numeral(0)), mk_neg(le(req, i, n))])
+    f5 = FlexConj(Numeral(7), Numeral(0), ForAll(req.nat_type(), mk_neg(guard)), f4.inst_lo, f4.inst_hi)
+    assert not justify(db, [FlexAnd(f4)], FlexAnd(f5), consts).accepted
 
 
 def test_private_predicate_unfolds(db, req_all):

@@ -1,7 +1,7 @@
 """Universal instantiation and flex-literal matching."""
 
 from micromizar.equalizer import refute_clause
-from micromizar.flex import FlexMode, infer_flex_from_diff
+from micromizar.flex import infer_flex_from_diff
 from micromizar.logic import (
     Attr,
     FlexAnd,
@@ -34,8 +34,8 @@ def le(req, a, b):
     return Pred(req.require("LessOrEqual"), (a, b))
 
 
-def check(req, lits, consts=None, mode=FlexMode.STRICT, cap=1000):
-    return clause_refuted(DefinitionDb(req), lits, consts or {}, mode, cap)[:2]
+def check(req, lits, consts=None, cap=1000):
+    return clause_refuted(DefinitionDb(req), lits, consts or {}, cap)[:2]
 
 
 def test_single_instantiation(req_all):
@@ -97,23 +97,15 @@ def test_flex_pair_strict_rejects_endpoint_match(req_all):
     req = req_all
     f1, f2 = _matching_pair(req)
     lits = [FlexAnd(f1), Neg(FlexAnd(f2))]
-    refuted, _ = check(req, lits, mode=FlexMode.STRICT)
+    refuted, _ = check(req, lits)
     assert not refuted
-
-
-def test_flex_pair_compat_accepts_endpoint_match(req_all):
-    req = req_all
-    f1, f2 = _matching_pair(req)
-    lits = [FlexAnd(f1), Neg(FlexAnd(f2))]
-    refuted, _ = check(req, lits, mode=FlexMode.COMPAT)
-    assert refuted
 
 
 def test_flex_identical_literals_conflict_in_strict_mode(req_all):
     req = req_all
     f1, _ = _matching_pair(req)
     lits = [FlexAnd(f1), Neg(FlexAnd(f1))]
-    refuted, _ = check(req, lits, mode=FlexMode.STRICT)
+    refuted, _ = check(req, lits)
     assert refuted
 
 

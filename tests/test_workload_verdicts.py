@@ -100,7 +100,7 @@ def test_every_memo_hit_is_what_a_fresh_check_gives(table, workload, monkeypatch
         n = len(checks)
         got = justify(self, premises, conjecture, const_types)
         if len(checks) == n:
-            fresh = Prechecker(self.db, self.flex_mode, self.clause_cap)
+            fresh = Prechecker(self.db, self.clause_cap)
             hits.append(conjecture)
             if check(fresh, premises, conjecture, const_types) != got:
                 wrong.append(conjecture)

@@ -14,7 +14,6 @@ import pytest
 import _oracles as orc
 from micromizar.flex import (
     FlexError,
-    FlexMode,
     NoCommonShape,
     NonNumericBound,
     formula_equal,
@@ -286,10 +285,9 @@ def pairs(seed: int, count: int):
 def test_formula_equal_agrees_with_the_reference():
     differ = 0
     for _, a, b in pairs(1, 3000):
-        for mode in FlexMode:
-            want = orc.reference_formula_equal(a, b, mode)
-            assert formula_equal(a, b, mode) == want, (a, b, mode)
-            differ += not want
+        want = orc.reference_formula_equal(a, b)
+        assert formula_equal(a, b) == want, (a, b)
+        differ += not want
     assert 1000 < differ < 5000  # both verdicts are well represented
 
 
@@ -311,8 +309,7 @@ def test_formula_equal_of_two_proof_local_applications_agrees_with_the_reference
         pb = PrivPred(rng.randrange(2), args, e if rng.random() < 0.6 else mutate(gen, e, rng))
         a, b = wrap(pa), wrap(pb)
         crossed += type(e) is type(a) and pa != pb
-        for mode in FlexMode:
-            assert formula_equal(a, b, mode) == orc.reference_formula_equal(a, b, mode), (a, b)
+        assert formula_equal(a, b) == orc.reference_formula_equal(a, b), (a, b)
     assert crossed > 300
 
 
