@@ -73,7 +73,6 @@ from .logic import (
     mk_neg,
     mk_or,
     replace_term,
-    replace_thesis,
     shift_up,
     sorted_attrs,
     subst_bound,
@@ -82,7 +81,7 @@ from .logic import (
 )
 from .prechecker import Prechecker
 from .requirements import RequirementTable
-from .resolver import PrivDef, Resolver, Scope, ThesisResolver
+from .resolver import PrivDef, Resolver, Scope
 from .schematizer import Scheme, SchemeMatchError, match_scheme
 from .subtyping import (
     AttrDef,
@@ -192,7 +191,6 @@ class Analyzer:
         self.db = DefinitionDb(req)
         self.scope = Scope(req, self.db)
         self.resolver = Resolver(self.scope)
-        self.thesis_resolver = ThesisResolver(self.scope)
         self.checker = Prechecker(self.db)
         self.formatter = Formatter(self.scope)
         self.errors: list[VerifyError] = []
@@ -241,10 +239,11 @@ class Analyzer:
             return resolve(s)
 
     def _resolve(self, s, thesis: Formula | None = None) -> Formula:
-        """Resolve a surface formula; `thesis` enables and fills the marker."""
+        """Resolve a surface formula in which ``thesis`` means `thesis`;
+        with none, the keyword is error 51."""
         if thesis is None:
             return self.resolver.formula(s)
-        return replace_thesis(self.thesis_resolver.formula(s), thesis)
+        return Resolver(self.scope, thesis).formula(s)
 
     def _eq_pred(self, pos: Pos) -> int:
         eq = self.req.ids.Equality

@@ -35,7 +35,6 @@ from .logic import (
     SchemePred,
     ShapeMismatch,
     Term,
-    ThesisMarker,
     TypeExpr,
     Var,
     VarKind,
@@ -137,7 +136,7 @@ def _generalize_type(a: TypeExpr, b: TypeExpr, fn) -> TypeExpr:
 def _first_term(f: Formula) -> Term | None:
     """Leftmost-outermost term position of a formula, preorder."""
     match f:
-        case FTrue() | ThesisMarker():
+        case FTrue():
             return None
         case Neg(b):
             return _first_term(b)
@@ -264,8 +263,7 @@ def formula_equal(a, b) -> bool:
     A proof-local application is unfolded when only one side is one; two
     of them are equal when their heads and arguments are, or else their
     expansions.  Flexary conjunctions compare by `flex_equal`; ``the T``,
-    Fraenkel terms and a type's written adjectives compare exactly, and
-    ``thesis`` equals nothing.
+    Fraenkel terms and a type's written adjectives compare exactly.
     """
     try:
         zip_nodes(a, b, _equal)

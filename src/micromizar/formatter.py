@@ -45,7 +45,6 @@ from .logic import (
     SchemeFunctorApp,
     SchemePred,
     Term,
-    ThesisMarker,
     TypeExpr,
     Var,
     VarKind,
@@ -310,8 +309,6 @@ class Formatter:
                 return f"{name or self._fresh(f'P{pid}')}[{self._args(args)}]", UNARY
             case FTrue():
                 return "not contradiction", UNARY
-            case ThesisMarker():
-                return "thesis", UNARY
         raise TypeError(f)
 
     def _pred(self, pid: int, args: tuple[Term, ...]) -> str:

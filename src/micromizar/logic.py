@@ -15,17 +15,19 @@ performed by ``subst_bound`` when binders are removed and by ``shift_up``
 when new outer binders are added.
 
 One table, ``_SHAPE``, gives the shape of every node kind, and every
-walk of the kernel reads it.  Every rewrite of the tree goes through
-one structural map, ``map_terms(node, fn)``, and every occurrence test
-through ``any_var(node, pred)``.  The map asks ``fn`` at each term and
-atomic formula in pre-order, ``FTrue`` and ``ThesisMarker`` included:
-a node it returns replaces the current one and is not entered, ``None``
-descends into the children.  Formulas are rebuilt through the smart
-constructors, so the normal form survives any hook, and a node whose
-subtree the hook left alone comes back as the same object.  Every
-comparison of two trees goes through ``zip_nodes(a, b, fn)``, which
-walks them together under the same kind of hook, asked at every pair;
-flex inference, thesis equality and scheme matching are hooks on it.
+walk of the kernel reads it.  Every kind has a head, possibly empty:
+two nodes of one kind pair when their head fields agree.  Every rewrite
+of the tree goes through one structural map, ``map_terms(node, fn)``,
+and every occurrence test through ``any_var(node, pred)``.  The map
+asks ``fn`` at each term and atomic formula in pre-order, ``FTrue``
+included: a node it returns replaces the current one and is not
+entered, ``None`` descends into the children.  Formulas are rebuilt
+through the smart constructors, so the normal form survives any hook,
+and a node whose subtree the hook left alone comes back as the same
+object.  Every comparison of two trees goes through
+``zip_nodes(a, b, fn)``, which walks them together under the same kind
+of hook, asked at every pair; flex inference, thesis equality and
+scheme matching are hooks on it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from operator import is_not
 class VarKind(Enum):
     BOUND = "bound"
     CONST = "const"
-    INFER = "infer"
     EQCLASS = "eqclass"
     LOCUS = "locus"
 
@@ -249,12 +250,6 @@ class Qual(Formula):
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
-class ThesisMarker(Formula):
-    """Placeholder for the ``thesis`` keyword; replaced by the analyzer
-    before any formula leaves it."""
-
-
 # ---------------------------------------------------------------------------
 # smart constructors
 
@@ -322,8 +317,8 @@ def mk_is(t: Term, attr: Attr) -> Formula:
 # the fields every walk descends into, in order.  A child field holds a
 # node, a tuple of nodes or, for a type's adjectives, a set of attributes,
 # which the map visits and ``zip_nodes`` pairs in ``sorted_attrs`` order, so
-# no hook sees a set in hash order.  Every walk visits the same fields; the
-# one difference is that ``ThesisMarker``, with no head, pairs with nothing.
+# no hook sees a set in hash order.  Every kind has a head, possibly empty,
+# and every walk visits the same fields.
 #
 # The map's hook is ``asked`` at every term and atomic formula.  The
 # connectives Neg, And, ForAll and FlexAnd, attributes and types are only
@@ -361,7 +356,6 @@ _SHAPE = {
     Attr: _Shape(("positive", "attr_id"), ("args",), asked=False),
     TypeExpr: _Shape(("mode",), ("args", "lower"), asked=False),
     FTrue: _Shape(()),
-    ThesisMarker: _Shape(None),
     Neg: _Shape((), ("body",), asked=False, build=mk_neg),
     And: _Shape((), ("conjuncts",), asked=False, build=mk_and),
     ForAll: _Shape((), ("ty", "body"), asked=False),
@@ -437,7 +431,7 @@ def same_head(a, b) -> bool:
     kind has ``args``, as many arguments (what ``zip_nodes`` checks
     before it descends)?"""
     shape = _SHAPE.get(type(a))
-    if shape is None or shape.head is None or type(b) is not type(a):
+    if shape is None or type(b) is not type(a):
         return False
     for h in shape.head:
         if getattr(a, h) != getattr(b, h):
@@ -566,12 +560,6 @@ def uses_bound(node, level: int) -> bool:
 
 def uses_const(node, index: int) -> bool:
     return any_var(node, lambda v: v.kind is _CONST and v.index == index)
-
-
-def replace_thesis(f: Formula, thesis: Formula) -> Formula:
-    """Put `thesis` in place of each ``thesis`` marker that is not inside
-    a term or another atom."""
-    return map_terms(f, lambda n: thesis if type(n) is ThesisMarker else n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ prepares that input and drives the per-clause machinery:
    terms also asserts the two inclusions (and a disequality denies
    their conjunction), and a flexible conjunction travels with its
    quantified expansion, fully instantiated when the bounds are
-   numerals.  After skolemization, so that the negation of ``for x
-   holds s = t`` makes two clauses that both hold ``s <> t``, not three;
+   numerals and unfolded as in step 1.  After skolemization, so that
+   the negation of ``for x holds s = t`` makes two clauses that both
+   hold ``s <> t``, not three;
 4. distribution into disjunctive normal form, skolemizing existentials
    that only become top-level inside one branch.  The clauses are
    counted first, from the formula's shape alone, and then made one at
@@ -228,7 +229,7 @@ class Prechecker:
                 s1, s2 = self._subset_pair(b.args[0], b.args[1])
                 return mk_and([f, mk_neg(mk_and([s1, s2]))])
             if type(b) is FlexAnd:
-                exp = expand_flex(b.flex, self.req)
+                exp = self._unfold(expand_flex(b.flex, self.req), UNFOLD_FUEL)
                 return mk_and([f, self._augment(mk_neg(exp))])
             return mk_neg(self._augment(b))
         if k is And:
@@ -239,7 +240,7 @@ class Prechecker:
             s1, s2 = self._subset_pair(f.args[0], f.args[1])
             return mk_and([f, s1, s2])
         if k is FlexAnd:
-            exp = expand_flex(f.flex, self.req)
+            exp = self._unfold(expand_flex(f.flex, self.req), UNFOLD_FUEL)
             return mk_and([f, self._augment(exp)])
         return f
 

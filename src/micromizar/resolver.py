@@ -7,6 +7,11 @@ quantified variable names.  Bound variables are absolute levels: the
 name's index in the stack is its level, so nothing is renumbered when
 the stack grows.
 
+``thesis`` is the formula a resolver was built with: what remains to
+be proved where the proposition stands.  It is closed, and shifted up
+past the binders around the keyword, as a private definition's body is.
+A resolver built with no thesis gives 51.
+
 Builtin spellings route through the requirement table; using one whose
 group is switched off is error 95, a name nobody defined is 91, and an
 arity that disagrees with the declaration is 92.
@@ -37,7 +42,6 @@ from .logic import (
     SchemeFunctorApp,
     SchemePred,
     Term,
-    ThesisMarker,
     TypeExpr,
     bound,
     const,
@@ -171,10 +175,9 @@ class Scope:
 
 
 class Resolver:
-    thesis_ok = False  # ``thesis`` means something only to a `ThesisResolver`
-
-    def __init__(self, scope: Scope):
+    def __init__(self, scope: Scope, thesis: Formula | None = None):
         self.scope = scope
+        self.thesis = thesis
         self.req = scope.req
         self.db = scope.db
 
@@ -359,9 +362,10 @@ class Resolver:
         if k is SIs:
             return self.is_clause(s.pos, s.term, s.adjs)
         if k is SThesis:
-            if not self.thesis_ok:
+            if self.thesis is None:
                 raise MizarError(s.pos, 51, "'thesis' has no meaning here")
-            return ThesisMarker()
+            # closed at depth 0: lift it past the binders around the keyword
+            return shift_up(self.thesis, len(sc.bound_names))
         if k is SBracketAtom:
             return self.bracket_atom(s.pos, s.name, s.args)
         if k is SNot:
@@ -451,9 +455,3 @@ class Resolver:
         if mode_tail is not None:
             return Qual(t, self.type_expr(mode_tail))
         return mk_and([mk_is(t, self.adjective(a)) for a in adjs])
-
-
-class ThesisResolver(Resolver):
-    """Resolves a proposition stated against a thesis, which ``thesis`` marks."""
-
-    thesis_ok = True

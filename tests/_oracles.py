@@ -74,7 +74,6 @@ from micromizar.logic import (
     SchemeFunctorApp,
     SchemePred,
     Term,
-    ThesisMarker,
     TypeExpr,
     TRUE,
     Var,
@@ -553,7 +552,7 @@ def _diff_formula(a: Formula, b: Formula, tr: _PairTracker, depth: int) -> Formu
 
 def _first_term(f: Formula) -> Term | None:
     match f:
-        case FTrue() | ThesisMarker():
+        case FTrue():
             return None
         case Neg(b):
             return _first_term(b)
@@ -967,7 +966,6 @@ _REF_MAP = {
     Attr: _map_attr,
     TypeExpr: _map_type,
     FTrue: _map_leaf,
-    ThesisMarker: _map_leaf,
     Neg: _map_neg,
     And: _map_and,
     ForAll: _map_forall,
@@ -989,7 +987,6 @@ _REF_CHILDREN = {
     Attr: lambda n: n.args,
     TypeExpr: lambda n: (*n.args, *n.lower),
     FTrue: lambda n: (),
-    ThesisMarker: lambda n: (),
     Neg: lambda n: (n.body,),
     And: lambda n: n.conjuncts,
     ForAll: lambda n: (n.ty, n.body),

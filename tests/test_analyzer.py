@@ -861,6 +861,70 @@ end;
     ) == [(51, 9), (52, 4), (71, 10)]
 
 
+def test_thesis_under_a_binder_keeps_its_own_binders(check):
+    # the thesis's `x` is not captured by `y`: A reads `... holds for x
+    # being Nat holds x = 0`, which is false
+    assert check(
+        """theorem for x being Nat holds x = 0
+proof
+  A: for y being Nat st y = 0 holds thesis;
+  thus thesis by A;
+end;
+"""
+    ) == [(61, 4), (61, 5)]
+
+
+def test_thesis_under_a_binder_is_the_thesis(check):
+    # true steps; read with `y` for `x`, the second A would claim 1 = 0
+    assert check(
+        """theorem for x being Nat holds x = x
+proof
+  A: for y being Nat holds thesis;
+  thus thesis by A;
+end;
+theorem ex x being Nat st x = 0
+proof
+  Z: 0 = 0;
+  A: for y being Nat st y = 1 holds thesis by Z;
+  thus thesis by Z;
+end;
+"""
+    ) == []
+
+
+def test_thesis_means_nothing_in_a_now_or_a_theorem(req_all):
+    assert errors(
+        req_all,
+        """theorem thesis;
+theorem 1 = 1
+proof
+  now
+    thus thesis;
+  end;
+  thus thesis;
+end;
+""",
+        cols=True,
+    ) == [(51, 2, 9), (51, 6, 10), (70, 7, 3)]
+
+
+def test_a_flexary_conjunction_over_a_conjunctive_private_predicate(req_all):
+    # the expansion the prechecker adds is unfolded like the rest: the
+    # private predicate's body reaches the clauses expanded
+    art, parse_errors = parse_article(
+        """environ begin
+defpred P[Nat] means $1 <= 5 & $1 <= 6;
+theorem P[1] & ... & P[4];
+theorem for n being Nat holds P[1] & ... & P[n] implies P[1] & ... & P[n];
+theorem P[1] & ... & P[7];
+"""
+    )
+    assert parse_errors == []
+    analyzer = Analyzer(req_all)
+    assert [(e.code, e.pos.line) for e in analyzer.run(art)] == [(61, 5)]
+    assert analyzer.internal == []
+
+
 def test_checking_leaves_no_reference_cycles(req_all, monkeypatch):
     """Refcounting alone frees what checking makes: no nested closure
     that calls itself, no graph held by its polynomial pass.  Checked on

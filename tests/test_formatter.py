@@ -11,7 +11,7 @@ what they never build.  Excluded, by construction of those inputs:
   `test_an_unspelled_constructor_never_reads_back_as_another`);
 * the builtin ``Zero`` functor, which prints as ``0`` and reads back as
   the numeral;
-* ``EQCLASS`` and ``INFER`` variables, which never leave the checker.
+* ``EQCLASS`` variables, which never leave the checker.
 """
 
 import os
@@ -131,8 +131,8 @@ def test_every_resolved_formula_of_a_workload_reads_back(workload, monkeypatch):
 
 # what the workloads never build: adjectives with arguments, `the`,
 # Fraenkel terms, flexary conjunctions, private and scheme functors,
-# `it`, `iff`, the order relations the resolver desugars, and each
-# builtin operator's syntax
+# `it`, `iff`, the order relations the resolver desugars, each builtin
+# operator's syntax, and `thesis` under a binder and in a Fraenkel guard
 ARTICLE = """environ begin
 definition
   let n be Nat;
@@ -201,6 +201,13 @@ proof
   let z be Subset of x;
   take z;
   thus thesis;
+end;
+theorem for x being set holds for z being set holds z = x or not z = x
+proof
+  let x be set;
+  A: for y being Nat holds thesis;
+  { y where y being Nat : thesis } = { y where y being Nat : for z being set holds z = x or not z = x };
+  thus thesis by A;
 end;
 """
 

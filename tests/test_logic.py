@@ -21,7 +21,6 @@ from micromizar.logic import (
     Qual,
     SchemeFunctorApp,
     SchemePred,
-    ThesisMarker,
     TypeExpr,
     TRUE,
     Var,
@@ -37,7 +36,6 @@ from micromizar.logic import (
     mk_neg,
     mk_or,
     replace_term,
-    replace_thesis,
     shift_up,
     sorted_attrs,
     subst_bound,
@@ -264,20 +262,6 @@ def test_occurrence_checks():
     fx = FlexAnd(FlexConj(Numeral(1), Numeral(2), TRUE, Pred(0, (Numeral(1),)), hi_only))
     assert uses_const(fx, 8) and uses_bound(fx, 3)
     assert not uses_const(fx, 1) and not uses_bound(fx, 0)
-
-
-def test_replace_thesis():
-    t = ThesisMarker()
-    assert replace_thesis(And((t, P)), Q) == And((Q, P))
-    assert replace_thesis(mk_neg(t), mk_neg(Q)) == Q
-    assert replace_thesis(ForAll(SET, t), P) == ForAll(SET, P)
-    assert replace_thesis(P, Q) == P
-    # a marker inside a term or another atom stays, and a formula with
-    # nothing to replace comes back as itself
-    inner = Qual(Fraenkel((SET,), bound(0), t), SET)
-    f = mk_and([t, inner, PrivPred(0, (), t)])
-    assert replace_thesis(f, Q) == mk_and([Q, inner, PrivPred(0, (), t)])
-    assert replace_thesis(inner, Q) is inner
 
 
 def test_term_key_orders_deterministically():

@@ -198,6 +198,26 @@ def test_guarded_forall_nests_guard_inside(resolver):
     assert isinstance(imp, Neg) and isinstance(imp.body, And)
 
 
+def test_thesis_is_the_resolvers_thesis_shifted_to_its_depth(resolver, scope):
+    thesis = rf(resolver, "for x being Nat holds x = 0")
+    with_thesis = Resolver(scope, thesis)
+    assert rf(with_thesis, "thesis") is thesis
+    assert rf(with_thesis, "thesis & 1 = 1") == rf(resolver, "(for x being Nat holds x = 0) & 1 = 1")
+    assert rf(with_thesis, "not thesis") == Neg(thesis)
+    # under a binder and in a Fraenkel guard, the thesis keeps its own
+    # binder: `y` captures nothing
+    for text in [
+        "for y being Nat st y = 0 holds {}",
+        "{ y where y being Nat : {} } = {}",
+    ]:
+        got = rf(with_thesis, text.replace("{}", "thesis", 1))
+        assert got == rf(resolver, text.replace("{}", "for x being Nat holds x = 0", 1))
+        assert got != rf(resolver, text.replace("{}", "for x being Nat holds y = 0", 1))
+    assert scope.bound_names == []
+    assert err_code(resolver, "thesis") == 51
+    assert err_code(resolver, "for y being Nat holds thesis") == 51
+
+
 def test_fraenkel_and_choice_terms(resolver, scope):
     empty = scope.req.require("Empty")
     scope.db.existential.append(TypeExpr(frozenset([Attr(False, empty)]), scope.req.set_type().mode))

@@ -88,9 +88,9 @@ def test_a_field_walked_without_comparing_is_found():
     ]
 
 
-def test_only_the_thesis_marker_pairs_with_nothing():
-    unpaired = [k.__name__ for k, shape in logic._SHAPE.items() if shape.head is None]
-    assert unpaired == ["ThesisMarker"]
+def test_every_kind_has_a_head():
+    headless = [k.__name__ for k, shape in logic._SHAPE.items() if shape.head is None]
+    assert headless == []
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from micromizar.logic import (
     SchemePred,
     ShapeMismatch,
     Term,
-    ThesisMarker,
     TypeExpr,
     Var,
     attr_key,
@@ -102,7 +101,6 @@ def test_a_hook_result_replaces_the_pair_and_the_rest_is_rebuilt():
         (Is(const(0), attr(1, 1)), Is(const(0), attr(0))),  # adjective head
         (Qual(const(0), TypeExpr(frozenset({attr(0)}), 1)),
          Qual(const(0), TypeExpr(frozenset(), 1))),  # cluster
-        (ThesisMarker(), ThesisMarker()),  # no shape: pairs with nothing
     ],
 )
 def test_shape_mismatches(a, b):
@@ -184,7 +182,7 @@ class Gen:
                 k = r.randrange(2)
                 p = SchemePred(k, self.args(pool, budget, k))
                 return p if r.random() < 0.5 else Neg(p)
-            return FTrue() if r.random() < 0.95 else ThesisMarker()
+            return FTrue()
         if pick <= 5:
             return mk_neg(self.formula(pool, budget - 1))
         if pick == 6:
