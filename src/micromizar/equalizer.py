@@ -95,10 +95,13 @@ from .logic import (
     TypeExpr,
     Var,
     VarKind,
+    const,
+    eqclass,
     mk_neg,
     sorted_attrs,
     split_closed,
     subst_loci,
+    var,
 )
 from .subtyping import DefinitionDb
 
@@ -285,7 +288,7 @@ class EqGraph:
             case ("num", v):
                 return Numeral(v)
             case ("var", kindval, i):
-                return Var(VarKind(kindval), i)
+                return var(VarKind(kindval), i)
             case ("opaque", shape):
                 return subst_loci(shape, tuple(self.term_of_class(c) for c in children))
             case ("app", f):
@@ -376,7 +379,7 @@ class EqGraph:
             raise TypeError(f)
 
     def assume_const_type(self, index: int, ty: TypeExpr) -> None:
-        self._assume_type_expr(self.intern(Var(VarKind.CONST, index)), ty)
+        self._assume_type_expr(self.intern(const(index)), ty)
 
     # -- rule passes -----------------------------------------------------------
 
@@ -574,7 +577,7 @@ class EqGraph:
                 continue
             if pid == meets and len(args) == 2 and inter_f is not None:
                 m = self.intern(
-                    FunctorApp(inter_f, (Var(VarKind.EQCLASS, args[0]), Var(VarKind.EQCLASS, args[1])))
+                    FunctorApp(inter_f, (eqclass(args[0]), eqclass(args[1])))
                 )
                 if sign:
                     changed |= self._add_attr(m, False, empty, ())
@@ -702,7 +705,7 @@ class EqGraph:
 
 
 def _class_args(ids: tuple[int, ...]) -> tuple[Term, ...]:
-    return tuple([Var(_EQCLASS, i) for i in ids])
+    return tuple(map(eqclass, ids))
 
 
 def refute_clause(

@@ -220,7 +220,7 @@ def flex_skeleton(fc: FlexConj) -> tuple[Formula, int]:
                     pass
                 case _:
                     raise MalformedFlex("first guard is not lo <= i")
-            if cs[1] != Pred(_guard_pred(cs[0]), (Var(VarKind.BOUND, d), fc.hi)):
+            if cs[1] != Pred(_guard_pred(cs[0]), (bound(d), fc.hi)):
                 raise MalformedFlex("second guard is not i <= hi")
             skel = mk_neg(mk_and(list(cs[2:])))
             return skel, d

@@ -21,12 +21,14 @@ takes one token:
 * ``$`` and the ASCII digits after it; ``$`` without digits is error 90
   at the ``$``.
 
-Any other character is error 90 at its own position.  The token list
-ends with an ``eof`` token at the position just past the text.  Lines
-and columns count from 1; a column counts characters, not bytes, and a
-tab or ``\\r`` is one column like any other character.  No keyword or
-symbol shares its text with a token of another kind, so the parser
-tests them by text alone.
+Any other character is error 90 at its own position.  `scan` makes each
+error an ``error`` token, whose text is the error's note, and reads on,
+so the parser reports it and loses only its item; `tokenize` raises at
+the first one.  The token list ends with an ``eof`` token at the
+position just past the text.  Lines and columns count from 1; a column
+counts characters, not bytes, and a tab or ``\\r`` is one column like
+any other character.  No keyword or symbol shares its text with a
+token of another kind, so the parser tests them by text alone.
 
 A token is an exact tuple ``(kind, text, line, col)``, `Token`.  The
 cyclic garbage collector untracks an exact tuple of strings and ints at
@@ -66,10 +68,19 @@ _TOKEN = re.compile(
 )
 
 
-Token = tuple[str, str, int, int]  # kind ("kw" "ident" "num" "sym" "dollar" "eof"), text, line, col
+Token = tuple[str, str, int, int]  # kind ("kw" "ident" "num" "sym" "dollar" "error" "eof"), text, line, col
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`; error 90 at the first bad character."""
+    tokens = scan(text)
+    for t in tokens:
+        if t[0] == "error":
+            raise MizarError(t[2:], 90, t[1])
+    return tokens
+
+
+def scan(text: str) -> list[Token]:
     out: list[Token] = []
     for line, row in enumerate(text.split("\n"), 1):
         for m in _TOKEN.finditer(row):
@@ -83,12 +94,14 @@ def tokenize(text: str) -> list[Token]:
                     kind = "kw"
             elif kind == "dollar":
                 if len(word) == 1:
-                    raise MizarError((line, col), 90, "expected digits after $")
-                word = word[1:]
+                    kind, word = "error", "expected digits after $"
+                else:
+                    word = word[1:]
             elif kind == "other":
-                if not word[0].isalpha():
-                    raise MizarError((line, col), 90, f"unexpected character {word[0]!r}")
-                kind = "ident"
+                if word[0].isalpha():
+                    kind = "ident"
+                else:
+                    kind, word = "error", f"unexpected character {word[0]!r}"
             out.append((kind, word, line, col))
     out.append(("eof", "", line, len(row) + 1))
     return out

@@ -28,13 +28,23 @@ object.  Every comparison of two trees goes through
 ``zip_nodes(a, b, fn)``, which walks them together under the same kind
 of hook, asked at every pair; flex inference, thesis equality and
 scheme matching are hooks on it.
+
+Every kind is a frozen, slotted dataclass that ``_kind`` makes from its
+annotated fields.  ``__init__`` writes each field once and then the
+node's hash, of a tag for the kind and the fields, whose own hashes are
+cached already: hashing a node never walks its subtree, and a variable's
+kind hashes by its rank, so no hash depends on ``PYTHONHASHSEED``.
+Equality tests identity, then the hashes, then the fields.  One `Var`
+per kind and index is shared, made by ``var`` or ``bound``, ``const``,
+``eqclass`` and ``locus`` when first asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
-from operator import is_not
+from itertools import count
+from operator import attrgetter, is_not
 
 
 class VarKind(Enum):
@@ -43,37 +53,125 @@ class VarKind(Enum):
     EQCLASS = "eqclass"
     LOCUS = "locus"
 
+    def __hash__(self) -> int:
+        return self.rank
+
+
+for _rank, _member in enumerate(VarKind):
+    _member.rank = _rank
 
 # an enum member read through the class costs an attribute load; the hot
 # walks of the kernel read these names instead
 _BOUND, _CONST, _LOCUS = VarKind.BOUND, VarKind.CONST, VarKind.LOCUS
 
 # ---------------------------------------------------------------------------
+# node kinds
+
+
+class _Node:
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._values(self) == other._values(other)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # for copy and pickle, which would set the slots
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+_put_hash = _Node._hash.__set__
+_tags = count()
+
+
+def _kind(cls):
+    """A kernel kind: `cls` as a dataclass whose fields are its slots and
+    ``__init__``'s parameters.  A kind that checks its fields defines
+    ``__init__`` and calls ``_write`` last."""
+    kind = dataclass(slots=True, init=False, eq=False)(cls)
+    names = kind.__match_args__
+    write = _writer(next(_tags), *[getattr(kind, f).__set__ for f in names])
+    write.__code__ = write.__code__.replace(co_varnames=("self", *names))
+    write.__defaults__ = tuple(f.default for f in fields(kind) if f.default is not MISSING) or None
+    kind._write = write
+    kind._values = attrgetter(*names or ("_hash",))
+    if "__init__" not in vars(cls):
+        kind.__init__ = write
+    return kind
+
+
+def _writer(tag, *put):
+    """An ``__init__`` for as many fields as `put` has slot setters, its
+    parameters renamed by ``_kind``: a template per count, no ``exec``."""
+    if not put:
+        def write(self):
+            _put_hash(self, tag)
+    elif len(put) == 1:
+        (p0,) = put
+        def write(self, a):
+            p0(self, a)
+            _put_hash(self, hash((tag, a)))
+    elif len(put) == 2:
+        p0, p1 = put
+        def write(self, a, b):
+            p0(self, a)
+            p1(self, b)
+            _put_hash(self, hash((tag, a, b)))
+    elif len(put) == 3:
+        p0, p1, p2 = put
+        def write(self, a, b, c):
+            p0(self, a)
+            p1(self, b)
+            p2(self, c)
+            _put_hash(self, hash((tag, a, b, c)))
+    else:
+        p0, p1, p2, p3, p4 = put
+        def write(self, a, b, c, d, e):
+            p0(self, a)
+            p1(self, b)
+            p2(self, c)
+            p3(self, d)
+            p4(self, e)
+            _put_hash(self, hash((tag, a, b, c, d, e)))
+    return write
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-class Term:
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_kind
 class Var(Term):
     kind: VarKind
     index: int
 
 
-@dataclass(frozen=True)
+@_kind
 class Numeral(Term):
     value: int  # arbitrary precision, never negative
 
 
-@dataclass(frozen=True)
+@_kind
 class FunctorApp(Term):
     func: int
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_kind
 class PrivFunc(Term):
     """Application of a proof-local ``deffunc``; carries its expansion."""
 
@@ -82,20 +180,20 @@ class PrivFunc(Term):
     expansion: Term
 
 
-@dataclass(frozen=True)
+@_kind
 class SchemeFunctorApp(Term):
     func: int
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_kind
 class Choice(Term):
     """``the T``: the canonical inhabitant of a (nonempty) type."""
 
     ty: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@_kind
 class Fraenkel(Term):
     """Set comprehension ``{ t where binders : guard }``.
 
@@ -109,24 +207,29 @@ class Fraenkel(Term):
     guard: "Formula"
 
 
-def bound(i: int) -> Var:
-    return Var(VarKind.BOUND, i)
+def _shared(kind: VarKind):
+    table: dict[int, Var] = {}
+
+    def make(i: int) -> Var:
+        return table.get(i) or table.setdefault(i, Var(kind, i))
+
+    return make
 
 
-def const(i: int) -> Var:
-    return Var(VarKind.CONST, i)
+# one node per variable, made when it is first asked for
+bound, const, eqclass, locus = _MAKERS = tuple(map(_shared, VarKind))
 
 
-def locus(i: int) -> Var:
-    return Var(VarKind.LOCUS, i)
+def var(kind: VarKind, i: int) -> Var:
+    return _MAKERS[kind.rank](i)
 
 
 # ---------------------------------------------------------------------------
 # attributes and types
 
 
-@dataclass(frozen=True)
-class Attr:
+@_kind
+class Attr(_Node):
     """A (possibly negated) adjective with visible arguments."""
 
     positive: bool
@@ -137,8 +240,8 @@ class Attr:
         return Attr(not self.positive, self.attr_id, self.args)
 
 
-@dataclass(frozen=True)
-class TypeExpr:
+@_kind
+class TypeExpr(_Node):
     """Adjective-decorated mode application, as written.
 
     ``lower`` is the written cluster.  Its rounding-up under the active
@@ -156,11 +259,11 @@ class TypeExpr:
 # formulas
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_kind
 class FTrue(Formula):
     pass
 
@@ -168,25 +271,27 @@ class FTrue(Formula):
 TRUE = FTrue()
 
 
-@dataclass(frozen=True)
+@_kind
 class Neg(Formula):
     body: Formula
 
-    def __post_init__(self):
-        assert not isinstance(self.body, Neg), "double negation"
+    def __init__(self, body: Formula) -> None:
+        assert not isinstance(body, Neg), "double negation"
+        self._write(body)
 
 
-@dataclass(frozen=True)
+@_kind
 class And(Formula):
     conjuncts: tuple[Formula, ...]
 
-    def __post_init__(self):
-        assert len(self.conjuncts) >= 2, "And needs >= 2 conjuncts"
-        assert And not in map(type, self.conjuncts), "nested And"
+    def __init__(self, conjuncts: tuple[Formula, ...]) -> None:
+        assert len(conjuncts) >= 2, "And needs >= 2 conjuncts"
+        assert And not in map(type, conjuncts), "nested And"
+        self._write(conjuncts)
 
 
-@dataclass(frozen=True)
-class FlexConj:
+@_kind
+class FlexConj(_Node):
     """The five pieces of a flexary conjunction ``P[lo] & ... & P[hi]``.
 
     ``expansion`` is the defining universal
@@ -202,30 +307,30 @@ class FlexConj:
     inst_hi: Formula
 
 
-@dataclass(frozen=True)
+@_kind
 class FlexAnd(Formula):
     flex: FlexConj
 
 
-@dataclass(frozen=True)
+@_kind
 class ForAll(Formula):
     ty: TypeExpr
     body: Formula
 
 
-@dataclass(frozen=True)
+@_kind
 class Pred(Formula):
     pred: int
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_kind
 class SchemePred(Formula):
     pred: int
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_kind
 class PrivPred(Formula):
     """Application of a proof-local ``defpred``; carries its expansion."""
 
@@ -234,7 +339,7 @@ class PrivPred(Formula):
     expansion: Formula
 
 
-@dataclass(frozen=True)
+@_kind
 class Is(Formula):
     """Adjective assertion ``term is attr``."""
 
@@ -242,7 +347,7 @@ class Is(Formula):
     attr: Attr
 
 
-@dataclass(frozen=True)
+@_kind
 class Qual(Formula):
     """Type qualification ``term is T``."""
 
@@ -494,7 +599,7 @@ def subst_bound(node, level: int, *repls: Term):
     def fn(n):
         if type(n) is Var and n.kind is _BOUND and n.index >= level:
             i = n.index - level
-            return repls[i] if i < k else Var(VarKind.BOUND, n.index - k)
+            return repls[i] if i < k else bound(n.index - k)
         return None
 
     return map_terms(node, fn)
@@ -508,7 +613,7 @@ def shift_up(node, k: int, floor: int = 0):
 
     def fn(n):
         if type(n) is Var and n.kind is _BOUND and n.index >= floor:
-            return Var(VarKind.BOUND, n.index + k)
+            return bound(n.index + k)
         return None
 
     return map_terms(node, fn)
@@ -544,7 +649,7 @@ def split_closed(t: Term, depth: int) -> tuple[Term, tuple[Term, ...]]:
         if not any_var(n, lambda v: v.kind is _BOUND and v.index >= depth):
             parts.append(n)
             return locus(len(parts) - 1)
-        return Var(VarKind.BOUND, n.index - depth) if type(n) is Var else None
+        return bound(n.index - depth) if type(n) is Var else None
 
     return map_terms(t, fn), tuple(parts)
 

@@ -14,19 +14,21 @@ No keyword or symbol shares its text with another kind of token, so
 tuple ``(line, col)`` `_pos` cuts from a token; only `item` makes a `SourcePos`.
 
 Errors carry code 90.  Only `Parser.article` catches them, resuming at
-the next ``;`` so later items still get checked.  Nesting deeper than
-``MAX_NESTING`` is such an error.  One level is a `term` or `formula`
-entry, a ``(`` in formula position, the right operand of ``implies``, a
-postfix ``"``, or a prefix operator (``-``, ``succ``, ``bool``,
-``not``) whose operand opens with no parenthesis: every later stage
-recurses over the same tree, and past this depth the interpreter's
-recursion limit would take the whole article down with it.
+the next ``;`` so later items still get checked.  A bad character is an
+``error`` token, which no rule takes, so it costs only its item too.
+Nesting deeper than ``MAX_NESTING`` is such an error.  One level is a
+`term` or `formula` entry, a ``(`` in formula position, the right
+operand of ``implies``, a postfix ``"``, or a prefix operator (``-``,
+``succ``, ``bool``, ``not``) whose operand opens with no parenthesis:
+every later stage recurses over the same tree, and past this depth the
+interpreter's recursion limit would take the whole article down with it.
 """
 
 from __future__ import annotations
 
 from .errors import MizarError, Pos, SourcePos
-from .lexer import Token, tokenize
+from .lexer import Token
+from .lexer import scan as tokenize  # looked up here at each call, where a tracer wraps it
 from .surface import (
     Article,
     DefAttr,
@@ -121,6 +123,8 @@ class Parser:
         return t
 
     def fail(self, note: str) -> MizarError:
+        if self.tok[0] == "error":  # no rule takes a bad character: say what it is
+            note = self.tok[1]
         return MizarError(self.tok[2:], 90, note)
 
     def expect(self, text: str) -> Token:
@@ -891,8 +895,4 @@ class Parser:
 
 
 def parse_article(text: str) -> tuple[Article, list[MizarError]]:
-    try:
-        tokens = tokenize(text)
-    except MizarError as e:
-        return Article((), ()), [e]
-    return Parser(tokens).article()
+    return Parser(tokenize(text)).article()

@@ -46,7 +46,10 @@ types and the definition database, which only grows.  So ``justify``
 memoizes verdicts, and forgets every obligation when
 ``DefinitionDb.version()`` changes.  The key ``(premises, goal,
 constant types)`` is exact: kernel nodes compare every field with
-``==``, private expansions included.  An obligation is admitted at its
+``==``, private expansions included.  A node's hash is computed when it
+is made, so hashing a key reads one cached hash per premise, goal and
+type; only a hit compares the stored key, field by field down to the
+subtrees the two share.  An obligation is admitted at its
 second sighting under one version: the first files only its hash, in at
 most ``SEEN_CAP`` untracked ints, so one-off obligations keep no
 formula alive.  The memo is filed by that hash, keeps the key to
@@ -351,7 +354,7 @@ class Prechecker:
                 elif k is ForAll and not uses_bound(lit.body, 0) and self.db.inhabited(lit.ty):
                     todo = (subst_bound(lit.body, 0, Numeral(0)), todo)
                 elif k is not FTrue and lit not in out:
-                    # a scan, not a set: a node hashes its whole subtree on every call
+                    # a scan: a set of the clause's literals was measured no faster
                     out.append(lit)
             else:
                 yield out, local

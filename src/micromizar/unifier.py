@@ -56,12 +56,13 @@ from .logic import (
     VarKind,
     any_var,
     conjuncts,
+    eqclass,
     subst_bound,
 )
 
 TUPLE_CAP = 1000  # instances evaluated per clause
 
-_BOUND, _EQCLASS = VarKind.BOUND, VarKind.EQCLASS
+_BOUND = VarKind.BOUND
 
 
 Env = list[int]  # class id of each bound level, outermost first
@@ -79,7 +80,7 @@ def _is_bound(v: Var) -> bool:
 def _instance(node, env: Env):
     """The syntactic instance of `node` with bound level i read as class
     ``env[i]``: the only term the search builds, a flexible conjunction."""
-    return subst_bound(node, 0, *[Var(_EQCLASS, rep) for rep in env])
+    return subst_bound(node, 0, *map(eqclass, env))
 
 
 def _must(f: Formula, sign: bool):

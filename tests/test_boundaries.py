@@ -14,7 +14,8 @@ writer of the congruence graph's fact tables, only the upkeep of
 its polynomial table computes a normal form, only ``subtyping`` and
 the resolver's contradiction check round a type up, no module
 outside ``subtyping`` shrinks or reorders a definition registry, and
-only ``Trail.write`` changes the analyzer's block-scoped state.  ``parse_article`` looks
+only ``Trail.write`` changes the analyzer's block-scoped state, and
+only ``logic`` calls ``Var``.  ``parse_article`` looks
 ``tokenize`` up in the parser module's namespace at each call, which is
 where a tracer wraps it, and the parser never rewinds its tokens."""
 
@@ -122,6 +123,31 @@ def test_step_kinds_are_dispatched_in_one_place():
         if method != "_step" and not (method == "walk_now" and name in NOW_OWN_STEPS)
     ]
     assert stray == []
+
+
+def var_calls(source: str) -> list[int]:
+    """The line of each call of ``Var`` or ``x.Var`` in `source`; a class
+    pattern ``case Var(...)`` is no call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "Var"
+    )
+
+
+def test_only_logic_makes_a_variable():
+    # ``bound``, ``const``, ``locus``, ``eqclass`` and ``var`` hand out the
+    # one shared node of each variable
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "logic.py"
+        for line in var_calls(path.read_text())
+    ]
+    assert hits == []
+    src = "def f(t):\n    match t:\n        case Var(k, 0):\n            return Var(k, 1)\n    return logic.Var(k, 2)\n"
+    assert var_calls(src) == [4, 5]
 
 
 # the replay rebuilds the refuting instance, and `_instance` builds a
@@ -472,7 +498,7 @@ def test_the_parser_never_rewinds():
         and node.type is not None
         and any(isinstance(sub, ast.Name) and sub.id == "MizarError" for sub in ast.walk(node.type))
     }
-    assert catches == {"article", "parse_article"}
+    assert catches == {"article"}
 
 
 # The definition database only grows, so the sizes of its registries

@@ -1,8 +1,17 @@
+import copy
+import dataclasses
+import json
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
 import _oracles as orc
+import micromizar.logic as logic
 from micromizar.logic import (
     And,
     Attr,
@@ -43,7 +52,7 @@ from micromizar.logic import (
     uses_bound,
     uses_const,
 )
-from test_zip_nodes import Gen
+from test_zip_nodes import Gen, pairs
 
 P = Pred(10, (const(0),))
 Q = Pred(11, (const(1),))
@@ -317,3 +326,64 @@ def test_the_tie_keeps_every_order_of_the_rank():
                 else:
                     ties += nodes[i] != nodes[j]
     assert ties > 100
+
+
+# ---------------------------------------------------------------------------
+# hashing and equality
+
+# Prints the hash of the first node of each kind in a tree holding every
+# kind, and the iteration order of a set of adjectives over variables.
+HASHES = """
+import json
+from micromizar import logic
+from test_logic import every_kind
+from test_zip_nodes import positions
+first = {}
+for _, node in positions(logic.mk_and([every_kind(1), logic.mk_neg(logic.TRUE)])):
+    first.setdefault(type(node).__name__, hash(node))
+attrs = frozenset(logic.Attr(True, k, (logic.bound(k), logic.const(k))) for k in range(16))
+print(json.dumps([first, [a.attr_id for a in attrs]], sort_keys=True))
+"""
+
+
+def test_kernel_hashes_do_not_depend_on_the_hash_seed():
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", HASHES], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    assert set(outs[0][0]) == {kind.__name__ for kind in logic._SHAPE}
+
+
+def test_a_node_hashes_once_and_compares_its_hash_first():
+    # a hash or comparison that walked the chain would overflow the stack
+    deep, twin = const(0), const(1)
+    for _ in range(3000):
+        deep, twin = FunctorApp(0, (deep,)), FunctorApp(0, (twin,))
+    assert hash(deep) == hash(deep) != hash(twin)
+    assert deep != twin and not deep == twin
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        deep.func = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del deep.args
+    tree = every_kind(1)
+    assert copy.deepcopy(tree) == pickle.loads(pickle.dumps(tree)) == tree
+
+
+def test_a_variable_is_one_shared_node():
+    assert bound(2) is logic.var(VarKind.BOUND, 2) is subst_bound(bound(3), 0, const(0))
+    assert const(2) is not bound(2) and dataclasses.replace(bound(2), index=3) == bound(3)
+
+
+def test_equality_is_structural_and_equal_nodes_hash_alike():
+    differ = 0
+    for _, a, b in pairs(8, 3000):
+        same = a == b
+        assert same == (logic._tie(a) == logic._tie(b)) == (b == a), (a, b)
+        assert not same or hash(a) == hash(b)
+        differ += not same
+    assert 1000 < differ < 2800  # both verdicts are well represented

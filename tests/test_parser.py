@@ -3,7 +3,11 @@
 import gc
 import random
 
+import pytest
+
 from micromizar.analyzer import Analyzer
+from micromizar.errors import MizarError
+from micromizar.lexer import tokenize
 from micromizar.parser import MAX_NESTING, parse_article
 from micromizar.surface import (
     ItScheme,
@@ -615,3 +619,15 @@ def test_token_mutations_raise_only_mizar_errors(req_all):
             pass
     # the parser resumes after a broken item, so most items are checked
     assert items > 3 * FUZZ_MUTANTS
+
+
+def test_a_bad_character_loses_only_its_item(req_all):
+    body = "environ\nbegin\ntheorem 1 = 2;\ntheorem 2 = 2;\ntheorem 3 = 3 ? ;\ntheorem 1 = 3;\n"
+    assert check_article(body, req_all) == [(61, 3, 1), (61, 6, 1), (90, 5, 15)]
+    # each error `tokenize` raises, between two false theorems
+    for bad in ("x ²", "1٣", "$x", "x\x0cy", "\u2028y", "$"):
+        text = f"environ begin\ntheorem 1 = 2;\ntheorem {bad} = 1;\ntheorem 1 = 3;\n"
+        with pytest.raises(MizarError) as err:
+            tokenize(text)
+        codes = check_article(text, req_all)
+        assert codes == [(61, 2, 1), (61, 4, 1), (90, *err.value.pos)], bad
