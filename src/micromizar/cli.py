@@ -4,7 +4,8 @@ Each error is printed as ``line:col code message``, sorted by position.
 The cause of each code 99, a fault of the checker, goes to standard
 error as ``mizv: internal error at line:col: description``.
 The exit status is 0 when the article has no errors, 1 when it has
-some, and 2 when a file cannot be read or the requirement file lacks a
+some, and 2 when a file cannot be read, is not UTF-8 text or is not a
+well-formed requirement file, or when the requirement file lacks a
 group that the article's environment names.
 """
 
@@ -24,12 +25,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("article")
     ap.add_argument("--requirements", required=True, metavar="FILE")
     args = ap.parse_args(argv)
+    path = args.article
     try:
-        with open(args.article, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        req = load_requirements(args.requirements)
-    except (OSError, RequirementFileError) as e:
+        path = args.requirements
+        req = load_requirements(path)
+    except OSError as e:
         print(f"mizv: {e}", file=sys.stderr)
+        return 2
+    except (UnicodeDecodeError, RequirementFileError) as e:
+        print(f"mizv: {path}: {e}", file=sys.stderr)
         return 2
     article, parse_errors = parse_article(text)
     table, note = enable_groups(req, list(article.requirements))

@@ -7,8 +7,9 @@ print as ``line:col``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .records import record
 
 ERROR_MESSAGES = {
     51: "Invalid skeleton step",
@@ -49,13 +50,14 @@ class SourcePos(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@record
 class VerifyError:
     pos: SourcePos  # given as any `Pos`
     code: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", SourcePos(*self.pos))
+    def __init__(self, pos: Pos, code: int) -> None:
+        self.pos = SourcePos(*pos)
+        self.code = code
 
     @property
     def message(self) -> str:

@@ -29,22 +29,23 @@ object.  Every comparison of two trees goes through
 of hook, asked at every pair; flex inference, thesis equality and
 scheme matching are hooks on it.
 
-Every kind is a frozen, slotted dataclass that ``_kind`` makes from its
-annotated fields.  ``__init__`` writes each field once and then the
-node's hash, of a tag for the kind and the fields, whose own hashes are
-cached already: hashing a node never walks its subtree, and a variable's
-kind hashes by its rank, so no hash depends on ``PYTHONHASHSEED``.
-Equality tests identity, then the hashes, then the fields.  One `Var`
-per kind and index is shared, made by ``var`` or ``bound``, ``const``,
-``eqclass`` and ``locus`` when first asked for.
+Every kind is a frozen record (`records.record`) that ``_kind`` makes
+from its annotated fields.  ``__init__`` writes each field once and
+then the node's hash, of a tag for the kind and the fields, whose own
+hashes are cached already: hashing a node never walks its subtree, and
+a variable's kind hashes by its rank, so no hash depends on
+``PYTHONHASHSEED``.  Equality tests identity, then the hashes, then the
+fields.  One `Var` per kind and index is shared, made by ``var`` or
+``bound``, ``const``, ``eqclass`` and ``locus`` when first asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import count
 from operator import attrgetter, is_not
+
+from .records import record
 
 
 class VarKind(Enum):
@@ -68,6 +69,10 @@ _BOUND, _CONST, _LOCUS = VarKind.BOUND, VarKind.CONST, VarKind.LOCUS
 # node kinds
 
 
+class FrozenNodeError(AttributeError):
+    """An assignment to a field of a kernel node, which never changes."""
+
+
 class _Node:
     __slots__ = ("_hash",)
 
@@ -82,7 +87,7 @@ class _Node:
         return self._hash == other._hash and self._values(self) == other._values(other)
 
     def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise FrozenNodeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
 
@@ -95,14 +100,15 @@ _tags = count()
 
 
 def _kind(cls):
-    """A kernel kind: `cls` as a dataclass whose fields are its slots and
-    ``__init__``'s parameters.  A kind that checks its fields defines
-    ``__init__`` and calls ``_write`` last."""
-    kind = dataclass(slots=True, init=False, eq=False)(cls)
+    """A kernel kind: `cls` as a record whose ``__init__`` writes each slot
+    through its setter, past the refusing ``__setattr__``, and then the
+    hash.  A kind that checks its fields defines ``__init__`` and calls
+    ``_write`` last."""
+    kind = record(cls)
     names = kind.__match_args__
     write = _writer(next(_tags), *[getattr(kind, f).__set__ for f in names])
     write.__code__ = write.__code__.replace(co_varnames=("self", *names))
-    write.__defaults__ = tuple(f.default for f in fields(kind) if f.default is not MISSING) or None
+    write.__defaults__ = kind.__init__.__defaults__
     kind._write = write
     kind._values = attrgetter(*names or ("_hash",))
     if "__init__" not in vars(cls):

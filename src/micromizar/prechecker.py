@@ -61,7 +61,6 @@ check that raises stores nothing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .flex import expand_flex
 from .logic import (
@@ -86,6 +85,7 @@ from .logic import (
     subst_bound,
     uses_bound,
 )
+from .records import record
 from .subtyping import DefinitionDb
 from .unifier import TUPLE_CAP, clause_refuted
 
@@ -95,14 +95,19 @@ MEMO_CAP = 64  # verdicts kept, least recently used dropped first
 SEEN_CAP = 256  # hashes of obligations seen once, oldest dropped first
 
 
-@dataclass
+@record
 class Justification:
     accepted: bool
-    too_large: bool = False
-    prepared: Formula | None = None
-    skolems: list[tuple[int, TypeExpr]] = field(default_factory=list)
-    clause_count: int = 0
-    limited: bool = False  # the surviving clause hit a search budget
+    too_large: bool
+    prepared: Formula | None
+    skolems: list[tuple[int, TypeExpr]]
+    clause_count: int
+    limited: bool  # the surviving clause hit a search budget
+    __hash__ = None
+
+    def __init__(self, accepted, too_large=False, prepared=None, skolems=None, clause_count=0, limited=False) -> None:
+        self.accepted, self.too_large, self.prepared, self.limited = accepted, too_large, prepared, limited
+        self.skolems, self.clause_count = [] if skolems is None else skolems, clause_count
 
 
 class Prechecker:

@@ -17,13 +17,13 @@ functor computes (``arith``), what a boolean term equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 from .arith import OPS, ZERO, ComplexRational, Op, folding
 from .errors import RequirementFileError
 from .logic import Attr, FunctorApp, Numeral, PrivFunc, Term, TypeExpr
+from .records import record
 
 GROUPS: dict[str, tuple[str, ...]] = {
     "HIDDEN": ("Object", "Set", "Equality", "Membership"),
@@ -57,18 +57,19 @@ REDUCTIONS: dict[str, tuple[tuple[str, str, str], ...]] = {
 _GROUP_OF = {name: group for group, names in GROUPS.items() for name in names}
 
 
-@dataclass(frozen=True)
+@record
 class Constructor:
     kind: str
     cid: int
 
 
-@dataclass
+@record
 class RequirementFile:
     """Parsed requirement file: name -> constructor, plus group listing."""
 
     assignments: dict[str, Constructor]
     groups: set[str]
+    __hash__ = None
 
 
 def load_requirements(path: str) -> RequirementFile:

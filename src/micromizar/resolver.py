@@ -19,8 +19,6 @@ arity that disagrees with the declaration is 92.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import MizarError
 from .flex import MalformedFlex, NonNumericBound, NoCommonShape, infer_flex_from_diff
 from .logic import (
@@ -56,6 +54,7 @@ from .logic import (
     shift_up,
     subst_loci,
 )
+from .records import record
 from .requirements import RequirementTable
 from .subtyping import DefinitionDb
 from .surface import (
@@ -129,14 +128,15 @@ BUILTIN_MODES = {
 }
 
 
-@dataclass
+@record
 class PrivDef:
     ident: int
     arg_types: tuple[TypeExpr, ...]
     body: Term | Formula
+    __hash__ = None
 
 
-@dataclass
+@record
 class Scope:
     """Everything a name can currently mean, and no block bookkeeping.
 
@@ -151,22 +151,29 @@ class Scope:
 
     req: RequirementTable
     db: DefinitionDb
-    attr_names: dict[str, tuple[int, int]] = field(default_factory=dict)
-    mode_names: dict[str, tuple[int, int]] = field(default_factory=dict)
-    func_names: dict[tuple[str, int], int] = field(default_factory=dict)
-    pred_names: dict[tuple[str, int], int] = field(default_factory=dict)
-    consts: dict[str, int] = field(default_factory=dict)
-    const_types: list[TypeExpr] = field(default_factory=list)
-    loci: dict[str, int] = field(default_factory=dict)
-    bound_names: list[str] = field(default_factory=list)
-    priv_funcs: dict[str, PrivDef] = field(default_factory=dict)
-    priv_preds: dict[str, PrivDef] = field(default_factory=dict)
-    scheme_funcs: dict[str, tuple[int, tuple[TypeExpr, ...], TypeExpr]] = field(
-        default_factory=dict
-    )
-    scheme_preds: dict[str, tuple[int, tuple[TypeExpr, ...]]] = field(default_factory=dict)
-    context: dict[str, object] = field(default_factory=lambda: {"dollar_types": None, "it_term": None})
-    next_priv: dict[str, int] = field(default_factory=lambda: {"func": 0, "pred": 0})
+    attr_names: dict[str, tuple[int, int]]
+    mode_names: dict[str, tuple[int, int]]
+    func_names: dict[tuple[str, int], int]
+    pred_names: dict[tuple[str, int], int]
+    consts: dict[str, int]
+    const_types: list[TypeExpr]
+    loci: dict[str, int]
+    bound_names: list[str]
+    priv_funcs: dict[str, PrivDef]
+    priv_preds: dict[str, PrivDef]
+    scheme_funcs: dict[str, tuple[int, tuple[TypeExpr, ...], TypeExpr]]
+    scheme_preds: dict[str, tuple[int, tuple[TypeExpr, ...]]]
+    context: dict[str, object]
+    next_priv: dict[str, int]
+    __hash__ = None
+
+    def __init__(self, req: RequirementTable, db: DefinitionDb) -> None:
+        self.req, self.db = req, db
+        self.attr_names, self.mode_names, self.func_names, self.pred_names = {}, {}, {}, {}
+        self.consts, self.const_types, self.loci, self.bound_names = {}, [], {}, []
+        self.priv_funcs, self.priv_preds, self.scheme_funcs, self.scheme_preds = {}, {}, {}, {}
+        self.context = {"dollar_types": None, "it_term": None}
+        self.next_priv = {"func": 0, "pred": 0}
 
     def fresh_priv(self, kind: str) -> int:
         out = self.next_priv[kind]

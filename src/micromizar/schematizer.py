@@ -25,7 +25,6 @@ walk finds different is a head mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .logic import (
@@ -49,6 +48,7 @@ from .logic import (
     uses_bound,
     zip_nodes,
 )
+from .records import record
 
 SIGN_MISMATCH = 62
 HEAD_MISMATCH = 63
@@ -62,7 +62,7 @@ PRIV_FUNC = "deffunc"
 GROUND = "term"
 
 
-@dataclass(frozen=True)
+@record
 class Scheme:
     name: str
     functor_arities: tuple[int, ...]
@@ -71,12 +71,17 @@ class Scheme:
     conclusion: Formula
 
 
-@dataclass
+@record
 class SchemeAssignment:
     """Placeholder id -> signed predicate head / functor head / ground term."""
 
-    predicates: dict[int, tuple[bool, tuple[str, int]]] = field(default_factory=dict)
-    functors: dict[int, tuple[str, int] | tuple[str, Term]] = field(default_factory=dict)
+    predicates: dict[int, tuple[bool, tuple[str, int]]]
+    functors: dict[int, tuple[str, int] | tuple[str, Term]]
+    __hash__ = None
+
+    def __init__(self, predicates: dict | None = None, functors: dict | None = None) -> None:
+        self.predicates = {} if predicates is None else predicates
+        self.functors = {} if functors is None else functors
 
 
 class SchemeMatchError(Exception):

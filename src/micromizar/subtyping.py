@@ -22,8 +22,6 @@ types that pass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .logic import (
     Attr,
     Formula,
@@ -33,10 +31,11 @@ from .logic import (
     sorted_attrs,
     subst_loci,
 )
+from .records import record
 from .requirements import RequirementTable
 
 
-@dataclass(frozen=True)
+@record
 class AttrDef:
     """``attr a-P for T means ...``: loci 0..arity-1 are the visible
     arguments, locus ``arity`` is the subject."""
@@ -47,7 +46,7 @@ class AttrDef:
     expandable: bool
 
 
-@dataclass(frozen=True)
+@record
 class ModeDef:
     """``mode M of X -> parent means ...``: loci 0..arity-1 are the
     arguments, locus ``arity`` the candidate inhabitant."""
@@ -58,27 +57,27 @@ class ModeDef:
     expandable: bool
 
 
-@dataclass(frozen=True)
+@record
 class FuncDef:
     arity: int
     result: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class PredDef:
     arity: int
     definiens: Formula
     expandable: bool
 
 
-@dataclass(frozen=True)
+@record
 class ConditionalCluster:
     guard: frozenset[Attr]
     target: frozenset[Attr]
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class FunctorCluster:
     term: Term
     attrs: frozenset[Attr]

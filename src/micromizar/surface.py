@@ -17,20 +17,19 @@ appear.
 
 A position is a token's ``(line, col)``: a `SourcePos` for a top-level
 item, else the plain tuple (see `errors.SourcePos`).  Nodes are slotted
-dataclasses compared and hashed by value; not frozen, which would make
-them dearer to build, they are never assigned to (a boundary test holds
-every module to that).  Every concrete kind is a leaf, so ``type(s) is
-K`` tests what the class pattern ``K()`` does.
+records (`records.record`) compared and hashed by value; not frozen,
+which would make them dearer to build, they are never assigned to (a
+boundary test holds every module to that).  Every concrete kind is a
+leaf, so ``type(s) is K`` tests what the class pattern ``K()`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Pos
+from .records import record
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Node:
     pos: Pos
 
@@ -42,19 +41,19 @@ class STerm(Node):
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SNum(STerm):
     value: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SVar(STerm):
     """Bare identifier; could be a constant, locus, or nullary functor."""
 
     name: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SApp(STerm):
     """Named application, including operator spellings like "+" or
     "bool".  Arity disambiguates overloaded spellings ("-" is both
@@ -64,19 +63,19 @@ class SApp(STerm):
     args: tuple[STerm, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SDollar(STerm):
     """Positional locus $1..$n inside deffunc/defpred bodies."""
 
     index: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SThe(STerm):
     ty: "SType"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SFraenkel(STerm):
     body: STerm
     binders: tuple["SBinders", ...]
@@ -86,21 +85,21 @@ class SFraenkel(STerm):
 # -- types ---------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SAdj(Node):
     positive: bool
     name: str
     arg: STerm | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SType(Node):
     adjs: tuple[SAdj, ...]
     mode: str
     arg: STerm | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SBinders(Node):
     names: tuple[str, ...]
     ty: SType
@@ -113,44 +112,44 @@ class SFormula(Node):
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SContradiction(SFormula):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SThesis(SFormula):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SNot(SFormula):
     body: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SAnd(SFormula):
     parts: tuple[SFormula, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SOr(SFormula):
     parts: tuple[SFormula, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SImplies(SFormula):
     antecedent: SFormula
     consequent: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SIff(SFormula):
     left: SFormula
     right: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SFlex(SFormula):
     """``lo & ... & hi`` with literal dots."""
 
@@ -158,20 +157,20 @@ class SFlex(SFormula):
     hi: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SForAll(SFormula):
     binders: tuple[SBinders, ...]
     guard: SFormula | None
     body: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SExists(SFormula):
     binders: tuple[SBinders, ...]
     body: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SPredAtom(SFormula):
     """Predicate application by spelling: "=", "in", "<", user names."""
 
@@ -179,7 +178,7 @@ class SPredAtom(SFormula):
     args: tuple[STerm, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SBracketAtom(SFormula):
     """Square-bracket application: defpred or scheme predicate usage."""
 
@@ -187,13 +186,13 @@ class SBracketAtom(SFormula):
     args: tuple[STerm, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SIs(SFormula):
     term: STerm
     adjs: tuple[SAdj, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SQual(SFormula):
     term: STerm
     ty: SType
@@ -206,20 +205,20 @@ class SJust(Node):
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SBy(SJust):
     refs: tuple[tuple[str, Pos], ...]
     linked: bool = False
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SFrom(SJust):
     scheme: str
     refs: tuple[tuple[str, Pos], ...]
     linked: bool = False
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SSubProof(SJust):
     steps: tuple["SStep", ...]
     end_pos: Pos
@@ -232,41 +231,41 @@ class SStep(Node):
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SLabeled(Node):
     label: str | None
     formula: SFormula
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StLet(SStep):
     names: tuple[str, ...]
     ty: SType
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StAssume(SStep):
     conds: tuple[SLabeled, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StThus(SStep):
     prop: SLabeled
     just: SJust
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StTake(SStep):
     term: STerm
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StTakeEq(SStep):
     name: str
     term: STerm
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StConsider(SStep):
     name: str
     ty: SType
@@ -274,14 +273,14 @@ class StConsider(SStep):
     just: SJust
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StGiven(SStep):
     name: str
     ty: SType
     conds: tuple[SLabeled, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StReconsider(SStep):
     name: str
     term: STerm
@@ -289,41 +288,41 @@ class StReconsider(SStep):
     just: SJust
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StCaseBlock(Node):
     cond: SLabeled
     steps: tuple[SStep, ...]
     end_pos: Pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StPerCases(SStep):
     just: SJust
     kind: str  # "suppose" | "case"
     blocks: tuple[StCaseBlock, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StNow(SStep):
     label: str | None
     steps: tuple[SStep, ...]
     end_pos: Pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StProp(SStep):
     prop: SLabeled
     just: SJust
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StDeffunc(SStep):
     name: str
     arg_types: tuple[SType, ...]
     body: STerm
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StDefpred(SStep):
     name: str
     arg_types: tuple[SType, ...]
@@ -333,7 +332,7 @@ class StDefpred(SStep):
 # -- steps only the top level admits -----------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SchemeVarSig(Node):
     name: str
     kind: str  # "pred" | "func"
@@ -341,7 +340,7 @@ class SchemeVarSig(Node):
     result: SType | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class ItScheme(SStep):
     name: str
     sigs: tuple[SchemeVarSig, ...]
@@ -351,13 +350,13 @@ class ItScheme(SStep):
     end_pos: Pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class SCorrectness(Node):
     kind: str  # "existence" | "coherence" | "uniqueness"
     just: SJust
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class DefAttr(Node):
     subject: str
     arg: str | None
@@ -367,7 +366,7 @@ class DefAttr(Node):
     expandable: bool
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class DefMode(Node):
     name: str
     args: tuple[str, ...]
@@ -377,7 +376,7 @@ class DefMode(Node):
     expandable: bool
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class DefFunc(Node):
     name: str
     args: tuple[str, ...]
@@ -387,7 +386,7 @@ class DefFunc(Node):
     means: SFormula | None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class DefPred(Node):
     name: str
     args: tuple[str, ...]
@@ -396,39 +395,39 @@ class DefPred(Node):
     expandable: bool
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class ItDefinition(SStep):
     lets: tuple[SBinders, ...]
     body: DefAttr | DefMode | DefFunc | DefPred
     correctness: tuple[SCorrectness, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class RegExistential(Node):
     ty: SType
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class RegFunctor(Node):
     term: STerm
     adjs: tuple[SAdj, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class RegConditional(Node):
     guard: tuple[SAdj, ...]
     target: tuple[SAdj, ...]
     ty: SType
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class ItRegistration(SStep):
     lets: tuple[SBinders, ...]
     body: RegExistential | RegFunctor | RegConditional
     correctness: tuple[SCorrectness, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Article:
     requirements: tuple[str, ...]
     items: tuple[SStep, ...]

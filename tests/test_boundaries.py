@@ -20,11 +20,11 @@ only ``logic`` calls ``Var``.  ``parse_article`` looks
 where a tracer wraps it, and the parser never rewinds its tokens."""
 
 import ast
-import dataclasses
 import pathlib
 
 from micromizar import logic, surface
 from micromizar.arith import OPS
+from micromizar.records import is_record
 from micromizar.requirements import GROUPS
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "micromizar"
@@ -178,7 +178,7 @@ def test_the_unifier_search_builds_no_terms():
     assert hits == []
 
 
-KINDS = {name for name, v in vars(logic).items() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+KINDS = {name for name, v in vars(logic).items() if isinstance(v, type) and is_record(v)}
 
 
 def kind_tested(test) -> str | None:
@@ -267,10 +267,10 @@ def test_the_hot_walks_dispatch_on_exact_type():
 
 
 SURFACE_FIELDS = {
-    f.name
+    f
     for kind in vars(surface).values()
-    if isinstance(kind, type) and dataclasses.is_dataclass(kind)
-    for f in dataclasses.fields(kind)
+    if isinstance(kind, type) and is_record(kind)
+    for f in kind.__match_args__
 }
 
 

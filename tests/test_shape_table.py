@@ -55,7 +55,7 @@ def shape_faults(kind: type, shape) -> list[str]:
     """Fields of `kind` the shape leaves out or names twice, and fields the
     single-tree walks visit (``shape.fields``) that ``zip_nodes`` does not
     compare as children."""
-    fields = [f.name for f in dataclasses.fields(kind)]
+    fields = list(kind.__match_args__)
     listed = [*(shape.head or ()), *shape.children]
     name = kind.__name__
     faults = [f"{name}.{f} is not in the table" for f in fields if f not in listed]

@@ -8,12 +8,12 @@ base without ``__slots__ = ()`` would bring back.
 """
 
 import ast
-import dataclasses
 import inspect
 import textwrap
 
 import micromizar.surface as surface
 from micromizar.parser import parse_article
+from micromizar.records import is_record
 from micromizar.resolver import Resolver
 from micromizar.surface import Node, SFormula, SJust, SStep, STerm
 from test_parser import FUZZ_ARTICLES
@@ -31,8 +31,8 @@ def leaves(base: type) -> set[str]:
 
 def below(node: Node):
     """Every surface node under `node`, in pre-order, not `node` itself."""
-    for f in dataclasses.fields(node):
-        yield from _nodes(getattr(node, f.name))
+    for f in node.__match_args__:
+        yield from _nodes(getattr(node, f))
 
 
 def _nodes(value):
@@ -48,7 +48,7 @@ def test_every_concrete_surface_kind_is_a_leaf():
     concrete = [c for c in surface_classes() if c not in ABSTRACT]
     assert len(concrete) > 40
     assert [c.__name__ for c in concrete if c.__subclasses__()] == []
-    assert [c.__name__ for c in concrete if not dataclasses.is_dataclass(c)] == []
+    assert [c.__name__ for c in concrete if not is_record(c)] == []
 
 
 def test_no_surface_node_has_a_dict():

@@ -6,7 +6,6 @@ it replaced (``tests/_oracles.py``) on seeded pairs: a random tree, and
 the same tree after up to two random mutations.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -50,6 +49,7 @@ from micromizar.logic import (
     sorted_attrs,
     zip_nodes,
 )
+from micromizar.records import is_record
 from micromizar.schematizer import (
     FUNC,
     GROUND,
@@ -202,16 +202,21 @@ class Gen:
 def positions(node, path=()):
     """(path, node) for every kernel node of a tree, in a fixed order."""
     yield path, node
-    if not dataclasses.is_dataclass(node):
+    if not is_record(type(node)):
         return
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
+    for f in node.__match_args__:
+        v = getattr(node, f)
         if isinstance(v, (tuple, frozenset)):
             items = sorted_attrs(v) if isinstance(v, frozenset) else v
             for i, x in enumerate(items):
-                yield from positions(x, path + ((f.name, i),))
-        elif dataclasses.is_dataclass(v):
-            yield from positions(v, path + ((f.name, None),))
+                yield from positions(x, path + ((f, i),))
+        elif is_record(type(v)):
+            yield from positions(v, path + ((f, None),))
+
+
+def rebuilt(node, **changes):
+    """`node`'s kind built by keyword from its fields, `changes` applied."""
+    return type(node)(**{f: getattr(node, f) for f in node.__match_args__} | changes)
 
 
 def replace_at(node, path, new):
@@ -220,10 +225,10 @@ def replace_at(node, path, new):
     (name, i), rest = path[0], path[1:]
     v = getattr(node, name)
     if i is None:
-        return dataclasses.replace(node, **{name: replace_at(v, rest, new)})
+        return rebuilt(node, **{name: replace_at(v, rest, new)})
     items = list(sorted_attrs(v) if isinstance(v, frozenset) else v)
     items[i] = replace_at(items[i], rest, new)
-    return dataclasses.replace(node, **{name: type(v)(items)})
+    return rebuilt(node, **{name: type(v)(items)})
 
 
 def mutate(gen: Gen, tree, rng: random.Random):
@@ -237,24 +242,24 @@ def mutate(gen: Gen, tree, rng: random.Random):
         elif kind == 1 and isinstance(node, Numeral):
             new = Numeral(node.value + 1)
         elif kind == 2 and hasattr(node, "func"):
-            new = dataclasses.replace(node, func=node.func + 1)
+            new = rebuilt(node, func=node.func + 1)
         elif kind == 3 and hasattr(node, "args"):
-            new = dataclasses.replace(node, args=node.args[1:] if node.args else (const(0),))
+            new = rebuilt(node, args=node.args[1:] if node.args else (const(0),))
         else:
             new = PrivFunc(2, (), node)
     elif isinstance(node, Attr):
         new = node.negate() if kind < 2 else Attr(node.positive, node.attr_id + kind % 2, node.args[1:])
     elif isinstance(node, TypeExpr):
-        new = dataclasses.replace(node, mode=node.mode + 1) if kind < 2 else gen.type(0, 0)
+        new = rebuilt(node, mode=node.mode + 1) if kind < 2 else gen.type(0, 0)
     elif isinstance(node, FlexConj):
-        new = dataclasses.replace(node, lo=gen.term(0, 0)) if kind < 3 else gen.flex(0, 1)
+        new = rebuilt(node, lo=gen.term(0, 0)) if kind < 3 else gen.flex(0, 1)
     else:
         if kind == 0:
             new = mk_neg(node)
         elif kind == 1 and hasattr(node, "pred"):
-            new = dataclasses.replace(node, pred=node.pred + 1)
+            new = rebuilt(node, pred=node.pred + 1)
         elif kind == 2 and hasattr(node, "args"):
-            new = dataclasses.replace(node, args=node.args[:-1] if node.args else (const(1),))
+            new = rebuilt(node, args=node.args[:-1] if node.args else (const(1),))
         elif kind == 3:
             new = PrivPred(2, (), node)
         else:
